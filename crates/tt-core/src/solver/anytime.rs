@@ -74,7 +74,7 @@ fn complete_node(
 /// and the admissible lookahead bound at the universe.
 pub fn degraded_bounds(inst: &TtInstance, tree: Option<&TtTree>) -> (Cost, Cost) {
     let upper = tree.map_or(Cost::INF, |t| t.expected_cost(inst));
-    let lower = Bounds::new(inst).lower_bound(inst.universe());
+    let lower = Bounds::lower_bound_at(inst, inst.universe());
     (upper, lower)
 }
 

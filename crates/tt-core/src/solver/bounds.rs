@@ -25,13 +25,24 @@ pub struct Bounds<'a> {
     /// `tmin[j]` = cheapest treatment covering object `j` (`None` if
     /// untreatable — the instance is inadequate at any `S ∋ j`).
     tmin: Vec<Option<u64>>,
-    /// `p(S)` table.
+    /// `p(S)` table (empty for a single-set context, see
+    /// [`Bounds::lower_bound_at`]).
     weight_table: Vec<u64>,
 }
 
 impl<'a> Bounds<'a> {
     /// Builds the context (`O(k·N + 2^k)`).
     pub fn new(inst: &'a TtInstance) -> Bounds<'a> {
+        Bounds {
+            weight_table: inst.weight_table(),
+            ..Bounds::tableless(inst)
+        }
+    }
+
+    /// The context without the `2^k` `p(S)` table (`O(k·N)`): every
+    /// `p(S)` is summed from the object weights instead. For callers
+    /// that bound a single set, such as a degraded answer's bound at `U`.
+    fn tableless(inst: &'a TtInstance) -> Bounds<'a> {
         let tmin = (0..inst.k())
             .map(|j| {
                 inst.treatments()
@@ -44,7 +55,22 @@ impl<'a> Bounds<'a> {
         Bounds {
             inst,
             tmin,
-            weight_table: inst.weight_table(),
+            weight_table: Vec::new(),
+        }
+    }
+
+    /// [`lower_bound`](Bounds::lower_bound) at one set `S`, in
+    /// `O(k·N)` without building the `2^k` `p(S)` table that
+    /// [`Bounds::new`] does. Equal to `Bounds::new(inst).lower_bound(s)`.
+    pub fn lower_bound_at(inst: &TtInstance, s: Subset) -> Cost {
+        Bounds::tableless(inst).lower_bound(s)
+    }
+
+    /// `p(S)`: from the table when one was built, summed otherwise.
+    fn weight(&self, s: Subset) -> u64 {
+        match self.weight_table.get(s.index()) {
+            Some(&w) => w,
+            None => self.inst.weight_of(s),
         }
     }
 
@@ -68,6 +94,7 @@ impl<'a> Bounds<'a> {
         if s.is_empty() {
             return Cost::ZERO;
         }
+        let p_s = self.weight(s);
         let mut best = Cost::INF;
         for a in self.inst.actions() {
             let inter = s.intersect(a.set);
@@ -75,7 +102,7 @@ impl<'a> Bounds<'a> {
             if inter.is_empty() || (a.is_test() && diff.is_empty()) {
                 continue;
             }
-            let mut est = Cost::new(a.cost).saturating_mul_weight(self.weight_table[s.index()]);
+            let mut est = Cost::new(a.cost).saturating_mul_weight(p_s);
             est += self.treatment_charge(diff);
             if a.is_test() {
                 est += self.treatment_charge(inter);
@@ -94,7 +121,7 @@ impl<'a> Bounds<'a> {
         if inter.is_empty() || (a.is_test() && diff.is_empty()) {
             return Cost::INF;
         }
-        let mut est = Cost::new(a.cost).saturating_mul_weight(self.weight_table[s.index()]);
+        let mut est = Cost::new(a.cost).saturating_mul_weight(self.weight(s));
         est += self.treatment_charge(diff);
         if a.is_test() {
             est += self.treatment_charge(inter);
@@ -121,6 +148,36 @@ mod tests {
     use super::*;
     use crate::instance::TtInstanceBuilder;
     use crate::solver::sequential;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The single-set bound equals the table-based one on every
+        /// subset, inadequate instances included.
+        #[test]
+        fn lower_bound_at_matches_the_table_based_bound(
+            k in 1usize..=10,
+            weights in proptest::collection::vec(1u64..50, 10),
+            actions in proptest::collection::vec((any::<u16>(), 1u64..20, any::<bool>()), 1usize..12),
+        ) {
+            let mut b = TtInstanceBuilder::new(k).weights(weights[..k].iter().copied());
+            for (bits, cost, is_test) in actions {
+                let set = Subset(u32::from(bits) & Subset::universe(k).0);
+                if set.is_empty() {
+                    continue;
+                }
+                b = if is_test { b.test(set, cost) } else { b.treatment(set, cost) };
+            }
+            // Builds that reject the draw (e.g. no actions left) are skipped.
+            if let Ok(i) = b.build() {
+                let table = Bounds::new(&i);
+                for s in Subset::all(k) {
+                    prop_assert_eq!(Bounds::lower_bound_at(&i, s), table.lower_bound(s), "S = {}", s);
+                }
+            }
+        }
+    }
 
     fn inst() -> TtInstance {
         TtInstanceBuilder::new(4)

@@ -31,7 +31,7 @@
 
 use crate::cost::Cost;
 use crate::instance::TtInstance;
-use crate::solver::anytime::ExactEntry;
+use crate::solver::anytime::{self, ExactEntry};
 use crate::subset::frontier::{self, FrontierTable};
 use crate::subset::Subset;
 use std::fmt::Write as _;
@@ -124,60 +124,158 @@ pub struct Checkpoint {
     pub fingerprint: u64,
 }
 
-impl Checkpoint {
-    /// Captures a checkpoint from full-size DP slabs: entries with
-    /// `#S ≤ level` are copied, the rest stored as unknown.
-    pub fn capture(
-        inst: &TtInstance,
+/// A borrowed view of the completed DP wavefront an engine holds at a
+/// level boundary: what [`Solver::solve_resumable`] hands its per-level
+/// observer. Making one copies nothing. Observers that keep or persist
+/// the level call [`to_checkpoint`](LevelView::to_checkpoint); the
+/// supervisor copies only the cells it has not seen yet.
+///
+/// [`Solver::solve_resumable`]: crate::solver::engine::Solver::solve_resumable
+#[derive(Clone, Copy)]
+pub struct LevelView<'a> {
+    inst: &'a TtInstance,
+    level: usize,
+    tables: Tables<'a>,
+}
+
+/// Where a [`LevelView`] reads its cells.
+#[derive(Clone, Copy)]
+enum Tables<'a> {
+    /// Mask-indexed `2^k` slabs; `best` is `None` for producers without
+    /// an argmin plane.
+    Dense {
+        cost: &'a [Cost],
+        best: Option<&'a [Option<u16>]>,
+    },
+    /// Frontier-compressed per-level buffers (cost only).
+    Frontier(&'a FrontierTable),
+}
+
+impl<'a> LevelView<'a> {
+    /// A view of mask-indexed cost and argmin slabs, exact for
+    /// `#S ≤ level`.
+    pub fn dense(
+        inst: &'a TtInstance,
         level: usize,
-        cost: &[Cost],
-        best: &[Option<u16>],
-        upper: Cost,
-        lower: Cost,
-    ) -> Checkpoint {
+        cost: &'a [Cost],
+        best: &'a [Option<u16>],
+    ) -> LevelView<'a> {
+        LevelView::dense_slabs(inst, level, cost, Some(best))
+    }
+
+    /// A view of a mask-indexed cost slab from a producer without an
+    /// argmin plane (the blocked hypercube): argmins read as `None`.
+    pub fn dense_costs(inst: &'a TtInstance, level: usize, cost: &'a [Cost]) -> LevelView<'a> {
+        LevelView::dense_slabs(inst, level, cost, None)
+    }
+
+    fn dense_slabs(
+        inst: &'a TtInstance,
+        level: usize,
+        cost: &'a [Cost],
+        best: Option<&'a [Option<u16>]>,
+    ) -> LevelView<'a> {
         let size = 1usize << inst.k();
         assert_eq!(cost.len(), size, "cost slab size");
-        assert_eq!(best.len(), size, "best slab size");
-        let mut ck_cost = vec![Cost::INF; size];
-        let mut ck_best = vec![None; size];
-        ck_cost[0] = Cost::ZERO;
-        for mask in 1..size {
-            if Subset(mask as u32).len() <= level {
-                ck_cost[mask] = cost[mask];
-                ck_best[mask] = best[mask];
-            }
+        assert!(best.is_none_or(|b| b.len() == size), "best slab size");
+        LevelView {
+            inst,
+            level,
+            tables: Tables::Dense { cost, best },
         }
+    }
+
+    /// A view of a frontier-compressed table's levels `0..=level` (no
+    /// argmin plane).
+    pub fn frontier(inst: &'a TtInstance, level: usize, table: &'a FrontierTable) -> LevelView<'a> {
+        assert!(
+            table.len_levels() > level,
+            "frontier table has {} completed levels, the view wants level {level}",
+            table.len_levels()
+        );
+        LevelView {
+            inst,
+            level,
+            tables: Tables::Frontier(table),
+        }
+    }
+
+    /// The completed wavefront level: every `#S ≤ level` cell is exact.
+    pub fn level(&self) -> usize {
+        self.level
+    }
+
+    /// The owned checkpoint of this level: the `#S ≤ level` slab and the
+    /// incumbent bound sandwich priced from it.
+    pub fn to_checkpoint(&self) -> Checkpoint {
+        let mut ck = Checkpoint::blank(self.inst);
+        ck.absorb(self, 1);
+        ck.price(self.inst);
+        ck
+    }
+}
+
+impl Checkpoint {
+    /// A level-0 checkpoint for `inst`: `C(∅) = 0`, nothing else known,
+    /// bounds not yet priced (`INF`, `0`).
+    pub(crate) fn blank(inst: &TtInstance) -> Checkpoint {
+        let size = 1usize << inst.k();
+        let mut cost = vec![Cost::INF; size];
+        cost[0] = Cost::ZERO;
         Checkpoint {
             k: inst.k(),
-            level,
-            cost: ck_cost,
-            best: ck_best,
-            upper,
-            lower,
+            level: 0,
+            cost,
+            best: vec![None; size],
+            upper: Cost::INF,
+            lower: Cost::ZERO,
             fingerprint: instance_fingerprint(inst),
         }
     }
 
-    /// Captures a checkpoint directly from a frontier-compressed table:
-    /// the completed levels `0..=level` are scattered into the dense
-    /// slab shape, with no argmin plane (frontier sweeps store costs
-    /// only; consumers that need argmins call
-    /// [`recover_argmins`](Checkpoint::recover_argmins)).
-    pub fn capture_frontier(
-        inst: &TtInstance,
-        table: &FrontierTable,
-        level: usize,
-        upper: Cost,
-        lower: Cost,
-    ) -> Checkpoint {
-        assert!(
-            table.len_levels() > level,
-            "frontier table has {} completed levels, checkpoint wants level {level}",
-            table.len_levels()
-        );
-        let cost = table.to_dense();
-        let best = vec![None; cost.len()];
-        Checkpoint::capture(inst, level, &cost, &best, upper, lower)
+    /// Copies levels `from..=view.level()` of `view` into this
+    /// checkpoint and moves its wavefront to `view.level()`, forgetting
+    /// any levels above that it held. Level 0 (`C(∅) = 0`) is never
+    /// copied. The bounds are left as they were: call
+    /// [`price`](Checkpoint::price) before reading them.
+    pub(crate) fn absorb(&mut self, view: &LevelView<'_>, from: usize) {
+        assert_eq!(self.k, view.inst.k(), "checkpoint and view sizes");
+        for j in (view.level + 1)..=self.level {
+            for s in Subset::of_size(self.k, j) {
+                self.cost[s.index()] = Cost::INF;
+                self.best[s.index()] = None;
+            }
+        }
+        for j in from.max(1)..=view.level {
+            let level = Subset::of_size(self.k, j);
+            match view.tables {
+                Tables::Dense { cost, best } => {
+                    for s in level {
+                        self.cost[s.index()] = cost[s.index()];
+                        self.best[s.index()] = best.and_then(|b| b[s.index()]);
+                    }
+                }
+                Tables::Frontier(table) => {
+                    let cells = table.level(j).expect("the view's levels are present");
+                    // Frontier cells are stored in rank order, which is
+                    // `of_size`'s increasing-mask order.
+                    for (s, &cost) in level.zip(cells.cells()) {
+                        self.cost[s.index()] = cost;
+                        self.best[s.index()] = None;
+                    }
+                }
+            }
+        }
+        self.level = view.level;
+    }
+
+    /// Prices the incumbent bound sandwich from the slab: the cost of
+    /// the tree that follows the exact argmins below the wavefront and
+    /// completes greedily above it, and the admissible lower bound at
+    /// `U`.
+    pub(crate) fn price(&mut self, inst: &TtInstance) {
+        let tree = anytime::complete_tree(inst, &|s| self.exact(s));
+        (self.upper, self.lower) = anytime::degraded_bounds(inst, tree.as_ref());
     }
 
     /// Does this checkpoint belong to `inst`?
@@ -599,14 +697,7 @@ mod tests {
     fn checkpoint_at(level: usize) -> (TtInstance, Checkpoint) {
         let i = inst();
         let sol = sequential::solve(&i);
-        let ck = Checkpoint::capture(
-            &i,
-            level,
-            &sol.tables.cost,
-            &sol.tables.best,
-            Cost::new(100),
-            Cost::new(10),
-        );
+        let ck = LevelView::dense(&i, level, &sol.tables.cost, &sol.tables.best).to_checkpoint();
         (i, ck)
     }
 
@@ -780,26 +871,41 @@ mod tests {
     }
 
     #[test]
-    fn capture_frontier_matches_dense_capture_modulo_argmins() {
+    fn frontier_view_matches_dense_view_modulo_argmins() {
         let i = inst();
         let sol = sequential::solve(&i);
         let table = FrontierTable::from_dense(i.k(), 3, &sol.tables.cost);
-        let from_frontier =
-            Checkpoint::capture_frontier(&i, &table, 3, Cost::new(100), Cost::new(10));
-        let dense = Checkpoint::capture(
-            &i,
-            3,
-            &sol.tables.cost,
-            &sol.tables.best,
-            Cost::new(100),
-            Cost::new(10),
-        );
+        let from_frontier = LevelView::frontier(&i, 3, &table).to_checkpoint();
+        let dense = LevelView::dense(&i, 3, &sol.tables.cost, &sol.tables.best).to_checkpoint();
         assert_eq!(from_frontier.cost, dense.cost);
         assert!(from_frontier.best.iter().all(Option::is_none));
         // recover_argmins rebuilds the sequential plane exactly.
         let mut recovered = from_frontier;
         recovered.recover_argmins(&i);
         assert_eq!(recovered.best, dense.best);
-        assert_eq!(recovered, dense);
+        assert_eq!((recovered.cost, recovered.best), (dense.cost, dense.best));
+    }
+
+    #[test]
+    fn absorbing_level_by_level_equals_one_full_copy() {
+        let i = inst();
+        let sol = sequential::solve(&i);
+        let mut incremental = Checkpoint::blank(&i);
+        for level in 1..=i.k() {
+            let view = LevelView::dense(&i, level, &sol.tables.cost, &sol.tables.best);
+            incremental.absorb(&view, level);
+            let mut full = view.to_checkpoint();
+            incremental.price(&i);
+            assert_eq!(incremental, full, "level {level}");
+            // Stepping back down forgets the levels above.
+            full.absorb(
+                &LevelView::dense(&i, 1, &sol.tables.cost, &sol.tables.best),
+                2,
+            );
+            let mut one =
+                LevelView::dense(&i, 1, &sol.tables.cost, &sol.tables.best).to_checkpoint();
+            (one.upper, one.lower) = (full.upper, full.lower);
+            assert_eq!(full, one, "back to level 1 from {level}");
+        }
     }
 }

@@ -26,7 +26,7 @@ use crate::cost::Cost;
 use crate::instance::TtInstance;
 use crate::solver::anytime::{self, ExactEntry};
 use crate::solver::budget::{Budget, ExhaustReason};
-use crate::solver::checkpoint::Checkpoint;
+use crate::solver::checkpoint::{Checkpoint, LevelView};
 use crate::solver::{branch_and_bound, exhaustive, greedy, memo, sequential};
 use crate::subset::frontier::{FrontierStats, FrontierTable};
 use crate::subset::Subset;
@@ -277,7 +277,10 @@ pub trait Solver: Send + Sync {
     }
 
     /// Solves with an optional warm-start [`Checkpoint`] and a sink
-    /// receiving a checkpoint after every completed DP level.
+    /// receiving a borrowed [`LevelView`] of the tables after every
+    /// completed DP level. The view copies nothing; a sink that keeps
+    /// the level builds the owned checkpoint with
+    /// [`LevelView::to_checkpoint`].
     ///
     /// The default ignores both — a cold
     /// [`solve_with`](Solver::solve_with) that emits nothing — so
@@ -286,55 +289,18 @@ pub trait Solver: Send + Sync {
     /// checkpoint they recompute from scratch, which is slower but
     /// never wrong. Implementations must only consume checkpoints
     /// whose fingerprint matches `inst` (callers validate, engines may
-    /// trust) and must emit checkpoints only at completed-wavefront
-    /// boundaries, so every emitted slab is exact below its level.
+    /// trust) and must emit views only at completed-wavefront
+    /// boundaries, so every viewed slab is exact below its level.
     fn solve_resumable(
         &self,
         inst: &TtInstance,
         budget: &Budget,
         resume: Option<&Checkpoint>,
-        sink: &mut dyn FnMut(Checkpoint),
+        sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         let _ = (resume, sink);
         self.solve_with(inst, budget)
     }
-}
-
-/// Builds the level-boundary checkpoint engines hand to their sink:
-/// captures the `#S ≤ level` slab and prices the incumbent bound
-/// sandwich (exact argmins below the wavefront, greedy completion
-/// above).
-pub fn checkpoint_at_level(
-    inst: &TtInstance,
-    level: usize,
-    cost: &[Cost],
-    best: &[Option<u16>],
-) -> Checkpoint {
-    let exact = |s: Subset| -> Option<ExactEntry> {
-        (s.len() <= level).then(|| (cost[s.index()], best[s.index()]))
-    };
-    let tree = anytime::complete_tree(inst, &exact);
-    let (upper, lower) = anytime::degraded_bounds(inst, tree.as_ref());
-    Checkpoint::capture(inst, level, cost, best, upper, lower)
-}
-
-/// As [`checkpoint_at_level`], but for a frontier-compressed table:
-/// the exact view below the wavefront is cost-only (the frontier
-/// stores no argmin plane), which `anytime::complete_tree` handles by
-/// greedy completion; the captured slab itself is exact.
-pub fn checkpoint_at_level_frontier(
-    inst: &TtInstance,
-    level: usize,
-    table: &FrontierTable,
-) -> Checkpoint {
-    let exact = |s: Subset| -> Option<ExactEntry> {
-        (s.len() <= level)
-            .then(|| table.cost_of_checked(s).map(|c| (c, None)))
-            .flatten()
-    };
-    let tree = anytime::complete_tree(inst, &exact);
-    let (upper, lower) = anytime::degraded_bounds(inst, tree.as_ref());
-    Checkpoint::capture_frontier(inst, table, level, upper, lower)
 }
 
 /// Threads the frontier accounting counters into both a report's
@@ -499,7 +465,7 @@ impl Solver for SequentialEngine {
         inst: &TtInstance,
         budget: &Budget,
         resume: Option<&Checkpoint>,
-        sink: &mut dyn FnMut(Checkpoint),
+        sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
             let mut meter = budget.start();
@@ -518,7 +484,7 @@ impl Solver for SequentialEngine {
                 inst,
                 &mut meter,
                 seed,
-                &mut |level, cost, best| sink(checkpoint_at_level(inst, level, cost, best)),
+                &mut |level, cost, best| sink(&LevelView::dense(inst, level, cost, best)),
             );
             let mut work = WorkStats {
                 subsets: meter.subsets(),
@@ -619,7 +585,7 @@ impl Solver for SeqFrontierEngine {
         inst: &TtInstance,
         budget: &Budget,
         resume: Option<&Checkpoint>,
-        sink: &mut dyn FnMut(Checkpoint),
+        sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
             let mut meter = budget.start();
@@ -630,7 +596,7 @@ impl Solver for SeqFrontierEngine {
                 .map(|ck| FrontierTable::from_dense(inst.k(), ck.level, &ck.cost));
             let (cost, tree, mut work, outcome) =
                 SeqFrontierEngine::run(inst, &mut meter, seed, &mut |level, table| {
-                    sink(checkpoint_at_level_frontier(inst, level, table));
+                    sink(&LevelView::frontier(inst, level, table));
                 });
             if let Some(level) = resumed_level {
                 work.push_extra("resumed_level", level as u64);
@@ -829,8 +795,10 @@ impl Solver for GreedyEngine {
                     match meter.exhausted() {
                         None => (s.cost, Some(s.tree), work, SolveOutcome::Complete),
                         Some(r) => {
-                            let lower = crate::solver::bounds::Bounds::new(inst)
-                                .lower_bound(inst.universe());
+                            let lower = crate::solver::bounds::Bounds::lower_bound_at(
+                                inst,
+                                inst.universe(),
+                            );
                             let outcome = SolveOutcome::Degraded {
                                 upper_bound: s.cost,
                                 lower_bound: lower,

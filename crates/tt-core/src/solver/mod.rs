@@ -43,7 +43,7 @@ pub mod sequential;
 pub mod supervise;
 
 pub use budget::{Budget, BudgetMeter, CancelToken, ExhaustReason};
-pub use checkpoint::{Checkpoint, CheckpointError, CheckpointLoadError};
+pub use checkpoint::{Checkpoint, CheckpointError, CheckpointLoadError, LevelView};
 pub use engine::{
     lookup, registry, DegradeReason, EngineKind, SolveOutcome, SolveReport, Solver, WorkStats,
 };

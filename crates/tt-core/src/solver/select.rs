@@ -17,23 +17,31 @@
 //!    [`FRONTIER_PAR_THRESHOLD`] cells the per-level synchronization
 //!    costs more than the work it distributes (measured 3.8× slower
 //!    than `seq` at `k = 12`), so `seq` stays the pick up to `k = 15`.
-//! 4. **Scale.** Past that, `rayon-frontier` parallelizes the wavefront
-//!    across real threads over `C(k, j)` frontier buffers (plain
-//!    `rayon` as fallback). The machine simulators (`hyper`, `ccc`,
-//!    `bvm`) are *never* auto-picked: they simulate up to
-//!    `2^(k + log N)` PEs in software, so their wall-clock is strictly
-//!    worse than `seq` — they exist to measure step counts, not to race
-//!    (and their `max_k` ceilings say so).
+//! 4. **Scale, chosen by memory.** Past that, the wavefront is
+//!    parallelized across real threads, and the storage follows a byte
+//!    budget rather than an engine name: while the dense tables
+//!    ([`dense_bytes`]: `2^k` cost, argmin and weight entries) fit
+//!    [`DENSE_BYTE_BUDGET`], plain `rayon` sweeps the mask-indexed
+//!    lattice; only above it does `rayon-frontier` trade time for
+//!    memory with its `C(k, j)` buffers (about 3× slower than dense
+//!    `rayon` at `k` = 18–20, where the dense tables take 5–20 MiB:
+//!    perfbench's engine matrix on a 2-vCPU guest). The
+//!    machine simulators (`hyper`, `ccc`, `bvm`) are *never*
+//!    auto-picked: they simulate up to `2^(k + log N)` PEs in software,
+//!    so their wall-clock is strictly worse than `seq` — they exist to
+//!    measure step counts, not to race (and their `max_k` ceilings say
+//!    so).
 //!
 //! The decision table itself ([`decide`]) is a pure function of
 //! `(k, reachable, available engines)` so it can be unit-tested
 //! exhaustively; [`auto_select`] feeds it the live registry (filtered
 //! by each engine's `max_k`) and the reachability probe.
 
+use crate::cost::Cost;
 use crate::instance::TtInstance;
 use crate::solver::engine::registry;
 use crate::subset::frontier;
-use std::collections::HashSet;
+use crate::subset::Subset;
 
 /// Largest `k` for which plain sequential DP is preferred over thread
 /// fan-out: at `k = 11` the full lattice is 2048 cells and a solve is
@@ -57,6 +65,29 @@ pub const SPARSE_DIVISOR: usize = 8;
 /// larger than this are conservatively treated as dense.
 pub const PROBE_CAP: usize = 1 << 16;
 
+/// Bytes one lattice cell costs a dense (mask-indexed) solve: its
+/// `C(S)` entry, its argmin entry, and its `p(S)` weight-table entry.
+pub const DENSE_BYTES_PER_CELL: u64 =
+    (std::mem::size_of::<Cost>() + std::mem::size_of::<Option<u16>>() + 8) as u64;
+
+/// The most memory auto-selection lets the dense tables take. Up to it
+/// (`k ≤ 21`: 40 MiB) the mask-indexed `rayon` sweep is picked; above
+/// it (`k = 22`: 80 MiB) the frontier-compressed `rayon-frontier` is.
+pub const DENSE_BYTE_BUDGET: u64 = 64 << 20;
+
+/// The dense tables' size at `k`: `2^k ×` [`DENSE_BYTES_PER_CELL`].
+pub fn dense_bytes(k: usize) -> u64 {
+    (1u64 << k) * DENSE_BYTES_PER_CELL
+}
+
+/// `bytes` as `"<n> B (<m> MiB)"`, for selection reasons.
+fn fmt_bytes(bytes: u64) -> String {
+    format!(
+        "{bytes} B ({:.1} MiB)",
+        bytes as f64 / f64::from(1u32 << 20)
+    )
+}
+
 /// The outcome of auto-selection: which engine, and why.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Selection {
@@ -71,9 +102,18 @@ pub struct Selection {
 /// following the same usefulness rules as the DP recurrence. Returns
 /// `None` — "dense" — as soon as the closure exceeds `cap`.
 pub fn probe_reachable(inst: &TtInstance, cap: usize) -> Option<usize> {
-    let mut seen: HashSet<u32> = HashSet::new();
+    // One visited bit per lattice subset: 2^k / 8 bytes (128 KiB at
+    // k = 20), no hashing.
+    let mut seen = vec![0u64; (1usize << inst.k()).div_ceil(64)];
+    let mut mark = |s: Subset| {
+        let (word, bit) = (s.index() / 64, s.index() % 64);
+        let fresh = seen[word] & (1 << bit) == 0;
+        seen[word] |= 1 << bit;
+        fresh
+    };
+    mark(inst.universe());
+    let mut count = 1usize;
     let mut stack = vec![inst.universe()];
-    seen.insert(inst.universe().0);
     while let Some(s) = stack.pop() {
         for i in 0..inst.n_actions() {
             let a = inst.action(i);
@@ -82,7 +122,7 @@ pub fn probe_reachable(inst: &TtInstance, cap: usize) -> Option<usize> {
             if inter.is_empty() {
                 continue; // useless action, excluded by the recurrence
             }
-            let children: &[crate::subset::Subset] = if a.is_test() {
+            let children: &[Subset] = if a.is_test() {
                 if diff.is_empty() {
                     continue; // outcome certain: useless test
                 }
@@ -94,8 +134,9 @@ pub fn probe_reachable(inst: &TtInstance, cap: usize) -> Option<usize> {
                 if c.is_empty() {
                     continue;
                 }
-                if seen.insert(c.0) {
-                    if seen.len() > cap {
+                if mark(c) {
+                    count += 1;
+                    if count > cap {
                         return None;
                     }
                     stack.push(c);
@@ -103,7 +144,7 @@ pub fn probe_reachable(inst: &TtInstance, cap: usize) -> Option<usize> {
             }
         }
     }
-    Some(seen.len())
+    Some(count)
 }
 
 /// The pure decision table. `reachable` is the probe result (`None` =
@@ -146,22 +187,29 @@ pub fn decide(k: usize, reachable: Option<usize>, available: &[&str]) -> Selecti
             ),
         };
     }
-    if has("rayon-frontier") {
-        return Selection {
-            engine: "rayon-frontier".to_string(),
-            reason: format!(
-                "widest frontier C({k},{}) = {widest} cells amortizes thread fan-out: \
-                 rayon-frontier parallelizes the wavefront over rank-indexed C(k,j) buffers",
-                k / 2
-            ),
+    // Dense storage while it fits the byte budget; frontier buffers
+    // above it. A missing engine falls back to the other storage.
+    let fits = dense_bytes(k) <= DENSE_BYTE_BUDGET;
+    let engine = match (fits, has("rayon"), has("rayon-frontier")) {
+        (true, true, _) | (false, true, false) => Some("rayon"),
+        (_, _, true) => Some("rayon-frontier"),
+        (_, false, false) => None,
+    };
+    if let Some(engine) = engine {
+        let storage = if engine == "rayon" {
+            "rayon sweeps the mask-indexed lattice"
+        } else {
+            "rayon-frontier keeps only rank-indexed C(k,j) buffers"
         };
-    }
-    if has("rayon") {
         return Selection {
-            engine: "rayon".to_string(),
+            engine: engine.to_string(),
             reason: format!(
-                "k = {k} is past the sequential sweet spot and beyond what the machine \
-                 simulators race at: rayon parallelizes the wavefront across real threads"
+                "widest frontier C({k},{}) = {widest} cells amortizes thread fan-out; the \
+                 dense tables take {}, {} the {} budget: {storage}",
+                k / 2,
+                fmt_bytes(dense_bytes(k)),
+                if fits { "within" } else { "over" },
+                fmt_bytes(DENSE_BYTE_BUDGET)
             ),
         };
     }
@@ -245,18 +293,51 @@ mod tests {
     }
 
     #[test]
-    fn large_dense_instances_pick_rayon_frontier() {
-        let s = decide(16, None, FULL);
-        assert_eq!(s.engine, "rayon-frontier");
-        assert!(s.reason.contains("frontier"));
-        // Dense probe result (above 2^k/8) also lands there.
-        let s2 = decide(16, Some(60_000), FULL);
-        assert_eq!(s2.engine, "rayon-frontier");
-        // Without the frontier engine, plain rayon is the fallback.
-        let no_frontier = &["seq", "memo", "rayon"];
-        assert_eq!(decide(16, None, no_frontier).engine, "rayon");
+    fn wide_frontiers_pick_dense_rayon_while_the_tables_fit_the_budget() {
+        for k in 16..=20 {
+            assert!(dense_bytes(k) <= DENSE_BYTE_BUDGET, "k={k}");
+            let s = decide(k, None, FULL);
+            assert_eq!(s.engine, "rayon", "k={k}: {}", s.reason);
+            assert!(
+                s.reason.contains(&format!("{} B", dense_bytes(k))),
+                "{}",
+                s.reason
+            );
+            assert!(s.reason.contains("within"), "{}", s.reason);
+        }
+        // A dense probe result (above 2^k/8) lands there too.
+        assert_eq!(decide(16, Some(60_000), FULL).engine, "rayon");
+        // Without rayon, the frontier engine still parallelizes.
+        let no_dense = &["seq", "memo", "rayon-frontier"];
+        assert_eq!(decide(16, None, no_dense).engine, "rayon-frontier");
         // Without any parallel backend, seq.
         assert_eq!(decide(16, None, &["seq", "memo"]).engine, "seq");
+    }
+
+    #[test]
+    fn rayon_frontier_is_picked_once_the_dense_tables_exceed_the_budget() {
+        let first_over = (16..=crate::MAX_K)
+            .find(|&k| dense_bytes(k) > DENSE_BYTE_BUDGET)
+            .expect("some k exceeds the budget");
+        assert_eq!(decide(first_over - 1, None, FULL).engine, "rayon");
+        for k in first_over..=crate::MAX_K {
+            let s = decide(k, None, FULL);
+            assert_eq!(s.engine, "rayon-frontier", "k={k}: {}", s.reason);
+            assert!(
+                s.reason.contains(&format!("{} B", dense_bytes(k))),
+                "{}",
+                s.reason
+            );
+            assert!(s.reason.contains("over"), "{}", s.reason);
+        }
+        // Without the frontier engine, dense rayon is the fallback.
+        assert_eq!(decide(first_over, None, &["seq", "rayon"]).engine, "rayon");
+    }
+
+    #[test]
+    fn dense_bytes_follow_the_cell_layout() {
+        assert_eq!(DENSE_BYTES_PER_CELL, 20);
+        assert_eq!(dense_bytes(20), 20 << 20);
     }
 
     #[test]

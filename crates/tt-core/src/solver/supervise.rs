@@ -11,10 +11,12 @@
 //! engine down the chain (e.g. ccc → rayon → seq → bnb).
 //!
 //! Failover is *warm*: every engine run goes through
-//! [`Solver::solve_resumable`], so resumable engines emit a
-//! [`Checkpoint`] at each completed DP level into a sink that survives
-//! panics. The next engine in the chain picks the latest checkpoint up
-//! and restarts the lattice at `level + 1` instead of from scratch.
+//! [`Solver::solve_resumable`], so resumable engines show the
+//! supervisor a [`LevelView`] at each completed DP level, and the
+//! supervisor copies that level's `C(k, j)` cells into a [`Checkpoint`]
+//! of its own that survives panics. The next engine in the chain picks
+//! that checkpoint up and restarts the lattice at `level + 1` instead of
+//! from scratch.
 //! Budget exhaustion (deadline, work ceilings, cancellation) is *not*
 //! engine ill-health: the degraded bound-sandwich result is returned
 //! as final, because every other engine would run out of the same
@@ -31,13 +33,12 @@
 use crate::instance::TtInstance;
 use crate::solver::bounds::Bounds;
 use crate::solver::budget::Budget;
-use crate::solver::checkpoint::Checkpoint;
+use crate::solver::checkpoint::{Checkpoint, LevelView};
 use crate::solver::engine::{
     degraded_result, prepare_resume, registry, timed_report_with, DegradeReason, EngineKind,
     SolveOutcome, SolveReport, Solver, WorkStats,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Supervision policy: how often to retry a failing engine before
@@ -184,12 +185,6 @@ pub struct SuperviseReport {
     pub checkpoint: Option<Checkpoint>,
 }
 
-/// Poison-proof lock: the checkpoint slot holds plain owned data, so a
-/// panic while it was held cannot leave it structurally invalid.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -265,12 +260,14 @@ pub fn supervise(
     budget: &Budget,
     opts: &SuperviseOptions,
 ) -> SuperviseReport {
-    supervise_with_sink(inst, chain, budget, opts, &mut |_| {})
+    supervise_with_observer(inst, chain, budget, opts, &mut |_| {})
 }
 
-/// As [`supervise`], with an observer called on every checkpoint any
-/// engine emits (e.g. to persist it to disk for `--resume`). The
-/// observer runs inside the supervised region: it must not panic.
+/// As [`supervise`], with an observer handed the owned [`Checkpoint`]
+/// of every level any engine completes. Each one is built for the
+/// observer; one that only persists some levels should use
+/// [`supervise_with_observer`] and build those alone. The observer
+/// runs inside the supervised region: it must not panic.
 pub fn supervise_with_sink(
     inst: &TtInstance,
     chain: &[Box<dyn Solver>],
@@ -278,11 +275,30 @@ pub fn supervise_with_sink(
     opts: &SuperviseOptions,
     observer: &mut dyn FnMut(&Checkpoint),
 ) -> SuperviseReport {
+    supervise_with_observer(inst, chain, budget, opts, &mut |view| {
+        observer(&view.to_checkpoint());
+    })
+}
+
+/// As [`supervise`], with an observer handed a borrowed [`LevelView`]
+/// of every level any engine completes (e.g. to persist it for
+/// `--resume` via [`LevelView::to_checkpoint`]). The observer runs
+/// inside the supervised region: it must not panic.
+pub fn supervise_with_observer(
+    inst: &TtInstance,
+    chain: &[Box<dyn Solver>],
+    budget: &Budget,
+    opts: &SuperviseOptions,
+    observer: &mut dyn FnMut(&LevelView<'_>),
+) -> SuperviseReport {
     let start = Instant::now();
-    // The latest checkpoint lives outside the unwind boundary so a
-    // panicking engine's completed levels survive into the next attempt.
-    let latest: Arc<Mutex<Option<Checkpoint>>> =
-        Arc::new(Mutex::new(prepare_resume(inst, opts.resume.as_ref())));
+    // The warm-failover copy: the latest wavefront any engine completed.
+    // It lives outside the unwind boundary, so a panicking engine's
+    // levels survive into the next attempt. Each level is copied in as
+    // it completes; the bound sandwich is priced only when the copy is
+    // returned (`stale` until then).
+    let mut latest = prepare_resume(inst, opts.resume.as_ref());
+    let mut stale = false;
     let mut failures: Vec<AttemptFailure> = Vec::new();
     let mut retries = 0u32;
     let mut failovers = 0u32;
@@ -307,16 +323,22 @@ pub fn supervise_with_sink(
                 deadline_spent = true;
                 break 'chain;
             };
-            let resumed_level = if engine.resumable() {
-                lock(&latest).as_ref().map(|ck| ck.level)
+            let (resumed_level, resume) = if engine.resumable() {
+                (latest.as_ref().map(|ck| ck.level), latest.clone())
             } else {
-                None
+                (None, None)
             };
             let result = catch_unwind(AssertUnwindSafe(|| {
-                let resume = lock(&latest).clone();
-                let mut sink = |ck: Checkpoint| {
-                    observer(&ck);
-                    *lock(&latest) = Some(ck);
+                // An attempt's first view is copied whole (it may rest
+                // on a resumed prefix); later ones add their new level.
+                let mut first = true;
+                let mut sink = |view: &LevelView<'_>| {
+                    observer(view);
+                    let ck = latest.get_or_insert_with(|| Checkpoint::blank(inst));
+                    let from = if first { 1 } else { ck.level + 1 };
+                    ck.absorb(view, from);
+                    first = false;
+                    stale = true;
                 };
                 engine.solve_resumable(inst, &attempt_budget, resume.as_ref(), &mut sink)
             }));
@@ -343,7 +365,7 @@ pub fn supervise_with_sink(
                             failovers,
                             retries,
                             resumed_level,
-                            checkpoint: lock(&latest).clone(),
+                            checkpoint: priced(inst, latest, stale),
                         };
                     }
                 },
@@ -390,8 +412,7 @@ pub fn supervise_with_sink(
     } else {
         DegradeReason::FaultEscalation
     };
-    let checkpoint = lock(&latest).clone();
-    let report = timed_report_with(|| match &checkpoint {
+    let report = timed_report_with(|| match &latest {
         Some(ck) => degraded_result(inst, reason, &|s| ck.exact(s), WorkStats::default()),
         None => degraded_result(inst, reason, &|_| None, WorkStats::default()),
     });
@@ -402,8 +423,19 @@ pub fn supervise_with_sink(
         failovers,
         retries,
         resumed_level: None,
-        checkpoint,
+        checkpoint: priced(inst, latest, stale),
     }
+}
+
+/// The warm-failover copy as handed out in a [`SuperviseReport`], with
+/// its bound sandwich priced if engine levels were copied in since it
+/// was last priced.
+fn priced(inst: &TtInstance, latest: Option<Checkpoint>, stale: bool) -> Option<Checkpoint> {
+    let mut ck = latest?;
+    if stale {
+        ck.price(inst);
+    }
+    Some(ck)
 }
 
 /// A heuristic's `Complete` is an upper bound, not the optimum; under
@@ -426,7 +458,7 @@ fn honest(
         };
         report.outcome = SolveOutcome::Degraded {
             upper_bound: report.cost,
-            lower_bound: Bounds::new(inst).lower_bound(inst.universe()),
+            lower_bound: Bounds::lower_bound_at(inst, inst.universe()),
             reason,
         };
     }
@@ -436,9 +468,8 @@ fn honest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::Cost;
     use crate::instance::TtInstanceBuilder;
-    use crate::solver::engine::{capacity_result, checkpoint_at_level, lookup};
+    use crate::solver::engine::{capacity_result, lookup};
     use crate::solver::sequential;
     use crate::subset::Subset;
 
@@ -534,12 +565,12 @@ mod tests {
             inst: &TtInstance,
             budget: &Budget,
             _resume: Option<&Checkpoint>,
-            sink: &mut dyn FnMut(Checkpoint),
+            sink: &mut dyn FnMut(&LevelView<'_>),
         ) -> SolveReport {
             let mut meter = budget.start();
             let die = self.die_after;
             sequential::solve_tables_levelwise(inst, &mut meter, None, &mut |level, cost, best| {
-                sink(checkpoint_at_level(inst, level, cost, best));
+                sink(&LevelView::dense(inst, level, cost, best));
                 assert!(level < die, "injected mid-lattice death");
             });
             unreachable!("test engine must die before finishing")
@@ -723,14 +754,7 @@ mod tests {
     fn resume_option_seeds_the_first_engine() {
         let i = inst();
         let sol = sequential::solve(&i);
-        let ck = Checkpoint::capture(
-            &i,
-            3,
-            &sol.tables.cost,
-            &sol.tables.best,
-            Cost::new(100),
-            Cost::new(1),
-        );
+        let ck = LevelView::dense(&i, 3, &sol.tables.cost, &sol.tables.best).to_checkpoint();
         let opts = SuperviseOptions {
             resume: Some(ck),
             ..fast_opts()

@@ -339,8 +339,7 @@ impl FrontierTable {
     }
 
     /// Scatters every completed level into a dense mask-indexed slab
-    /// (`INF` above the wavefront) — the export path toward dense
-    /// checkpoints and the `DpTables` API.
+    /// (`INF` above the wavefront).
     #[must_use]
     pub fn to_dense(&self) -> Vec<Cost> {
         let mut dense = vec![Cost::INF; 1usize << self.k];

@@ -11,7 +11,7 @@ use crate::{bvm as bvm_tt, ccc as ccc_tt, hyper, rayon_solver};
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::solver::budget::{Budget, BudgetMeter};
-use tt_core::solver::checkpoint::Checkpoint;
+use tt_core::solver::checkpoint::{Checkpoint, LevelView};
 use tt_core::solver::engine::{
     self, timed_report_with, EngineKind, SolveOutcome, SolveReport, Solver, WorkStats,
 };
@@ -117,7 +117,7 @@ impl Solver for RayonEngine {
         inst: &TtInstance,
         budget: &Budget,
         resume: Option<&Checkpoint>,
-        sink: &mut dyn FnMut(Checkpoint),
+        sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
             let mut meter = budget.start();
@@ -138,7 +138,7 @@ impl Solver for RayonEngine {
                 rayon_solver::solve_tables_resumable(inst, &mut meter, seed, &mut |level, c, b| {
                     let cells = binomial(inst.k(), level);
                     record_level_boundary(level, cells, cells * n_actions, &mut last);
-                    sink(engine::checkpoint_at_level(inst, level, c, b))
+                    sink(&LevelView::dense(inst, level, c, b));
                 });
             let mut work = WorkStats {
                 subsets: meter.subsets(),
@@ -200,7 +200,7 @@ impl Solver for RayonFrontierEngine {
         inst: &TtInstance,
         budget: &Budget,
         resume: Option<&Checkpoint>,
-        sink: &mut dyn FnMut(Checkpoint),
+        sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
             let mut meter = budget.start();
@@ -213,7 +213,7 @@ impl Solver for RayonFrontierEngine {
                 inst,
                 &mut meter,
                 seed,
-                &mut |level, table| sink(engine::checkpoint_at_level_frontier(inst, level, table)),
+                &mut |level, table| sink(&LevelView::frontier(inst, level, table)),
             );
             let mut work = WorkStats {
                 subsets: meter.subsets(),
@@ -275,7 +275,7 @@ impl Solver for HyperEngine {
         inst: &TtInstance,
         budget: &Budget,
         resume: Option<&Checkpoint>,
-        sink: &mut dyn FnMut(Checkpoint),
+        sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
             if !budget.is_unlimited() && inst.k() > self.max_k() {
@@ -294,7 +294,7 @@ impl Solver for HyperEngine {
                 warm,
                 &mut |level, c, b| {
                     record_level_boundary(level, binomial(inst.k(), level), pes, &mut last);
-                    sink(engine::checkpoint_at_level(inst, level, c, b))
+                    sink(&LevelView::dense(inst, level, c, b));
                 },
             );
             let resumed = prepared.as_ref().map(|ck| ck.level);
@@ -369,7 +369,7 @@ impl Solver for HyperBlockedEngine {
         inst: &TtInstance,
         budget: &Budget,
         resume: Option<&Checkpoint>,
-        sink: &mut dyn FnMut(Checkpoint),
+        sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
             if !budget.is_unlimited() && inst.k() > self.max_k() {
@@ -383,10 +383,9 @@ impl Solver for HyperBlockedEngine {
             let warm = prepared
                 .as_ref()
                 .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
-            // No argmin plane on this machine: emitted checkpoints carry
-            // `None` argmins; consumers recover them from the cost slab
+            // No argmin plane on this machine: its views carry `None`
+            // argmins; consumers recover them from the cost slab
             // (`prepare_resume`).
-            let no_best = vec![None; 1usize << inst.k()];
             let mut last = std::time::Instant::now();
             let (s, done) = hyper::solve_blocked_resumable(
                 inst,
@@ -395,7 +394,7 @@ impl Solver for HyperBlockedEngine {
                 warm,
                 &mut |level, c| {
                     record_level_boundary(level, binomial(inst.k(), level), pes, &mut last);
-                    sink(engine::checkpoint_at_level(inst, level, c, &no_best))
+                    sink(&LevelView::dense_costs(inst, level, c));
                 },
             );
             let resumed = prepared.as_ref().map(|ck| ck.level);
@@ -458,7 +457,7 @@ impl Solver for CccEngine {
         inst: &TtInstance,
         budget: &Budget,
         resume: Option<&Checkpoint>,
-        sink: &mut dyn FnMut(Checkpoint),
+        sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
             if !budget.is_unlimited() && inst.k() > self.max_k() {
@@ -477,7 +476,7 @@ impl Solver for CccEngine {
                 warm,
                 &mut |level, c, b| {
                     record_level_boundary(level, binomial(inst.k(), level), pes, &mut last);
-                    sink(engine::checkpoint_at_level(inst, level, c, b))
+                    sink(&LevelView::dense(inst, level, c, b));
                 },
             );
             let resumed = prepared.as_ref().map(|ck| ck.level);
@@ -685,7 +684,8 @@ mod tests {
                 continue;
             }
             let mut cks = Vec::new();
-            let cold = e.solve_resumable(&inst, &budget, None, &mut |ck| cks.push(ck));
+            let cold =
+                e.solve_resumable(&inst, &budget, None, &mut |v| cks.push(v.to_checkpoint()));
             assert_eq!(cold.cost, opt.cost, "{} cold cost", e.name());
             let levels: Vec<usize> = cks.iter().map(|ck| ck.level).collect();
             assert_eq!(levels, vec![1, 2, 3], "{} checkpoint levels", e.name());
@@ -715,7 +715,9 @@ mod tests {
         let bvm = engines().into_iter().find(|e| e.name() == "bvm").unwrap();
         assert!(!bvm.resumable());
         let mut cks = Vec::new();
-        let cold = bvm.solve_resumable(&inst, &Budget::unlimited(), None, &mut |ck| cks.push(ck));
+        let cold = bvm.solve_resumable(&inst, &Budget::unlimited(), None, &mut |v| {
+            cks.push(v.to_checkpoint());
+        });
         assert!(cks.is_empty());
         assert_eq!(cold.cost, sequential::solve(&inst).cost);
     }

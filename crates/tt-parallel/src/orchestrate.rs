@@ -37,7 +37,7 @@ use std::time::Duration;
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::io;
-use tt_core::solver::checkpoint::Checkpoint;
+use tt_core::solver::checkpoint::{Checkpoint, LevelView};
 use tt_core::solver::engine::{
     self, timed_report_with, EngineKind, SolveOutcome, SolveReport, Solver, WorkStats,
 };
@@ -277,7 +277,7 @@ impl Solver for FaultyCccEngine {
         inst: &TtInstance,
         budget: &Budget,
         resume: Option<&Checkpoint>,
-        sink: &mut dyn FnMut(Checkpoint),
+        sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
             if !budget.is_unlimited() && inst.k() > self.max_k() {
@@ -292,7 +292,7 @@ impl Solver for FaultyCccEngine {
                 self.plan.clone(),
                 self.max_retries,
                 warm,
-                &mut |level, c, b| sink(engine::checkpoint_at_level(inst, level, c, b)),
+                &mut |level, c, b| sink(&LevelView::dense(inst, level, c, b)),
             );
             match result {
                 Ok((sol, rep)) => {
@@ -1024,7 +1024,7 @@ mod tests {
                 max_retries: 0,
             });
             let resume = (level > 1).then(|| {
-                engine::checkpoint_at_level(&i, level - 1, &seq.tables.cost, &seq.tables.best)
+                LevelView::dense(&i, level - 1, &seq.tables.cost, &seq.tables.best).to_checkpoint()
             });
             let opts = SuperviseOptions {
                 resume,

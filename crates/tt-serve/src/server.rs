@@ -68,7 +68,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tt_core::instance::TtInstance;
-use tt_core::solver::checkpoint::Checkpoint;
+use tt_core::solver::checkpoint::{Checkpoint, LevelView};
 use tt_core::solver::{supervise, Budget, CancelToken, SolveOutcome, Solver, SuperviseOptions};
 use tt_parallel::orchestrate;
 
@@ -377,7 +377,11 @@ pub fn start(addr: &str, opts: ServerOptions) -> io::Result<ServerHandle> {
         (None, 0) => None,
         (None, cap) => Some(Mutex::new(tt_cache::SolutionCache::in_memory(cap))),
         (Some(dir), cap) => {
-            let cap = if cap == 0 { DEFAULT_CACHE_CAPACITY } else { cap };
+            let cap = if cap == 0 {
+                DEFAULT_CACHE_CAPACITY
+            } else {
+                cap
+            };
             Some(Mutex::new(tt_cache::SolutionCache::open(dir, cap)?))
         }
     };
@@ -847,14 +851,14 @@ fn cache_lookup(inner: &Inner, params: &SolveParams) -> Option<(Response, Termin
 /// The solve execution core shared by the plain, keyed, and recovery
 /// paths: budget/deadline policy, panic containment, anytime
 /// degradation. `resume` warm-starts the chain from a journaled
-/// checkpoint; `on_ckpt` observes every level-boundary checkpoint any
+/// checkpoint; `on_ckpt` observes every level boundary any
 /// engine emits (the journaling hook). Neither settles — the caller
 /// owns the terminal.
 fn execute_solve(
     inner: &Inner,
     params: &SolveParams,
     resume: Option<Checkpoint>,
-    on_ckpt: &mut dyn FnMut(&Checkpoint),
+    on_ckpt: &mut dyn FnMut(&LevelView<'_>),
 ) -> (Response, Terminal) {
     let deadline = solve_deadline(inner, params);
     let budget = Budget {
@@ -871,7 +875,7 @@ fn execute_solve(
             ..SuperviseOptions::default()
         };
         let timer = tt_obs::metrics::histogram("ttserve_solve_nanos").time();
-        let sup = supervise::supervise_with_sink(&inst, &chain, &budget, &opts, on_ckpt);
+        let sup = supervise::supervise_with_observer(&inst, &chain, &budget, &opts, on_ckpt);
         drop(timer);
         let report = &sup.report;
         if let Some(cache) = &inner.cache {
@@ -1120,10 +1124,10 @@ fn execute_keyed(
     // error: resume is an optimization, correctness lives in the
     // admitted/completed pair.
     let resume = resume_text.and_then(|t| Checkpoint::from_text(&t).ok());
-    let mut on_ckpt = |ck: &Checkpoint| {
+    let mut on_ckpt = |view: &LevelView<'_>| {
         // Runs inside the supervised region: must not panic, and a
         // failed append only widens the redo window after a crash.
-        let text = ck.to_text();
+        let text = view.to_checkpoint().to_text();
         let entry = JournalEntry::Checkpoint {
             key: key.to_string(),
             text: text.clone(),

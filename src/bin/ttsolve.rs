@@ -103,9 +103,9 @@ use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::io;
 use tt_core::solver::budget::Budget;
-use tt_core::solver::checkpoint::Checkpoint;
+use tt_core::solver::checkpoint::{Checkpoint, LevelView};
 use tt_core::solver::engine::{DegradeReason, SolveOutcome, SolveReport};
-use tt_core::solver::supervise::{supervise_with_sink, SuperviseOptions};
+use tt_core::solver::supervise::{supervise_with_observer, SuperviseOptions};
 use tt_core::solver::Solver;
 use tt_parallel::orchestrate::{self, FaultTarget};
 use tt_parallel::resilient::{
@@ -535,9 +535,7 @@ fn solve_and_report(inst: &TtInstance, opts: &Opts) {
             || opts.checkpoint.is_some()
             || opts.resume.is_some()
         {
-            eprintln!(
-                "--cache conflicts with --solver/--supervise/--faults/--checkpoint/--resume"
-            );
+            eprintln!("--cache conflicts with --solver/--supervise/--faults/--checkpoint/--resume");
             exit(EXIT_USAGE);
         }
         let code = solve_cached(inst, opts, dir);
@@ -593,9 +591,9 @@ fn solve_and_report(inst: &TtInstance, opts: &Opts) {
                 engine.name()
             );
         }
-        let mut sink = |ck: Checkpoint| {
+        let mut sink = |view: &LevelView<'_>| {
             if let Some(p) = &opts.checkpoint {
-                save_checkpoint(p, &ck);
+                save_checkpoint(p, &view.to_checkpoint());
             }
         };
         engine.solve_resumable(inst, &opts.budget(), resume.as_ref(), &mut sink)
@@ -712,12 +710,12 @@ fn solve_supervised(inst: &TtInstance, opts: &Opts, resume: Option<Checkpoint>) 
         resume,
         ..SuperviseOptions::default()
     };
-    let mut observer = |ck: &Checkpoint| {
+    let mut observer = |view: &LevelView<'_>| {
         if let Some(p) = &opts.checkpoint {
-            save_checkpoint(p, ck);
+            save_checkpoint(p, &view.to_checkpoint());
         }
     };
-    let r = supervise_with_sink(inst, &chain, &opts.budget(), &sup_opts, &mut observer);
+    let r = supervise_with_observer(inst, &chain, &opts.budget(), &sup_opts, &mut observer);
     println!(
         "supervision: engine = {}, failovers = {}, retries = {}",
         r.engine, r.failovers, r.retries

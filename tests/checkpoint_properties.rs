@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use tt_core::solver::budget::Budget;
 use tt_core::solver::checkpoint::Checkpoint;
-use tt_core::solver::engine::checkpoint_at_level;
+use tt_core::solver::checkpoint::LevelView;
 use tt_core::solver::sequential;
 use tt_workloads::random_adequate;
 
@@ -28,7 +28,7 @@ proptest! {
         let i = random_adequate(k, seed);
         let sol = sequential::solve(&i);
         let level = 1 + (usize::from(level_frac) * (k - 1)) / 100;
-        let ck = checkpoint_at_level(&i, level, &sol.tables.cost, &sol.tables.best);
+        let ck = LevelView::dense(&i, level, &sol.tables.cost, &sol.tables.best).to_checkpoint();
         let mut bytes = ck.to_text().into_bytes();
         let pos = (usize::from(pos_frac) * (bytes.len() - 1)) / 100;
         bytes[pos] ^= flip;
@@ -57,7 +57,9 @@ proptest! {
             }
             let mut cks = Vec::new();
             let cold =
-                engine.solve_resumable(&i, &Budget::unlimited(), None, &mut |ck| cks.push(ck));
+                engine.solve_resumable(&i, &Budget::unlimited(), None, &mut |v| {
+                    cks.push(v.to_checkpoint());
+                });
             prop_assert!(cold.outcome.is_complete(), "{} cold run", engine.name());
             prop_assert_eq!(cold.cost, opt, "{} vs DP", engine.name());
             if engine.resumable() {
@@ -114,8 +116,8 @@ fn killed_k12_solve_resumes_from_disk_with_strictly_less_work() {
         let path = dir.join(format!("{name}.ck"));
         let mut saved = 0u32;
         let partial =
-            engine.solve_resumable(&i, &Budget::with_max_candidates(2_000), None, &mut |ck| {
-                ck.save(&path).unwrap();
+            engine.solve_resumable(&i, &Budget::with_max_candidates(2_000), None, &mut |v| {
+                v.to_checkpoint().save(&path).unwrap();
                 saved += 1;
             });
         assert!(
@@ -153,8 +155,8 @@ fn killed_k12_solve_resumes_from_disk_with_strictly_less_work() {
         let mut saved = 0u32;
         // Three levels' worth of PE sweeps, then starvation.
         let partial =
-            engine.solve_resumable(&i, &Budget::with_max_candidates(3 * pes), None, &mut |ck| {
-                ck.save(&path).unwrap();
+            engine.solve_resumable(&i, &Budget::with_max_candidates(3 * pes), None, &mut |v| {
+                v.to_checkpoint().save(&path).unwrap();
                 saved += 1;
             });
         assert!(!partial.outcome.is_complete(), "{name}: must starve");

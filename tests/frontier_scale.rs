@@ -133,7 +133,7 @@ fn dense_v1_checkpoint_resumes_under_the_frontier_engines() {
         &inst,
         &Budget::with_max_candidates(20_000),
         None,
-        &mut |ck| last = Some(ck),
+        &mut |v| last = Some(v.to_checkpoint()),
     );
     assert!(
         !partial.outcome.is_complete(),
@@ -169,8 +169,8 @@ fn dense_v1_checkpoint_resumes_under_the_frontier_engines() {
     // reload and resume identically.
     let frontier_engine = tt_repro::lookup("seq-frontier").unwrap();
     let mut v2_texts: Vec<String> = Vec::new();
-    let cold = frontier_engine.solve_resumable(&inst, &Budget::unlimited(), None, &mut |ck| {
-        v2_texts.push(ck.to_text())
+    let cold = frontier_engine.solve_resumable(&inst, &Budget::unlimited(), None, &mut |v| {
+        v2_texts.push(v.to_checkpoint().to_text());
     });
     assert!(!v2_texts.is_empty());
     assert!(
