@@ -134,7 +134,10 @@ fn run_incremental(dir: &std::path::Path, selected: &[&(&str, &str, fn())]) {
         };
         std::io::Write::write_all(&mut std::io::stderr(), &out.stderr).ok();
         if !out.status.success() {
-            eprintln!("experiments: {name} failed ({}); no result stored", out.status);
+            eprintln!(
+                "experiments: {name} failed ({}); no result stored",
+                out.status
+            );
             failed += 1;
             continue;
         }
@@ -143,7 +146,10 @@ fn run_incremental(dir: &std::path::Path, selected: &[&(&str, &str, fn())]) {
             .and_then(|()| std::fs::rename(&tmp, &path))
             .is_ok();
         if !stored {
-            eprintln!("experiments: warning: cannot persist {name} to {}", path.display());
+            eprintln!(
+                "experiments: warning: cannot persist {name} to {}",
+                path.display()
+            );
         }
         std::io::Write::write_all(&mut std::io::stdout(), &out.stdout).ok();
         computed += 1;

@@ -378,7 +378,10 @@ fn cache_cell(
         tt_cache::CacheStatus::Miss,
         "a fresh cache cannot hit"
     );
-    let miss_tree = miss_report.tree.as_ref().map(tt_core::tree_io::tree_to_text);
+    let miss_tree = miss_report
+        .tree
+        .as_ref()
+        .map(tt_core::tree_io::tree_to_text);
 
     let meta = CellMeta {
         engine: "cache".to_string(),

@@ -6,9 +6,9 @@
 //! canonicalizer maps every instance onto one representative of its
 //! equivalence class:
 //!
-//! 1. **Dominance reduction** through the shared
-//!    [`tt_core::lint::Reduction`] path: duplicate-set and
-//!    complement-equivalent actions collapse to their cheapest member.
+//! 1. **Dominance reduction** through [`tt_core::preprocess::reduce`]:
+//!    duplicate-set and complement-equivalent actions collapse to their
+//!    cheapest member.
 //! 2. **Object relabeling** to sorted weight order (heaviest first),
 //!    ties broken by a label-independent structural signature (the
 //!    sorted multiset of `(kind, cost, set size)` over the actions
@@ -28,12 +28,22 @@
 //! map, and the per-test polarity flips. Symmetric instances whose
 //! objects tie on both weight and signature may still canonicalize
 //! differently under relabeling — that costs a cache hit, never an
-//! incorrect one, because the key is the full canonical text.
+//! incorrect one.
+//!
+//! The cache key is a 64-bit FNV-1a hash of the canonical text, and
+//! FNV is not collision-resistant: two different canonical forms can
+//! share a key. The store therefore keeps each entry's canonical
+//! instance and compares it with the request's on every hit, insert
+//! and segment replay (see [`crate::store`]).
+//!
+//! Cost: a reduction pass plus sorting, `O(N log N + k·N)` — no
+//! `2^k` lattice work — so canonicalizing a k = 16 instance takes tens
+//! of microseconds.
 
 use tt_core::cost::Cost;
 use tt_core::instance::{Action, ActionKind, TtInstance, TtInstanceBuilder};
 use tt_core::io;
-use tt_core::lint;
+use tt_core::preprocess;
 use tt_core::subset::Subset;
 use tt_core::tree::TtTree;
 
@@ -87,7 +97,7 @@ fn gcd(a: u64, b: u64) -> u64 {
 /// Canonicalizes an instance.
 #[must_use]
 pub fn canonicalize(inst: &TtInstance) -> Canonical {
-    let red = lint::reduction(inst);
+    let red = preprocess::reduce(inst);
     let r = &red.instance;
     let k = r.k();
 
@@ -142,7 +152,7 @@ pub fn canonicalize(inst: &TtInstance) -> Canonical {
     }
     let mut acts: Vec<CanonAction> = Vec::with_capacity(r.n_actions());
     for (i, a) in r.actions().iter().enumerate() {
-        let orig = red.surviving[i];
+        let orig = red.original_index[i];
         let set = remap(a.set);
         match a.kind {
             ActionKind::Test => {
@@ -180,7 +190,7 @@ pub fn canonicalize(inst: &TtInstance) -> Canonical {
                 kind: a.kind,
                 set: remap(a.set),
                 cost: a.cost,
-                orig: red.surviving[i],
+                orig: red.original_index[i],
                 flipped: false,
             });
         }
@@ -188,7 +198,13 @@ pub fn canonicalize(inst: &TtInstance) -> Canonical {
     // Canonical action order: tests before treatments, then by set,
     // then cost. The builder's stable tests-first reorder preserves
     // this total order, so canonical index c is exactly acts[c].
-    acts.sort_by_key(|a| (u8::from(!matches!(a.kind, ActionKind::Test)), a.set.0, a.cost));
+    acts.sort_by_key(|a| {
+        (
+            u8::from(!matches!(a.kind, ActionKind::Test)),
+            a.set.0,
+            a.cost,
+        )
+    });
 
     let mut b = TtInstanceBuilder::new(k).weights(weights.iter().copied());
     for a in &acts {
@@ -264,7 +280,8 @@ impl CanonMap {
     /// twin; the caller simply skips caching it).
     #[must_use]
     pub fn canonicalize_tree(&self, tree: &TtTree) -> Option<TtTree> {
-        let mut canon_of = vec![usize::MAX; self.action_of.iter().map(|&i| i + 1).max().unwrap_or(0)];
+        let mut canon_of =
+            vec![usize::MAX; self.action_of.iter().map(|&i| i + 1).max().unwrap_or(0)];
         for (c, &orig) in self.action_of.iter().enumerate() {
             canon_of[orig] = c;
         }
@@ -383,10 +400,7 @@ mod tests {
         let cold = sequential::solve(&inst);
         let canonical = canonicalize(&inst);
         let canon_sol = sequential::solve(&canonical.form.instance);
-        assert_eq!(
-            canonical.map.decanonicalize_cost(canon_sol.cost),
-            cold.cost
-        );
+        assert_eq!(canonical.map.decanonicalize_cost(canon_sol.cost), cold.cost);
         let tree = canonical
             .map
             .decanonicalize_tree(&canon_sol.tree.expect("adequate"));

@@ -7,8 +7,8 @@
 //!
 //! 1. **Canonicalization** ([`canon`]): objects are relabeled to sorted
 //!    weight order, weights are normalized by their gcd, and dominated
-//!    or duplicate actions are dropped through the shared
-//!    [`tt_core::lint::Reduction`] code path. The result is a
+//!    or duplicate actions are dropped by
+//!    [`tt_core::preprocess::reduce`]. The result is a
 //!    [`canon::CanonicalForm`] — a canonical instance plus its exact
 //!    text rendering — together with the permutation/scale/index maps
 //!    needed to translate a cached answer (cost *and* tree) back into
@@ -16,7 +16,9 @@
 //! 2. **Content-addressed store** ([`store`]): solved canonical forms
 //!    are kept in a bounded LRU keyed by the FNV-1a hash of the
 //!    canonical text, with byte accounting, eviction, and an optional
-//!    journal-style on-disk segment log for warm restarts.
+//!    journal-style on-disk segment log for warm restarts. A key match
+//!    is only a candidate: the stored canonical instance must equal the
+//!    request's before a hit is served.
 //! 3. **Sub-lattice memo** ([`memo`]): when a new instance embeds as an
 //!    object-subset of an already-solved superset instance, the cached
 //!    per-level frontier is projected through CNS ranked gathers into a
@@ -25,8 +27,10 @@
 //!
 //! Observability: every lookup settles exactly one of the
 //! `ttcache_hits` / `ttcache_partial_hits` / `ttcache_misses` counters,
-//! residency is exported as the `ttcache_bytes` gauge, and evictions as
-//! `ttcache_evictions` — all through the process-global `tt-obs`
+//! residency is exported as the `ttcache_bytes` gauge, evictions as
+//! `ttcache_evictions`, and key-collision events (each lookup, insert
+//! or replayed line whose key is held by a different canonical
+//! instance counts one) as `ttcache_collisions` — all through the process-global `tt-obs`
 //! registry, so they render in `ttsolve --metrics` and `ttserve scrape`
 //! without extra wiring.
 
@@ -34,7 +38,7 @@ pub mod canon;
 pub mod memo;
 pub mod store;
 
-pub use canon::{canonicalize, Canonical, CanonicalForm, CanonMap};
+pub use canon::{canonicalize, CanonMap, Canonical, CanonicalForm};
 pub use store::{CacheStatus, SolutionCache};
 
 /// 64-bit FNV-1a over a byte string, the workspace's standard content

@@ -112,12 +112,19 @@ pub fn find_embedding(sub: &TtInstance, sup: &TtInstance) -> Option<Embedding> {
     let mut nodes = 0u32;
     for first in 0..kp {
         let g = gcd(sup.weight(first), sub.weight(0));
-        let (num, den) = (sup.weight(first) / g, sub.weight(0) / g);
-        let mut map = vec![usize::MAX; ks];
-        let mut used = vec![false; kp];
-        map[0] = first;
-        used[first] = true;
-        if extend(sub, sup, num, den, 1, &mut map, &mut used, &mut nodes) {
+        let mut search = WeightMatch {
+            sub,
+            sup,
+            num: sup.weight(first) / g,
+            den: sub.weight(0) / g,
+            map: vec![usize::MAX; ks],
+            used: vec![false; kp],
+            nodes: &mut nodes,
+        };
+        search.map[0] = first;
+        search.used[first] = true;
+        if search.extend(1) {
+            let WeightMatch { map, num, den, .. } = search;
             // The weights line up; the embedding is real only if the
             // action structure restricted to the image matches too.
             let image = Subset::from_iter(map.iter().copied());
@@ -139,43 +146,51 @@ pub fn find_embedding(sub: &TtInstance, sup: &TtInstance) -> Option<Embedding> {
     None
 }
 
-/// Extends a partial weight-matching assignment from sub object `j` on.
-fn extend(
-    sub: &TtInstance,
-    sup: &TtInstance,
+/// A backtracking search for an injective object map under which every
+/// superset weight is exactly `num / den` times its sub weight.
+struct WeightMatch<'a> {
+    sub: &'a TtInstance,
+    sup: &'a TtInstance,
     num: u64,
     den: u64,
-    j: usize,
-    map: &mut [usize],
-    used: &mut [bool],
-    nodes: &mut u32,
-) -> bool {
-    if j == sub.k() {
-        return true;
-    }
-    *nodes += 1;
-    if *nodes > NODE_BUDGET {
-        return false;
-    }
-    for cand in 0..sup.k() {
-        if used[cand] {
-            continue;
-        }
-        // w_sup(cand) / w_sub(j) must equal num / den, exactly.
-        if u128::from(sup.weight(cand)) * u128::from(den)
-            != u128::from(sub.weight(j)) * u128::from(num)
-        {
-            continue;
-        }
-        map[j] = cand;
-        used[cand] = true;
-        if extend(sub, sup, num, den, j + 1, map, used, nodes) {
+    /// `map[j]` = superset object assigned to sub object `j`.
+    map: Vec<usize>,
+    /// `used[c]`: superset object `c` is already assigned.
+    used: Vec<bool>,
+    /// Nodes visited so far, shared across every starting object.
+    nodes: &'a mut u32,
+}
+
+impl WeightMatch<'_> {
+    /// Extends the partial assignment from sub object `j` on.
+    fn extend(&mut self, j: usize) -> bool {
+        if j == self.sub.k() {
             return true;
         }
-        used[cand] = false;
-        map[j] = usize::MAX;
+        *self.nodes += 1;
+        if *self.nodes > NODE_BUDGET {
+            return false;
+        }
+        for cand in 0..self.sup.k() {
+            if self.used[cand] {
+                continue;
+            }
+            // w_sup(cand) / w_sub(j) must equal num / den, exactly.
+            if u128::from(self.sup.weight(cand)) * u128::from(self.den)
+                != u128::from(self.sub.weight(j)) * u128::from(self.num)
+            {
+                continue;
+            }
+            self.map[j] = cand;
+            self.used[cand] = true;
+            if self.extend(j + 1) {
+                return true;
+            }
+            self.used[cand] = false;
+            self.map[j] = usize::MAX;
+        }
+        false
     }
-    false
 }
 
 /// Projects a complete superset frontier table down through `emb` into
@@ -188,7 +203,11 @@ fn extend(
 /// seeded with it reports `frontier_cells_allocated = 0`, the visible
 /// witness that every DP level was skipped.
 #[must_use]
-pub fn seed_table(sup_table: &FrontierTable, emb: &Embedding, k_sub: usize) -> Option<FrontierTable> {
+pub fn seed_table(
+    sup_table: &FrontierTable,
+    emb: &Embedding,
+    k_sub: usize,
+) -> Option<FrontierTable> {
     if sup_table.len_levels() != sup_table.k() + 1 {
         return None; // superset solve did not finish: nothing to project
     }
@@ -248,8 +267,7 @@ mod tests {
     fn solved_table(inst: &TtInstance) -> FrontierTable {
         let mut meter = tt_core::solver::budget::BudgetMeter::unlimited();
         let mut sink = |_: usize, _: &FrontierTable| {};
-        let (table, done) =
-            sequential::solve_frontier_levelwise(inst, &mut meter, None, &mut sink);
+        let (table, done) = sequential::solve_frontier_levelwise(inst, &mut meter, None, &mut sink);
         assert_eq!(done, inst.k());
         table
     }

@@ -3,7 +3,15 @@
 //!
 //! Keys are the FNV-1a hash of the canonical text form ([`crate::canon`]),
 //! so every relabeling/rescaling/dominated-action variant of an instance
-//! lands on one entry. A lookup settles exactly one of three ways:
+//! lands on one entry. A 64-bit FNV key can collide, so a key only
+//! nominates an entry: each entry keeps its canonical instance, and a
+//! hit is served only when that instance equals the request's. A
+//! mismatch is a miss; an insert or replayed segment line whose key is
+//! held by a different instance is skipped and never overwrites the
+//! entry. `ttcache_collisions` counts these events, not requests: a
+//! colliding lookup is one, a skipped insert or replay line another,
+//! so a request that misses on a collision and then inserts its solved
+//! answer counts two. A lookup settles exactly one of three ways:
 //!
 //! - **Hit**: the canonical form is present — the stored cost and tree
 //!   are translated back through the caller's [`CanonMap`] with no DP
@@ -23,16 +31,22 @@
 //! tables are not persisted (they are large and cheap to regrow), so
 //! sub-lattice seeding only draws on entries solved in-process.
 //!
+//! The serve path canonicalizes once per request, outside the lock that
+//! guards the cache, and hands the same [`Canonical`] to
+//! [`SolutionCache::lookup_canonical`] and, after a miss is solved, to
+//! [`SolutionCache::insert_canonical`].
+//!
 //! Observability: `ttcache_hits` / `ttcache_partial_hits` /
-//! `ttcache_misses` / `ttcache_evictions` counters, `ttcache_bytes`
-//! gauge, all in the process-global `tt-obs` registry.
+//! `ttcache_misses` / `ttcache_evictions` / `ttcache_collisions`
+//! counters, `ttcache_bytes` gauge, all in the process-global `tt-obs`
+//! registry.
 
 use std::collections::HashMap;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
-use crate::canon::{canonicalize, CanonMap};
+use crate::canon::{canonicalize, CanonMap, Canonical, CanonicalForm};
 use crate::memo;
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
@@ -82,6 +96,18 @@ struct Entry {
     bytes: u64,
     /// LRU clock value of the last touch.
     tick: u64,
+}
+
+/// A solved canonical form on its way into the store.
+struct Solved {
+    /// The canonical form: key, text and instance.
+    form: CanonicalForm,
+    /// `C(U)` at canonical scale.
+    cost: Cost,
+    /// An optimal tree in canonical action indices.
+    tree: Option<TtTree>,
+    /// The complete frontier table, when worth keeping.
+    table: Option<FrontierTable>,
 }
 
 /// Largest `k` whose complete frontier table is retained for
@@ -176,12 +202,7 @@ impl SolutionCache {
     /// Degraded (budget-cut) solves are returned but never cached.
     pub fn solve(&mut self, inst: &TtInstance, budget: &Budget) -> (SolveReport, CacheStatus) {
         let canonical = canonicalize(inst);
-        let key = canonical.form.key.clone();
-
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.map.get_mut(&key) {
-            e.tick = tick;
+        if let Some(e) = self.find(&canonical.form) {
             tt_obs::metrics::counter("ttcache_hits").inc();
             return (
                 hit_report(e.cost, e.tree.as_ref(), &canonical.map),
@@ -230,35 +251,39 @@ impl SolutionCache {
             }
         });
 
+        let Canonical { form, map } = canonical;
         if let Some(table) = kept {
-            let keep_table = canon_inst.k() <= MAX_MEMO_K;
+            let keep_table = form.instance.k() <= MAX_MEMO_K;
             self.insert_entry(
-                key,
-                canonical.form.instance.clone(),
-                canonical.form.text.clone(),
-                report.cost,
-                report.tree.clone(),
-                keep_table.then_some(table),
+                Solved {
+                    form,
+                    cost: report.cost,
+                    tree: report.tree.clone(),
+                    table: keep_table.then_some(table),
+                },
                 true,
             );
         }
-        (decanonicalize_report(&canonical.map, report), status)
+        (decanonicalize_report(&map, report), status)
     }
 
     /// Exact-hit-only lookup (the fast path in front of a solve queue).
     /// Settles `ttcache_hits` or `ttcache_misses`.
     pub fn lookup_report(&mut self, inst: &TtInstance) -> Option<SolveReport> {
-        let canonical = canonicalize(inst);
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.map.get_mut(&canonical.form.key) {
-            e.tick = tick;
-            tt_obs::metrics::counter("ttcache_hits").inc();
-            Some(hit_report(e.cost, e.tree.as_ref(), &canonical.map))
-        } else {
+        self.lookup_canonical(&canonicalize(inst))
+    }
+
+    /// [`lookup_report`](SolutionCache::lookup_report) for an instance
+    /// the caller has already canonicalized, so the canonicalization can
+    /// run outside whatever lock guards the cache. A key held by a
+    /// different canonical instance is a miss (and a collision).
+    pub fn lookup_canonical(&mut self, canonical: &Canonical) -> Option<SolveReport> {
+        let Some(e) = self.find(&canonical.form) else {
             tt_obs::metrics::counter("ttcache_misses").inc();
-            None
-        }
+            return None;
+        };
+        tt_obs::metrics::counter("ttcache_hits").inc();
+        Some(hit_report(e.cost, e.tree.as_ref(), &canonical.map))
     }
 
     /// Inserts a completed report solved elsewhere (e.g. by a serve
@@ -266,11 +291,14 @@ impl SolutionCache {
     /// that use actions the canonicalizer's reduction removed, are
     /// skipped — the cache only ever stores exact canonical optima.
     pub fn insert_report(&mut self, inst: &TtInstance, report: &SolveReport) {
+        self.insert_canonical(canonicalize(inst), report);
+    }
+
+    /// [`insert_report`](SolutionCache::insert_report) for an instance
+    /// the caller has already canonicalized; `report` is in the
+    /// original instance's numbering and weight scale.
+    pub fn insert_canonical(&mut self, canonical: Canonical, report: &SolveReport) {
         if !report.outcome.is_complete() {
-            return;
-        }
-        let canonical = canonicalize(inst);
-        if self.map.contains_key(&canonical.form.key) {
             return;
         }
         // Original cost = scale × canonical cost, exactly.
@@ -285,14 +313,28 @@ impl SolutionCache {
             None => None,
         };
         self.insert_entry(
-            canonical.form.key.clone(),
-            canonical.form.instance,
-            canonical.form.text,
-            cost,
-            tree,
-            None,
+            Solved {
+                form: canonical.form,
+                cost,
+                tree,
+                table: None,
+            },
             true,
         );
+    }
+
+    /// The entry holding exactly `form`, touched as most recently used.
+    /// A key held by a different canonical instance is a collision: it
+    /// counts in `ttcache_collisions` and finds nothing.
+    fn find(&mut self, form: &CanonicalForm) -> Option<&Entry> {
+        self.tick += 1;
+        let e = self.map.get_mut(&form.key)?;
+        if e.instance != form.instance {
+            tt_obs::metrics::counter("ttcache_collisions").inc();
+            return None;
+        }
+        e.tick = self.tick;
+        Some(e)
     }
 
     /// Looks for a cached superset lattice that embeds `sub` and
@@ -310,29 +352,38 @@ impl SolutionCache {
         None
     }
 
-    fn insert_entry(
-        &mut self,
-        key: String,
-        instance: TtInstance,
-        text: String,
-        cost: Cost,
-        tree: Option<TtTree>,
-        table: Option<FrontierTable>,
-        journal: bool,
-    ) {
+    /// Stores `new` unless its key is taken. A key held by the same
+    /// canonical instance only refreshes that entry's LRU position; one
+    /// held by a different instance is a collision, counted and
+    /// skipped, so a forged or colliding key never displaces an entry.
+    fn insert_entry(&mut self, new: Solved, journal: bool) {
+        let Solved {
+            form,
+            cost,
+            tree,
+            table,
+        } = new;
         if self.capacity == 0 || (cost.is_inf() && tree.is_some()) {
             return; // capacity-zero cache, or an inconsistent answer
         }
-        let tree_text = tree.as_ref().map(tree_io::tree_to_text);
-        let bytes = entry_bytes(&text, tree_text.as_deref(), table.as_ref());
-        if journal {
-            self.journal_insert(&key, cost, tree_text.as_deref(), &text);
-        }
         self.tick += 1;
-        let old = self.map.insert(
-            key,
+        if let Some(held) = self.map.get_mut(&form.key) {
+            if held.instance == form.instance {
+                held.tick = self.tick;
+            } else {
+                tt_obs::metrics::counter("ttcache_collisions").inc();
+            }
+            return;
+        }
+        let tree_text = tree.as_ref().map(tree_io::tree_to_text);
+        let bytes = entry_bytes(&form.text, tree_text.as_deref(), table.as_ref());
+        if journal {
+            self.journal_insert(&form.key, cost, tree_text.as_deref(), &form.text);
+        }
+        self.map.insert(
+            form.key,
             Entry {
-                instance,
+                instance: form.instance,
                 cost,
                 tree,
                 table,
@@ -341,9 +392,6 @@ impl SolutionCache {
             },
         );
         self.bytes += bytes;
-        if let Some(old) = old {
-            self.bytes -= old.bytes;
-        }
         self.evict_to_bounds();
         tt_obs::metrics::gauge("ttcache_bytes").set(bytes_gauge(self.bytes));
     }
@@ -373,7 +421,8 @@ impl SolutionCache {
         }
         let body = format!(
             "{key}\t{}\t{}\t{}",
-            cost.finite().map_or_else(|| "inf".into(), |v| v.to_string()),
+            cost.finite()
+                .map_or_else(|| "inf".into(), |v| v.to_string()),
             tree.map_or_else(|| "-".into(), escape),
             escape(text),
         );
@@ -440,7 +489,19 @@ impl SolutionCache {
                 _ => return,
             }
         };
-        self.insert_entry(key.to_string(), instance, text, cost, tree, None, false);
+        self.insert_entry(
+            Solved {
+                form: CanonicalForm {
+                    instance,
+                    text,
+                    key: key.to_string(),
+                },
+                cost,
+                tree,
+                table: None,
+            },
+            false,
+        );
     }
 }
 
@@ -463,7 +524,9 @@ fn seg_number(path: &Path) -> Option<u64> {
 }
 
 fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\t', "\\t").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('\t', "\\t")
+        .replace('\n', "\\n")
 }
 
 fn unescape(s: &str) -> String {
@@ -675,13 +738,50 @@ mod tests {
     }
 
     #[test]
+    fn a_forged_colliding_key_never_serves_or_displaces_an_entry() {
+        let collisions = || tt_obs::metrics::counter("ttcache_collisions").get();
+        let mut cache = SolutionCache::in_memory(16);
+        let original = inst_with_weights([4, 3, 2, 1]);
+        let (cold, _) = cache.solve(&original, &Budget::unlimited());
+        let held_key = canonicalize(&original).form.key;
+
+        // A different instance whose canonical form claims the same key.
+        let other = inst_with_weights([9, 7, 5, 2]);
+        let mut forged = canonicalize(&other);
+        assert_ne!(forged.form.text, canonicalize(&original).form.text);
+        forged.form.key = held_key;
+
+        let before = collisions();
+        cache.insert_entry(
+            Solved {
+                form: forged.form.clone(),
+                cost: Cost::new(1),
+                tree: None,
+                table: None,
+            },
+            false,
+        );
+        assert_eq!(collisions(), before + 1, "the skipped insert counts once");
+        assert_eq!(cache.len(), 1, "the colliding insert is skipped");
+
+        let before = collisions();
+        assert!(
+            cache.lookup_canonical(&forged).is_none(),
+            "a key held by a different instance is a miss"
+        );
+        assert_eq!(collisions(), before + 1, "the missed lookup counts once");
+
+        let hit = cache.lookup_report(&original).expect("original still hits");
+        assert_eq!(hit.cost, cold.cost);
+        assert_eq!(hit.tree, cold.tree);
+    }
+
+    #[test]
     fn lookup_and_insert_report_round_trip() {
         let mut cache = SolutionCache::in_memory(16);
         let inst = inst_with_weights([4, 3, 2, 1]);
         assert!(cache.lookup_report(&inst).is_none());
-        let report = tt_core::solver::engine::lookup("seq")
-            .unwrap()
-            .solve(&inst);
+        let report = tt_core::solver::engine::lookup("seq").unwrap().solve(&inst);
         cache.insert_report(&inst, &report);
         let hit = cache.lookup_report(&inst).expect("inserted");
         assert_eq!(hit.cost, report.cost);
@@ -689,7 +789,9 @@ mod tests {
         tree.validate(&inst).unwrap();
         assert_eq!(tree.expected_cost(&inst), report.cost);
         // A rescaled variant hits the same entry.
-        let hit2 = cache.lookup_report(&inst_with_weights([8, 6, 4, 2])).unwrap();
+        let hit2 = cache
+            .lookup_report(&inst_with_weights([8, 6, 4, 2]))
+            .unwrap();
         assert_eq!(hit2.cost, Cost::new(report.cost.0 * 2));
     }
 }

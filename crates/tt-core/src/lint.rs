@@ -12,7 +12,7 @@
 
 use crate::instance::{ActionKind, TtInstance};
 use crate::preprocess;
-use crate::subset::Subset;
+use crate::solver::select;
 use std::fmt;
 
 /// How serious a lint finding is.
@@ -247,73 +247,13 @@ pub fn lint(inst: &TtInstance) -> LintReport {
     LintReport { diagnostics: out }
 }
 
-/// Counts non-empty subsets no procedure starting from `U` can reach.
-///
-/// Reachability closure: from a live set `S`, a test `T` leads to both
-/// `S ∩ T` and `S − T`; a treatment `T` leads to `S − T`.
+/// Counts non-empty subsets no procedure starting from `U` can reach:
+/// the complement of [`select::probe_reachable`]'s closure (a test `T`
+/// leads from a live set `S` to `S ∩ T` and `S − T`, a treatment to
+/// `S − T`).
 fn count_unreachable(inst: &TtInstance) -> usize {
-    let k = inst.k();
-    let size = 1usize << k;
-    let mut reachable = vec![false; size];
-    let universe = Subset::universe(k).0 as usize;
-    reachable[universe] = true;
-    let mut stack = vec![universe];
-    while let Some(s) = stack.pop() {
-        let sub = Subset(s as u32);
-        for a in inst.actions() {
-            let succs = match a.kind {
-                ActionKind::Test => [sub.intersect(a.set), sub.difference(a.set)],
-                ActionKind::Treatment => [sub.difference(a.set), sub.difference(a.set)],
-            };
-            for nxt in succs {
-                let idx = nxt.0 as usize;
-                if !nxt.is_empty() && !reachable[idx] {
-                    reachable[idx] = true;
-                    stack.push(idx);
-                }
-            }
-        }
-    }
-    (1..size).filter(|&s| !reachable[s]).count()
-}
-
-/// The dominance reduction together with its action mapping — the one
-/// code path `ttcheck` and the `tt-cache` canonicalizer share instead
-/// of each re-deriving which actions survived.
-///
-/// Wraps [`preprocess::reduce`] and lints the reduced instance, so a
-/// consumer gets the equivalence-class collapse, the index map back to
-/// the caller's numbering, and the post-reduction findings in one call.
-#[derive(Clone, Debug)]
-pub struct Reduction {
-    /// The reduced (equivalent-optimum) instance.
-    pub instance: TtInstance,
-    /// `surviving[i]` = index the reduced action `i` had in the input.
-    pub surviving: Vec<usize>,
-    /// How many actions the equivalence-class collapse removed.
-    pub removed: usize,
-    /// [`lint`] findings on the reduced instance.
-    pub report: LintReport,
-}
-
-impl Reduction {
-    /// Applies dominance reduction to `inst` and lints the result.
-    pub fn of(inst: &TtInstance) -> Reduction {
-        let red = preprocess::reduce(inst);
-        let report = lint(&red.instance);
-        Reduction {
-            instance: red.instance,
-            surviving: red.original_index,
-            removed: red.removed,
-            report,
-        }
-    }
-}
-
-/// Computes the dominance [`Reduction`] of an instance (mapping
-/// included). Shorthand for [`Reduction::of`].
-pub fn reduction(inst: &TtInstance) -> Reduction {
-    Reduction::of(inst)
+    let reachable = select::probe_reachable(inst, usize::MAX).expect("an uncapped probe counts");
+    ((1usize << inst.k()) - 1) - reachable
 }
 
 /// Convenience: lint after dominance reduction — what [`lint`] would say
@@ -325,13 +265,14 @@ pub fn reduction(inst: &TtInstance) -> Reduction {
 /// are preserved (reduction never removes the last treatment covering
 /// an object).
 pub fn lint_reduced(inst: &TtInstance) -> LintReport {
-    reduction(inst).report
+    lint(&preprocess::reduce(inst).instance)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::TtInstanceBuilder;
+    use crate::subset::Subset;
 
     fn codes(r: &LintReport) -> Vec<LintCode> {
         r.diagnostics.iter().map(|d| d.code).collect()
@@ -511,19 +452,18 @@ mod tests {
             .treatment(Subset::universe(3), 7) // duplicate: dropped
             .build()
             .unwrap();
-        let red = reduction(&inst);
+        let red = preprocess::reduce(&inst);
         assert_eq!(red.removed, 2);
-        assert_eq!(red.surviving, vec![0, 2]);
-        for (new_i, &old_i) in red.surviving.iter().enumerate() {
+        assert_eq!(red.original_index, vec![0, 2]);
+        for (new_i, &old_i) in red.original_index.iter().enumerate() {
             assert_eq!(red.instance.action(new_i), inst.action(old_i));
         }
-        // The shared report is exactly lint() of the reduced instance.
+        // lint_reduced is exactly lint() of the reduced instance.
         assert_eq!(
-            codes(&red.report),
+            codes(&lint_reduced(&inst)),
             codes(&lint(&red.instance)),
-            "reduction report must be the reduced instance's lint"
+            "lint_reduced must be the reduced instance's lint"
         );
-        assert_eq!(codes(&lint_reduced(&inst)), codes(&red.report));
     }
 
     #[test]

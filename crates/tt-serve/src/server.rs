@@ -41,7 +41,9 @@
 //!   the cross-solve solution cache (`tt-cache`): an exact
 //!   canonical-form hit answers immediately with `cached: true` and
 //!   never touches an engine; completed solves on every path populate
-//!   the cache.
+//!   the cache. Each request's instance is parsed once and canonicalized
+//!   once, before the cache lock is taken; the lookup and the insert
+//!   share that one canonical form.
 //!
 //! Accounting invariant, checked by the integration tests and the CI
 //! smoke job: `accepted == completed + degraded + shed + faulted +
@@ -808,29 +810,92 @@ fn drain_shed(inner: &Inner) -> Option<(Response, Terminal)> {
     ))
 }
 
+/// A request's instance, parsed once, and — with a cache enabled — its
+/// canonical form, computed once. Both are built before any lock is
+/// taken; the cache lookup and the insert after a solve share them.
+struct Prepared {
+    inst: TtInstance,
+    canonical: Option<tt_cache::Canonical>,
+}
+
+/// Parses the request's instance and canonicalizes it for the cache.
+/// An unparseable instance is refused as a bad request; a panic is
+/// contained like an engine panic. The refusal is boxed: it is the cold
+/// path, and a `Response` is large.
+fn prepare(inner: &Inner, params: &SolveParams) -> Result<Prepared, Box<(Response, Terminal)>> {
+    let prepared = catch_unwind(AssertUnwindSafe(|| -> Result<Prepared, String> {
+        let inst = load_instance(params)?;
+        let canonical = inner.cache.is_some().then(|| tt_cache::canonicalize(&inst));
+        Ok(Prepared { inst, canonical })
+    }));
+    match prepared {
+        Ok(Ok(prepared)) => Ok(prepared),
+        Ok(Err(message)) => Err(Box::new(bad_request(message))),
+        Err(payload) => Err(Box::new(panic_response(inner, payload.as_ref()))),
+    }
+}
+
+fn bad_request(message: String) -> (Response, Terminal) {
+    (
+        Response::Error {
+            kind: ErrorKind::BadRequest,
+            message,
+        },
+        Terminal::Faulted,
+    )
+}
+
+/// The typed `panic` refusal for a contained panic, counted in
+/// `ttserve_panics_total`.
+fn panic_response(inner: &Inner, payload: &(dyn std::any::Any + Send)) -> (Response, Terminal) {
+    inner.stats.panics.fetch_add(1, Ordering::SeqCst);
+    tt_obs::metrics::counter("ttserve_panics_total").inc();
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    };
+    (
+        Response::Error {
+            kind: ErrorKind::Panic,
+            message,
+        },
+        Terminal::Faulted,
+    )
+}
+
 fn run_solve(inner: &Inner, params: SolveParams) -> (Response, Terminal) {
     if let Some(shed) = drain_shed(inner) {
         return shed;
     }
-    if let Some(hit) = cache_lookup(inner, &params) {
+    let prepared = match prepare(inner, &params) {
+        Ok(prepared) => prepared,
+        Err(refused) => return *refused,
+    };
+    if let Some(hit) = cache_lookup(inner, &params, &prepared) {
         return hit;
     }
-    execute_solve(inner, &params, None, &mut |_| {})
+    execute_solve(inner, &params, prepared, None, &mut |_| {})
 }
 
 /// Consults the solution cache before any engine dispatch: an exact
 /// canonical-form hit is answered immediately (`cached: true`,
-/// `engine: "cache"`), settling the `cached` terminal. Misses — and
-/// unparseable instances, which the solve path will refuse with a
-/// proper typed error — return `None`. Only the *unkeyed* path looks
+/// `engine: "cache"`), settling the `cached` terminal. Misses return
+/// `None`. The lock is held for the map probe only: the instance was
+/// canonicalized beforehand, in [`prepare`]. Only the *unkeyed* path looks
 /// up: keyed requests belong to the journal's exactly-once contract,
 /// where a dedup replay must return the journaled bytes, not a
 /// cache-translated equivalent (they still populate the cache when
 /// they complete).
-fn cache_lookup(inner: &Inner, params: &SolveParams) -> Option<(Response, Terminal)> {
-    let cache = inner.cache.as_ref()?;
-    let inst = load_instance(params).ok()?;
-    let report = lock(cache).lookup_report(&inst)?;
+fn cache_lookup(
+    inner: &Inner,
+    params: &SolveParams,
+    prepared: &Prepared,
+) -> Option<(Response, Terminal)> {
+    let (cache, canonical) = (inner.cache.as_ref()?, prepared.canonical.as_ref()?);
+    let report = lock(cache).lookup_canonical(canonical)?;
     let result = SolveResult {
         id: params.id.clone(),
         engine: "cache".to_string(),
@@ -850,13 +915,15 @@ fn cache_lookup(inner: &Inner, params: &SolveParams) -> Option<(Response, Termin
 
 /// The solve execution core shared by the plain, keyed, and recovery
 /// paths: budget/deadline policy, panic containment, anytime
-/// degradation. `resume` warm-starts the chain from a journaled
+/// degradation, and the cache insert of the prepared canonical form.
+/// `resume` warm-starts the chain from a journaled
 /// checkpoint; `on_ckpt` observes every level boundary any
 /// engine emits (the journaling hook). Neither settles — the caller
 /// owns the terminal.
 fn execute_solve(
     inner: &Inner,
     params: &SolveParams,
+    prepared: Prepared,
     resume: Option<Checkpoint>,
     on_ckpt: &mut dyn FnMut(&LevelView<'_>),
 ) -> (Response, Terminal) {
@@ -868,7 +935,7 @@ fn execute_solve(
     };
     let id = params.id.clone();
     let solved = catch_unwind(AssertUnwindSafe(|| -> Result<SolveResult, String> {
-        let inst = load_instance(params)?;
+        let Prepared { inst, canonical } = prepared;
         let chain = build_chain(params, &inst)?;
         let opts = SuperviseOptions {
             resume,
@@ -878,11 +945,11 @@ fn execute_solve(
         let sup = supervise::supervise_with_observer(&inst, &chain, &budget, &opts, on_ckpt);
         drop(timer);
         let report = &sup.report;
-        if let Some(cache) = &inner.cache {
+        if let (Some(cache), Some(canonical)) = (&inner.cache, canonical) {
             // Completed solves feed the cache regardless of path
-            // (plain, keyed, recovery); `insert_report` ignores
+            // (plain, keyed, recovery); `insert_canonical` ignores
             // degraded answers itself.
-            lock(cache).insert_report(&inst, report);
+            lock(cache).insert_canonical(canonical, report);
         }
         let cost = report.cost.is_finite().then_some(report.cost.0);
         let (complete, upper, lower, reason) = match report.outcome {
@@ -922,31 +989,8 @@ fn execute_solve(
             };
             (Response::Solved(result), terminal)
         }
-        Ok(Err(message)) => (
-            Response::Error {
-                kind: ErrorKind::BadRequest,
-                message,
-            },
-            Terminal::Faulted,
-        ),
-        Err(payload) => {
-            inner.stats.panics.fetch_add(1, Ordering::SeqCst);
-            tt_obs::metrics::counter("ttserve_panics_total").inc();
-            let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            (
-                Response::Error {
-                    kind: ErrorKind::Panic,
-                    message,
-                },
-                Terminal::Faulted,
-            )
-        }
+        Ok(Err(message)) => bad_request(message),
+        Err(payload) => panic_response(inner, payload.as_ref()),
     }
 }
 
@@ -1138,7 +1182,10 @@ fn execute_keyed(
             }
         }
     };
-    let (response, terminal) = execute_solve(inner, params, resume, &mut on_ckpt);
+    let (response, terminal) = match prepare(inner, params) {
+        Ok(prepared) => execute_solve(inner, params, prepared, resume, &mut on_ckpt),
+        Err(refused) => *refused,
+    };
     match &response {
         Response::Solved(result) => {
             let payload = response.encode();

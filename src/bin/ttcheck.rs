@@ -81,6 +81,7 @@ use tt_analyze::server_model::{
 use tt_core::instance::TtInstance;
 use tt_core::io;
 use tt_core::lint;
+use tt_core::preprocess;
 
 const EXIT_FINDINGS: i32 = 1;
 const EXIT_USAGE: i32 = 2;
@@ -238,18 +239,18 @@ fn check_instance(inst: &TtInstance, opts: &Opts) -> i32 {
         println!("infeasible instance: skipping machine passes");
         return EXIT_FINDINGS;
     }
-    // Dominance reduction through the shared lint::Reduction path (the
-    // same mapping the tt-cache canonicalizer consumes): report what
-    // the equivalence-class collapse removes and what survives it.
-    let red = lint::reduction(inst);
+    // Dominance reduction (the same mapping the tt-cache canonicalizer
+    // consumes): report what the equivalence-class collapse removes and
+    // what survives it, then lint the reduced instance.
+    let red = preprocess::reduce(inst);
     if red.removed > 0 {
         println!(
             "-- reduction: {} dominated action(s) removed, {} survive (original indices {:?})",
             red.removed,
-            red.surviving.len(),
-            red.surviving
+            red.original_index.len(),
+            red.original_index
         );
-        for d in &red.report.diagnostics {
+        for d in &lint::lint(&red.instance).diagnostics {
             if d.code == lint::LintCode::DominatedAction {
                 println!("post-reduction {d}");
             }

@@ -10,11 +10,11 @@
 //! the property here is the strict form.
 
 use proptest::prelude::*;
+use tt_cache::{canonicalize, CacheStatus, SolutionCache};
 use tt_core::instance::{ActionKind, TtInstance, TtInstanceBuilder};
 use tt_core::solver::budget::Budget;
 use tt_core::solver::engine;
 use tt_core::subset::Subset;
-use tt_cache::{canonicalize, CacheStatus, SolutionCache};
 
 /// Pairwise-distinct weights from raw entropy: `(raw % 50) * 6` spreads
 /// values at least 6 apart whenever the raw values differ, and the
@@ -51,7 +51,13 @@ fn build(weights: &[u64], actions: &[(u32, u64, bool)]) -> TtInstance {
 /// The same instance with object labels permuted (`new = perm[old]`),
 /// every weight multiplied by `scale`, `dups` extra copies of existing
 /// actions appended, and the action list rotated.
-fn transform(inst: &TtInstance, perm: &[usize], scale: u64, dups: &[usize], rot: usize) -> TtInstance {
+fn transform(
+    inst: &TtInstance,
+    perm: &[usize],
+    scale: u64,
+    dups: &[usize],
+    rot: usize,
+) -> TtInstance {
     let k = inst.k();
     let remap = |s: Subset| Subset::from_iter(s.iter().map(|i| perm[i]));
     let mut weights = vec![0u64; k];
@@ -97,7 +103,8 @@ proptest! {
         let mut perm: Vec<usize> = (0..k).collect();
         let mut state = perm_seed | 1;
         for i in (1..k).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state.wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
             perm.swap(i, (state >> 33) as usize % (i + 1));
         }
         let variant = transform(&inst, &perm, scale, &dups, rot);
@@ -128,7 +135,8 @@ proptest! {
         let mut perm: Vec<usize> = (0..k).collect();
         let mut state = perm_seed | 1;
         for i in (1..k).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state.wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
             perm.swap(i, (state >> 33) as usize % (i + 1));
         }
         let variant = transform(&inst, &perm, scale, &dups, rot);

@@ -1,10 +1,13 @@
 //! `select::probe_reachable` keeps its visited set in one bit per
 //! lattice subset. These tests pin it to the hash-set closure walk it
 //! replaced: the same count, and the same `None` once the closure passes
-//! the cap, on every catalog domain up to k = 12.
+//! the cap, on every catalog domain up to k = 12. The lint's
+//! unreachable-subset finding is computed from the same probe, so it is
+//! pinned to the `Vec<bool>` closure the lint used to run on its own.
 
 use std::collections::HashSet;
-use tt_core::instance::TtInstance;
+use tt_core::instance::{ActionKind, TtInstance};
+use tt_core::lint::{self, LintCode};
 use tt_core::solver::select::probe_reachable;
 use tt_core::subset::Subset;
 use tt_workloads::catalog::Domain;
@@ -80,4 +83,68 @@ fn bit_set_probe_matches_the_hash_set_reference_on_the_catalog() {
         }
     }
     assert!(cutoffs > 0, "some cap must cut the walk off");
+}
+
+/// The lint's former closure: every action applied at every live set,
+/// useless or not (a useless action only leads back to `S` itself).
+fn unreachable_with_vec_bool(inst: &TtInstance) -> usize {
+    let size = 1usize << inst.k();
+    let mut reachable = vec![false; size];
+    let universe = inst.universe().0 as usize;
+    reachable[universe] = true;
+    let mut stack = vec![universe];
+    while let Some(s) = stack.pop() {
+        let sub = Subset(s as u32);
+        for a in inst.actions() {
+            let succs = match a.kind {
+                ActionKind::Test => [sub.intersect(a.set), sub.difference(a.set)],
+                ActionKind::Treatment => [sub.difference(a.set), sub.difference(a.set)],
+            };
+            for nxt in succs {
+                let idx = nxt.0 as usize;
+                if !nxt.is_empty() && !reachable[idx] {
+                    reachable[idx] = true;
+                    stack.push(idx);
+                }
+            }
+        }
+    }
+    (1..size).filter(|&s| !reachable[s]).count()
+}
+
+/// The count the lint reports in its `UnreachableSubsets` finding (0
+/// when it reports none).
+fn lint_unreachable(inst: &TtInstance) -> usize {
+    lint::lint(inst)
+        .diagnostics
+        .iter()
+        .find(|d| d.code == LintCode::UnreachableSubsets)
+        .map_or(0, |d| {
+            d.message
+                .split_whitespace()
+                .next()
+                .and_then(|n| n.parse().ok())
+                .expect("the finding leads with its count")
+        })
+}
+
+#[test]
+fn lint_unreachable_count_matches_the_vec_bool_closure_on_the_catalog() {
+    let mut nonzero = 0;
+    for domain in Domain::all() {
+        for k in 2..=12 {
+            for seed in 0..3 {
+                let inst = domain.generate(k, seed);
+                let want = unreachable_with_vec_bool(&inst);
+                nonzero += usize::from(want > 0);
+                assert_eq!(
+                    lint_unreachable(&inst),
+                    want,
+                    "{} k={k} seed={seed}",
+                    domain.name()
+                );
+            }
+        }
+    }
+    assert!(nonzero > 0, "some catalog instance has unreachable subsets");
 }
