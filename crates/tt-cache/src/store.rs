@@ -575,6 +575,7 @@ fn decanonicalize_report(map: &CanonMap, report: SolveReport) -> SolveReport {
         work,
         wall,
         telemetry,
+        selection,
     } = report;
     let outcome = match outcome {
         SolveOutcome::Complete => SolveOutcome::Complete,
@@ -595,6 +596,7 @@ fn decanonicalize_report(map: &CanonMap, report: SolveReport) -> SolveReport {
         work,
         wall,
         telemetry,
+        selection,
     }
 }
 

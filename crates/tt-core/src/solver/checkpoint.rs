@@ -619,16 +619,27 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint to a file (atomically: temp file + rename,
-    /// so a kill mid-write never leaves a torn checkpoint behind — the
-    /// previous complete one survives).
+    /// Writes the checkpoint to a file atomically: temp file, fsync,
+    /// rename, directory fsync. A kill or a power loss mid-write never
+    /// leaves a torn checkpoint behind — the previous complete one
+    /// survives until the new one is durable.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
+        use std::io::Write as _;
         let _t = tt_obs::metrics::histogram("tt_checkpoint_save_nanos").time();
         tt_obs::metrics::counter("tt_checkpoint_saves_total").inc();
         tt_obs::telemetry::add_counter("checkpoint_saves", 1);
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_text())?;
-        std::fs::rename(&tmp, path)
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(self.to_text().as_bytes())?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)?;
+        // The rename is durable only once the directory entry is.
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => std::path::Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()
     }
 
     /// Loads and verifies a checkpoint from a file.

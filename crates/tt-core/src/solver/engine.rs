@@ -27,6 +27,7 @@ use crate::instance::TtInstance;
 use crate::solver::anytime::{self, ExactEntry};
 use crate::solver::budget::{Budget, ExhaustReason};
 use crate::solver::checkpoint::{Checkpoint, LevelView};
+use crate::solver::select::{AutoEngine, Selection};
 use crate::solver::{branch_and_bound, exhaustive, greedy, memo, sequential};
 use crate::subset::frontier::{FrontierStats, FrontierTable};
 use crate::subset::Subset;
@@ -221,6 +222,10 @@ pub struct SolveReport {
     /// (checkpoint latencies, machine counters). Empty for engines that
     /// record nothing.
     pub telemetry: tt_obs::Telemetry,
+    /// Set only by the `auto` engine: the engine it delegated to and
+    /// why. Consumers that name the engine behind an answer
+    /// (supervision, `ttsolve`) read the delegate from here.
+    pub selection: Option<Selection>,
 }
 
 /// A solver backend under the uniform interface.
@@ -271,7 +276,9 @@ pub trait Solver: Send + Sync {
     /// exports one at every level boundary. Engines without a
     /// level-synchronous structure (memo, bnb, exhaustive, the
     /// heuristics, the bit-serial BVM) report `false` and always start
-    /// cold.
+    /// cold. The delegating `auto` engine reports `true`: handed a
+    /// checkpoint it picks a resumable engine, but a cold solve it
+    /// answers with `memo` exports no levels at all.
     fn resumable(&self) -> bool {
         false
     }
@@ -368,6 +375,7 @@ pub fn timed_report_with(
         work,
         wall,
         telemetry,
+        selection: None,
     }
 }
 
@@ -851,6 +859,7 @@ pub fn core_engines() -> Vec<Box<dyn Solver>> {
             name: "greedy-entropy",
             description: "entropy-gain heuristic (upper bound)",
         }),
+        Box::new(AutoEngine),
     ]
 }
 

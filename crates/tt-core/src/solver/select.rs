@@ -1,6 +1,10 @@
 //! Engine auto-selection: pick a backend from the instance's shape.
 //!
-//! `ttsolve --solver auto` lands here. The choice is driven by three
+//! The registry's `auto` engine lands here at solve time, on every
+//! entry point: `ttsolve --solver auto`, the default supervision chain
+//! it heads (batch items, ttserve misses), and a wire request's
+//! `"solver": "auto"`. The decision costs one bounded probe per solve
+//! and never runs while a chain is built. The choice is driven by these
 //! observable facts, in priority order:
 //!
 //! 1. **Reachable-set sparsity.** The memoized DP touches only subsets
@@ -36,12 +40,23 @@
 //! `(k, reachable, available engines)` so it can be unit-tested
 //! exhaustively; [`auto_select`] feeds it the live registry (filtered
 //! by each engine's `max_k`) and the reachability probe.
+//!
+//! A solve resumed from a checkpoint decides among the resumable
+//! (level-synchronous) engines only, without probing: the checkpoint's
+//! wavefront is only of use to them. A cold solve answered by `memo`
+//! emits no level views, so nothing downstream can checkpoint it — a
+//! keyed ttserve solve journals no `Checkpoint` records and
+//! `ttsolve --checkpoint` writes no file; an interrupted one re-solves
+//! cold.
 
 use crate::cost::Cost;
 use crate::instance::TtInstance;
-use crate::solver::engine::registry;
+use crate::solver::budget::Budget;
+use crate::solver::checkpoint::{Checkpoint, LevelView};
+use crate::solver::engine::{registry, EngineKind, SolveReport, Solver};
 use crate::subset::frontier;
 use crate::subset::Subset;
+use std::time::Instant;
 
 /// Largest `k` for which plain sequential DP is preferred over thread
 /// fan-out: at `k = 11` the full lattice is 2048 cells and a solve is
@@ -228,15 +243,76 @@ pub fn decide(k: usize, reachable: Option<usize>, available: &[&str]) -> Selecti
 /// Picks an engine for `inst` from the live registry: filters by
 /// `max_k`, runs the bounded reachability probe, applies [`decide`].
 pub fn auto_select(inst: &TtInstance) -> Selection {
-    let engines = registry();
-    let available: Vec<&str> = engines
-        .iter()
-        .filter(|e| e.max_k() >= inst.k())
-        .map(|e| e.name())
-        .collect();
-    let cap = ((1usize << inst.k()) / SPARSE_DIVISOR).clamp(1, PROBE_CAP);
-    let reachable = probe_reachable(inst, cap);
-    decide(inst.k(), reachable, &available)
+    choose(inst, false).1
+}
+
+/// [`auto_select`], returning the chosen engine too. With `resuming`
+/// only resumable engines are candidates and the probe is skipped.
+fn choose(inst: &TtInstance, resuming: bool) -> (Box<dyn Solver>, Selection) {
+    let mut engines = registry();
+    engines.retain(|e| e.name() != AUTO && e.max_k() >= inst.k() && (!resuming || e.resumable()));
+    let available: Vec<&str> = engines.iter().map(|e| e.name()).collect();
+    let reachable = if resuming {
+        None
+    } else {
+        let cap = ((1usize << inst.k()) / SPARSE_DIVISOR).clamp(1, PROBE_CAP);
+        probe_reachable(inst, cap)
+    };
+    let selection = decide(inst.k(), reachable, &available);
+    // `seq` (always registered, resumable, `max_k` = MAX_K) keeps
+    // `available` non-empty, so `decide` names one of its engines.
+    let engine = engines
+        .into_iter()
+        .find(|e| e.name() == selection.engine)
+        .expect("decide picks from the available engines");
+    (engine, selection)
+}
+
+/// The `auto` engine's registry name.
+const AUTO: &str = "auto";
+
+/// The registry's `auto` engine: at solve time it runs the
+/// [`auto_select`] decision (probe plus [`decide`]) and delegates the
+/// whole solve to the chosen engine. The report is the delegate's,
+/// with [`SolveReport::selection`] naming it and its `wall` including
+/// the decision, so supervision and the CLIs report the engine that
+/// ran, never `auto`.
+///
+/// Its `max_k` is the trait default, `MAX_K`: `seq` admits that, and no
+/// engine admits more.
+pub(crate) struct AutoEngine;
+
+impl Solver for AutoEngine {
+    fn name(&self) -> &'static str {
+        AUTO
+    }
+    fn kind(&self) -> EngineKind {
+        EngineKind::Exact
+    }
+    fn description(&self) -> &'static str {
+        "picks memo, seq, rayon or rayon-frontier at solve time from the instance's shape"
+    }
+    fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
+        self.solve_resumable(inst, budget, None, &mut |_| {})
+    }
+    fn resumable(&self) -> bool {
+        true
+    }
+    fn solve_resumable(
+        &self,
+        inst: &TtInstance,
+        budget: &Budget,
+        resume: Option<&Checkpoint>,
+        sink: &mut dyn FnMut(&LevelView<'_>),
+    ) -> SolveReport {
+        let start = Instant::now();
+        let (engine, selection) = choose(inst, resume.is_some());
+        let decided = start.elapsed();
+        let mut report = engine.solve_resumable(inst, budget, resume, sink);
+        report.wall += decided;
+        report.selection = Some(selection);
+        report
+    }
 }
 
 #[cfg(test)]
@@ -417,5 +493,41 @@ mod tests {
     fn auto_select_on_a_sparse_instance_prefers_memo() {
         let s = auto_select(&sparse_chain(7));
         assert_eq!(s.engine, "memo", "{}", s.reason);
+    }
+
+    #[test]
+    fn the_auto_engine_runs_and_names_its_delegate() {
+        let inst = sparse_chain(7);
+        let r = AutoEngine.solve(&inst);
+        assert_eq!(r.selection, Some(auto_select(&inst)));
+        assert_eq!(r.selection.unwrap().engine, "memo");
+        assert_eq!(r.cost, crate::solver::sequential::solve(&inst).cost);
+        assert!(r.outcome.is_complete());
+    }
+
+    #[test]
+    fn a_resumed_auto_solve_decides_among_resumable_engines_only() {
+        let inst = sparse_chain(7);
+        let sol = crate::solver::sequential::solve(&inst);
+        let ck = LevelView::dense(&inst, 3, &sol.tables.cost, &sol.tables.best).to_checkpoint();
+        let mut levels = Vec::new();
+        let r = AutoEngine.solve_resumable(&inst, &Budget::unlimited(), Some(&ck), &mut |v| {
+            levels.push(v.level());
+        });
+        let picked = r.selection.expect("auto reports its selection").engine;
+        assert_eq!(picked, "seq", "memo cannot use the checkpoint");
+        assert_eq!(r.work.extra("resumed_level"), Some(3));
+        assert_eq!(levels, (4..=7).collect::<Vec<_>>());
+        assert_eq!(r.cost, sol.cost);
+    }
+
+    #[test]
+    fn auto_admits_the_largest_k_any_delegate_does() {
+        let most = registry()
+            .iter()
+            .filter(|e| e.name() != AUTO)
+            .map(|e| e.max_k())
+            .max();
+        assert_eq!(Some(AutoEngine.max_k()), most);
     }
 }

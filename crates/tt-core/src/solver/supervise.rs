@@ -8,7 +8,7 @@
 //! supervisor wraps a *chain* of engines so that none of these ever
 //! surfaces as a missing or silently wrong answer: the failing engine
 //! is retried with exponential backoff, then abandoned for the next
-//! engine down the chain (e.g. ccc → rayon → seq → bnb).
+//! engine down the chain (e.g. ccc → auto → rayon → seq → bnb).
 //!
 //! Failover is *warm*: every engine run goes through
 //! [`Solver::solve_resumable`], so resumable engines show the
@@ -168,8 +168,9 @@ pub struct SuperviseReport {
     /// The final report (from the winning engine, or synthesized from
     /// the last checkpoint when the whole chain failed).
     pub report: SolveReport,
-    /// Name of the engine that produced `report`, or `"supervisor"`
-    /// for a synthesized chain-exhausted result.
+    /// Name of the engine that produced `report` (for `auto`, the
+    /// engine it delegated to), or `"supervisor"` for a synthesized
+    /// chain-exhausted result.
     pub engine: String,
     /// Every failed attempt, in order.
     pub failures: Vec<AttemptFailure>,
@@ -215,9 +216,11 @@ fn remaining(budget: &Budget, start: Instant) -> Option<Budget> {
 /// Auto-selects a fallback chain from the instance shape: the
 /// preferred machine simulator that fits `k` first (ccc, then the
 /// hypercubes — the paper's cost-efficient network leads), then the
-/// software tail rayon → seq → bnb → memo → greedy, each filtered by
+/// `auto` engine, which picks the host engine at solve time, then the
+/// failover tail rayon → seq → bnb → memo → greedy, each filtered by
 /// its `max_k()`. Built from the live [`registry`], so the chain
-/// automatically contains whatever extensions are linked in.
+/// automatically contains whatever extensions are linked in. Building
+/// it probes nothing: `auto` decides when it runs.
 pub fn fallback_chain(inst: &TtInstance) -> Vec<Box<dyn Solver>> {
     chain_for_shape(inst.k())
 }
@@ -235,7 +238,7 @@ pub fn chain_for_shape(k: usize) -> Vec<Box<dyn Solver>> {
             break; // one machine primary is enough
         }
     }
-    for name in ["rayon", "seq", "bnb", "memo", "greedy"] {
+    for name in ["auto", "rayon", "seq", "bnb", "memo", "greedy"] {
         if let Some(pos) = pool.iter().position(|e| e.name() == name && e.max_k() >= k) {
             chain.push(pool.remove(pos));
         }
@@ -358,9 +361,14 @@ pub fn supervise_with_observer(
                     // would exhaust the same budget.
                     _ => {
                         let report = honest(inst, engine.kind(), report, &failures);
+                        let name = report
+                            .selection
+                            .as_ref()
+                            .map_or(engine.name(), |s| s.engine.as_str())
+                            .to_string();
                         return SuperviseReport {
                             report,
-                            engine: engine.name().to_string(),
+                            engine: name,
                             failures,
                             failovers,
                             retries,
@@ -780,8 +788,8 @@ mod tests {
 
     #[test]
     fn chain_for_shape_orders_software_tail() {
-        // Only tt-core engines are guaranteed registered here; the
-        // software tail must appear in fallback order.
+        // Only tt-core engines are guaranteed registered here; `auto`
+        // heads the software tail, which must appear in fallback order.
         let names: Vec<String> = chain_for_shape(4)
             .iter()
             .map(|e| e.name().to_string())
@@ -789,9 +797,9 @@ mod tests {
         let tail: Vec<&str> = names
             .iter()
             .map(String::as_str)
-            .filter(|n| ["seq", "bnb", "memo", "greedy"].contains(n))
+            .filter(|n| ["auto", "seq", "bnb", "memo", "greedy"].contains(n))
             .collect();
-        assert_eq!(tail, vec!["seq", "bnb", "memo", "greedy"]);
+        assert_eq!(tail, vec!["auto", "seq", "bnb", "memo", "greedy"]);
     }
 
     #[test]

@@ -38,6 +38,10 @@ pub fn solve_tables_with(inst: &TtInstance, meter: &mut BudgetMeter) -> (DpTable
 /// below the seed are neither recomputed nor re-charged to the meter),
 /// and `sink` receives the tables after each completed level — the
 /// checkpoint-export hook.
+///
+/// Each level is swept by `sweep_level` into one rank-ordered
+/// `(cost, argmin)` buffer, allocated once at the widest level's size,
+/// and scattered into the mask-indexed slabs when the level completes.
 pub fn solve_tables_resumable(
     inst: &TtInstance,
     meter: &mut BudgetMeter,
@@ -61,46 +65,46 @@ pub fn solve_tables_resumable(
         }
     }
     let mut done = k;
+    let mut level_buf: Vec<(Cost, Option<u16>)> = Vec::new();
 
     for j in (start + 1)..=k {
-        let level: Vec<Subset> = Subset::of_size(k, j).collect();
-        let in_budget = meter.charge_subsets(level.len() as u64)
-            & meter.charge_candidates((level.len() * inst.n_actions()) as u64)
+        let cells = frontier::binomial(k, j);
+        let in_budget = meter.charge_subsets(cells)
+            & meter.charge_candidates(cells * inst.n_actions() as u64)
             & meter.check();
         if !in_budget {
             done = j - 1;
             break;
         }
-        // Read-only snapshot view of the table: a level never reads its
-        // own entries (every submask read is strictly smaller).
+        if level_buf.is_empty() {
+            level_buf = vec![(Cost::INF, None); frontier::max_frontier(k) as usize];
+        }
+        let out = &mut level_buf[..cells as usize];
+        // Every gather reads a strictly smaller set, written in an
+        // earlier level, so the slab is read-only while the level runs.
         let cost_ref = &cost;
-        let results: Vec<(usize, Cost, Option<u16>)> = level
-            .par_iter()
-            .map(|&s| {
-                let mut gathers = 0u64;
-                let (c, b) = min_candidate(
-                    inst,
-                    weight_table[s.index()],
-                    &DenseSlab(cost_ref),
-                    s,
-                    &mut gathers,
-                );
-                (s.index(), c, b)
-            })
-            .collect();
-        for (idx, c, b) in results {
-            cost[idx] = c;
-            best[idx] = b;
+        sweep_level(j, out, |s, gathers| {
+            min_candidate(
+                inst,
+                weight_table[s.index()],
+                &DenseSlab(cost_ref),
+                s,
+                gathers,
+            )
+        });
+        for (s, &(c, b)) in Subset::of_size(k, j).zip(out.iter()) {
+            cost[s.index()] = c;
+            best[s.index()] = b;
         }
         sink(j, &cost, &best);
     }
     (DpTables { cost, best }, done)
 }
 
-/// Cache-block size for the parallel frontier sweep: each work item
+/// Cache-block size for the parallel level sweeps: each work item
 /// owns one contiguous run of ranked cells, so a chunk's output (8 KiB
 /// of `Cost`) stays resident while its gathers walk the lower
-/// frontiers. One `unrank` per chunk boundary; within a chunk the next
+/// levels. One `unrank` per chunk boundary; within a chunk the next
 /// subset comes from a Gosper step, exactly the rank-order walk the
 /// sequential sweep uses.
 pub const FRONTIER_CHUNK: usize = 1 << 10;
@@ -112,6 +116,39 @@ fn gosper_next(s: Subset) -> Subset {
     let c = cur & cur.wrapping_neg();
     let r = cur.wrapping_add(c);
     Subset((((r ^ cur) >> 2) / c) | r)
+}
+
+/// The rank-order walk both parallel sweeps share: writes
+/// `out[r] = cell(S_r, &mut counter)` for the subsets `S_r` of level
+/// `j` in rank order, on rayon workers in chunks of [`FRONTIER_CHUNK`]
+/// cells (one `unrank` per chunk, then Gosper steps). Chunks are
+/// disjoint slices of `out`, so workers cannot race. Returns the summed
+/// per-cell counter and the number of chunks (one unrank each).
+fn sweep_level<T: Send>(
+    j: usize,
+    out: &mut [T],
+    cell: impl Fn(Subset, &mut u64) -> T + Sync,
+) -> (u64, u64) {
+    // Task-local counters, folded in with one relaxed add per chunk:
+    // no atomics in the per-cell hot path.
+    let counted = AtomicU64::new(0);
+    out.par_chunks_mut(FRONTIER_CHUNK)
+        .enumerate()
+        .for_each(|(ci, chunk)| {
+            let mut local = 0u64;
+            let mut s = frontier::unrank(j, (ci * FRONTIER_CHUNK) as u64);
+            for (off, slot) in chunk.iter_mut().enumerate() {
+                if off > 0 {
+                    s = gosper_next(s);
+                }
+                *slot = cell(s, &mut local);
+            }
+            counted.fetch_add(local, Ordering::Relaxed);
+        });
+    (
+        counted.into_inner(),
+        out.len().div_ceil(FRONTIER_CHUNK) as u64,
+    )
 }
 
 /// The frontier-compressed parallel sweep: the same `#S = j` wavefront
@@ -156,30 +193,12 @@ pub fn solve_frontier_resumable(
         let level_start = std::time::Instant::now();
         table.push_level();
         let (lower, out) = table.split_top();
-        // Workers keep task-local gather counters; one relaxed add per
-        // chunk folds them into the table's accounting — no atomics in
-        // the per-cell hot path.
-        let gathers = AtomicU64::new(0);
-        let unranks = AtomicU64::new(0);
         let lower_ref = &lower;
-        out.par_chunks_mut(FRONTIER_CHUNK)
-            .enumerate()
-            .for_each(|(ci, chunk)| {
-                let mut local_gathers = 0u64;
-                let mut s = frontier::unrank(j, (ci * FRONTIER_CHUNK) as u64);
-                for (off, cell) in chunk.iter_mut().enumerate() {
-                    if off > 0 {
-                        s = gosper_next(s);
-                    }
-                    let (c, _) =
-                        min_candidate(inst, inst.weight_of(s), lower_ref, s, &mut local_gathers);
-                    *cell = c;
-                }
-                gathers.fetch_add(local_gathers, Ordering::Relaxed);
-                unranks.fetch_add(1, Ordering::Relaxed);
-            });
-        table.stats_mut().rank_calls += gathers.into_inner();
-        table.stats_mut().unrank_calls += unranks.into_inner();
+        let (gathers, unranks) = sweep_level(j, out, |s, gathers| {
+            min_candidate(inst, inst.weight_of(s), lower_ref, s, gathers).0
+        });
+        table.stats_mut().rank_calls += gathers;
+        table.stats_mut().unrank_calls += unranks;
         let nanos = u64::try_from(level_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         tt_obs::telemetry::record_level(j, cells, cells * n_actions, nanos);
         sink(j, &table);
@@ -240,6 +259,21 @@ mod tests {
             let seq = sequential::solve_tables(&i);
             assert_eq!(par.cost, seq.cost, "k={k}");
             assert_eq!(par.best, seq.best, "k={k}");
+        }
+    }
+
+    #[test]
+    fn dense_sweep_spans_chunk_boundaries() {
+        // Catalog k = 14: C(14,7) = 3432 > FRONTIER_CHUNK cells at the
+        // equator, so mid-level chunks start from a real unrank, and
+        // levels 1-4 and 10-14 fit one chunk on the calling thread.
+        let i = tt_workloads::catalog::Domain::Medical.generate(14, 3);
+        let par = solve_tables(&i);
+        let seq = sequential::solve_tables(&i);
+        assert!(frontier::max_frontier(14) as usize > 3 * FRONTIER_CHUNK);
+        for s in Subset::all(14) {
+            assert_eq!(par.cost[s.index()], seq.cost[s.index()], "cost {s}");
+            assert_eq!(par.best[s.index()], seq.best[s.index()], "best {s}");
         }
     }
 

@@ -14,6 +14,11 @@
 //! reaches, and [`JournalEntry::Completed`] — result hash plus the full
 //! encoded response — *before* the answer goes on the wire. Every append
 //! is flushed and fsync'd, so an acknowledged result survives a SIGKILL.
+//! A solve the `auto` engine hands to `memo` (a sparse reachable
+//! closure) has no level boundaries, so it journals no `Checkpoint`
+//! records: a crash mid-solve re-solves it cold on replay. Exactly-once
+//! is unaffected — it rests on the `Admitted`/`Completed` pair, not on
+//! checkpoints.
 //!
 //! **Replay** (at [`Journal::open`]) folds the segments, oldest first,
 //! into the completed-key map (the dedup index) and the unfinished list

@@ -163,7 +163,10 @@ pub struct SolveParams {
     pub id: Option<String>,
     /// The instance.
     pub source: Source,
-    /// Engine to pin the chain head to (`auto`/absent → shape-selected).
+    /// Engine to pin the chain head to. Absent or `auto` → the default
+    /// chain, whose `auto` engine decides at solve time exactly as
+    /// `ttsolve --solver auto` does; the response's `engine` names the
+    /// engine that ran, never `auto`.
     pub solver: Option<String>,
     /// Wall-clock budget in milliseconds (server clamps to its cap).
     pub timeout_ms: Option<u64>,

@@ -35,6 +35,9 @@
 //!   with `recovered: true`), unfinished keys are re-enqueued as
 //!   recovery jobs that resume from their newest level-boundary
 //!   checkpoint. A SIGKILL therefore costs wall-clock, never answers.
+//!   A solve answered by `memo` (the `auto` engine's pick for a sparse
+//!   reachable closure) emits no level boundaries: it journals no
+//!   checkpoint and, if interrupted, its recovery job re-solves cold.
 //!
 //! * **Caching.** With a cache enabled ([`ServerOptions::cache_capacity`]
 //!   / [`ServerOptions::cache_dir`]), an unkeyed solve first consults
@@ -775,6 +778,9 @@ fn load_instance(params: &SolveParams) -> Result<TtInstance, String> {
     }
 }
 
+/// An omitted solver and `"auto"` both get the default chain: the
+/// machine primary when one fits (`k ≤ 14`), then the `auto` engine,
+/// which makes the same solve-time decision as `ttsolve --solver auto`.
 fn build_chain(params: &SolveParams, inst: &TtInstance) -> Result<Vec<Box<dyn Solver>>, String> {
     match params.solver.as_deref() {
         None | Some("auto") => Ok(orchestrate::default_chain(inst)),

@@ -43,11 +43,13 @@
 //!
 //! `--supervise` solves through a health-aware failover chain
 //! (`tt_core::solver::supervise`) instead of a single engine: the
-//! shape-selected machine primary first, software fallbacks behind it;
-//! panics, fault escalations, and capacity refusals retry with backoff
-//! and then fail over — warm, when a checkpoint exists. `--checkpoint
-//! <file>` persists the newest level-boundary checkpoint to disk during
-//! the solve (atomic rename, checksummed), and `--resume <file>`
+//! shape-selected machine primary first, then the `auto` engine, then
+//! software fallbacks; panics, fault escalations, and capacity refusals
+//! retry with backoff and then fail over — warm, when a checkpoint
+//! exists. `--checkpoint <file>` persists the newest level-boundary
+//! checkpoint to disk during the solve (fsynced temp file, atomic
+//! rename, directory fsync, checksummed; a solve answered by `memo`
+//! has no level boundaries and writes none), and `--resume <file>`
 //! restarts a killed run from one: the resumed solve recomputes only
 //! the levels above the checkpoint's wavefront. A corrupt, truncated,
 //! or mismatched checkpoint is rejected (exit code 9), never trusted.
@@ -84,8 +86,13 @@
 //! text-format snapshot of the global counters and histograms after
 //! the solve; `--profile` prints a human per-DP-level breakdown (cells,
 //! candidate evaluations, wall time) from the report's telemetry.
-//! `--solver auto` picks an engine from the instance's shape
-//! (`tt_core::solver::select`) and prints the reason.
+//! `--solver auto` runs the registry's `auto` engine, which picks an
+//! engine from the instance's shape at solve time
+//! (`tt_core::solver::select`, the same decision that heads the
+//! default supervision chain) and prints the pick and the reason. With
+//! `--resume` it picks among the resumable engines only; a cold solve
+//! it answers with `memo` emits no levels, so `--checkpoint` then
+//! writes no file.
 //!
 //! Exit codes: `0` success, `2` usage error, `3` unreadable input file,
 //! `4` unparseable or invalid instance, `5` static lint error (with
@@ -556,13 +563,7 @@ fn solve_and_report(inst: &TtInstance, opts: &Opts) {
         emit_observability(opts);
         exit(code);
     }
-    let mut name = opts.solver.clone().unwrap_or_else(|| "seq".to_string());
-    if name == "auto" {
-        tt_parallel::register_engines();
-        let sel = tt_core::solver::auto_select(inst);
-        println!("auto-selected engine: {} — {}", sel.engine, sel.reason);
-        name = sel.engine;
-    }
+    let name = opts.solver.clone().unwrap_or_else(|| "seq".to_string());
     let engine: Box<dyn Solver> = match tt_repro::lookup(&name) {
         Some(e) => e,
         None => {
@@ -600,8 +601,15 @@ fn solve_and_report(inst: &TtInstance, opts: &Opts) {
     } else {
         engine.solve_with(inst, &opts.budget())
     };
+    if let Some(sel) = &report.selection {
+        println!("auto-selected engine: {} — {}", sel.engine, sel.reason);
+    }
     if opts.stats {
-        println!("engine: {}", engine.name());
+        let ran = report
+            .selection
+            .as_ref()
+            .map_or(engine.name(), |s| &s.engine);
+        println!("engine: {ran}");
     }
     if opts.profile {
         print_profile(&report);

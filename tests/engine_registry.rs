@@ -106,3 +106,37 @@ fn work_stats_respect_problem_bounds() {
         }
     }
 }
+
+/// The default supervision chain heads its host engines with `auto`,
+/// which decides at solve time. The answer must name the engine that
+/// ran — `memo` on a sparse reachable closure, `seq` on a dense one at
+/// k = 15 (narrow widest level), `rayon` at k = 16 — never `auto`, and
+/// its cost and tree must be `seq`'s exactly.
+#[test]
+fn default_chains_name_the_engine_auto_delegated_to() {
+    use tt_core::solver::supervise::{supervise, SuperviseOptions};
+    use tt_core::solver::Budget;
+    use tt_workloads::catalog::Domain;
+    for (domain, k, want) in [
+        (Domain::Random, 15, "memo"),
+        (Domain::Random, 16, "memo"),
+        (Domain::Medical, 15, "seq"),
+        (Domain::Medical, 16, "rayon"),
+    ] {
+        let inst = domain.generate(k, 1);
+        let chain = tt_parallel::orchestrate::default_chain(&inst);
+        let sup = supervise(
+            &inst,
+            &chain,
+            &Budget::unlimited(),
+            &SuperviseOptions::default(),
+        );
+        let case = format!("{} k={k}", domain.name());
+        assert_eq!(sup.engine, want, "{case}");
+        assert_eq!(sup.failovers, 0, "{case}");
+        assert!(sup.report.outcome.is_complete(), "{case}");
+        let seq = tt_repro::lookup("seq").unwrap().solve(&inst);
+        assert_eq!(sup.report.cost, seq.cost, "{case}: cost");
+        assert_eq!(sup.report.tree, seq.tree, "{case}: tree");
+    }
+}

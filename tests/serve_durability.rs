@@ -112,6 +112,52 @@ fn keyed_retry_is_answered_from_the_journal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A keyed solve the `auto` engine hands to `memo` (random k = 15 has
+/// a sparse reachable closure, and no machine fits k = 15) has no level
+/// boundaries: it journals `admitted`, `started` and `completed` and no
+/// `checkpoint` — a crash mid-solve would re-solve it cold. The dedup
+/// contract is unchanged: a resend gets the stored response back.
+#[test]
+fn a_keyed_memo_solve_journals_no_checkpoints() {
+    let dir = tmp_dir("memo");
+    let handle = start("127.0.0.1:0", opts(&dir)).expect("bind");
+    let addr = handle.addr();
+    let req = keyed("sparse", "random:15:1");
+    let first = solve_until_settled(addr, &req);
+    assert_eq!(first.engine, "memo", "{first:?}");
+    assert!(first.complete && !first.recovered, "{first:?}");
+    let retry = solve_until_settled(addr, &req);
+    handle.drain();
+    assert!(handle.wait().clean);
+
+    let mut kinds = Vec::new();
+    let mut stored = None;
+    for seg in segments(&dir) {
+        let text = std::fs::read_to_string(dir.join(seg)).unwrap();
+        for line in text.lines() {
+            let entry = tt_serve::journal::decode_line(line).expect("valid journal line");
+            assert_eq!(entry.key(), "sparse");
+            kinds.push(match entry {
+                JournalEntry::Admitted { .. } => "admitted",
+                JournalEntry::Started { .. } => "started",
+                JournalEntry::Checkpoint { .. } => "checkpoint",
+                JournalEntry::Completed { response, .. } => {
+                    stored = Some(response);
+                    "completed"
+                }
+            });
+        }
+    }
+    assert_eq!(kinds, ["admitted", "started", "completed"]);
+    let Ok(Response::Solved(mut want)) = Response::decode(&stored.unwrap()) else {
+        panic!("the journaled response is not a solve");
+    };
+    assert_eq!(want, first, "the journal stores the answer sent");
+    want.recovered = true;
+    assert_eq!(retry, want, "a resend returns the stored response");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The journal outlives the process: a second server life on the same
 /// directory answers a retried key from the replayed dedup index with
 /// the first life's result, verbatim.
