@@ -32,11 +32,12 @@
 //!   reading the report. Cells whose ratio depends on core count
 //!   (`rayon`, `rayon-frontier`) are recorded but excluded;
 //! * **memory shape** — `resident_cells` (the engines'
-//!   `frontier_peak_resident_cells` counter) is exact and compared like
-//!   the determinism anchors, and the `memo/random/k20` cell must stay
-//!   within `2·C(20, 10)` resident cells on *every* run, baseline or
-//!   not — a frontier engine silently regressing to dense `2^k`
-//!   allocation fails with the same exit code.
+//!   `frontier_peak_resident_cells` counter: the `2^k` cost slab for
+//!   the level-kernel engines, the closure for `memo`) is exact and
+//!   compared like the determinism anchors, and the `memo/random/k20`
+//!   cell must stay within `2·C(20, 10)` resident cells on *every*
+//!   run, baseline or not — the sparse engine silently regressing to
+//!   dense `2^k` allocation fails with the same exit code.
 //!
 //! Besides the engine matrix, three cells pin the orchestration paths:
 //! `batch/mixed/*` (a demo manifest through `orchestrate::run_batch`),
@@ -54,8 +55,8 @@
 
 use std::time::Instant;
 use tt_core::solver::budget::Budget;
-use tt_core::solver::sequential;
 use tt_core::solver::supervise::{self, SuperviseOptions};
+use tt_core::solver::{kernel, sequential};
 use tt_core::subset::frontier;
 use tt_parallel::orchestrate;
 use tt_workloads::catalog::Domain;
@@ -86,9 +87,9 @@ const MATRIX: &[Workload] = &[
     Workload { engine: "seq", domain: "medical", k: (12, 9), seed: 3, compare: true, reference: false },
     Workload { engine: "memo", domain: "random", k: (12, 9), seed: 7, compare: true, reference: false },
     Workload { engine: "rayon", domain: "random", k: (12, 9), seed: 7, compare: false, reference: false },
-    // The frontier-compressed pair at the scales the dense engines
-    // cannot reach: k = 16 sequentially, k = 20 under rayon chunks
-    // (the paper's machine-model target size).
+    // The level kernel at larger widths, through the aliases of seq
+    // and rayon: k = 16 sequentially, k = 20 under rayon chunks (the
+    // paper's machine-model target size).
     Workload { engine: "seq-frontier", domain: "random", k: (16, 11), seed: 7, compare: true, reference: false },
     Workload { engine: "rayon-frontier", domain: "random", k: (20, 12), seed: 7, compare: false, reference: false },
     // k = 20 through the sparse live-set engine: its resident cells are
@@ -667,10 +668,9 @@ fn self_test(opts: &Opts) -> i32 {
     let unlimited = Budget::unlimited();
     let raw_solve = || {
         let mut meter = unlimited.start();
-        let (tables, _) =
-            sequential::solve_tables_levelwise(&inst, &mut meter, None, &mut |_, _, _| {});
+        let sweep = kernel::sweep(&inst, &mut meter, &kernel::Serial, None, &mut |_| {});
         let root = inst.universe();
-        std::hint::black_box(sequential::extract_tree(&inst, &tables, root));
+        std::hint::black_box(sequential::extract_tree_costs(&inst, &sweep.cost, root));
     };
     // Interleave the two measurements so frequency drift hits both,
     // and batch each sample past scheduler-noise scale.

@@ -21,9 +21,9 @@
 //!    request's before a hit is served.
 //! 3. **Sub-lattice memo** ([`memo`]): when a new instance embeds as an
 //!    object-subset of an already-solved superset instance, the cached
-//!    per-level frontier is projected through CNS ranked gathers into a
-//!    seed [`tt_core::subset::frontier::FrontierTable`], so even a
-//!    partial hit skips whole DP levels.
+//!    cost slab is projected into a complete seed slab for the level
+//!    kernel ([`tt_core::solver::kernel`]), so even a partial hit skips
+//!    every DP level.
 //!
 //! Observability: every lookup settles exactly one of the
 //! `ttcache_hits` / `ttcache_partial_hits` / `ttcache_misses` counters,

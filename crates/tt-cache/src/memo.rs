@@ -7,15 +7,15 @@
 //! injective object map under which `Q`'s weights are a fixed rational
 //! multiple `num/den` of `P`'s and `Q`'s restricted action classes
 //! coincide with `P`'s — every cell of `P`'s lattice is already priced
-//! inside `Q`'s [`FrontierTable`]:
+//! inside `Q`'s cost slab:
 //!
 //! ```text
 //! C_P(S) = C_Q(embed(S)) · den / num        for every S ⊆ objects(P)
 //! ```
 //!
-//! [`seed_table`] materializes that projection as a complete frontier
-//! table for `P` through CNS ranked gathers on `Q`'s table, so the
-//! seeded levelwise solve has **zero** levels left to run — the
+//! [`seed_table`] materializes that projection as a complete cost slab
+//! for `P`, so the seeded level kernel has **zero** levels left to run
+//! and takes the slab over instead of allocating one — the
 //! `frontier_cells_allocated` counter of a partial-hit solve reads `0`
 //! against the cold sweep's `2^k`.
 //!
@@ -28,8 +28,8 @@
 use std::collections::BTreeMap;
 
 use crate::canon::rescale_cost;
+use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
-use tt_core::subset::frontier::{FrontierStats, FrontierTable};
 use tt_core::subset::Subset;
 
 /// An object-subset embedding of a (sub) instance into a solved (super)
@@ -193,43 +193,18 @@ impl WeightMatch<'_> {
     }
 }
 
-/// Projects a complete superset frontier table down through `emb` into
-/// a complete table for the `k_sub`-object sub instance. Returns `None`
-/// when the superset table is incomplete or a cost does not rescale
-/// exactly (then the caller falls back to a cold solve).
-///
-/// The returned table's stats are zeroed except `rank_calls`, which
-/// counts the ranked gathers the projection performed — so a solve
-/// seeded with it reports `frontier_cells_allocated = 0`, the visible
-/// witness that every DP level was skipped.
+/// Projects a complete superset cost slab down through `emb` into a
+/// complete slab for the `k_sub`-object sub instance. Returns `None`
+/// when the superset slab does not cover the embedding or a cost does
+/// not rescale exactly (then the caller falls back to a cold solve).
 #[must_use]
-pub fn seed_table(
-    sup_table: &FrontierTable,
-    emb: &Embedding,
-    k_sub: usize,
-) -> Option<FrontierTable> {
-    if sup_table.len_levels() != sup_table.k() + 1 {
-        return None; // superset solve did not finish: nothing to project
+pub fn seed_table(sup_cost: &[Cost], emb: &Embedding, k_sub: usize) -> Option<Vec<Cost>> {
+    let mut cost = vec![Cost::ZERO; 1usize << k_sub];
+    for s in Subset::all(k_sub).skip(1) {
+        let embedded = s.iter().fold(Subset::EMPTY, |acc, j| acc.with(emb.map[j]));
+        cost[s.index()] = rescale_cost(*sup_cost.get(embedded.index())?, emb.den, emb.num)?;
     }
-    let mut t = FrontierTable::new(k_sub);
-    let mut gathers = 0u64;
-    for level in 1..=k_sub {
-        t.push_level();
-        let (_, top) = t.split_top();
-        for (r, s) in Subset::of_size(k_sub, level).enumerate() {
-            let mut embedded = Subset::EMPTY;
-            for j in s.iter() {
-                embedded = embedded.with(emb.map[j]);
-            }
-            let c = sup_table.cost_of_checked(embedded)?;
-            gathers += 1;
-            top[r] = rescale_cost(c, emb.den, emb.num)?;
-        }
-    }
-    let mut stats = FrontierStats::default();
-    stats.rank_calls = gathers;
-    *t.stats_mut() = stats;
-    Some(t)
+    Some(cost)
 }
 
 #[cfg(test)]
@@ -237,7 +212,8 @@ mod tests {
     use super::*;
     use crate::canon::canonicalize;
     use tt_core::instance::TtInstanceBuilder;
-    use tt_core::solver::sequential;
+    use tt_core::solver::budget::BudgetMeter;
+    use tt_core::solver::kernel::{self, Serial};
 
     /// A 5-object instance whose objects {0,1,2} form a self-contained
     /// sub-problem (every action either stays inside or outside them).
@@ -264,12 +240,16 @@ mod tests {
             .unwrap()
     }
 
-    fn solved_table(inst: &TtInstance) -> FrontierTable {
-        let mut meter = tt_core::solver::budget::BudgetMeter::unlimited();
-        let mut sink = |_: usize, _: &FrontierTable| {};
-        let (table, done) = sequential::solve_frontier_levelwise(inst, &mut meter, None, &mut sink);
-        assert_eq!(done, inst.k());
-        table
+    fn solved_table(inst: &TtInstance) -> Vec<Cost> {
+        let sweep = kernel::sweep(
+            inst,
+            &mut BudgetMeter::unlimited(),
+            &Serial,
+            None,
+            &mut |_| {},
+        );
+        assert_eq!(sweep.done, inst.k());
+        sweep.cost
     }
 
     #[test]
@@ -307,33 +287,28 @@ mod tests {
         let emb = find_embedding(&sub.form.instance, &sup.form.instance).unwrap();
         let seed = seed_table(&sup_table, &emb, sub.form.instance.k()).expect("projects");
 
-        // Zero allocations on the seed, gathers recorded.
-        assert_eq!(seed.stats().cells_allocated, 0);
-        assert!(seed.stats().rank_calls > 0);
-
         // A solve from this seed runs zero levels and allocates nothing.
-        let mut meter = tt_core::solver::budget::BudgetMeter::unlimited();
-        let mut sink = |_: usize, _: &FrontierTable| {};
-        let (table, done) = sequential::solve_frontier_levelwise(
+        let k = sub.form.instance.k();
+        let sweep = kernel::sweep(
             &sub.form.instance,
-            &mut meter,
-            Some(seed),
-            &mut sink,
+            &mut BudgetMeter::unlimited(),
+            &Serial,
+            Some((k, seed)),
+            &mut |_| panic!("no level is left to run"),
         );
-        assert_eq!(done, sub.form.instance.k());
-        assert_eq!(table.stats().cells_allocated, 0, "every DP level skipped");
+        assert_eq!(sweep.done, k);
+        assert_eq!(sweep.stats.cells_allocated, 0, "every DP level skipped");
 
         // And the projected costs agree with a cold solve, cell by cell.
-        let cold = solved_table(&sub.form.instance);
-        assert_eq!(table.to_dense(), cold.to_dense());
+        assert_eq!(sweep.cost, solved_table(&sub.form.instance));
     }
 
     #[test]
-    fn incomplete_superset_table_is_rejected() {
+    fn a_slab_short_of_the_embedding_is_rejected() {
         let sup = canonicalize(&superset());
         let sub = canonicalize(&subset_instance());
         let emb = find_embedding(&sub.form.instance, &sup.form.instance).unwrap();
-        let partial = FrontierTable::new(sup.form.instance.k());
-        assert!(seed_table(&partial, &emb, sub.form.instance.k()).is_none());
+        let short = vec![Cost::ZERO; 1 << (sup.form.instance.k() - 1)];
+        assert!(seed_table(&short, &emb, sub.form.instance.k()).is_none());
     }
 }

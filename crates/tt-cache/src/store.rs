@@ -17,18 +17,19 @@
 //!   are translated back through the caller's [`CanonMap`] with no DP
 //!   work at all.
 //! - **Partial**: no exact entry, but the instance embeds as an object
-//!   subset of a cached superset that still holds its
-//!   [`FrontierTable`] — the table is projected down ([`crate::memo`])
-//!   and the levelwise solve starts with every level pre-filled.
-//! - **Miss**: a cold frontier solve of the canonical instance, whose
-//!   result (and, for small `k`, its table) is inserted for next time.
+//!   subset of a cached superset that still holds its cost slab — the
+//!   slab is projected down ([`crate::memo`]) and the level kernel
+//!   starts with every level pre-filled.
+//! - **Miss**: a cold level-kernel solve of the canonical instance,
+//!   whose result (and, for small `k`, its slab) is inserted for next
+//!   time.
 //!
 //! Durability is journal-style but deliberately *lenient*: inserts are
 //! appended to `cache-NNNNNN.seg` segments as checksummed
 //! tab-separated lines, and replay silently skips anything corrupt —
 //! for a cache, dropping an entry is always safe, so the strict
-//! fail-stop rules of the solve journal do not apply here. Frontier
-//! tables are not persisted (they are large and cheap to regrow), so
+//! fail-stop rules of the solve journal do not apply here. Cost slabs
+//! are not persisted (they are large and cheap to regrow), so
 //! sub-lattice seeding only draws on entries solved in-process.
 //!
 //! The serve path canonicalizes once per request, outside the lock that
@@ -53,8 +54,7 @@ use tt_core::instance::TtInstance;
 use tt_core::io as tt_io;
 use tt_core::solver::budget::Budget;
 use tt_core::solver::engine::{self, SolveOutcome, SolveReport, WorkStats};
-use tt_core::solver::sequential;
-use tt_core::subset::frontier::FrontierTable;
+use tt_core::solver::kernel;
 use tt_core::tree::TtTree;
 use tt_core::tree_io;
 
@@ -89,9 +89,9 @@ struct Entry {
     cost: Cost,
     /// An optimal tree in canonical action indices.
     tree: Option<TtTree>,
-    /// The complete frontier table, kept for small instances solved
+    /// The complete cost slab, kept for small instances solved
     /// in-process so later subsets can seed from it.
-    table: Option<FrontierTable>,
+    table: Option<Vec<Cost>>,
     /// Approximate resident bytes, for the byte bound and gauge.
     bytes: u64,
     /// LRU clock value of the last touch.
@@ -106,11 +106,11 @@ struct Solved {
     cost: Cost,
     /// An optimal tree in canonical action indices.
     tree: Option<TtTree>,
-    /// The complete frontier table, when worth keeping.
-    table: Option<FrontierTable>,
+    /// The complete cost slab, when worth keeping.
+    table: Option<Vec<Cost>>,
 }
 
-/// Largest `k` whose complete frontier table is retained for
+/// Largest `k` whose complete cost slab is retained for
 /// sub-lattice seeding (2^18 cells ≈ 2 MiB; bigger tables are regrown
 /// on demand instead of held).
 const MAX_MEMO_K: usize = 18;
@@ -220,35 +220,17 @@ impl SolutionCache {
             CacheStatus::Miss
         };
 
-        let mut kept: Option<FrontierTable> = None;
+        let mut kept: Option<Vec<Cost>> = None;
         let canon_inst = &canonical.form.instance;
+        let seed = seed.map(|cost| (canon_inst.k(), cost));
         let report = engine::timed_report_with(|| {
             let mut meter = budget.start();
-            let mut sink = |_: usize, _: &FrontierTable| {};
-            let (table, done) =
-                sequential::solve_frontier_levelwise(canon_inst, &mut meter, seed, &mut sink);
-            let mut work = WorkStats {
-                subsets: meter.subsets(),
-                candidates: meter.candidates(),
-                ..WorkStats::default()
-            };
-            work.push_extra("completed_levels", done as u64);
-            engine::record_frontier_stats(&mut work, table.stats());
-            match meter.exhausted() {
-                None => {
-                    let root = canon_inst.universe();
-                    let cost = table.cost_of_checked(root).unwrap_or(Cost::INF);
-                    let tree = sequential::extract_tree_frontier(canon_inst, &table, root);
-                    kept = Some(table);
-                    (cost, tree, work, SolveOutcome::Complete)
-                }
-                Some(r) => engine::degraded_result(
-                    canon_inst,
-                    r.into(),
-                    &|s| table.cost_of_checked(s).map(|c| (c, None)),
-                    work,
-                ),
+            let sweep = kernel::sweep(canon_inst, &mut meter, &kernel::Serial, seed, &mut |_| {});
+            let report = kernel::report(canon_inst, &meter, &sweep, None);
+            if meter.exhausted().is_none() {
+                kept = Some(sweep.cost);
             }
+            report
         });
 
         let Canonical { form, map } = canonical;
@@ -339,7 +321,7 @@ impl SolutionCache {
 
     /// Looks for a cached superset lattice that embeds `sub` and
     /// projects its table down into a complete seed.
-    fn find_seed(&self, sub: &TtInstance) -> Option<FrontierTable> {
+    fn find_seed(&self, sub: &TtInstance) -> Option<Vec<Cost>> {
         for e in self.map.values() {
             let Some(table) = &e.table else { continue };
             let Some(emb) = memo::find_embedding(sub, &e.instance) else {
@@ -376,7 +358,7 @@ impl SolutionCache {
             return;
         }
         let tree_text = tree.as_ref().map(tree_io::tree_to_text);
-        let bytes = entry_bytes(&form.text, tree_text.as_deref(), table.as_ref());
+        let bytes = entry_bytes(&form.text, tree_text.as_deref(), table.as_deref());
         if journal {
             self.journal_insert(&form.key, cost, tree_text.as_deref(), &form.text);
         }
@@ -510,8 +492,8 @@ fn bytes_gauge(bytes: u64) -> i64 {
     i64::try_from(bytes).unwrap_or(i64::MAX)
 }
 
-fn entry_bytes(text: &str, tree: Option<&str>, table: Option<&FrontierTable>) -> u64 {
-    let table_cells = table.map_or(0, |t| 1u64 << t.k());
+fn entry_bytes(text: &str, tree: Option<&str>, table: Option<&[Cost]>) -> u64 {
+    let table_cells = table.map_or(0, |t| t.len() as u64);
     64 + text.len() as u64 + tree.map_or(0, |t| t.len() as u64) + table_cells * 8
 }
 
@@ -686,7 +668,7 @@ mod tests {
         assert_eq!(
             rep.work.extra("frontier_cells_allocated"),
             Some(0),
-            "seeded solve allocates no frontier levels"
+            "seeded solve allocates no slab"
         );
         let (cold, _) = SolutionCache::in_memory(1).solve(&sub, &Budget::unlimited());
         assert_eq!(rep.cost, cold.cost);

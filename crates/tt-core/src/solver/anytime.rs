@@ -1,13 +1,15 @@
 //! Anytime completion of partial DP tables.
 //!
 //! When a budget exhausts mid-solve, the exact engines hold a *partial*
-//! table: `C(S)` and the argmin action are known exactly for some
-//! subsets and unknown for the rest. [`complete_tree`] turns that into a
-//! full valid procedure — following the exact argmin wherever the table
-//! knows it and falling back to the greedy split-balance choice where it
-//! does not. The resulting tree's expected cost is a true *upper bound*
-//! on the optimum (it is a real procedure), and it is never worse than
-//! the pure greedy tree on the subsets the table did finish.
+//! table: `C(S)` (and, for engines that keep one, the argmin action) is
+//! known exactly for some subsets and unknown for the rest.
+//! [`complete_tree`] turns that into a full valid procedure — following
+//! the exact argmin wherever the table knows `C(S)` (recomputed from the
+//! children's costs when the table stores none) and falling back to the
+//! greedy split-balance choice where it does not. The resulting tree's
+//! expected cost is a true *upper bound* on the optimum (it is a real
+//! procedure), and it is never worse than the pure greedy tree on the
+//! subsets the table did finish.
 //!
 //! [`degraded_bounds`] pairs that upper bound with the admissible
 //! lookahead lower bound of [`Bounds`], giving the
@@ -17,6 +19,8 @@ use crate::cost::Cost;
 use crate::instance::TtInstance;
 use crate::solver::bounds::Bounds;
 use crate::solver::greedy;
+use crate::solver::sequential::argmin_at;
+use crate::subset::frontier::CostLookup;
 use crate::subset::Subset;
 use crate::tree::TtTree;
 
@@ -29,9 +33,11 @@ pub type ExactEntry = (Cost, Option<u16>);
 ///
 /// `exact(S)` returns `Some((C(S), argmin))` when the table knows `S`
 /// exactly and `None` otherwise. Known-infinite entries short-circuit to
-/// `None` (no procedure exists below them); unknown entries fall back to
-/// the greedy choice. Returns `None` iff no successful procedure could
-/// be built, in which case the upper bound is `INF`.
+/// `None` (no procedure exists below them); a finite entry without an
+/// argmin gets the first-minimizer recomputed from its children's
+/// entries; unknown entries fall back to the greedy choice. Returns
+/// `None` iff no successful procedure could be built, in which case the
+/// upper bound is `INF`.
 pub fn complete_tree(
     inst: &TtInstance,
     exact: &dyn Fn(Subset) -> Option<ExactEntry>,
@@ -45,12 +51,18 @@ fn complete_node(
     exact: &dyn Fn(Subset) -> Option<ExactEntry>,
 ) -> Option<TtTree> {
     debug_assert!(!live.is_empty());
-    let i = match exact(live) {
+    let known = match exact(live) {
         Some((c, _)) if c.is_inf() => return None,
-        Some((_, Some(i))) => i as usize,
-        // A finite entry without an argmin should not happen, but treat
-        // it like an unknown subset rather than trusting it.
-        _ => greedy::best_action(inst, live, greedy::Heuristic::SplitBalance)?,
+        Some((_, Some(i))) => Some(i),
+        // Children of an exact entry are exact too, so the recomputed
+        // argmin is the stored one; `argmin_at` refuses (and greedy
+        // decides) if the table disagrees with itself.
+        Some((_, None)) => argmin_at(inst, &Known(exact), live),
+        None => None,
+    };
+    let i = match known {
+        Some(i) => usize::from(i),
+        None => greedy::best_action(inst, live, greedy::Heuristic::SplitBalance)?,
     };
     let a = inst.action(i);
     let inter = live.intersect(a.set);
@@ -66,6 +78,18 @@ fn complete_node(
         Some(TtTree::leaf(i))
     } else {
         Some(TtTree::treat_then(i, complete_node(inst, diff, exact)?))
+    }
+}
+
+/// A partial exact table as a cost table: unknown sets read as INF.
+struct Known<'a>(&'a dyn Fn(Subset) -> Option<ExactEntry>);
+
+impl CostLookup for Known<'_> {
+    fn cost_of(&self, s: Subset) -> Cost {
+        if s.is_empty() {
+            return Cost::ZERO;
+        }
+        (self.0)(s).map_or(Cost::INF, |(c, _)| c)
     }
 }
 
@@ -138,6 +162,21 @@ mod tests {
         let c = t.expected_cost(&i);
         assert!(c >= sol.cost);
         assert!(c <= greedy_cost);
+    }
+
+    #[test]
+    fn a_cost_only_table_completes_like_the_argmin_table() {
+        let i = inst();
+        let sol = sequential::solve(&i);
+        for level in 0..=i.k() {
+            let with = complete_tree(&i, &|s| {
+                (s.len() <= level).then(|| (sol.tables.cost[s.index()], sol.tables.best[s.index()]))
+            });
+            let without = complete_tree(&i, &|s| {
+                (s.len() <= level).then(|| (sol.tables.cost[s.index()], None))
+            });
+            assert_eq!(with, without, "level {level}");
+        }
     }
 
     #[test]

@@ -21,18 +21,22 @@
 //!
 //! Two wire versions exist. **v1** (`ttck 1`) is the original dense
 //! form: one `entry <mask> <cost> <argmin>` line per `#S ≤ level` mask.
-//! **v2** (`ttck 2`), the default since the frontier refactor, is
-//! frontier-compressed: cells are grouped per wavefront level under
-//! `lvl <j> <C(k,j)>` headers and addressed by their combinatorial
-//! rank (`c <rank> <cost> <argmin>`), mirroring the in-memory
-//! [`FrontierTable`] layout. [`Checkpoint::to_text`] writes v2;
-//! [`Checkpoint::from_text`] reads both, so pre-refactor `--resume`
-//! files keep loading.
+//! **v2** (`ttck 2`), the default, groups cells per wavefront level
+//! under `lvl <j> <C(k,j)>` headers and addresses them by their
+//! combinatorial rank (`c <rank> <cost> <argmin>`); rank order within a
+//! level is ascending mask order. [`Checkpoint::to_text`] writes v2;
+//! [`Checkpoint::from_text`] reads both, so older `--resume` files keep
+//! loading.
+//!
+//! The host engines store no argmins, so their checkpoints write `-`
+//! in every argmin field; the machine simulators with an argmin plane
+//! (`hyper`, `ccc`) write theirs. The bound sandwich is the same either
+//! way: pricing recomputes a missing argmin on the incumbent's path.
 
 use crate::cost::Cost;
 use crate::instance::TtInstance;
 use crate::solver::anytime::{self, ExactEntry};
-use crate::subset::frontier::{self, FrontierTable};
+use crate::subset::frontier::{self, DenseSlab};
 use crate::subset::Subset;
 use std::fmt::Write as _;
 
@@ -135,20 +139,10 @@ pub struct Checkpoint {
 pub struct LevelView<'a> {
     inst: &'a TtInstance,
     level: usize,
-    tables: Tables<'a>,
-}
-
-/// Where a [`LevelView`] reads its cells.
-#[derive(Clone, Copy)]
-enum Tables<'a> {
-    /// Mask-indexed `2^k` slabs; `best` is `None` for producers without
-    /// an argmin plane.
-    Dense {
-        cost: &'a [Cost],
-        best: Option<&'a [Option<u16>]>,
-    },
-    /// Frontier-compressed per-level buffers (cost only).
-    Frontier(&'a FrontierTable),
+    /// The mask-indexed `2^k` cost slab.
+    cost: &'a [Cost],
+    /// The mask-indexed argmin slab, for producers that keep one.
+    best: Option<&'a [Option<u16>]>,
 }
 
 impl<'a> LevelView<'a> {
@@ -164,7 +158,8 @@ impl<'a> LevelView<'a> {
     }
 
     /// A view of a mask-indexed cost slab from a producer without an
-    /// argmin plane (the blocked hypercube): argmins read as `None`.
+    /// argmin plane (the level kernel, the blocked hypercube): argmins
+    /// read as `None`.
     pub fn dense_costs(inst: &'a TtInstance, level: usize, cost: &'a [Cost]) -> LevelView<'a> {
         LevelView::dense_slabs(inst, level, cost, None)
     }
@@ -181,22 +176,8 @@ impl<'a> LevelView<'a> {
         LevelView {
             inst,
             level,
-            tables: Tables::Dense { cost, best },
-        }
-    }
-
-    /// A view of a frontier-compressed table's levels `0..=level` (no
-    /// argmin plane).
-    pub fn frontier(inst: &'a TtInstance, level: usize, table: &'a FrontierTable) -> LevelView<'a> {
-        assert!(
-            table.len_levels() > level,
-            "frontier table has {} completed levels, the view wants level {level}",
-            table.len_levels()
-        );
-        LevelView {
-            inst,
-            level,
-            tables: Tables::Frontier(table),
+            cost,
+            best,
         }
     }
 
@@ -247,23 +228,9 @@ impl Checkpoint {
             }
         }
         for j in from.max(1)..=view.level {
-            let level = Subset::of_size(self.k, j);
-            match view.tables {
-                Tables::Dense { cost, best } => {
-                    for s in level {
-                        self.cost[s.index()] = cost[s.index()];
-                        self.best[s.index()] = best.and_then(|b| b[s.index()]);
-                    }
-                }
-                Tables::Frontier(table) => {
-                    let cells = table.level(j).expect("the view's levels are present");
-                    // Frontier cells are stored in rank order, which is
-                    // `of_size`'s increasing-mask order.
-                    for (s, &cost) in level.zip(cells.cells()) {
-                        self.cost[s.index()] = cost;
-                        self.best[s.index()] = None;
-                    }
-                }
+            for s in Subset::of_size(self.k, j) {
+                self.cost[s.index()] = view.cost[s.index()];
+                self.best[s.index()] = view.best.and_then(|b| b[s.index()]);
             }
         }
         self.level = view.level;
@@ -302,24 +269,19 @@ impl Checkpoint {
     }
 
     /// Recomputes missing argmins for every known finite entry from the
-    /// checkpoint's own cost slab: the minimizing action at `S` is any
-    /// `i` whose candidate value equals `C(S)` — all submask reads hit
-    /// the known region, so the recovery is exact. Producers without an
-    /// argmin plane (the blocked hypercube, the BVM) write `None`s;
-    /// consumers that need argmins (tree extraction, machine import)
-    /// call this first so a missing plane can never yield a wrong tree.
+    /// checkpoint's own cost slab with
+    /// [`argmin_at`](crate::solver::sequential::argmin_at) — all submask
+    /// reads hit the known region, so the recovery is exact. This is a
+    /// full `O(2^k·N)` pass: only the machine simulators that import an
+    /// argmin plane (`hyper`, `ccc`) run it, before a warm start from a
+    /// checkpoint whose producer kept none.
     pub fn recover_argmins(&mut self, inst: &TtInstance) {
-        let weight_table = inst.weight_table();
         for mask in 1..self.cost.len() {
             let s = Subset(mask as u32);
             if s.len() > self.level || self.best[mask].is_some() || self.cost[mask].is_inf() {
                 continue;
             }
-            self.best[mask] = (0..inst.n_actions()).find_map(|i| {
-                (crate::solver::sequential::candidate(inst, &weight_table, &self.cost, s, i)
-                    == self.cost[mask])
-                    .then_some(i as u16)
-            });
+            self.best[mask] = crate::solver::sequential::argmin_at(inst, &DenseSlab(&self.cost), s);
         }
     }
 
@@ -882,19 +844,23 @@ mod tests {
     }
 
     #[test]
-    fn frontier_view_matches_dense_view_modulo_argmins() {
+    fn cost_only_view_matches_dense_view_modulo_argmins() {
         let i = inst();
         let sol = sequential::solve(&i);
-        let table = FrontierTable::from_dense(i.k(), 3, &sol.tables.cost);
-        let from_frontier = LevelView::frontier(&i, 3, &table).to_checkpoint();
-        let dense = LevelView::dense(&i, 3, &sol.tables.cost, &sol.tables.best).to_checkpoint();
-        assert_eq!(from_frontier.cost, dense.cost);
-        assert!(from_frontier.best.iter().all(Option::is_none));
-        // recover_argmins rebuilds the sequential plane exactly.
-        let mut recovered = from_frontier;
-        recovered.recover_argmins(&i);
-        assert_eq!(recovered.best, dense.best);
-        assert_eq!((recovered.cost, recovered.best), (dense.cost, dense.best));
+        for level in 1..=i.k() {
+            let costs = LevelView::dense_costs(&i, level, &sol.tables.cost).to_checkpoint();
+            let dense =
+                LevelView::dense(&i, level, &sol.tables.cost, &sol.tables.best).to_checkpoint();
+            assert_eq!(costs.cost, dense.cost);
+            assert!(costs.best.iter().all(Option::is_none));
+            // Pricing recomputes the missing argmins on the incumbent's
+            // path, so the bound sandwich is the dense one.
+            assert_eq!((costs.upper, costs.lower), (dense.upper, dense.lower));
+            // recover_argmins rebuilds the sequential plane exactly.
+            let mut recovered = costs;
+            recovered.recover_argmins(&i);
+            assert_eq!((recovered.cost, recovered.best), (dense.cost, dense.best));
+        }
     }
 
     #[test]

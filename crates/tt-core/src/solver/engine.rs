@@ -28,8 +28,8 @@ use crate::solver::anytime::{self, ExactEntry};
 use crate::solver::budget::{Budget, ExhaustReason};
 use crate::solver::checkpoint::{Checkpoint, LevelView};
 use crate::solver::select::{AutoEngine, Selection};
-use crate::solver::{branch_and_bound, exhaustive, greedy, memo, sequential};
-use crate::subset::frontier::{FrontierStats, FrontierTable};
+use crate::solver::{branch_and_bound, exhaustive, greedy, kernel, memo};
+use crate::subset::frontier::FrontierStats;
 use crate::subset::Subset;
 use crate::tree::TtTree;
 use std::sync::Mutex;
@@ -325,19 +325,16 @@ pub fn record_frontier_stats(work: &mut WorkStats, stats: FrontierStats) {
     }
 }
 
-/// Prepares a caller-supplied checkpoint for engine consumption:
-/// verifies it belongs to `inst` and recovers any missing argmins from
-/// its own slab (so a checkpoint from an argmin-less producer can
-/// never yield a wrong tree). Returns `None` — start cold — when the
-/// checkpoint is for a different instance.
-pub fn prepare_resume(inst: &TtInstance, resume: Option<&Checkpoint>) -> Option<Checkpoint> {
-    let ck = resume?;
-    if !ck.matches(inst) {
-        return None;
-    }
-    let mut ck = ck.clone();
-    ck.recover_argmins(inst);
-    Some(ck)
+/// Admits a caller-supplied checkpoint for engine consumption: `None`
+/// — start cold — when there is none or it belongs to a different
+/// instance. Argmins are not recovered here: the level kernel needs
+/// none, and the machine engines that import an argmin plane call
+/// [`Checkpoint::recover_argmins`] themselves.
+pub fn prepare_resume<'a>(
+    inst: &TtInstance,
+    resume: Option<&'a Checkpoint>,
+) -> Option<&'a Checkpoint> {
+    resume.filter(|ck| ck.matches(inst))
 }
 
 /// Times `f` and assembles its pieces into a
@@ -416,7 +413,9 @@ pub fn capacity_result(
 // The tt-core engines.
 // ---------------------------------------------------------------------
 
-/// Bottom-up DP over the full lattice (the paper's `T_1` baseline).
+/// The level kernel on the calling thread (the paper's `T_1`
+/// baseline). `seq-frontier` stays resolvable as an alias for callers
+/// that name it.
 struct SequentialEngine;
 
 impl Solver for SequentialEngine {
@@ -427,43 +426,18 @@ impl Solver for SequentialEngine {
         EngineKind::Exact
     }
     fn aliases(&self) -> &'static [&'static str] {
-        &["sequential"]
+        &[
+            "sequential",
+            "seq-frontier",
+            "frontier",
+            "sequential-frontier",
+        ]
     }
     fn description(&self) -> &'static str {
-        "bottom-up DP over the full subset lattice (T_1 baseline)"
+        "levelwise DP over a cost-only 2^k slab (T_1 baseline)"
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        timed_report_with(|| {
-            let mut meter = budget.start();
-            // The levelwise sweep (with a no-op sink) rather than the
-            // mask-order one: identical tables, and each completed
-            // wavefront leaves a per-level telemetry sample.
-            let (tables, done) =
-                sequential::solve_tables_levelwise(inst, &mut meter, None, &mut |_, _, _| {});
-            let work = WorkStats {
-                subsets: meter.subsets(),
-                candidates: meter.candidates(),
-                ..WorkStats::default()
-            };
-            match meter.exhausted() {
-                None => {
-                    let root = inst.universe();
-                    let cost = tables.cost[root.index()];
-                    let tree = sequential::extract_tree(inst, &tables, root);
-                    (cost, tree, work, SolveOutcome::Complete)
-                }
-                Some(r) => degraded_result(
-                    inst,
-                    r.into(),
-                    // The wavefront invariant: every `#S ≤ done` entry
-                    // is exact, the rest unknown.
-                    &|s| {
-                        (s.len() <= done).then(|| (tables.cost[s.index()], tables.best[s.index()]))
-                    },
-                    work,
-                ),
-            }
-        })
+        self.solve_resumable(inst, budget, None, &mut |_| {})
     }
     fn resumable(&self) -> bool {
         true
@@ -475,142 +449,7 @@ impl Solver for SequentialEngine {
         resume: Option<&Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
-        timed_report_with(|| {
-            let mut meter = budget.start();
-            let prepared = prepare_resume(inst, resume);
-            let seed_tables = prepared.as_ref().map(|ck| {
-                (
-                    ck.level,
-                    sequential::DpTables {
-                        cost: ck.cost.clone(),
-                        best: ck.best.clone(),
-                    },
-                )
-            });
-            let seed = seed_tables.as_ref().map(|(l, t)| (*l, t));
-            let (tables, done) = sequential::solve_tables_levelwise(
-                inst,
-                &mut meter,
-                seed,
-                &mut |level, cost, best| sink(&LevelView::dense(inst, level, cost, best)),
-            );
-            let mut work = WorkStats {
-                subsets: meter.subsets(),
-                candidates: meter.candidates(),
-                ..WorkStats::default()
-            };
-            work.push_extra("completed_levels", done as u64);
-            if let Some((level, _)) = &seed_tables {
-                work.push_extra("resumed_level", *level as u64);
-            }
-            match meter.exhausted() {
-                None => {
-                    let root = inst.universe();
-                    let cost = tables.cost[root.index()];
-                    let tree = sequential::extract_tree(inst, &tables, root);
-                    (cost, tree, work, SolveOutcome::Complete)
-                }
-                Some(r) => degraded_result(
-                    inst,
-                    r.into(),
-                    // The wavefront invariant: every `#S ≤ done` entry
-                    // is exact (seeded or computed), the rest unknown.
-                    &|s| {
-                        (s.len() <= done).then(|| (tables.cost[s.index()], tables.best[s.index()]))
-                    },
-                    work,
-                ),
-            }
-        })
-    }
-}
-
-/// Bottom-up DP over frontier-compressed per-level buffers: the same
-/// `#S = j` wavefront as `seq`, but every level lives in a `C(k, j)`
-/// rank-indexed buffer and submask gathers are CNS ranked lookups —
-/// no `2^k` mask-indexed slab anywhere.
-struct SeqFrontierEngine;
-
-impl SeqFrontierEngine {
-    /// The degraded-path exact view shared by both solve entry points:
-    /// `cost_of_checked` answers precisely the completed wavefront
-    /// (cost-only — the frontier stores no argmin plane).
-    fn run(
-        inst: &TtInstance,
-        meter: &mut crate::solver::budget::BudgetMeter,
-        seed: Option<FrontierTable>,
-        sink: &mut sequential::FrontierSink<'_>,
-    ) -> (Cost, Option<TtTree>, WorkStats, SolveOutcome) {
-        let (table, done) = sequential::solve_frontier_levelwise(inst, meter, seed, sink);
-        let mut work = WorkStats {
-            subsets: meter.subsets(),
-            candidates: meter.candidates(),
-            ..WorkStats::default()
-        };
-        work.push_extra("completed_levels", done as u64);
-        record_frontier_stats(&mut work, table.stats());
-        match meter.exhausted() {
-            None => {
-                let root = inst.universe();
-                let cost = table.cost_of_checked(root).unwrap_or(Cost::INF);
-                let tree = sequential::extract_tree_frontier(inst, &table, root);
-                (cost, tree, work, SolveOutcome::Complete)
-            }
-            Some(r) => degraded_result(
-                inst,
-                r.into(),
-                &|s| table.cost_of_checked(s).map(|c| (c, None)),
-                work,
-            ),
-        }
-    }
-}
-
-impl Solver for SeqFrontierEngine {
-    fn name(&self) -> &'static str {
-        "seq-frontier"
-    }
-    fn kind(&self) -> EngineKind {
-        EngineKind::Exact
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["frontier", "sequential-frontier"]
-    }
-    fn description(&self) -> &'static str {
-        "bottom-up DP over C(k,j) frontier buffers (rank/unrank indexed)"
-    }
-    fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        timed_report_with(|| {
-            let mut meter = budget.start();
-            SeqFrontierEngine::run(inst, &mut meter, None, &mut |_, _| {})
-        })
-    }
-    fn resumable(&self) -> bool {
-        true
-    }
-    fn solve_resumable(
-        &self,
-        inst: &TtInstance,
-        budget: &Budget,
-        resume: Option<&Checkpoint>,
-        sink: &mut dyn FnMut(&LevelView<'_>),
-    ) -> SolveReport {
-        timed_report_with(|| {
-            let mut meter = budget.start();
-            let prepared = prepare_resume(inst, resume);
-            let resumed_level = prepared.as_ref().map(|ck| ck.level);
-            let seed = prepared
-                .as_ref()
-                .map(|ck| FrontierTable::from_dense(inst.k(), ck.level, &ck.cost));
-            let (cost, tree, mut work, outcome) =
-                SeqFrontierEngine::run(inst, &mut meter, seed, &mut |level, table| {
-                    sink(&LevelView::frontier(inst, level, table));
-                });
-            if let Some(level) = resumed_level {
-                work.push_extra("resumed_level", level as u64);
-            }
-            (cost, tree, work, outcome)
-        })
+        timed_report_with(|| kernel::solve(inst, budget, &kernel::Serial, resume, sink))
     }
 }
 
@@ -840,7 +679,6 @@ static EXTENSIONS: Mutex<Vec<EngineProvider>> = Mutex::new(Vec::new());
 pub fn core_engines() -> Vec<Box<dyn Solver>> {
     vec![
         Box::new(SequentialEngine),
-        Box::new(SeqFrontierEngine),
         Box::new(MemoEngine),
         Box::new(BnbEngine),
         Box::new(ExhaustiveEngine),
@@ -942,6 +780,7 @@ mod tests {
     fn lookup_finds_names_and_aliases() {
         assert_eq!(lookup("seq").unwrap().name(), "seq");
         assert_eq!(lookup("sequential").unwrap().name(), "seq");
+        assert_eq!(lookup("seq-frontier").unwrap().name(), "seq");
         assert_eq!(lookup("BnB").unwrap().name(), "bnb");
         assert!(lookup("no-such-engine").is_none());
     }
@@ -1008,7 +847,7 @@ mod tests {
     #[test]
     fn zero_deadline_degrades_exact_engines_with_a_sound_sandwich() {
         let inst = small_instance();
-        let optimum = sequential::solve(&inst).cost;
+        let optimum = crate::solver::sequential::solve(&inst).cost;
         let budget = Budget::with_deadline(Duration::ZERO);
         for e in core_engines() {
             let r = e.solve_with(&inst, &budget);
@@ -1038,7 +877,7 @@ mod tests {
     #[test]
     fn tight_candidate_budget_degrades_but_unlimited_matches() {
         let inst = small_instance();
-        let optimum = sequential::solve(&inst).cost;
+        let optimum = crate::solver::sequential::solve(&inst).cost;
         for e in core_engines() {
             if !e.kind().is_exact() {
                 continue;

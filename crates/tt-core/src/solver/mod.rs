@@ -2,7 +2,10 @@
 //!
 //! * [`sequential`] — bottom-up dynamic programming over the full subset
 //!   lattice, `O(N·2^k)`: the paper's sequential baseline (`T_1`), obtained
-//!   by "modifying the backward induction algorithm given by Garey".
+//!   by "modifying the backward induction algorithm given by Garey". Its
+//!   mask-order form with a stored argmin plane is the test reference.
+//! * [`kernel`] — the one levelwise `#S = j` sweep over a cost-only slab
+//!   that every host engine (`seq`, `rayon`, the cache) runs.
 //! * [`memo`] — top-down memoized DP over *reachable* subsets only; an
 //!   ablation of the full-lattice scheme (the parallel algorithm cannot
 //!   exploit reachability, a sequential solver can).
@@ -37,6 +40,7 @@ pub mod depth_bounded;
 pub mod engine;
 pub mod exhaustive;
 pub mod greedy;
+pub mod kernel;
 pub mod memo;
 pub mod select;
 pub mod sequential;

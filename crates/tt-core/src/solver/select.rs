@@ -21,17 +21,12 @@
 //!    [`FRONTIER_PAR_THRESHOLD`] cells the per-level synchronization
 //!    costs more than the work it distributes (measured 3.8× slower
 //!    than `seq` at `k = 12`), so `seq` stays the pick up to `k = 15`.
-//! 4. **Scale, chosen by memory.** Past that, the wavefront is
-//!    parallelized across real threads, and the storage follows a byte
-//!    budget rather than an engine name: while the dense tables
-//!    ([`dense_bytes`]: `2^k` cost, argmin and weight entries) fit
-//!    [`DENSE_BYTE_BUDGET`], plain `rayon` sweeps the mask-indexed
-//!    lattice; only above it does `rayon-frontier` trade time for
-//!    memory with its `C(k, j)` buffers (about 3× slower than dense
-//!    `rayon` at `k` = 18–20, where the dense tables take 5–20 MiB:
-//!    perfbench's engine matrix on a 2-vCPU guest). The
-//!    machine simulators (`hyper`, `ccc`, `bvm`) are *never*
-//!    auto-picked: they simulate up to `2^(k + log N)` PEs in software,
+//! 4. **Scale.** Past that, the wavefront is parallelized across real
+//!    threads: `rayon`. Storage does not enter the decision: `seq` and
+//!    `rayon` run the same level kernel over the same cost-only slab
+//!    (`2^k` cells of 8 B — 8 MiB at `k = 20`, 256 MiB at `MAX_K = 25`),
+//!    and `seq-frontier`/`rayon-frontier` are aliases of the two. The
+//!    machine simulators (`hyper`, `ccc`, `bvm`) are *never* auto-picked: they simulate up to `2^(k + log N)` PEs in software,
 //!    so their wall-clock is strictly worse than `seq` — they exist to
 //!    measure step counts, not to race (and their `max_k` ceilings say
 //!    so).
@@ -49,7 +44,6 @@
 //! `ttsolve --checkpoint` writes no file; an interrupted one re-solves
 //! cold.
 
-use crate::cost::Cost;
 use crate::instance::TtInstance;
 use crate::solver::budget::Budget;
 use crate::solver::checkpoint::{Checkpoint, LevelView};
@@ -79,29 +73,6 @@ pub const SPARSE_DIVISOR: usize = 8;
 /// stays cheap at any `k`. Instances whose closure is sparse but
 /// larger than this are conservatively treated as dense.
 pub const PROBE_CAP: usize = 1 << 16;
-
-/// Bytes one lattice cell costs a dense (mask-indexed) solve: its
-/// `C(S)` entry, its argmin entry, and its `p(S)` weight-table entry.
-pub const DENSE_BYTES_PER_CELL: u64 =
-    (std::mem::size_of::<Cost>() + std::mem::size_of::<Option<u16>>() + 8) as u64;
-
-/// The most memory auto-selection lets the dense tables take. Up to it
-/// (`k ≤ 21`: 40 MiB) the mask-indexed `rayon` sweep is picked; above
-/// it (`k = 22`: 80 MiB) the frontier-compressed `rayon-frontier` is.
-pub const DENSE_BYTE_BUDGET: u64 = 64 << 20;
-
-/// The dense tables' size at `k`: `2^k ×` [`DENSE_BYTES_PER_CELL`].
-pub fn dense_bytes(k: usize) -> u64 {
-    (1u64 << k) * DENSE_BYTES_PER_CELL
-}
-
-/// `bytes` as `"<n> B (<m> MiB)"`, for selection reasons.
-fn fmt_bytes(bytes: u64) -> String {
-    format!(
-        "{bytes} B ({:.1} MiB)",
-        bytes as f64 / f64::from(1u32 << 20)
-    )
-}
 
 /// The outcome of auto-selection: which engine, and why.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -202,29 +173,13 @@ pub fn decide(k: usize, reachable: Option<usize>, available: &[&str]) -> Selecti
             ),
         };
     }
-    // Dense storage while it fits the byte budget; frontier buffers
-    // above it. A missing engine falls back to the other storage.
-    let fits = dense_bytes(k) <= DENSE_BYTE_BUDGET;
-    let engine = match (fits, has("rayon"), has("rayon-frontier")) {
-        (true, true, _) | (false, true, false) => Some("rayon"),
-        (_, _, true) => Some("rayon-frontier"),
-        (_, false, false) => None,
-    };
-    if let Some(engine) = engine {
-        let storage = if engine == "rayon" {
-            "rayon sweeps the mask-indexed lattice"
-        } else {
-            "rayon-frontier keeps only rank-indexed C(k,j) buffers"
-        };
+    if has("rayon") {
         return Selection {
-            engine: engine.to_string(),
+            engine: "rayon".to_string(),
             reason: format!(
-                "widest frontier C({k},{}) = {widest} cells amortizes thread fan-out; the \
-                 dense tables take {}, {} the {} budget: {storage}",
-                k / 2,
-                fmt_bytes(dense_bytes(k)),
-                if fits { "within" } else { "over" },
-                fmt_bytes(DENSE_BYTE_BUDGET)
+                "widest frontier C({k},{}) = {widest} cells amortizes thread fan-out: rayon \
+                 sweeps each level on worker threads",
+                k / 2
             ),
         };
     }
@@ -290,7 +245,7 @@ impl Solver for AutoEngine {
         EngineKind::Exact
     }
     fn description(&self) -> &'static str {
-        "picks memo, seq, rayon or rayon-frontier at solve time from the instance's shape"
+        "picks memo, seq or rayon at solve time from the instance's shape"
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
         self.solve_resumable(inst, budget, None, &mut |_| {})
@@ -323,13 +278,11 @@ mod tests {
 
     const FULL: &[&str] = &[
         "seq",
-        "seq-frontier",
         "memo",
         "bnb",
         "exhaustive",
         "greedy",
         "rayon",
-        "rayon-frontier",
         "hyper",
         "ccc",
         "bvm",
@@ -369,51 +322,20 @@ mod tests {
     }
 
     #[test]
-    fn wide_frontiers_pick_dense_rayon_while_the_tables_fit_the_budget() {
-        for k in 16..=20 {
-            assert!(dense_bytes(k) <= DENSE_BYTE_BUDGET, "k={k}");
+    fn wide_frontiers_pick_rayon_up_to_the_largest_k() {
+        for k in 16..=crate::MAX_K {
             let s = decide(k, None, FULL);
             assert_eq!(s.engine, "rayon", "k={k}: {}", s.reason);
             assert!(
-                s.reason.contains(&format!("{} B", dense_bytes(k))),
+                s.reason.contains(&frontier::max_frontier(k).to_string()),
                 "{}",
                 s.reason
             );
-            assert!(s.reason.contains("within"), "{}", s.reason);
         }
         // A dense probe result (above 2^k/8) lands there too.
         assert_eq!(decide(16, Some(60_000), FULL).engine, "rayon");
-        // Without rayon, the frontier engine still parallelizes.
-        let no_dense = &["seq", "memo", "rayon-frontier"];
-        assert_eq!(decide(16, None, no_dense).engine, "rayon-frontier");
         // Without any parallel backend, seq.
         assert_eq!(decide(16, None, &["seq", "memo"]).engine, "seq");
-    }
-
-    #[test]
-    fn rayon_frontier_is_picked_once_the_dense_tables_exceed_the_budget() {
-        let first_over = (16..=crate::MAX_K)
-            .find(|&k| dense_bytes(k) > DENSE_BYTE_BUDGET)
-            .expect("some k exceeds the budget");
-        assert_eq!(decide(first_over - 1, None, FULL).engine, "rayon");
-        for k in first_over..=crate::MAX_K {
-            let s = decide(k, None, FULL);
-            assert_eq!(s.engine, "rayon-frontier", "k={k}: {}", s.reason);
-            assert!(
-                s.reason.contains(&format!("{} B", dense_bytes(k))),
-                "{}",
-                s.reason
-            );
-            assert!(s.reason.contains("over"), "{}", s.reason);
-        }
-        // Without the frontier engine, dense rayon is the fallback.
-        assert_eq!(decide(first_over, None, &["seq", "rayon"]).engine, "rayon");
-    }
-
-    #[test]
-    fn dense_bytes_follow_the_cell_layout() {
-        assert_eq!(DENSE_BYTES_PER_CELL, 20);
-        assert_eq!(dense_bytes(20), 20 << 20);
     }
 
     #[test]

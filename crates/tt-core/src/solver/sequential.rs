@@ -5,11 +5,14 @@
 //! order (every non-empty proper submask is numerically smaller, so both
 //! `C(S ∩ T_i)` and `C(S − T_i)` are available when `C(S)` is computed —
 //! the numeric order refines the paper's `#S = j` wavefront).
+//!
+//! This mask-order DP, with its stored argmin plane, is the reference
+//! the engines are tested against; the engines themselves run the
+//! cost-only level kernel of [`super::kernel`].
 
 use crate::cost::Cost;
 use crate::instance::TtInstance;
-use crate::solver::budget::BudgetMeter;
-use crate::subset::frontier::{self, CostLookup, DenseSlab, FrontierTable};
+use crate::subset::frontier::{CostLookup, DenseSlab};
 use crate::subset::Subset;
 use crate::tree::TtTree;
 
@@ -74,11 +77,9 @@ pub fn candidate(
 }
 
 /// As [`candidate`], but generic over the gather table: `w = p(S)` is
-/// precomputed by the caller and child costs come from any
-/// [`CostLookup`] — the dense slab for the mask-indexed solvers, the
-/// lower [`FrontierTable`] levels for the frontier-compressed ones.
-/// Each child gather bumps `gathers` (one ranked lookup on a frontier
-/// table).
+/// supplied by the caller and child costs come from any
+/// [`CostLookup`] — the cost slab of the level kernel, or the sparse
+/// closure of the memoized DP. Each child gather bumps `gathers`.
 #[inline]
 pub fn candidate_via<L: CostLookup>(
     inst: &TtInstance,
@@ -110,9 +111,9 @@ pub fn candidate_via<L: CostLookup>(
     }
 }
 
-/// The cell kernel shared by every levelwise sweep: minimizes
-/// [`candidate_via`] over all actions at `s`, returning the cost and
-/// the first-minimizer argmin (the argmin every dense engine stores).
+/// The cell kernel shared by every DP: minimizes [`candidate_via`] over
+/// all actions at `s`, returning the cost and the first-minimizer
+/// argmin (the argmin the mask-order DP stores).
 #[inline]
 pub fn min_candidate<L: CostLookup>(
     inst: &TtInstance,
@@ -151,227 +152,84 @@ pub fn solve(inst: &TtInstance) -> Solution {
     }
 }
 
-/// Computes only the DP tables (no tree extraction).
+/// Computes only the DP tables (no tree extraction), in mask order.
 pub fn solve_tables(inst: &TtInstance) -> DpTables {
-    solve_tables_with(inst, &mut BudgetMeter::unlimited()).0
-}
-
-/// As [`solve_tables`] but under a budget, charging the meter one
-/// subset plus `N` candidates per mask.
-///
-/// Returns the tables and a watermark: every mask strictly below it is
-/// exact; on exhaustion the remaining entries are untouched (`INF`) and
-/// must not be read as answers. With an unexhausted meter the watermark
-/// is `2^k`.
-pub fn solve_tables_with(inst: &TtInstance, meter: &mut BudgetMeter) -> (DpTables, usize) {
-    let k = inst.k();
-    let size = 1usize << k;
+    let size = 1usize << inst.k();
     let weight_table = inst.weight_table();
     let mut cost = vec![Cost::INF; size];
     let mut best: Vec<Option<u16>> = vec![None; size];
     cost[0] = Cost::ZERO;
     for mask in 1..size {
-        if !meter.charge_subsets(1) || !meter.charge_candidates(inst.n_actions() as u64) {
-            return (DpTables { cost, best }, mask);
-        }
         let s = Subset(mask as u32);
         let mut gathers = 0u64;
         let (c, b) = min_candidate(inst, weight_table[mask], &DenseSlab(&cost), s, &mut gathers);
         cost[mask] = c;
         best[mask] = b;
     }
-    (DpTables { cost, best }, size)
+    DpTables { cost, best }
 }
 
-/// Per-level observer for [`solve_tables_levelwise`]: called as
-/// `sink(j, &cost, &best)` after each completed wavefront level `j`.
+/// Per-level observer of a machine simulator's wavefront: called as
+/// `sink(j, &cost, &best)` after each completed level `j`.
 pub type LevelSink<'a> = dyn FnMut(usize, &[Cost], &[Option<u16>]) + 'a;
 
-/// A completed `#S ≤ level` wavefront to warm-start a solver from:
-/// `(level, cost slab, argmin slab)`, as recovered from a
+/// A completed `#S ≤ level` wavefront to warm-start a machine simulator
+/// from: `(level, cost slab, argmin slab)`, as recovered from a
 /// [`Checkpoint`](super::checkpoint::Checkpoint).
 pub type WavefrontSeed<'a> = (usize, &'a [Cost], &'a [Option<u16>]);
 
-/// As [`solve_tables_with`], but iterating the paper's `#S = j`
-/// wavefront explicitly, with optional warm-start and a per-level sink
-/// — the checkpointable form of the sequential DP.
-///
-/// `seed` warm-starts the tables: every entry of the seed slab with
-/// `#S ≤` the seed level is taken as exact and those levels are skipped
-/// (pass `None` to start cold at level 0). After each completed level
-/// `j`, `sink(j, &cost, &best)` runs with every `#S ≤ j` entry exact —
-/// the wavefront invariant checkpoints are captured from.
-///
-/// Returns the tables plus the completed level: on exhaustion the
-/// sweep stops between levels, and entries above the completed level
-/// are untouched `INF` placeholders.
-pub fn solve_tables_levelwise(
-    inst: &TtInstance,
-    meter: &mut BudgetMeter,
-    seed: Option<(usize, &DpTables)>,
-    sink: &mut LevelSink<'_>,
-) -> (DpTables, usize) {
-    let k = inst.k();
-    let size = 1usize << k;
-    let weight_table = inst.weight_table();
-    let mut cost = vec![Cost::INF; size];
-    let mut best: Vec<Option<u16>> = vec![None; size];
-    cost[0] = Cost::ZERO;
-    let start_level = match seed {
-        Some((level, tables)) => {
-            assert_eq!(tables.cost.len(), size, "seed slab size");
-            for mask in 1..size {
-                if Subset(mask as u32).len() <= level {
-                    cost[mask] = tables.cost[mask];
-                    best[mask] = tables.best[mask];
-                }
-            }
-            level.min(k)
-        }
-        None => 0,
-    };
-    let mut done = k;
-    for j in (start_level + 1)..=k {
-        let level: Vec<Subset> = Subset::of_size(k, j).collect();
-        let in_budget = meter.charge_subsets(level.len() as u64)
-            & meter.charge_candidates((level.len() * inst.n_actions()) as u64)
-            & meter.check();
-        if !in_budget {
-            done = j - 1;
-            break;
-        }
-        let cells = level.len() as u64;
-        let level_start = std::time::Instant::now();
-        for s in level {
-            let mut gathers = 0u64;
-            let (c, b) = min_candidate(
-                inst,
-                weight_table[s.index()],
-                &DenseSlab(&cost),
-                s,
-                &mut gathers,
-            );
-            cost[s.index()] = c;
-            best[s.index()] = b;
-        }
-        let nanos = u64::try_from(level_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        tt_obs::telemetry::record_level(j, cells, cells * inst.n_actions() as u64, nanos);
-        sink(j, &cost, &best);
-    }
-    (DpTables { cost, best }, done)
-}
-
-/// Per-level observer for [`solve_frontier_levelwise`]: called as
-/// `sink(j, &table)` after each completed wavefront level `j`.
-pub type FrontierSink<'a> = dyn FnMut(usize, &FrontierTable) + 'a;
-
-/// The frontier-compressed form of [`solve_tables_levelwise`]: the same
-/// `#S = j` sweep, same meter charges, same telemetry samples, same
-/// cell values in the same Gosper order — but each level lives in its
-/// own `C(k, j)`-cell rank-indexed buffer and every `C(S ∩ T)` /
-/// `C(S − T)` gather is a ranked lookup into a lower frontier. Only
-/// costs are stored (no argmin plane): argmins are recomputed on demand
-/// by [`extract_tree_frontier`], which finds the identical
-/// first-minimizer.
-///
-/// `seed` warm-starts from an already-populated table (level `0..len`
-/// exact, e.g. [`FrontierTable::from_dense`] on a checkpoint slab).
-/// Returns the table plus the completed level; on exhaustion the sweep
-/// stops between levels and higher levels are simply absent.
-pub fn solve_frontier_levelwise(
-    inst: &TtInstance,
-    meter: &mut BudgetMeter,
-    seed: Option<FrontierTable>,
-    sink: &mut FrontierSink<'_>,
-) -> (FrontierTable, usize) {
-    let k = inst.k();
-    let n_actions = inst.n_actions() as u64;
-    let mut table = match seed {
-        Some(t) => {
-            assert_eq!(t.k(), k, "seed universe size");
-            t
-        }
-        None => FrontierTable::new(k),
-    };
-    let start_level = table.len_levels() - 1;
-    let mut done = k;
-    for j in (start_level + 1)..=k {
-        let cells = frontier::binomial(k, j);
-        let in_budget = meter.charge_subsets(cells)
-            & meter.charge_candidates(cells * n_actions)
-            & meter.check();
-        if !in_budget {
-            done = j - 1;
-            break;
-        }
-        let level_start = std::time::Instant::now();
-        table.push_level();
-        let (lower, out) = table.split_top();
-        let mut gathers = 0u64;
-        for (r, s) in Subset::of_size(k, j).enumerate() {
-            let (c, _) = min_candidate(inst, inst.weight_of(s), &lower, s, &mut gathers);
-            out[r] = c;
-        }
-        table.stats_mut().rank_calls += gathers;
-        let nanos = u64::try_from(level_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        tt_obs::telemetry::record_level(j, cells, cells * n_actions, nanos);
-        sink(j, &table);
-    }
-    (table, done)
-}
-
-/// Extracts an optimal tree from a completed [`FrontierTable`] by
-/// recomputing the first-minimizer argmin at each node — the same tree
-/// the dense extraction yields from its stored argmin plane.
-pub fn extract_tree_frontier(
-    inst: &TtInstance,
-    table: &FrontierTable,
-    root: Subset,
-) -> Option<TtTree> {
-    if root.is_empty() {
-        return None;
-    }
-    let c = table.cost_of_checked(root)?;
-    if c.is_inf() {
-        return None;
-    }
+/// The first-minimizer argmin at `s`, recomputed from the costs of its
+/// children: the action the mask-order DP stores in its argmin plane.
+/// `None` when `C(S)` is INF, when `s` is empty, or when `table` is not
+/// exact below `s` (the recomputed minimum then misses `table`'s own
+/// `C(S)`). Every reader of a cost-only table gets its argmins here.
+pub fn argmin_at<L: CostLookup>(inst: &TtInstance, table: &L, s: Subset) -> Option<u16> {
     let mut gathers = 0u64;
-    let (rec, b) = min_candidate(inst, inst.weight_of(root), table, root, &mut gathers);
-    debug_assert_eq!(rec, c, "frontier table entry disagrees with recomputation");
-    let i = b? as usize;
-    let a = inst.action(i);
-    if a.is_test() {
-        let pos = extract_tree_frontier(inst, table, root.intersect(a.set))?;
-        let neg = extract_tree_frontier(inst, table, root.difference(a.set))?;
-        Some(TtTree::test(i, pos, neg))
+    let (c, b) = min_candidate(inst, inst.weight_of(s), table, s, &mut gathers);
+    if c == table.cost_of(s) {
+        b
     } else {
-        let remaining = root.difference(a.set);
-        if remaining.is_empty() {
-            Some(TtTree::leaf(i))
-        } else {
-            let fail = extract_tree_frontier(inst, table, remaining)?;
-            Some(TtTree::treat_then(i, fail))
-        }
+        None
     }
+}
+
+/// Extracts an optimal tree from a complete cost slab, recomputing the
+/// argmin at each node on the path with [`argmin_at`] — the same tree
+/// [`extract_tree`] yields from a stored argmin plane.
+pub fn extract_tree_costs(inst: &TtInstance, cost: &[Cost], root: Subset) -> Option<TtTree> {
+    extract_by(inst, root, &|s| argmin_at(inst, &DenseSlab(cost), s))
 }
 
 /// Extracts an optimal tree from the argmin table, starting at `root`.
 pub fn extract_tree(inst: &TtInstance, tables: &DpTables, root: Subset) -> Option<TtTree> {
-    if root.is_empty() || tables.cost[root.index()].is_inf() {
+    if tables.cost[root.index()].is_inf() {
         return None;
     }
-    let i = tables.best[root.index()]? as usize;
+    extract_by(inst, root, &|s| tables.best[s.index()])
+}
+
+/// The tree below `root` that follows `argmin` at every node; `None`
+/// when some node on the way has no argmin.
+fn extract_by(
+    inst: &TtInstance,
+    root: Subset,
+    argmin: &dyn Fn(Subset) -> Option<u16>,
+) -> Option<TtTree> {
+    if root.is_empty() {
+        return None;
+    }
+    let i = argmin(root)? as usize;
     let a = inst.action(i);
     if a.is_test() {
-        let pos = extract_tree(inst, tables, root.intersect(a.set))?;
-        let neg = extract_tree(inst, tables, root.difference(a.set))?;
+        let pos = extract_by(inst, root.intersect(a.set), argmin)?;
+        let neg = extract_by(inst, root.difference(a.set), argmin)?;
         Some(TtTree::test(i, pos, neg))
     } else {
         let remaining = root.difference(a.set);
         if remaining.is_empty() {
             Some(TtTree::leaf(i))
         } else {
-            let fail = extract_tree(inst, tables, remaining)?;
+            let fail = extract_by(inst, remaining, argmin)?;
             Some(TtTree::treat_then(i, fail))
         }
     }
@@ -448,6 +306,7 @@ mod tests {
         let sol = solve(&inst);
         assert!(sol.cost.is_inf());
         assert!(sol.tree.is_none());
+        assert!(extract_tree_costs(&inst, &sol.tables.cost, inst.universe()).is_none());
         // But the treatable singleton still has finite cost.
         assert_eq!(sol.tables.cost[Subset::singleton(0).index()], Cost::new(1));
         assert!(sol.tables.cost[Subset::singleton(1).index()].is_inf());
@@ -514,53 +373,31 @@ mod tests {
     }
 
     #[test]
-    fn frontier_sweep_matches_dense_tables_cell_for_cell() {
-        let inst = fig1_like();
-        let dense = solve_tables(&inst);
-        let (table, done) =
-            solve_frontier_levelwise(&inst, &mut BudgetMeter::unlimited(), None, &mut |_, _| {});
-        assert_eq!(done, inst.k());
-        for s in Subset::all(inst.k()) {
-            assert_eq!(
-                table.cost_of_checked(s),
-                Some(dense.cost[s.index()]),
-                "S={s}"
-            );
-        }
-        // Frontier storage is exactly Σ_j C(k, j) = 2^k cost cells.
-        assert_eq!(table.stats().cells_allocated, 1 << inst.k());
-        assert!(table.stats().rank_calls > 0);
-    }
-
-    #[test]
-    fn frontier_extraction_matches_dense_argmins() {
+    fn recomputed_argmins_equal_the_stored_plane() {
         let inst = fig1_like();
         let sol = solve(&inst);
-        let (table, _) =
-            solve_frontier_levelwise(&inst, &mut BudgetMeter::unlimited(), None, &mut |_, _| {});
-        let tree = extract_tree_frontier(&inst, &table, inst.universe()).unwrap();
-        assert_eq!(Some(&tree), sol.tree.as_ref());
+        for s in Subset::all(inst.k()) {
+            let got = argmin_at(&inst, &DenseSlab(&sol.tables.cost), s);
+            assert_eq!(got, sol.tables.best[s.index()], "S={s}");
+        }
+        let tree = extract_tree_costs(&inst, &sol.tables.cost, inst.universe());
+        assert_eq!(tree, sol.tree);
     }
 
     #[test]
-    fn frontier_sweep_resumes_from_a_dense_slab() {
+    fn argmins_are_withheld_below_an_inexact_table() {
         let inst = fig1_like();
-        let dense = solve_tables(&inst);
-        let seed = FrontierTable::from_dense(inst.k(), 2, &dense.cost);
-        let (table, done) = solve_frontier_levelwise(
-            &inst,
-            &mut BudgetMeter::unlimited(),
-            Some(seed),
-            &mut |_, _| {},
-        );
-        assert_eq!(done, inst.k());
+        let mut cost = solve(&inst).tables.cost;
+        let u = inst.universe();
+        // Inflate every proper subset: no treatment covers U, so every
+        // candidate at U now misses the stored C(U).
         for s in Subset::all(inst.k()) {
-            assert_eq!(
-                table.cost_of_checked(s),
-                Some(dense.cost[s.index()]),
-                "S={s}"
-            );
+            if !s.is_empty() && s != u {
+                cost[s.index()] = Cost::new(1_000_000_000);
+            }
         }
+        assert!(cost[u.index()] < Cost::new(1_000_000_000));
+        assert_eq!(argmin_at(&inst, &DenseSlab(&cost), u), None);
     }
 
     #[test]

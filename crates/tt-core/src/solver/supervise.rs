@@ -300,7 +300,7 @@ pub fn supervise_with_observer(
     // levels survive into the next attempt. Each level is copied in as
     // it completes; the bound sandwich is priced only when the copy is
     // returned (`stale` until then).
-    let mut latest = prepare_resume(inst, opts.resume.as_ref());
+    let mut latest = prepare_resume(inst, opts.resume.as_ref()).cloned();
     let mut stale = false;
     let mut failures: Vec<AttemptFailure> = Vec::new();
     let mut retries = 0u32;
@@ -577,10 +577,16 @@ mod tests {
         ) -> SolveReport {
             let mut meter = budget.start();
             let die = self.die_after;
-            sequential::solve_tables_levelwise(inst, &mut meter, None, &mut |level, cost, best| {
-                sink(&LevelView::dense(inst, level, cost, best));
-                assert!(level < die, "injected mid-lattice death");
-            });
+            crate::solver::kernel::sweep(
+                inst,
+                &mut meter,
+                &crate::solver::kernel::Serial,
+                None,
+                &mut |view| {
+                    sink(view);
+                    assert!(view.level() < die, "injected mid-lattice death");
+                },
+            );
             unreachable!("test engine must die before finishing")
         }
     }

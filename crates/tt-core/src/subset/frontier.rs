@@ -1,28 +1,25 @@
-//! Combinatorial-number-system (CNS) frontier indexing for the `#S = j`
+//! Combinatorial-number-system (CNS) indexing of the `#S = j`
 //! wavefronts.
 //!
 //! The paper's DP sweeps the subset lattice level by level: the `j`-th
 //! outer iteration touches exactly the `C(k, j)` subsets with `#S = j`.
-//! A dense table indexed by mask wastes `2^k − C(k, j)` slots per level;
-//! this module gives every level its own contiguous buffer of exactly
-//! `C(k, j)` cells, addressed by the combinatorial number system:
+//! The combinatorial number system numbers them `0..C(k, j)`:
 //!
 //! ```text
 //! rank(S) = Σ_{i=1..j} C(c_i, i)      where S = {c_1 < c_2 < … < c_j}
 //! ```
 //!
 //! `rank` is a bijection between the level-`j` subsets and `0..C(k, j)`,
-//! and — the property every determinism anchor in ttbench leans on — it
-//! enumerates the level in **colex order, which for fixed popcount is
-//! exactly increasing mask order**, i.e. the order Gosper's hack
-//! ([`Subset::of_size`]) emits. A frontier sweep therefore visits cells
-//! in the same order as the dense mask-order DP and picks identical
-//! first-minimizer argmins.
+//! and it enumerates the level in **colex order, which for fixed
+//! popcount is exactly increasing mask order**, i.e. the order Gosper's
+//! hack ([`Subset::of_size`]) emits. The level kernel
+//! (`solver::kernel`) leans on that: it computes a level into a
+//! rank-ordered buffer in chunks that each start from one [`unrank`],
+//! and the v2 checkpoint format addresses cells by rank.
 //!
-//! The `C(S ∩ T_i)` / `C(S − T_i)` gathers of the recurrence become
-//! [`rank`] lookups into the lower frontiers ([`FrontierTable`]), which
-//! keeps each level's working set at `C(k, j)` cells — contiguous,
-//! cache-blockable, and splittable across rayon workers by rank range.
+//! The module also holds the [`CostLookup`] seam the candidate kernel
+//! gathers through and the [`FrontierStats`] counters the engines
+//! report.
 
 use crate::cost::Cost;
 use crate::subset::Subset;
@@ -61,9 +58,9 @@ pub fn binomial(n: usize, r: usize) -> u64 {
     }
 }
 
-/// The largest level buffer of a `k`-object universe, `C(k, ⌊k/2⌋)` —
-/// the frontier engines' peak *per-level* working set, and the quantity
-/// auto-selection thresholds on.
+/// The widest level of a `k`-object universe, `C(k, ⌊k/2⌋)` — the
+/// quantity auto-selection thresholds on, and the level kernel's rank
+/// buffer size below its window cap.
 #[inline]
 #[must_use]
 pub fn max_frontier(k: usize) -> u64 {
@@ -117,15 +114,14 @@ pub fn unrank(j: usize, r: u64) -> Subset {
 }
 
 /// A table of `C(·)` values the DP candidate kernel can gather from —
-/// the seam that lets one kernel serve both the dense mask-indexed
-/// solvers and the frontier-compressed ones.
+/// the seam that lets one kernel serve the mask-indexed slab and the
+/// memoized DP's sparse closure.
 pub trait CostLookup {
     /// `C(S)` for a set whose value is already available.
     fn cost_of(&self, s: Subset) -> Cost;
 }
 
-/// The dense `2^k` slab view: `cost_of` is a plain mask-indexed load,
-/// exactly what the pre-frontier solvers did.
+/// The mask-indexed `2^k` cost slab: `cost_of` is a plain load.
 pub struct DenseSlab<'a>(pub &'a [Cost]);
 
 impl CostLookup for DenseSlab<'_> {
@@ -135,76 +131,19 @@ impl CostLookup for DenseSlab<'_> {
     }
 }
 
-/// One level's frontier: the `C(k, j)` costs of the `#S = j` subsets,
-/// indexed by [`rank`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Frontier {
-    level: usize,
-    cost: Vec<Cost>,
-}
-
-impl Frontier {
-    /// An all-`INF` frontier for level `level` of a `k`-object universe
-    /// (`C(k, level)` cells). Level 0 is initialized to `C(∅) = 0`.
-    #[must_use]
-    pub fn new(k: usize, level: usize) -> Frontier {
-        let cells = usize::try_from(binomial(k, level)).expect("C(k,j) fits usize");
-        let mut cost = vec![Cost::INF; cells];
-        if level == 0 {
-            cost[0] = Cost::ZERO;
-        }
-        Frontier { level, cost }
-    }
-
-    /// The level (`#S`) this frontier holds.
-    #[must_use]
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    /// Number of cells, `C(k, level)`.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cost.len()
-    }
-
-    /// Is the frontier empty? (Never true for a valid level.)
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cost.is_empty()
-    }
-
-    /// The cost at rank `r`.
-    #[inline]
-    #[must_use]
-    pub fn get(&self, r: u64) -> Cost {
-        self.cost[usize::try_from(r).expect("rank fits usize")]
-    }
-
-    /// The raw cell buffer, rank-indexed.
-    #[must_use]
-    pub fn cells(&self) -> &[Cost] {
-        &self.cost
-    }
-
-    /// The raw cell buffer, mutable — the write side of a level sweep.
-    pub fn cells_mut(&mut self) -> &mut [Cost] {
-        &mut self.cost
-    }
-}
-
-/// Frontier-accounting counters, surfaced through `tt-obs` telemetry
-/// and `WorkStats` extras by the frontier engines.
+/// Table-accounting counters, surfaced through `tt-obs` telemetry and
+/// `WorkStats` extras by the level kernel and the memoized DP.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrontierStats {
-    /// Total frontier cells allocated over the solve (`Σ_j C(k, j)` for
-    /// a full sweep, the reachable-closure size for the live-set memo).
+    /// Total cost cells allocated over the solve (the `2^k` slab for a
+    /// cold kernel sweep, the reachable-closure size for the live-set
+    /// memo).
     pub cells_allocated: u64,
     /// Peak number of cells resident at once.
     pub peak_resident_cells: u64,
-    /// Number of [`rank`] evaluations (one per child gather).
+    /// Number of ranked gathers (the memo's per-level closure lookups).
     pub rank_calls: u64,
-    /// Number of [`unrank`] evaluations (chunk seeding and readback).
+    /// Number of [`unrank`] evaluations (one per kernel chunk and window).
     pub unrank_calls: u64,
     resident: u64,
 }
@@ -215,149 +154,6 @@ impl FrontierStats {
         self.cells_allocated += cells;
         self.resident += cells;
         self.peak_resident_cells = self.peak_resident_cells.max(self.resident);
-    }
-
-    /// Accounts `cells` retired (freed) resident cells.
-    pub fn on_retire(&mut self, cells: u64) {
-        self.resident = self.resident.saturating_sub(cells);
-    }
-
-    /// Current resident cells (allocated minus retired).
-    #[must_use]
-    pub fn resident(&self) -> u64 {
-        self.resident
-    }
-}
-
-/// The lower-level view a sweep gathers from while writing level `j`:
-/// frontiers `0..j`, immutably borrowed so the current level can be
-/// written in parallel.
-pub struct LowerLevels<'a> {
-    levels: &'a [Frontier],
-}
-
-impl CostLookup for LowerLevels<'_> {
-    #[inline]
-    fn cost_of(&self, s: Subset) -> Cost {
-        self.levels[s.len()].get(rank(s))
-    }
-}
-
-/// The per-level frontier buffers of one solve: levels `0..=done`, each
-/// exactly `C(k, j)` cells, plus the accounting counters.
-#[derive(Clone, Debug)]
-pub struct FrontierTable {
-    k: usize,
-    levels: Vec<Frontier>,
-    stats: FrontierStats,
-}
-
-impl FrontierTable {
-    /// A table holding only the level-0 frontier (`C(∅) = 0`).
-    #[must_use]
-    pub fn new(k: usize) -> FrontierTable {
-        let mut t = FrontierTable {
-            k,
-            levels: Vec::with_capacity(k + 1),
-            stats: FrontierStats::default(),
-        };
-        t.push_level();
-        t
-    }
-
-    /// Universe size `k`.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of completed levels present (levels `0..len_levels()`).
-    #[must_use]
-    pub fn len_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// The accounting counters so far.
-    #[must_use]
-    pub fn stats(&self) -> FrontierStats {
-        self.stats
-    }
-
-    /// Mutable access to the counters, for sweeps that account their
-    /// own rank/unrank traffic.
-    pub fn stats_mut(&mut self) -> &mut FrontierStats {
-        &mut self.stats
-    }
-
-    /// Allocates the next level's frontier (all `INF`) and returns its
-    /// level number.
-    pub fn push_level(&mut self) -> usize {
-        let j = self.levels.len();
-        let f = Frontier::new(self.k, j);
-        self.stats.on_alloc(f.len() as u64);
-        self.levels.push(f);
-        j
-    }
-
-    /// Splits the table into the lower-level read view and the top
-    /// level's writable cell buffer — the borrow shape of one level
-    /// sweep (a level only reads strictly smaller sets).
-    pub fn split_top(&mut self) -> (LowerLevels<'_>, &mut [Cost]) {
-        let at = self.levels.len().checked_sub(1).expect("non-empty");
-        let (lower, top) = self.levels.split_at_mut(at);
-        (LowerLevels { levels: lower }, top[0].cells_mut())
-    }
-
-    /// The frontier of level `j`, if present.
-    #[must_use]
-    pub fn level(&self, j: usize) -> Option<&Frontier> {
-        self.levels.get(j)
-    }
-
-    /// `C(S)` from the completed levels; `INF` for sets above the
-    /// completed wavefront.
-    #[must_use]
-    pub fn cost_of_checked(&self, s: Subset) -> Option<Cost> {
-        self.levels.get(s.len()).map(|f| f.get(rank(s)))
-    }
-
-    /// Imports the `#S ≤ level` entries of a dense mask-indexed slab —
-    /// the warm-start path from a v1 (dense) checkpoint.
-    #[must_use]
-    pub fn from_dense(k: usize, level: usize, dense: &[Cost]) -> FrontierTable {
-        assert_eq!(dense.len(), 1usize << k, "dense slab size");
-        let mut t = FrontierTable::new(k);
-        t.levels[0].cost[0] = dense[0];
-        for j in 1..=level.min(k) {
-            t.push_level();
-            let f = &mut t.levels[j];
-            for (r, s) in Subset::of_size(k, j).enumerate() {
-                f.cost[r] = dense[s.index()];
-            }
-        }
-        t
-    }
-
-    /// Scatters every completed level into a dense mask-indexed slab
-    /// (`INF` above the wavefront).
-    #[must_use]
-    pub fn to_dense(&self) -> Vec<Cost> {
-        let mut dense = vec![Cost::INF; 1usize << self.k];
-        for (j, f) in self.levels.iter().enumerate() {
-            for (r, s) in Subset::of_size(self.k, j).enumerate() {
-                dense[s.index()] = f.cost[r];
-            }
-        }
-        dense
-    }
-}
-
-impl CostLookup for FrontierTable {
-    /// Read-only post-solve lookup over every completed level (panics
-    /// on levels never computed — callers gate on the watermark).
-    #[inline]
-    fn cost_of(&self, s: Subset) -> Cost {
-        self.levels[s.len()].get(rank(s))
     }
 }
 
@@ -403,46 +199,6 @@ mod tests {
                 assert_eq!(rank(s), r, "j={j} r={r}");
             }
         }
-    }
-
-    #[test]
-    fn frontier_levels_have_binomial_sizes() {
-        let k = 7;
-        let mut t = FrontierTable::new(k);
-        for _ in 1..=k {
-            t.push_level();
-        }
-        for j in 0..=k {
-            assert_eq!(t.level(j).unwrap().len() as u64, binomial(k, j));
-        }
-        assert_eq!(t.stats().cells_allocated, 1 << k);
-        assert_eq!(t.stats().peak_resident_cells, 1 << k);
-    }
-
-    #[test]
-    fn dense_roundtrip_preserves_every_completed_entry() {
-        let k = 5;
-        let size = 1usize << k;
-        let dense: Vec<Cost> = (0..size).map(|m| Cost::new(m as u64 * 3 + 1)).collect();
-        let t = FrontierTable::from_dense(k, k, &dense);
-        for s in Subset::all(k) {
-            assert_eq!(t.cost_of(s), dense[s.index()], "S={s}");
-        }
-        let back = t.to_dense();
-        assert_eq!(back, dense);
-    }
-
-    #[test]
-    fn partial_import_stops_at_the_level() {
-        let k = 4;
-        let dense: Vec<Cost> = (0..1usize << k).map(|m| Cost::new(m as u64)).collect();
-        let t = FrontierTable::from_dense(k, 2, &dense);
-        assert_eq!(t.len_levels(), 3);
-        assert_eq!(
-            t.cost_of_checked(Subset::from_iter([0, 1])),
-            Some(Cost::new(3))
-        );
-        assert_eq!(t.cost_of_checked(Subset::from_iter([0, 1, 2])), None);
     }
 
     #[test]

@@ -5,20 +5,19 @@
 //! [`engine::register_extension`]: call [`register_engines`] once (it is
 //! idempotent) and `tt_core::solver::registry()` will list `rayon`,
 //! `hyper`, `hyper-blocked`, `ccc`, and `bvm` next to the core engines.
+//! `rayon-frontier` is an alias of `rayon`.
 
 use crate::layout::Layout;
 use crate::{bvm as bvm_tt, ccc as ccc_tt, hyper, rayon_solver};
-use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::solver::budget::{Budget, BudgetMeter};
 use tt_core::solver::checkpoint::{Checkpoint, LevelView};
 use tt_core::solver::engine::{
     self, timed_report_with, EngineKind, SolveOutcome, SolveReport, Solver, WorkStats,
 };
-use tt_core::solver::sequential;
-use tt_core::subset::frontier::FrontierTable;
-use tt_core::subset::Subset;
-use tt_core::tree::TtTree;
+use tt_core::solver::kernel;
+use tt_core::solver::sequential::extract_tree_costs;
+use tt_core::subset::frontier::binomial;
 
 /// A per-level budget check for the machine simulators: charges the whole
 /// machine's PE sweep for the upcoming level, then polls the deadline and
@@ -27,47 +26,19 @@ fn level_check(meter: &mut BudgetMeter, pes: u64) -> bool {
     meter.charge_subsets(1) & meter.charge_candidates(pes) & meter.check()
 }
 
-/// Recovers an optimal tree from a machine's `C(·)` table alone.
-///
-/// Backends that carry no argmin plane (the blocked hypercube and the
-/// BVM) still determine the optimum: for each live set, the minimizing
-/// action is any `i` whose candidate value `M[S, i]` — recomputed from
-/// the machine's own `C` table — equals `C(S)`. One candidate pass, no
-/// second DP.
-pub(crate) fn tree_from_c_table(inst: &TtInstance, c_table: &[Cost]) -> Option<TtTree> {
-    let weight_table = inst.weight_table();
-    let best: Vec<Option<u16>> = (0..c_table.len())
-        .map(|mask| {
-            let set = Subset(mask as u32);
-            if set.is_empty() || c_table[mask].is_inf() {
-                return None;
-            }
-            (0..inst.n_actions()).find_map(|i| {
-                (sequential::candidate(inst, &weight_table, c_table, set, i) == c_table[mask])
-                    .then_some(i as u16)
-            })
-        })
-        .collect();
-    let tables = sequential::DpTables {
-        cost: c_table.to_vec(),
-        best,
-    };
-    sequential::extract_tree(inst, &tables, inst.universe())
+/// A resume checkpoint for a machine that imports an argmin plane
+/// (`hyper`, `ccc`): validated, with the argmins its producer did not
+/// keep recovered from its own cost slab.
+fn machine_resume(inst: &TtInstance, resume: Option<&Checkpoint>) -> Option<Checkpoint> {
+    let mut ck = engine::prepare_resume(inst, resume)?.clone();
+    ck.recover_argmins(inst);
+    Some(ck)
 }
 
 /// PE count of the complete CCC with cycle-length exponent `r`
 /// (`Q = 2^r` PEs per cycle, `2^Q` cycles).
 fn ccc_pes(r: usize) -> u64 {
     1u64 << ((1usize << r) + r)
-}
-
-/// `C(k, j)` — the size of lattice level `j` (`k ≤ 31` everywhere here).
-pub(crate) fn binomial(k: usize, j: usize) -> u64 {
-    let mut b = 1u64;
-    for i in 0..j {
-        b = b * (k - i) as u64 / (i + 1) as u64;
-    }
-    b
 }
 
 /// Lattice cells a machine run actually recomputed: the binomial levels
@@ -93,7 +64,9 @@ pub(crate) fn record_level_boundary(
     tt_obs::telemetry::record_level(level, cells, candidates, nanos);
 }
 
-/// Level-synchronous shared-memory DP on worker threads.
+/// The level kernel with each level's chunks on worker threads.
+/// `rayon-frontier` stays resolvable as an alias for callers that name
+/// it.
 struct RayonEngine;
 
 impl Solver for RayonEngine {
@@ -103,91 +76,11 @@ impl Solver for RayonEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Parallel
     }
-    fn description(&self) -> &'static str {
-        "level-synchronous DP on shared-memory worker threads"
-    }
-    fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        self.solve_resumable(inst, budget, None, &mut |_| {})
-    }
-    fn resumable(&self) -> bool {
-        true
-    }
-    fn solve_resumable(
-        &self,
-        inst: &TtInstance,
-        budget: &Budget,
-        resume: Option<&Checkpoint>,
-        sink: &mut dyn FnMut(&LevelView<'_>),
-    ) -> SolveReport {
-        timed_report_with(|| {
-            let mut meter = budget.start();
-            let prepared = engine::prepare_resume(inst, resume);
-            let seed_tables = prepared.as_ref().map(|ck| {
-                (
-                    ck.level,
-                    sequential::DpTables {
-                        cost: ck.cost.clone(),
-                        best: ck.best.clone(),
-                    },
-                )
-            });
-            let seed = seed_tables.as_ref().map(|(l, t)| (*l, t));
-            let n_actions = inst.n_actions() as u64;
-            let mut last = std::time::Instant::now();
-            let (tables, done) =
-                rayon_solver::solve_tables_resumable(inst, &mut meter, seed, &mut |level, c, b| {
-                    let cells = binomial(inst.k(), level);
-                    record_level_boundary(level, cells, cells * n_actions, &mut last);
-                    sink(&LevelView::dense(inst, level, c, b));
-                });
-            let mut work = WorkStats {
-                subsets: meter.subsets(),
-                candidates: meter.candidates(),
-                pes: rayon::current_num_threads() as u64,
-                ..WorkStats::default()
-            };
-            work.push_extra("threads", rayon::current_num_threads() as u64);
-            if let Some((level, _)) = &seed_tables {
-                work.push_extra("resumed_level", *level as u64);
-            }
-            if let Some(r) = meter.exhausted() {
-                work.push_extra("completed_levels", done as u64);
-                // Wavefront invariant: after `done` levels every entry
-                // with `#S ≤ done` is exact.
-                return engine::degraded_result(
-                    inst,
-                    r.into(),
-                    &|s| {
-                        (s.len() <= done).then(|| (tables.cost[s.index()], tables.best[s.index()]))
-                    },
-                    work,
-                );
-            }
-            let root = inst.universe();
-            let cost = tables.cost[root.index()];
-            let tree = sequential::extract_tree(inst, &tables, root);
-            (cost, tree, work, SolveOutcome::Complete)
-        })
-    }
-}
-
-/// Level-synchronous shared-memory DP over frontier-compressed
-/// `C(k, j)` buffers: the parallel counterpart of `seq-frontier`, with
-/// workers sweeping the top frontier in cache-blocked ranked chunks.
-struct RayonFrontierEngine;
-
-impl Solver for RayonFrontierEngine {
-    fn name(&self) -> &'static str {
-        "rayon-frontier"
-    }
-    fn kind(&self) -> EngineKind {
-        EngineKind::Parallel
-    }
     fn aliases(&self) -> &'static [&'static str] {
-        &["par-frontier"]
+        &["rayon-frontier", "par-frontier"]
     }
     fn description(&self) -> &'static str {
-        "level-synchronous DP on worker threads over C(k,j) frontier buffers"
+        "levelwise DP over a cost-only 2^k slab on worker threads"
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
         self.solve_resumable(inst, budget, None, &mut |_| {})
@@ -203,44 +96,12 @@ impl Solver for RayonFrontierEngine {
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
-            let mut meter = budget.start();
-            let prepared = engine::prepare_resume(inst, resume);
-            let resumed_level = prepared.as_ref().map(|ck| ck.level);
-            let seed = prepared
-                .as_ref()
-                .map(|ck| FrontierTable::from_dense(inst.k(), ck.level, &ck.cost));
-            let (table, done) = rayon_solver::solve_frontier_resumable(
-                inst,
-                &mut meter,
-                seed,
-                &mut |level, table| sink(&LevelView::frontier(inst, level, table)),
-            );
-            let mut work = WorkStats {
-                subsets: meter.subsets(),
-                candidates: meter.candidates(),
-                pes: rayon::current_num_threads() as u64,
-                ..WorkStats::default()
-            };
-            work.push_extra("threads", rayon::current_num_threads() as u64);
-            work.push_extra("completed_levels", done as u64);
-            engine::record_frontier_stats(&mut work, table.stats());
-            if let Some(level) = resumed_level {
-                work.push_extra("resumed_level", level as u64);
-            }
-            if let Some(r) = meter.exhausted() {
-                // Wavefront invariant: `cost_of_checked` answers exactly
-                // the completed levels, cost-only (no argmin plane).
-                return engine::degraded_result(
-                    inst,
-                    r.into(),
-                    &|s| table.cost_of_checked(s).map(|c| (c, None)),
-                    work,
-                );
-            }
-            let root = inst.universe();
-            let cost = table.cost_of_checked(root).unwrap_or(Cost::INF);
-            let tree = sequential::extract_tree_frontier(inst, &table, root);
-            (cost, tree, work, SolveOutcome::Complete)
+            let threads = rayon::current_num_threads() as u64;
+            let (cost, tree, mut work, outcome) =
+                kernel::solve(inst, budget, &rayon_solver::Rayon, resume, sink);
+            work.pes = threads;
+            work.push_extra("threads", threads);
+            (cost, tree, work, outcome)
         })
     }
 }
@@ -283,7 +144,7 @@ impl Solver for HyperEngine {
             }
             let mut meter = budget.start();
             let pes = Layout::new(inst.k(), inst.n_actions()).pes() as u64;
-            let prepared = engine::prepare_resume(inst, resume);
+            let prepared = machine_resume(inst, resume);
             let warm = prepared
                 .as_ref()
                 .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
@@ -380,12 +241,9 @@ impl Solver for HyperBlockedEngine {
             let phys = Self::phys(&layout);
             let pes = layout.pes() as u64;
             let prepared = engine::prepare_resume(inst, resume);
-            let warm = prepared
-                .as_ref()
-                .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
+            let warm = prepared.map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
             // No argmin plane on this machine: its views carry `None`
-            // argmins; consumers recover them from the cost slab
-            // (`prepare_resume`).
+            // argmins, and readers recompute them from the cost slab.
             let mut last = std::time::Instant::now();
             let (s, done) = hyper::solve_blocked_resumable(
                 inst,
@@ -397,7 +255,7 @@ impl Solver for HyperBlockedEngine {
                     sink(&LevelView::dense_costs(inst, level, c));
                 },
             );
-            let resumed = prepared.as_ref().map(|ck| ck.level);
+            let resumed = prepared.map(|ck| ck.level);
             let mut work = WorkStats {
                 subsets: recomputed_subsets(inst.k(), resumed, done),
                 machine_steps: s.counts.virtual_steps,
@@ -409,14 +267,14 @@ impl Solver for HyperBlockedEngine {
             work.push_extra("words_communicated", s.counts.words_communicated);
             tt_obs::telemetry::add_counter("words_communicated", s.counts.words_communicated);
             work.push_extra("block_size", s.block_size as u64);
-            if let Some(ck) = &prepared {
-                work.push_extra("resumed_level", ck.level as u64);
+            if let Some(level) = resumed {
+                work.push_extra("resumed_level", level as u64);
             }
             if let Some(r) = meter.exhausted() {
                 work.push_extra("completed_levels", done as u64);
                 // The blocked machine carries no argmin plane; the
-                // incumbent falls back to greedy action choice below the
-                // wavefront — still sound, the C values are exact.
+                // incumbent recomputes argmins below the wavefront from
+                // the exact C values.
                 return engine::degraded_result(
                     inst,
                     r.into(),
@@ -424,7 +282,7 @@ impl Solver for HyperBlockedEngine {
                     work,
                 );
             }
-            let tree = tree_from_c_table(inst, &s.c_table);
+            let tree = extract_tree_costs(inst, &s.c_table, inst.universe());
             (s.cost, tree, work, SolveOutcome::Complete)
         })
     }
@@ -465,7 +323,7 @@ impl Solver for CccEngine {
             }
             let mut meter = budget.start();
             let pes = ccc_pes(ccc_tt::CccDriver::new(inst).machine_r);
-            let prepared = engine::prepare_resume(inst, resume);
+            let prepared = machine_resume(inst, resume);
             let warm = prepared
                 .as_ref()
                 .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
@@ -583,7 +441,7 @@ impl Solver for BvmEngine {
                     work,
                 );
             }
-            let tree = tree_from_c_table(inst, &s.c_table);
+            let tree = extract_tree_costs(inst, &s.c_table, inst.universe());
             (s.cost, tree, work, SolveOutcome::Complete)
         })
     }
@@ -593,7 +451,6 @@ impl Solver for BvmEngine {
 pub fn engines() -> Vec<Box<dyn Solver>> {
     vec![
         Box::new(RayonEngine),
-        Box::new(RayonFrontierEngine),
         Box::new(HyperEngine),
         Box::new(HyperBlockedEngine),
         Box::new(CccEngine),
@@ -611,6 +468,8 @@ pub fn register_engines() {
 mod tests {
     use super::*;
     use tt_core::instance::TtInstanceBuilder;
+    use tt_core::solver::sequential;
+    use tt_core::subset::Subset;
 
     fn small_instance() -> TtInstance {
         TtInstanceBuilder::new(3)
@@ -634,12 +493,10 @@ mod tests {
         for want in [
             "exhaustive",
             "seq",
-            "seq-frontier",
             "memo",
             "bnb",
             "greedy",
             "rayon",
-            "rayon-frontier",
             "hyper",
             "hyper-blocked",
             "ccc",
@@ -651,6 +508,10 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate names in {names:?}");
+        // The frontier names resolve to the kernel engines.
+        for (alias, name) in [("seq-frontier", "seq"), ("rayon-frontier", "rayon")] {
+            assert_eq!(tt_core::solver::lookup(alias).unwrap().name(), name);
+        }
     }
 
     #[test]
@@ -720,18 +581,5 @@ mod tests {
         });
         assert!(cks.is_empty());
         assert_eq!(cold.cost, sequential::solve(&inst).cost);
-    }
-
-    #[test]
-    fn tree_from_c_table_handles_inadequate_instances() {
-        // No treatment covers object 2: C(U) = INF, no tree.
-        let inst = TtInstanceBuilder::new(2)
-            .weights([1, 1])
-            .test(Subset(0b01), 1)
-            .treatment(Subset(0b01), 1)
-            .build()
-            .unwrap();
-        let tables = sequential::solve(&inst).tables;
-        assert!(tree_from_c_table(&inst, &tables.cost).is_none());
     }
 }

@@ -102,7 +102,7 @@ impl Layout {
 
     /// The `i = 0` column addresses of the `#S = level` wavefront,
     /// paired with their sets, in CNS rank order (increasing mask —
-    /// the same order frontier buffers are indexed in). This is the
+    /// the same order the level kernel's rank buffer uses). This is the
     /// incremental readback walk: after wavefront `j` only these
     /// `C(k, j)` PEs hold fresh values, so reading them — instead of
     /// the full `2^k` column — makes the total readback over a run

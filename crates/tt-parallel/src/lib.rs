@@ -16,8 +16,9 @@
 //!   counts reproduce the paper's `O(k·w·(k + log N))` headline bound (up
 //!   to the machine's fixed cycle length — see DESIGN.md on the
 //!   turn-taking schedule).
-//! * [`rayon_solver`] — a modern shared-memory realization: the identical
-//!   level-synchronous recurrence over `(S, i)` with rayon.
+//! * [`rayon_solver`] — a modern shared-memory realization: the rayon
+//!   executor of `tt-core`'s level kernel, each level's chunks on worker
+//!   threads.
 //!
 //! All four produce **bit-identical** `C(·)` tables to
 //! `tt_core::solver::sequential` — verified by the cross-crate test

@@ -368,7 +368,11 @@ impl Solver for FaultyBvmEngine {
                         ..WorkStats::default()
                     };
                     resilience_extras(&mut work, &rep);
-                    let tree = crate::engines::tree_from_c_table(inst, &sol.c_table);
+                    let tree = tt_core::solver::sequential::extract_tree_costs(
+                        inst,
+                        &sol.c_table,
+                        inst.universe(),
+                    );
                     (sol.cost, tree, work, SolveOutcome::Complete)
                 }
                 Err(esc) => {

@@ -71,8 +71,8 @@
 //! `--cache <dir>` routes the solve through the content-addressed
 //! solution cache (`tt_cache`): the instance is canonicalized (object
 //! relabelling, weight gcd-rescale, dominance reduction), looked up by
-//! content hash, and on a miss solved by the frontier engine — possibly
-//! warm-started from a cached superset instance's DP tables (a partial
+//! content hash, and on a miss solved by the level kernel — possibly
+//! warm-started from a cached superset instance's cost slab (a partial
 //! hit) — then stored, both in memory and as journal-style segments in
 //! `<dir>` that are replayed on the next run. The printed `cache:` line
 //! says which of hit/partial/miss happened; `--metrics` exposes the
@@ -533,7 +533,7 @@ fn solve_and_report(inst: &TtInstance, opts: &Opts) {
         }
     }
     if let Some(dir) = &opts.cache {
-        // Cache mode has its own engine (the frontier solver on the
+        // Cache mode has its own engine (the level kernel on the
         // canonical form) and its own warm-start story, so combining
         // it with another solve pipeline would silently ignore flags.
         if opts.solver.is_some()
@@ -621,8 +621,8 @@ fn solve_and_report(inst: &TtInstance, opts: &Opts) {
 
 /// `--cache <dir>`: solve through the content-addressed solution
 /// cache. An exact canonical-form hit answers without solving; a
-/// partial hit warm-starts the frontier DP from a cached superset's
-/// tables; a miss solves cold. Either way the result (de-canonicalized
+/// partial hit warm-starts the level kernel from a cached superset's
+/// cost slab; a miss solves cold. Either way the result (de-canonicalized
 /// back to this instance's labels and weight scale) is printed exactly
 /// like a plain solve, and the cache directory gains a segment line
 /// for the next run to replay.

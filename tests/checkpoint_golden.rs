@@ -1,12 +1,15 @@
 //! Checkpoint bytes are pinned: every level boundary's
 //! `LevelView::to_checkpoint().to_text()` must equal the golden files,
 //! which hold the texts the engines wrote when each level still built an
-//! owned checkpoint. Covered: the engines one at a time, the supervisor's
-//! observer stream and final checkpoint (plain and across a failover in
-//! both directions between dense and frontier storage), and the file
-//! `ttsolve --checkpoint` leaves behind. A k = 12 failover test checks
-//! that the supervisor's incrementally copied checkpoint warm-starts the
-//! next engine at the level the first one died after.
+//! owned checkpoint. `checkpoints-dense.txt` carries argmins (the
+//! machine engines with an argmin plane write it); `checkpoints-frontier.txt`
+//! is the cost-only form every host engine writes, named after the
+//! frontier engines that first wrote it. Covered: the engines one at a
+//! time, the supervisor's observer stream and final checkpoint (plain
+//! and across a failover in both directions between the two forms), and
+//! the file `ttsolve --checkpoint` leaves behind. A k = 12 failover test
+//! checks that the supervisor's incrementally copied checkpoint
+//! warm-starts the next engine at the level the first one died after.
 
 use std::path::Path;
 use std::process::Command;
@@ -15,8 +18,8 @@ use tt_core::instance::TtInstance;
 use tt_core::solver::budget::Budget;
 use tt_core::solver::checkpoint::{Checkpoint, LevelView};
 use tt_core::solver::engine::{EngineKind, SolveReport, Solver};
-use tt_core::solver::sequential;
 use tt_core::solver::supervise::{supervise, supervise_with_observer, SuperviseOptions};
+use tt_core::solver::{kernel, sequential};
 use tt_workloads::catalog::Domain;
 
 const INSTANCE: &str = "tests/golden/medical-k8-seed7.tt";
@@ -55,10 +58,16 @@ fn engine_checkpoints_match_the_goldens_at_every_level() {
     tt_parallel::register_engines();
     let inst = golden_instance();
     for (storage, engines) in [
-        ("dense", &["seq", "rayon", "hyper", "ccc"][..]),
+        ("dense", &["hyper", "ccc"][..]),
         (
             "frontier",
-            &["rayon-frontier", "seq-frontier", "hyper-blocked"][..],
+            &[
+                "seq",
+                "rayon",
+                "rayon-frontier",
+                "seq-frontier",
+                "hyper-blocked",
+            ][..],
         ),
     ] {
         let want = golden(storage);
@@ -74,11 +83,12 @@ fn engine_checkpoints_match_the_goldens_at_every_level() {
     }
 }
 
-/// Emits views through level `die_after` from the dense or the frontier
-/// sweep, then panics.
+/// Emits views through level `die_after`, then panics: cost-only views
+/// from the level kernel, or, with `argmins`, dense views of the
+/// reference tables with their argmin plane.
 struct DieAfter {
     die_after: usize,
-    frontier: bool,
+    argmins: bool,
 }
 
 impl Solver for DieAfter {
@@ -101,18 +111,18 @@ impl Solver for DieAfter {
         _resume: Option<&Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
-        let mut meter = budget.start();
         let die = self.die_after;
-        if self.frontier {
-            sequential::solve_frontier_levelwise(inst, &mut meter, None, &mut |level, table| {
-                sink(&LevelView::frontier(inst, level, table));
-                assert!(level < die, "injected death after level {die}");
-            });
+        let mut sink = |view: &LevelView<'_>| {
+            sink(view);
+            assert!(view.level() < die, "injected death after level {die}");
+        };
+        if self.argmins {
+            let tables = sequential::solve_tables(inst);
+            for level in 1..=inst.k() {
+                sink(&LevelView::dense(inst, level, &tables.cost, &tables.best));
+            }
         } else {
-            sequential::solve_tables_levelwise(inst, &mut meter, None, &mut |level, cost, best| {
-                sink(&LevelView::dense(inst, level, cost, best));
-                assert!(level < die, "injected death after level {die}");
-            });
+            kernel::sweep(inst, &mut budget.start(), &kernel::Serial, None, &mut sink);
         }
         unreachable!("the test engine dies before finishing")
     }
@@ -130,12 +140,12 @@ fn no_retries() -> SuperviseOptions {
 fn supervised_checkpoints_match_the_goldens() {
     tt_parallel::register_engines();
     let inst = golden_instance();
-    let (dense, frontier) = (golden("dense"), golden("frontier"));
+    let (dense, costs) = (golden("dense"), golden("frontier"));
     let k = inst.k();
-    let die = |frontier| -> Box<dyn Solver> {
+    let die = |argmins| -> Box<dyn Solver> {
         Box::new(DieAfter {
             die_after: 3,
-            frontier,
+            argmins,
         })
     };
     // (name, chain, expected observer stream); the final checkpoint is
@@ -148,14 +158,14 @@ fn supervised_checkpoints_match_the_goldens() {
             dense.clone(),
         ),
         (
-            "dense then frontier",
-            vec![die(false), tt_repro::lookup("rayon-frontier").unwrap()],
-            [&dense[..3], &frontier[3..]].concat(),
+            "dense then cost-only",
+            vec![die(true), tt_repro::lookup("rayon").unwrap()],
+            [&dense[..3], &costs[3..]].concat(),
         ),
         (
-            "frontier then dense",
-            vec![die(true), tt_repro::lookup("seq").unwrap()],
-            [&frontier[..3], &dense[3..]].concat(),
+            "cost-only then dense",
+            vec![die(false), tt_repro::lookup("hyper").unwrap()],
+            [&costs[..3], &dense[3..]].concat(),
         ),
     ];
     for (name, chain, want) in cases {
@@ -181,12 +191,12 @@ fn supervised_checkpoints_match_the_goldens() {
 
 #[test]
 fn ttsolve_checkpoint_files_match_the_goldens() {
-    let (dense, frontier) = (golden("dense"), golden("frontier"));
+    let (dense, costs) = (golden("dense"), golden("frontier"));
     let dir = std::env::temp_dir().join(format!("ttck-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for (flags, want) in [
-        (&["--solver", "rayon"][..], dense.last()),
-        (&["--solver", "rayon-frontier"][..], frontier.last()),
+        (&["--solver", "rayon"][..], costs.last()),
+        (&["--solver", "rayon-frontier"][..], costs.last()),
         (&["--supervise"][..], dense.last()),
     ] {
         let file = dir.join("out.ttck");
@@ -211,15 +221,12 @@ fn k12_failover_resumes_from_the_incremental_copy_with_the_cold_cost() {
     let inst = Domain::Random.generate(12, 3);
     let cold = sequential::solve(&inst).cost;
     for die_after in [1, 5, 11] {
-        for (frontier, next) in [(false, "rayon"), (true, "rayon"), (false, "rayon-frontier")] {
+        for (argmins, next) in [(false, "rayon"), (true, "rayon"), (false, "seq")] {
             let chain: Vec<Box<dyn Solver>> = vec![
-                Box::new(DieAfter {
-                    die_after,
-                    frontier,
-                }),
+                Box::new(DieAfter { die_after, argmins }),
                 tt_repro::lookup(next).unwrap(),
             ];
-            let case = format!("die after {die_after} (frontier {frontier}), then {next}");
+            let case = format!("die after {die_after} (argmins {argmins}), then {next}");
             let r = supervise(&inst, &chain, &Budget::unlimited(), &no_retries());
             assert_eq!(r.engine, next, "{case}");
             assert!(r.report.outcome.is_complete(), "{case}");

@@ -140,3 +140,27 @@ fn default_chains_name_the_engine_auto_delegated_to() {
         assert_eq!(sup.report.tree, seq.tree, "{case}: tree");
     }
 }
+
+/// The engine `auto` delegates to on every catalog domain at the k the
+/// serving and benchmark paths use, pinned so that no decision moves
+/// silently: sparse closures go to `memo`, narrow dense ones to `seq`,
+/// wide dense ones (and closures past the probe's cap, as `lab` at
+/// k = 20) to `rayon`.
+#[test]
+fn auto_picks_on_the_catalog_are_pinned() {
+    tt_parallel::register_engines();
+    let picks: [(&str, [&str; 5]); 5] = [
+        ("random", ["memo", "memo", "memo", "memo", "memo"]),
+        ("medical", ["seq", "seq", "rayon", "rayon", "rayon"]),
+        ("faults", ["seq", "seq", "rayon", "rayon", "rayon"]),
+        ("biology", ["seq", "seq", "rayon", "rayon", "rayon"]),
+        ("lab", ["seq", "seq", "memo", "memo", "rayon"]),
+    ];
+    for (domain, want) in picks {
+        let domain = tt_workloads::catalog::Domain::parse(domain).unwrap();
+        for (k, want) in [12, 15, 16, 18, 20].into_iter().zip(want) {
+            let pick = tt_core::solver::auto_select(&domain.generate(k, 7));
+            assert_eq!(pick.engine, want, "{domain:?} k={k}: {}", pick.reason);
+        }
+    }
+}

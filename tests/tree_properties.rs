@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use tt_core::solver::{greedy, sequential};
+use tt_core::subset::frontier::DenseSlab;
 use tt_core::subset::Subset;
 use tt_workloads::random::RandomConfig;
 
@@ -49,6 +50,26 @@ proptest! {
                 None => prop_assert!(c.is_inf()),
             }
         }
+    }
+
+    /// The on-path argmin helper the cost-only engines read their
+    /// argmins through recomputes exactly the first-minimizer the
+    /// mask-order DP stores, at every subset, and the tree extracted
+    /// from the cost slab alone is the stored-argmin tree.
+    #[test]
+    fn recomputed_argmins_equal_the_stored_first_minimizer(k in 2usize..=8, seed in any::<u64>()) {
+        let inst = cfg(k).generate(seed);
+        let sol = sequential::solve(&inst);
+        let slab = DenseSlab(&sol.tables.cost);
+        for s in Subset::all(k) {
+            prop_assert_eq!(
+                sequential::argmin_at(&inst, &slab, s),
+                sol.tables.best[s.index()],
+                "S={}", s
+            );
+        }
+        let root = inst.universe();
+        prop_assert_eq!(sequential::extract_tree_costs(&inst, &sol.tables.cost, root), sol.tree);
     }
 
     /// Heuristic procedures are valid and never beat the optimum.
