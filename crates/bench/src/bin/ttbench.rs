@@ -668,9 +668,10 @@ fn self_test(opts: &Opts) -> i32 {
     let unlimited = Budget::unlimited();
     let raw_solve = || {
         let mut meter = unlimited.start();
-        let sweep = kernel::sweep(&inst, &mut meter, &kernel::Serial, None, &mut |_| {});
+        let mut wave = tt_core::solver::Checkpoint::blank(&inst);
+        kernel::sweep(&inst, &mut meter, &kernel::Serial, &mut wave, &mut |_| {});
         let root = inst.universe();
-        std::hint::black_box(sequential::extract_tree_costs(&inst, &sweep.cost, root));
+        std::hint::black_box(sequential::extract_tree_costs(&inst, &wave.cost, root));
     };
     // Interleave the two measurements so frequency drift hits both,
     // and batch each sample past scheduler-noise scale.

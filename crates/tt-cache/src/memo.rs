@@ -213,6 +213,7 @@ mod tests {
     use crate::canon::canonicalize;
     use tt_core::instance::TtInstanceBuilder;
     use tt_core::solver::budget::BudgetMeter;
+    use tt_core::solver::checkpoint::Checkpoint;
     use tt_core::solver::kernel::{self, Serial};
 
     /// A 5-object instance whose objects {0,1,2} form a self-contained
@@ -241,15 +242,16 @@ mod tests {
     }
 
     fn solved_table(inst: &TtInstance) -> Vec<Cost> {
-        let sweep = kernel::sweep(
+        let mut wave = Checkpoint::blank(inst);
+        kernel::sweep(
             inst,
             &mut BudgetMeter::unlimited(),
             &Serial,
-            None,
+            &mut wave,
             &mut |_| {},
         );
-        assert_eq!(sweep.done, inst.k());
-        sweep.cost
+        assert_eq!(wave.level, inst.k());
+        wave.cost
     }
 
     #[test]
@@ -289,18 +291,19 @@ mod tests {
 
         // A solve from this seed runs zero levels and allocates nothing.
         let k = sub.form.instance.k();
-        let sweep = kernel::sweep(
+        let mut wave = Checkpoint::from_slab(0, k, seed);
+        let stats = kernel::sweep(
             &sub.form.instance,
             &mut BudgetMeter::unlimited(),
             &Serial,
-            Some((k, seed)),
+            &mut wave,
             &mut |_| panic!("no level is left to run"),
         );
-        assert_eq!(sweep.done, k);
-        assert_eq!(sweep.stats.cells_allocated, 0, "every DP level skipped");
+        assert_eq!(wave.level, k);
+        assert_eq!(stats.cells_allocated, 0, "every DP level skipped");
 
         // And the projected costs agree with a cold solve, cell by cell.
-        assert_eq!(sweep.cost, solved_table(&sub.form.instance));
+        assert_eq!(wave.cost, solved_table(&sub.form.instance));
     }
 
     #[test]

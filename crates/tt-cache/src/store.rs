@@ -53,6 +53,7 @@ use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::io as tt_io;
 use tt_core::solver::budget::Budget;
+use tt_core::solver::checkpoint::{instance_fingerprint, Checkpoint};
 use tt_core::solver::engine::{self, SolveOutcome, SolveReport, WorkStats};
 use tt_core::solver::kernel;
 use tt_core::tree::TtTree;
@@ -222,13 +223,23 @@ impl SolutionCache {
 
         let mut kept: Option<Vec<Cost>> = None;
         let canon_inst = &canonical.form.instance;
-        let seed = seed.map(|cost| (canon_inst.k(), cost));
         let report = engine::timed_report_with(|| {
             let mut meter = budget.start();
-            let sweep = kernel::sweep(canon_inst, &mut meter, &kernel::Serial, seed, &mut |_| {});
-            let report = kernel::report(canon_inst, &meter, &sweep, None);
+            let fingerprint = instance_fingerprint(canon_inst);
+            let mut wave = match seed {
+                Some(cost) => Checkpoint::from_slab(fingerprint, canon_inst.k(), cost),
+                None => Checkpoint::cold(canon_inst.k(), fingerprint),
+            };
+            let stats = kernel::sweep(
+                canon_inst,
+                &mut meter,
+                &kernel::Serial,
+                &mut wave,
+                &mut |_| {},
+            );
+            let report = kernel::report(canon_inst, &meter, &wave, stats, None);
             if meter.exhausted().is_none() {
-                kept = Some(sweep.cost);
+                kept = Some(wave.cost);
             }
             report
         });

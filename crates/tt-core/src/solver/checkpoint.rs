@@ -28,10 +28,17 @@
 //! [`Checkpoint::from_text`] reads both, so older `--resume` files keep
 //! loading.
 //!
-//! The host engines store no argmins, so their checkpoints write `-`
-//! in every argmin field; the machine simulators with an argmin plane
-//! (`hyper`, `ccc`) write theirs. The bound sandwich is the same either
-//! way: pricing recomputes a missing argmin on the incumbent's path.
+//! The host engines store no argmins, so their checkpoints carry no
+//! argmin plane (8 B per cell, not 12) and write `-` in every argmin
+//! field; the machine simulators with an argmin plane (`hyper`, `ccc`)
+//! write theirs. The bound sandwich is the same either way: pricing
+//! recomputes a missing argmin on the incumbent's path.
+//!
+//! A `Checkpoint` is also the live wavefront of a solve: the level
+//! kernel advances one in place (see
+//! [`Solver::solve_resumable`](crate::solver::engine::Solver::solve_resumable)),
+//! so a supervised solve holds one `2^k` lattice, not an engine slab
+//! plus a copy.
 
 use crate::cost::Cost;
 use crate::instance::TtInstance;
@@ -108,7 +115,10 @@ impl std::error::Error for CheckpointError {}
 /// A completed-wavefront snapshot of the DP: every subset with
 /// `#S ≤ level` carries its exact `C(S)` (and argmin when known);
 /// everything above the wavefront is unknown.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Equality compares argmins by what they say: an empty plane equals a
+/// plane of `None`s.
+#[derive(Clone, Debug)]
 pub struct Checkpoint {
     /// Number of objects (slab length is `2^k`).
     pub k: usize,
@@ -117,8 +127,9 @@ pub struct Checkpoint {
     /// `cost[S.index()] = C(S)` for `#S ≤ level`; `INF` placeholders
     /// above the wavefront.
     pub cost: Vec<Cost>,
-    /// Argmin action per known subset, where the producing engine had
-    /// one (machine readbacks without an argmin plane store `None`).
+    /// Argmin action per mask, where the producing engine had one — or
+    /// empty when it kept no argmin plane (the level kernel, the
+    /// blocked hypercube): every argmin is then `None`.
     pub best: Vec<Option<u16>>,
     /// Incumbent upper bound at save time (`INF` when none was built).
     pub upper: Cost,
@@ -128,11 +139,29 @@ pub struct Checkpoint {
     pub fingerprint: u64,
 }
 
+impl PartialEq for Checkpoint {
+    fn eq(&self, other: &Checkpoint) -> bool {
+        (self.k, self.level, self.fingerprint, self.upper, self.lower)
+            == (
+                other.k,
+                other.level,
+                other.fingerprint,
+                other.upper,
+                other.lower,
+            )
+            && self.cost == other.cost
+            && (self.best == other.best
+                || (0..self.cost.len()).all(|mask| self.argmin(mask) == other.argmin(mask)))
+    }
+}
+
+impl Eq for Checkpoint {}
+
 /// A borrowed view of the completed DP wavefront an engine holds at a
 /// level boundary: what [`Solver::solve_resumable`] hands its per-level
-/// observer. Making one copies nothing. Observers that keep or persist
-/// the level call [`to_checkpoint`](LevelView::to_checkpoint); the
-/// supervisor copies only the cells it has not seen yet.
+/// observer. Making one copies nothing and computes nothing. Observers
+/// that keep or persist the level call
+/// [`to_checkpoint`](LevelView::to_checkpoint).
 ///
 /// [`Solver::solve_resumable`]: crate::solver::engine::Solver::solve_resumable
 #[derive(Clone, Copy)]
@@ -143,41 +172,42 @@ pub struct LevelView<'a> {
     cost: &'a [Cost],
     /// The mask-indexed argmin slab, for producers that keep one.
     best: Option<&'a [Option<u16>]>,
+    /// The instance fingerprint, computed once per solve.
+    fingerprint: u64,
 }
 
 impl<'a> LevelView<'a> {
-    /// A view of mask-indexed cost and argmin slabs, exact for
-    /// `#S ≤ level`.
+    /// The view of a wavefront an engine advances in place: its slab,
+    /// its argmins when it keeps a plane, and the fingerprint it was
+    /// made with.
+    pub fn of(inst: &'a TtInstance, wave: &'a Checkpoint) -> LevelView<'a> {
+        assert_eq!(wave.k, inst.k(), "wavefront and instance sizes");
+        LevelView {
+            inst,
+            level: wave.level,
+            cost: &wave.cost,
+            best: (!wave.best.is_empty()).then_some(&wave.best[..]),
+            fingerprint: wave.fingerprint,
+        }
+    }
+
+    /// A view of whole mask-indexed cost and argmin tables, exact for
+    /// `#S ≤ level` (a reference solver's tables). Fingerprints `inst`.
     pub fn dense(
         inst: &'a TtInstance,
         level: usize,
         cost: &'a [Cost],
         best: &'a [Option<u16>],
     ) -> LevelView<'a> {
-        LevelView::dense_slabs(inst, level, cost, Some(best))
-    }
-
-    /// A view of a mask-indexed cost slab from a producer without an
-    /// argmin plane (the level kernel, the blocked hypercube): argmins
-    /// read as `None`.
-    pub fn dense_costs(inst: &'a TtInstance, level: usize, cost: &'a [Cost]) -> LevelView<'a> {
-        LevelView::dense_slabs(inst, level, cost, None)
-    }
-
-    fn dense_slabs(
-        inst: &'a TtInstance,
-        level: usize,
-        cost: &'a [Cost],
-        best: Option<&'a [Option<u16>]>,
-    ) -> LevelView<'a> {
         let size = 1usize << inst.k();
         assert_eq!(cost.len(), size, "cost slab size");
-        assert!(best.is_none_or(|b| b.len() == size), "best slab size");
+        assert_eq!(best.len(), size, "best slab size");
         LevelView {
             inst,
             level,
             cost,
-            best,
+            best: Some(best),
+            fingerprint: instance_fingerprint(inst),
         }
     }
 
@@ -186,54 +216,92 @@ impl<'a> LevelView<'a> {
         self.level
     }
 
-    /// The owned checkpoint of this level: the `#S ≤ level` slab and the
-    /// incumbent bound sandwich priced from it.
+    /// The owned checkpoint of this level: the `#S ≤ level` slab (with
+    /// argmins only when the view has them) and the incumbent bound
+    /// sandwich priced from it.
     pub fn to_checkpoint(&self) -> Checkpoint {
-        let mut ck = Checkpoint::blank(self.inst);
-        ck.absorb(self, 1);
+        let known = |mask: usize| Subset(mask as u32).len() <= self.level;
+        let cost = (self.cost.iter().enumerate())
+            .map(|(mask, &c)| if known(mask) { c } else { Cost::INF })
+            .collect();
+        let mut ck = Checkpoint::from_slab(self.fingerprint, self.level, cost);
+        if let Some(best) = self.best {
+            ck.best = (best.iter().enumerate())
+                .map(|(mask, &b)| b.filter(|_| known(mask)))
+                .collect();
+        }
         ck.price(self.inst);
         ck
     }
 }
 
 impl Checkpoint {
-    /// A level-0 checkpoint for `inst`: `C(∅) = 0`, nothing else known,
-    /// bounds not yet priced (`INF`, `0`).
-    pub(crate) fn blank(inst: &TtInstance) -> Checkpoint {
-        let size = 1usize << inst.k();
-        let mut cost = vec![Cost::INF; size];
-        cost[0] = Cost::ZERO;
+    /// A cost-only wavefront at `level` over a mask-indexed `2^k` slab
+    /// that is exact for `#S ≤ level` and `INF` above it; bounds not yet
+    /// priced (`INF`, `0`). The slab is taken over, not copied.
+    pub fn from_slab(fingerprint: u64, level: usize, cost: Vec<Cost>) -> Checkpoint {
+        assert!(cost.len().is_power_of_two(), "slab of 2^k cells");
+        let k = cost.len().trailing_zeros() as usize;
+        assert!(level <= k, "level {level} above k = {k}");
         Checkpoint {
-            k: inst.k(),
-            level: 0,
+            k,
+            level,
             cost,
-            best: vec![None; size],
+            best: Vec::new(),
             upper: Cost::INF,
             lower: Cost::ZERO,
-            fingerprint: instance_fingerprint(inst),
+            fingerprint,
         }
     }
 
-    /// Copies levels `from..=view.level()` of `view` into this
-    /// checkpoint and moves its wavefront to `view.level()`, forgetting
-    /// any levels above that it held. Level 0 (`C(∅) = 0`) is never
-    /// copied. The bounds are left as they were: call
-    /// [`price`](Checkpoint::price) before reading them.
-    pub(crate) fn absorb(&mut self, view: &LevelView<'_>, from: usize) {
-        assert_eq!(self.k, view.inst.k(), "checkpoint and view sizes");
-        for j in (view.level + 1)..=self.level {
-            for s in Subset::of_size(self.k, j) {
-                self.cost[s.index()] = Cost::INF;
-                self.best[s.index()] = None;
+    /// The level-0 wavefront of a `k`-object instance with the given
+    /// fingerprint: `C(∅) = 0`, nothing else known.
+    pub fn cold(k: usize, fingerprint: u64) -> Checkpoint {
+        let mut cost = vec![Cost::INF; 1usize << k];
+        cost[0] = Cost::ZERO;
+        Checkpoint::from_slab(fingerprint, 0, cost)
+    }
+
+    /// [`cold`](Checkpoint::cold) for `inst`, fingerprinting it.
+    pub fn blank(inst: &TtInstance) -> Checkpoint {
+        Checkpoint::cold(inst.k(), instance_fingerprint(inst))
+    }
+
+    /// The argmin stored for `mask`, if any.
+    fn argmin(&self, mask: usize) -> Option<u16> {
+        self.best.get(mask).copied().flatten()
+    }
+
+    /// Copies the `#S = level` cells of a producer's mask-indexed tables
+    /// into this wavefront and moves it to `level`; every level below
+    /// must be here already. Argmins are kept when the producer has them
+    /// (the plane is allocated on first use). The bounds are left as
+    /// they were: they are priced when the wavefront is handed out.
+    pub fn absorb_level(&mut self, level: usize, cost: &[Cost], best: Option<&[Option<u16>]>) {
+        assert!(level <= self.level + 1, "levels are absorbed in order");
+        if best.is_some() && self.best.is_empty() {
+            self.best = vec![None; self.cost.len()];
+        }
+        for s in Subset::of_size(self.k, level) {
+            self.cost[s.index()] = cost[s.index()];
+            if let Some(b) = best {
+                self.best[s.index()] = b[s.index()];
             }
         }
-        for j in from.max(1)..=view.level {
-            for s in Subset::of_size(self.k, j) {
-                self.cost[s.index()] = view.cost[s.index()];
-                self.best[s.index()] = view.best.and_then(|b| b[s.index()]);
+        self.level = level;
+    }
+
+    /// Forgets every cell above the wavefront: what a level cut short
+    /// (an engine panicking mid-level) may have written there.
+    pub fn forget_above(&mut self) {
+        for mask in 0..self.cost.len() {
+            if Subset(mask as u32).len() > self.level {
+                self.cost[mask] = Cost::INF;
+                if let Some(b) = self.best.get_mut(mask) {
+                    *b = None;
+                }
             }
         }
-        self.level = view.level;
     }
 
     /// Prices the incumbent bound sandwich from the slab: the cost of
@@ -265,7 +333,7 @@ impl Checkpoint {
     /// The partial-exact-table view of this checkpoint, in the shape
     /// `anytime::complete_tree` and `engine::degraded_result` consume.
     pub fn exact(&self, s: Subset) -> Option<ExactEntry> {
-        (s.len() <= self.level).then(|| (self.cost[s.index()], self.best[s.index()]))
+        (s.len() <= self.level).then(|| (self.cost[s.index()], self.argmin(s.index())))
     }
 
     /// Recomputes missing argmins for every known finite entry from the
@@ -276,6 +344,9 @@ impl Checkpoint {
     /// argmin plane (`hyper`, `ccc`) run it, before a warm start from a
     /// checkpoint whose producer kept none.
     pub fn recover_argmins(&mut self, inst: &TtInstance) {
+        if self.best.is_empty() {
+            self.best = vec![None; self.cost.len()];
+        }
         for mask in 1..self.cost.len() {
             let s = Subset(mask as u32);
             if s.len() > self.level || self.best[mask].is_some() || self.cost[mask].is_inf() {
@@ -304,7 +375,7 @@ impl Checkpoint {
             let _ = writeln!(s, "lvl {j} {}", frontier::binomial(self.k, j));
             for (r, sub) in Subset::of_size(self.k, j).enumerate() {
                 let mask = sub.index();
-                let best = match self.best[mask] {
+                let best = match self.argmin(mask) {
                     Some(b) => b.to_string(),
                     None => "-".to_string(),
                 };
@@ -335,7 +406,7 @@ impl Checkpoint {
             if Subset(mask as u32).len() > self.level {
                 continue;
             }
-            let best = match self.best[mask] {
+            let best = match self.argmin(mask) {
                 Some(b) => b.to_string(),
                 None => "-".to_string(),
             };
@@ -538,7 +609,8 @@ impl Checkpoint {
         }
         let size = 1usize << k;
         let mut cost = vec![Cost::INF; size];
-        let mut best = vec![None; size];
+        // The argmin plane is kept only when the text carries an argmin.
+        let mut best = Vec::new();
         let mut seen = vec![false; size];
         for (mask, c, b) in entries {
             if mask >= size {
@@ -558,7 +630,12 @@ impl Checkpoint {
             }
             seen[mask] = true;
             cost[mask] = c;
-            best[mask] = b;
+            if b.is_some() && best.is_empty() {
+                best = vec![None; size];
+            }
+            if let Some(slot) = best.get_mut(mask) {
+                *slot = b;
+            }
         }
         for (mask, present) in seen.iter().enumerate().take(size) {
             if Subset(mask as u32).len() <= level && !present {
@@ -848,11 +925,12 @@ mod tests {
         let i = inst();
         let sol = sequential::solve(&i);
         for level in 1..=i.k() {
-            let costs = LevelView::dense_costs(&i, level, &sol.tables.cost).to_checkpoint();
             let dense =
                 LevelView::dense(&i, level, &sol.tables.cost, &sol.tables.best).to_checkpoint();
+            let wave = Checkpoint::from_slab(dense.fingerprint, level, dense.cost.clone());
+            let costs = LevelView::of(&i, &wave).to_checkpoint();
             assert_eq!(costs.cost, dense.cost);
-            assert!(costs.best.iter().all(Option::is_none));
+            assert!(costs.best.is_empty(), "a cost-only view copies no plane");
             // Pricing recomputes the missing argmins on the incumbent's
             // path, so the bound sandwich is the dense one.
             assert_eq!((costs.upper, costs.lower), (dense.upper, dense.lower));
@@ -867,22 +945,56 @@ mod tests {
     fn absorbing_level_by_level_equals_one_full_copy() {
         let i = inst();
         let sol = sequential::solve(&i);
-        let mut incremental = Checkpoint::blank(&i);
+        let mut dense = Checkpoint::blank(&i);
+        let mut costs = Checkpoint::blank(&i);
         for level in 1..=i.k() {
-            let view = LevelView::dense(&i, level, &sol.tables.cost, &sol.tables.best);
-            incremental.absorb(&view, level);
-            let mut full = view.to_checkpoint();
-            incremental.price(&i);
-            assert_eq!(incremental, full, "level {level}");
-            // Stepping back down forgets the levels above.
-            full.absorb(
-                &LevelView::dense(&i, 1, &sol.tables.cost, &sol.tables.best),
-                2,
-            );
-            let mut one =
-                LevelView::dense(&i, 1, &sol.tables.cost, &sol.tables.best).to_checkpoint();
-            (one.upper, one.lower) = (full.upper, full.lower);
-            assert_eq!(full, one, "back to level 1 from {level}");
+            dense.absorb_level(level, &sol.tables.cost, Some(&sol.tables.best));
+            costs.absorb_level(level, &sol.tables.cost, None);
+            let mut want =
+                LevelView::dense(&i, level, &sol.tables.cost, &sol.tables.best).to_checkpoint();
+            dense.price(&i);
+            assert_eq!(dense, want, "level {level}");
+            costs.price(&i);
+            assert!(costs.best.is_empty());
+            want.best.clear();
+            assert_eq!(costs, want, "level {level}, cost-only");
         }
+    }
+
+    #[test]
+    fn an_empty_argmin_plane_equals_a_plane_of_nones() {
+        let (i, ck) = checkpoint_at(0);
+        assert!(ck.best.iter().all(Option::is_none));
+        let back = Checkpoint::from_text(&ck.to_text()).unwrap();
+        assert!(
+            back.best.is_empty(),
+            "a text without argmins loads no plane"
+        );
+        assert_eq!(back, ck);
+        let mut other = back.clone();
+        other.recover_argmins(&i);
+        assert_eq!(other, back, "level 0 has no argmin to recover");
+        let (_, ck2) = checkpoint_at(2);
+        let mut stripped = ck2.clone();
+        stripped.best.clear();
+        assert_ne!(stripped, ck2, "argmins that differ are not equal");
+    }
+
+    #[test]
+    fn forget_above_clears_a_level_cut_short() {
+        let i = inst();
+        let sol = sequential::solve(&i);
+        let mut wave = Checkpoint::blank(&i);
+        wave.absorb_level(1, &sol.tables.cost, Some(&sol.tables.best));
+        let clean = wave.clone();
+        // Half of level 2 written, as a panic mid-level leaves it.
+        for s in Subset::of_size(i.k(), 2).take(3) {
+            wave.cost[s.index()] = sol.tables.cost[s.index()];
+            wave.best[s.index()] = sol.tables.best[s.index()];
+        }
+        assert_ne!(wave, clean);
+        wave.forget_above();
+        assert_eq!(wave, clean);
+        assert_eq!(wave.to_text(), clean.to_text());
     }
 }

@@ -26,7 +26,7 @@ use crate::cost::Cost;
 use crate::instance::TtInstance;
 use crate::solver::anytime::{self, ExactEntry};
 use crate::solver::budget::{Budget, ExhaustReason};
-use crate::solver::checkpoint::{Checkpoint, LevelView};
+use crate::solver::checkpoint::{instance_fingerprint, Checkpoint, LevelView};
 use crate::solver::select::{AutoEngine, Selection};
 use crate::solver::{branch_and_bound, exhaustive, greedy, kernel, memo};
 use crate::subset::frontier::FrontierStats;
@@ -271,41 +271,48 @@ pub trait Solver: Send + Sync {
         ""
     }
 
-    /// Whether [`solve_resumable`](Solver::solve_resumable) honors
-    /// checkpoints: imports a completed wavefront to warm-start and
-    /// exports one at every level boundary. Engines without a
-    /// level-synchronous structure (memo, bnb, exhaustive, the
-    /// heuristics, the bit-serial BVM) report `false` and always start
-    /// cold. The delegating `auto` engine reports `true`: handed a
-    /// checkpoint it picks a resumable engine, but a cold solve it
-    /// answers with `memo` exports no levels at all.
+    /// Whether [`solve_resumable`](Solver::solve_resumable) honors the
+    /// wavefront: resumes a completed one and advances it at every level
+    /// boundary. Engines without a level-synchronous structure (memo,
+    /// bnb, exhaustive, the heuristics, the bit-serial BVM) report
+    /// `false` and always start cold. The delegating `auto` engine
+    /// reports `true`: handed a wavefront it picks a resumable engine,
+    /// but a cold solve it answers with `memo` advances none at all.
     fn resumable(&self) -> bool {
         false
     }
 
-    /// Solves with an optional warm-start [`Checkpoint`] and a sink
-    /// receiving a borrowed [`LevelView`] of the tables after every
-    /// completed DP level. The view copies nothing; a sink that keeps
-    /// the level builds the owned checkpoint with
-    /// [`LevelView::to_checkpoint`].
+    /// Solves over the caller's wavefront `wave`, which is both the warm
+    /// start and the live DP state, with a sink receiving a borrowed
+    /// [`LevelView`] of it after every completed DP level. The view
+    /// copies nothing; a sink that keeps the level builds the owned
+    /// checkpoint with [`LevelView::to_checkpoint`].
+    ///
+    /// A resumable engine resumes from `wave` when it is `Some` and
+    /// belongs to `inst` (a wavefront of another instance is dropped and
+    /// the engine starts cold), puts its own wavefront there otherwise,
+    /// and leaves it at its last completed level, whether it returns or
+    /// panics: a caller that catches the panic can hand the same `wave`
+    /// to the next engine. The level kernel advances `wave`'s slab in
+    /// place; the machine simulators copy each level they read back into
+    /// it. A level cut short by a panic may have written cells above
+    /// `wave.level` ([`Checkpoint::forget_above`] clears them).
     ///
     /// The default ignores both — a cold
-    /// [`solve_with`](Solver::solve_with) that emits nothing — so
-    /// non-resumable
-    /// engines are still safe members of a supervision chain: handed a
-    /// checkpoint they recompute from scratch, which is slower but
-    /// never wrong. Implementations must only consume checkpoints
-    /// whose fingerprint matches `inst` (callers validate, engines may
-    /// trust) and must emit views only at completed-wavefront
-    /// boundaries, so every viewed slab is exact below its level.
+    /// [`solve_with`](Solver::solve_with) that emits nothing and leaves
+    /// `wave` as it was — so non-resumable engines are still safe members
+    /// of a supervision chain: handed a wavefront they recompute from
+    /// scratch, which is slower but never wrong. Views are only emitted
+    /// at completed-wavefront boundaries, so every viewed slab is exact
+    /// below its level.
     fn solve_resumable(
         &self,
         inst: &TtInstance,
         budget: &Budget,
-        resume: Option<&Checkpoint>,
+        wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
-        let _ = (resume, sink);
+        let _ = (wave, sink);
         self.solve_with(inst, budget)
     }
 }
@@ -325,16 +332,22 @@ pub fn record_frontier_stats(work: &mut WorkStats, stats: FrontierStats) {
     }
 }
 
-/// Admits a caller-supplied checkpoint for engine consumption: `None`
-/// — start cold — when there is none or it belongs to a different
-/// instance. Argmins are not recovered here: the level kernel needs
-/// none, and the machine engines that import an argmin plane call
-/// [`Checkpoint::recover_argmins`] themselves.
-pub fn prepare_resume<'a>(
-    inst: &TtInstance,
-    resume: Option<&'a Checkpoint>,
-) -> Option<&'a Checkpoint> {
-    resume.filter(|ck| ck.matches(inst))
+/// Admits the caller's wavefront for an engine: kept when it belongs to
+/// `inst`, dropped — start cold — when it belongs to another instance.
+/// Returns `inst`'s fingerprint, computed once per solve, for the
+/// engine's own wavefront and its views. Argmins are not recovered
+/// here: the level kernel needs none, and the machine engines that
+/// import an argmin plane call [`Checkpoint::recover_argmins`]
+/// themselves.
+pub fn admit_wave(inst: &TtInstance, wave: &mut Option<Checkpoint>) -> u64 {
+    let fingerprint = instance_fingerprint(inst);
+    if wave
+        .as_ref()
+        .is_some_and(|ck| ck.k != inst.k() || ck.fingerprint != fingerprint)
+    {
+        *wave = None;
+    }
+    fingerprint
 }
 
 /// Times `f` and assembles its pieces into a
@@ -437,7 +450,7 @@ impl Solver for SequentialEngine {
         "levelwise DP over a cost-only 2^k slab (T_1 baseline)"
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        self.solve_resumable(inst, budget, None, &mut |_| {})
+        self.solve_resumable(inst, budget, &mut None, &mut |_| {})
     }
     fn resumable(&self) -> bool {
         true
@@ -446,10 +459,10 @@ impl Solver for SequentialEngine {
         &self,
         inst: &TtInstance,
         budget: &Budget,
-        resume: Option<&Checkpoint>,
+        wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
-        timed_report_with(|| kernel::solve(inst, budget, &kernel::Serial, resume, sink))
+        timed_report_with(|| kernel::solve(inst, budget, &kernel::Serial, wave, sink))
     }
 }
 

@@ -4,7 +4,10 @@
 //! cost-only slab: `2^k` [`Cost`] cells, 8 B each, and nothing else —
 //! no argmin plane (argmins are recomputed where they are read, by
 //! [`sequential::argmin_at`]) and no `p(S)` weight table (each cell
-//! sums its own weight with [`TtInstance::weight_of`]).
+//! sums its own weight with [`TtInstance::weight_of`]). The slab is the
+//! caller's [`Checkpoint`]: the kernel advances it in place, level by
+//! level, so the wavefront a caller keeps for a warm failover is the
+//! kernel's own slab, never a copy of it.
 //!
 //! A level is computed into a rank-ordered buffer, one window of at
 //! most [`WINDOW`] cells at a time, and each window is scattered into
@@ -17,16 +20,15 @@
 //! runs and every executor produces the same cells.
 //!
 //! Per level the kernel charges the whole level to the budget meter,
-//! records a `tt-obs` level sample and hands the sink a
-//! [`LevelView::dense_costs`] of the slab.
+//! records a `tt-obs` level sample, moves the wavefront's level up and
+//! hands the sink a [`LevelView`] of the wavefront.
 
 use crate::cost::Cost;
 use crate::instance::TtInstance;
-use crate::solver::anytime::ExactEntry;
 use crate::solver::budget::{Budget, BudgetMeter};
 use crate::solver::checkpoint::{Checkpoint, LevelView};
 use crate::solver::engine::{
-    degraded_result, prepare_resume, record_frontier_stats, SolveOutcome, WorkStats,
+    admit_wave, degraded_result, record_frontier_stats, SolveOutcome, WorkStats,
 };
 use crate::solver::sequential::{self, min_candidate};
 use crate::subset::frontier::{self, DenseSlab, FrontierStats};
@@ -61,28 +63,6 @@ impl Executor for Serial {
     }
 }
 
-/// A completed `#S ≤ level` wavefront to start from: the level and a
-/// slab exact up to it. The slab is taken over, not copied.
-pub type Seed = (usize, Vec<Cost>);
-
-/// What a sweep leaves behind.
-pub struct Sweep {
-    /// `cost[S.index()] = C(S)`, exact for every `#S ≤ done`.
-    pub cost: Vec<Cost>,
-    /// The completed level: `k` unless the budget ran out.
-    pub done: usize,
-    /// Slab cells allocated (none when the slab came with the seed) and
-    /// unranks (one per chunk and one per window).
-    pub stats: FrontierStats,
-}
-
-impl Sweep {
-    /// The partial exact table, in the shape `anytime` consumes.
-    pub fn exact(&self, s: Subset) -> Option<ExactEntry> {
-        (s.len() <= self.done).then(|| (self.cost[s.index()], None))
-    }
-}
-
 /// The next mask with the same popcount (Gosper's hack). Callers must
 /// not step past the last subset of a level.
 fn gosper_next(s: Subset) -> Subset {
@@ -92,16 +72,22 @@ fn gosper_next(s: Subset) -> Subset {
     Subset((((r ^ cur) >> 2) / c) | r)
 }
 
-/// Sweeps levels `seed level + 1 ..= k` (all of them without a seed),
-/// stopping between levels when `meter` runs out.
+/// Sweeps `wave` from its level up to `k` in place, stopping between
+/// levels when `meter` runs out. `wave.level` moves up as each level
+/// completes, before the sink sees it, so a caller that catches a panic
+/// still holds every completed level (a level cut short may have left
+/// cells above it written: see [`Checkpoint::forget_above`]). The
+/// kernel keeps no argmins, so an argmin plane the wave arrives with is
+/// dropped. Returns the frontier counters: the slab counts as allocated
+/// for a sweep that starts at level 0.
 pub fn sweep(
     inst: &TtInstance,
     meter: &mut BudgetMeter,
     exec: &dyn Executor,
-    seed: Option<Seed>,
+    wave: &mut Checkpoint,
     sink: &mut dyn FnMut(&LevelView<'_>),
-) -> Sweep {
-    sweep_windows(inst, meter, exec, seed, sink, WINDOW)
+) -> FrontierStats {
+    sweep_windows(inst, meter, exec, wave, sink, WINDOW)
 }
 
 /// [`sweep`] with `window` cells per window (a multiple of [`CHUNK`]).
@@ -109,35 +95,26 @@ fn sweep_windows(
     inst: &TtInstance,
     meter: &mut BudgetMeter,
     exec: &dyn Executor,
-    seed: Option<Seed>,
+    wave: &mut Checkpoint,
     sink: &mut dyn FnMut(&LevelView<'_>),
     window: usize,
-) -> Sweep {
+) -> FrontierStats {
     debug_assert_eq!(window % CHUNK, 0, "windows hold whole chunks");
     let k = inst.k();
+    assert_eq!(wave.k, k, "wavefront slab size");
     let n_actions = inst.n_actions() as u64;
     let mut stats = FrontierStats::default();
-    let (start, mut cost) = match seed {
-        Some((level, cost)) => {
-            assert_eq!(cost.len(), 1usize << k, "seed slab size");
-            (level.min(k), cost)
-        }
-        None => {
-            stats.on_alloc(1u64 << k);
-            let mut cost = vec![Cost::INF; 1usize << k];
-            cost[0] = Cost::ZERO;
-            (0, cost)
-        }
-    };
+    if wave.level == 0 {
+        stats.on_alloc(1u64 << k);
+    }
+    wave.best = Vec::new();
     let mut buf: Vec<Cost> = Vec::new();
-    let mut done = k;
-    for j in (start + 1)..=k {
+    for j in (wave.level + 1)..=k {
         let cells = frontier::binomial(k, j);
         let in_budget = meter.charge_subsets(cells)
             & meter.charge_candidates(cells * n_actions)
             & meter.check();
         if !in_budget {
-            done = j - 1;
             break;
         }
         let level_start = std::time::Instant::now();
@@ -149,7 +126,7 @@ fn sweep_windows(
         // a finished window may be scattered before the next one starts.
         for first in (0..level).step_by(window) {
             let out = &mut buf[..(level - first).min(window)];
-            let slab = DenseSlab(&cost);
+            let slab = DenseSlab(&wave.cost);
             exec.run(out, &|ci, chunk| {
                 let mut s = frontier::unrank(j, (first + ci * CHUNK) as u64);
                 let mut gathers = 0u64;
@@ -165,33 +142,36 @@ fn sweep_windows(
                 if off > 0 {
                     s = gosper_next(s);
                 }
-                cost[s.index()] = c;
+                wave.cost[s.index()] = c;
             }
             stats.unrank_calls += out.len().div_ceil(CHUNK) as u64 + 1;
         }
         let nanos = u64::try_from(level_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         tt_obs::telemetry::record_level(j, cells, cells * n_actions, nanos);
-        sink(&LevelView::dense_costs(inst, j, &cost));
+        wave.level = j;
+        sink(&LevelView::of(inst, wave));
     }
-    Sweep { cost, done, stats }
+    stats
 }
 
-/// A whole host-engine solve: the sweep under `budget`, warm-started
-/// from `resume` when it belongs to `inst` (a copy of its cost slab;
-/// its argmins are not needed), then its [`report`], with the resumed
-/// level as `resumed_level`.
+/// A whole host-engine solve: the sweep under `budget` over the
+/// caller's wavefront — resumed from it when it belongs to `inst`,
+/// replaced by a cold one otherwise — then its [`report`], with the
+/// resumed level as `resumed_level`. The wavefront is left at the last
+/// completed level.
 pub fn solve(
     inst: &TtInstance,
     budget: &Budget,
     exec: &dyn Executor,
-    resume: Option<&Checkpoint>,
+    wave: &mut Option<Checkpoint>,
     sink: &mut dyn FnMut(&LevelView<'_>),
 ) -> (Cost, Option<TtTree>, WorkStats, SolveOutcome) {
     let mut meter = budget.start();
-    let seed = prepare_resume(inst, resume).map(|ck| (ck.level, ck.cost.clone()));
-    let resumed = seed.as_ref().map(|(level, _)| *level);
-    let sweep = sweep(inst, &mut meter, exec, seed, sink);
-    report(inst, &meter, &sweep, resumed)
+    let fingerprint = admit_wave(inst, wave);
+    let resumed = wave.as_ref().map(|ck| ck.level);
+    let wave = wave.get_or_insert_with(|| Checkpoint::cold(inst.k(), fingerprint));
+    let stats = sweep(inst, &mut meter, exec, wave, sink);
+    report(inst, &meter, wave, stats, resumed)
 }
 
 /// The report of a finished sweep: `C(U)` and the tree extracted from
@@ -201,7 +181,8 @@ pub fn solve(
 pub fn report(
     inst: &TtInstance,
     meter: &BudgetMeter,
-    sweep: &Sweep,
+    wave: &Checkpoint,
+    stats: FrontierStats,
     resumed: Option<usize>,
 ) -> (Cost, Option<TtTree>, WorkStats, SolveOutcome) {
     let mut work = WorkStats {
@@ -209,18 +190,18 @@ pub fn report(
         candidates: meter.candidates(),
         ..WorkStats::default()
     };
-    work.push_extra("completed_levels", sweep.done as u64);
-    record_frontier_stats(&mut work, sweep.stats);
+    work.push_extra("completed_levels", wave.level as u64);
+    record_frontier_stats(&mut work, stats);
     if let Some(level) = resumed {
         work.push_extra("resumed_level", level as u64);
     }
     match meter.exhausted() {
         None => {
             let root = inst.universe();
-            let tree = sequential::extract_tree_costs(inst, &sweep.cost, root);
-            (sweep.cost[root.index()], tree, work, SolveOutcome::Complete)
+            let tree = sequential::extract_tree_costs(inst, &wave.cost, root);
+            (wave.cost[root.index()], tree, work, SolveOutcome::Complete)
         }
-        Some(r) => degraded_result(inst, r.into(), &|s| sweep.exact(s), work),
+        Some(r) => degraded_result(inst, r.into(), &|s| wave.exact(s), work),
     }
 }
 
@@ -246,31 +227,61 @@ mod tests {
     fn the_sweep_matches_the_mask_order_tables_cell_for_cell() {
         let i = inst();
         let mut levels = Vec::new();
-        let sweep = sweep(&i, &mut BudgetMeter::unlimited(), &Serial, None, &mut |v| {
-            levels.push(v.level())
-        });
-        assert_eq!(sweep.done, i.k());
+        let mut wave = Checkpoint::blank(&i);
+        let stats = sweep(
+            &i,
+            &mut BudgetMeter::unlimited(),
+            &Serial,
+            &mut wave,
+            &mut |v| levels.push(v.level()),
+        );
+        assert_eq!(wave.level, i.k());
         assert_eq!(levels, (1..=i.k()).collect::<Vec<_>>());
-        assert_eq!(sweep.cost, sequential::solve_tables(&i).cost);
-        assert_eq!(sweep.stats.cells_allocated, 1 << i.k());
-        assert_eq!(sweep.stats.peak_resident_cells, 1 << i.k());
+        assert_eq!(wave.cost, sequential::solve_tables(&i).cost);
+        assert_eq!(stats.cells_allocated, 1 << i.k());
+        assert_eq!(stats.peak_resident_cells, 1 << i.k());
     }
 
     #[test]
     fn a_seeded_sweep_allocates_nothing_and_runs_only_the_levels_above() {
         let i = inst();
-        let full = sequential::solve_tables(&i).cost;
+        let full = sequential::solve_tables(&i);
         let mut levels = Vec::new();
-        let sweep = sweep(
+        // Levels 0..=2 exact, with an argmin plane the kernel drops.
+        let mut wave = Checkpoint::blank(&i);
+        for level in 1..=2 {
+            wave.absorb_level(level, &full.cost, Some(&full.best));
+        }
+        let stats = sweep(
             &i,
             &mut BudgetMeter::unlimited(),
             &Serial,
-            Some((2, full.clone())),
+            &mut wave,
             &mut |v| levels.push(v.level()),
         );
         assert_eq!(levels, vec![3, 4, 5]);
-        assert_eq!(sweep.cost, full);
-        assert_eq!(sweep.stats.cells_allocated, 0);
+        assert_eq!(wave.cost, full.cost);
+        assert!(wave.best.is_empty(), "the kernel keeps no argmins");
+        assert_eq!(stats.cells_allocated, 0);
+    }
+
+    #[test]
+    fn a_starved_sweep_stops_at_its_last_completed_level() {
+        let i = inst();
+        let full = sequential::solve_tables(&i).cost;
+        let mut wave = Checkpoint::blank(&i);
+        // Levels 1 and 2 sweep 5 and 10 cells × 6 actions.
+        let mut meter = Budget::with_max_candidates(90).start();
+        sweep(&i, &mut meter, &Serial, &mut wave, &mut |_| {});
+        assert_eq!(wave.level, 2);
+        for (mask, (&c, &want)) in wave.cost.iter().zip(&full).enumerate() {
+            let s = Subset(mask as u32);
+            assert_eq!(
+                c,
+                if s.len() <= 2 { want } else { Cost::INF },
+                "mask {mask}"
+            );
+        }
     }
 
     #[test]
@@ -288,15 +299,16 @@ mod tests {
         // C(14,7) = 3432 cells: one-chunk windows split the middle
         // levels four ways, the default window takes each level whole.
         let run = |window| {
+            let mut wave = Checkpoint::blank(&i);
             sweep_windows(
                 &i,
                 &mut BudgetMeter::unlimited(),
                 &Serial,
-                None,
+                &mut wave,
                 &mut |_| {},
                 window,
-            )
-            .cost
+            );
+            wave.cost
         };
         let reference = sequential::solve_tables(&i).cost;
         assert_eq!(run(CHUNK), reference);

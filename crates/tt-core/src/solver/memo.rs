@@ -10,8 +10,9 @@
 //! Since the frontier refactor this is no longer a recursive memo: it runs
 //! in two levelwise passes. A **marking pass** walks the closure top-down
 //! from `U` (the same usefulness rules as the recurrence), producing one
-//! sorted mask list per `#S = j` level — levels are deduplicated with a
-//! sort, no hash set in the loop; an **evaluation pass** then sweeps those
+//! sorted mask list per `#S = j` level — deduplicated by a visited set of
+//! one bit per lattice subset, no hash set in the loop; an **evaluation
+//! pass** then sweeps those
 //! sparse frontiers bottom-up. Within a level, ascending CNS rank *is*
 //! ascending mask order (the colex property [`frontier::rank`](crate::subset::frontier::rank) documents),
 //! so each child gather is a rank lookup implemented as a probe of the
@@ -149,21 +150,30 @@ impl CostLookup for SparseLower<'_> {
 
 /// Marks the closure of `U` under the recurrence's useful actions,
 /// level by level: `marked[j]` holds the `#S = j` reachable masks,
-/// sorted and deduplicated. Children are pushed with duplicates and
-/// each level is compacted with a sort when the top-down walk reaches
-/// it — cheaper than a hash set probe per candidate edge. Polls the
-/// meter's deadline/cancel state periodically; on a dead meter returns
-/// `None`.
+/// sorted and deduplicated. A child is pushed once, the first time a
+/// visited set of one bit per lattice subset (`2^k / 8` bytes, 128 KiB
+/// at `k = 20`) sees it, and each level is sorted when the top-down walk
+/// reaches it. Deduplicating a level only when the walk reaches it would
+/// hold up to `2N` pending copies of each subset until then (15 MB on a
+/// 58,151-subset `k = 20` closure). Polls the meter's deadline/cancel
+/// state periodically; on a dead meter returns `None`.
 fn mark_closure(inst: &TtInstance, meter: &mut BudgetMeter) -> Option<Vec<Vec<u32>>> {
     let k = inst.k();
     let mut marked: Vec<Vec<u32>> = vec![Vec::new(); k + 1];
+    let mut seen = vec![0u64; (1usize << k).div_ceil(64)];
+    let mut fresh = |s: Subset| {
+        let (word, bit) = (s.index() / 64, s.index() % 64);
+        let new = seen[word] & (1 << bit) == 0;
+        seen[word] |= 1 << bit;
+        new
+    };
     let root = inst.universe();
+    fresh(root);
     marked[k].push(root.0);
     let mut polled = 0u32;
     for j in (1..=k).rev() {
         let mut lvl = std::mem::take(&mut marked[j]);
         lvl.sort_unstable();
-        lvl.dedup();
         for &mask in &lvl {
             let s = Subset(mask);
             polled += 1;
@@ -177,10 +187,10 @@ fn mark_closure(inst: &TtInstance, meter: &mut BudgetMeter) -> Option<Vec<Vec<u3
                 if inter.is_empty() || (a.is_test() && diff.is_empty()) {
                     continue;
                 }
-                if a.is_test() {
+                if a.is_test() && fresh(inter) {
                     marked[inter.len()].push(inter.0);
                 }
-                if !diff.is_empty() {
+                if !diff.is_empty() && fresh(diff) {
                     marked[diff.len()].push(diff.0);
                 }
             }

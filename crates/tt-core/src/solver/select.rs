@@ -50,6 +50,7 @@ use crate::solver::checkpoint::{Checkpoint, LevelView};
 use crate::solver::engine::{registry, EngineKind, SolveReport, Solver};
 use crate::subset::frontier;
 use crate::subset::Subset;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Largest `k` for which plain sequential DP is preferred over thread
@@ -87,6 +88,12 @@ pub struct Selection {
 /// (test splits `S ∩ T` / `S − T`, treatment remainders `S − T`),
 /// following the same usefulness rules as the DP recurrence. Returns
 /// `None` — "dense" — as soon as the closure exceeds `cap`.
+///
+/// The walk is breadth-first. The result does not depend on the order
+/// (the closure is counted whole or found to exceed `cap`), but on a
+/// dense closure a FIFO walk reaches `cap` sooner than a depth-first
+/// one: it expands the large sets near `U`, whose splits are mostly
+/// new, before the small ones, whose splits mostly repeat.
 pub fn probe_reachable(inst: &TtInstance, cap: usize) -> Option<usize> {
     // One visited bit per lattice subset: 2^k / 8 bytes (128 KiB at
     // k = 20), no hashing.
@@ -99,8 +106,8 @@ pub fn probe_reachable(inst: &TtInstance, cap: usize) -> Option<usize> {
     };
     mark(inst.universe());
     let mut count = 1usize;
-    let mut stack = vec![inst.universe()];
-    while let Some(s) = stack.pop() {
+    let mut queue = VecDeque::from([inst.universe()]);
+    while let Some(s) = queue.pop_front() {
         for i in 0..inst.n_actions() {
             let a = inst.action(i);
             let inter = s.intersect(a.set);
@@ -125,7 +132,7 @@ pub fn probe_reachable(inst: &TtInstance, cap: usize) -> Option<usize> {
                     if count > cap {
                         return None;
                     }
-                    stack.push(c);
+                    queue.push_back(c);
                 }
             }
         }
@@ -248,7 +255,7 @@ impl Solver for AutoEngine {
         "picks memo, seq or rayon at solve time from the instance's shape"
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        self.solve_resumable(inst, budget, None, &mut |_| {})
+        self.solve_resumable(inst, budget, &mut None, &mut |_| {})
     }
     fn resumable(&self) -> bool {
         true
@@ -257,13 +264,13 @@ impl Solver for AutoEngine {
         &self,
         inst: &TtInstance,
         budget: &Budget,
-        resume: Option<&Checkpoint>,
+        wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         let start = Instant::now();
-        let (engine, selection) = choose(inst, resume.is_some());
+        let (engine, selection) = choose(inst, wave.is_some());
         let decided = start.elapsed();
-        let mut report = engine.solve_resumable(inst, budget, resume, sink);
+        let mut report = engine.solve_resumable(inst, budget, wave, sink);
         report.wall += decided;
         report.selection = Some(selection);
         report
@@ -433,9 +440,15 @@ mod tests {
         let sol = crate::solver::sequential::solve(&inst);
         let ck = LevelView::dense(&inst, 3, &sol.tables.cost, &sol.tables.best).to_checkpoint();
         let mut levels = Vec::new();
-        let r = AutoEngine.solve_resumable(&inst, &Budget::unlimited(), Some(&ck), &mut |v| {
+        let mut wave = Some(ck);
+        let r = AutoEngine.solve_resumable(&inst, &Budget::unlimited(), &mut wave, &mut |v| {
             levels.push(v.level());
         });
+        assert_eq!(
+            wave.map(|ck| ck.level),
+            Some(7),
+            "the delegate advanced the wave"
+        );
         let picked = r.selection.expect("auto reports its selection").engine;
         assert_eq!(picked, "seq", "memo cannot use the checkpoint");
         assert_eq!(r.work.extra("resumed_level"), Some(3));

@@ -11,12 +11,15 @@
 //! engine down the chain (e.g. ccc → auto → rayon → seq → bnb).
 //!
 //! Failover is *warm*: every engine run goes through
-//! [`Solver::solve_resumable`], so resumable engines show the
-//! supervisor a [`LevelView`] at each completed DP level, and the
-//! supervisor copies that level's `C(k, j)` cells into a [`Checkpoint`]
-//! of its own that survives panics. The next engine in the chain picks
-//! that checkpoint up and restarts the lattice at `level + 1` instead of
-//! from scratch.
+//! [`Solver::solve_resumable`] over one wavefront [`Checkpoint`] the
+//! supervisor lends it and keeps outside the unwind boundary. A
+//! resumable engine advances that wavefront level by level — the level
+//! kernel in place, as its own slab; the machine simulators by copying
+//! each level they read back — so when it dies, the wavefront still
+//! holds every level it completed, and the next engine in the chain
+//! restarts the lattice at `level + 1` instead of from scratch. Nothing
+//! is copied for the failover: a supervised kernel solve holds one
+//! `2^k` lattice, the same as an unsupervised one.
 //! Budget exhaustion (deadline, work ceilings, cancellation) is *not*
 //! engine ill-health: the degraded bound-sandwich result is returned
 //! as final, because every other engine would run out of the same
@@ -35,8 +38,8 @@ use crate::solver::bounds::Bounds;
 use crate::solver::budget::Budget;
 use crate::solver::checkpoint::{Checkpoint, LevelView};
 use crate::solver::engine::{
-    degraded_result, prepare_resume, registry, timed_report_with, DegradeReason, EngineKind,
-    SolveOutcome, SolveReport, Solver, WorkStats,
+    degraded_result, registry, timed_report_with, DegradeReason, EngineKind, SolveOutcome,
+    SolveReport, Solver, WorkStats,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -181,8 +184,9 @@ pub struct SuperviseReport {
     /// Wavefront level the winning engine warm-started from, when it
     /// resumed a checkpoint.
     pub resumed_level: Option<usize>,
-    /// The latest checkpoint at the end of supervision (for saving to
-    /// disk; `None` when no resumable engine completed a level).
+    /// The wavefront at the end of supervision, priced (for saving to
+    /// disk; `None` when no resumable engine completed a level). It is
+    /// the engines' own slab, moved out, not a copy.
     pub checkpoint: Option<Checkpoint>,
 }
 
@@ -295,13 +299,10 @@ pub fn supervise_with_observer(
     observer: &mut dyn FnMut(&LevelView<'_>),
 ) -> SuperviseReport {
     let start = Instant::now();
-    // The warm-failover copy: the latest wavefront any engine completed.
-    // It lives outside the unwind boundary, so a panicking engine's
-    // levels survive into the next attempt. Each level is copied in as
-    // it completes; the bound sandwich is priced only when the copy is
-    // returned (`stale` until then).
-    let mut latest = prepare_resume(inst, opts.resume.as_ref()).cloned();
-    let mut stale = false;
+    // The wavefront every engine resumes from and advances. It lives
+    // outside the unwind boundary, so a panicking engine's completed
+    // levels survive into the next attempt.
+    let mut wave = opts.resume.as_ref().filter(|ck| ck.matches(inst)).cloned();
     let mut failures: Vec<AttemptFailure> = Vec::new();
     let mut retries = 0u32;
     let mut failovers = 0u32;
@@ -326,24 +327,13 @@ pub fn supervise_with_observer(
                 deadline_spent = true;
                 break 'chain;
             };
-            let (resumed_level, resume) = if engine.resumable() {
-                (latest.as_ref().map(|ck| ck.level), latest.clone())
+            let resumed_level = if engine.resumable() {
+                wave.as_ref().map(|ck| ck.level)
             } else {
-                (None, None)
+                None
             };
             let result = catch_unwind(AssertUnwindSafe(|| {
-                // An attempt's first view is copied whole (it may rest
-                // on a resumed prefix); later ones add their new level.
-                let mut first = true;
-                let mut sink = |view: &LevelView<'_>| {
-                    observer(view);
-                    let ck = latest.get_or_insert_with(|| Checkpoint::blank(inst));
-                    let from = if first { 1 } else { ck.level + 1 };
-                    ck.absorb(view, from);
-                    first = false;
-                    stale = true;
-                };
-                engine.solve_resumable(inst, &attempt_budget, resume.as_ref(), &mut sink)
+                engine.solve_resumable(inst, &attempt_budget, &mut wave, &mut *observer)
             }));
             let kind = match result {
                 Err(payload) => FailureKind::Panicked(panic_message(payload)),
@@ -373,11 +363,12 @@ pub fn supervise_with_observer(
                             failovers,
                             retries,
                             resumed_level,
-                            checkpoint: priced(inst, latest, stale),
+                            checkpoint: priced(inst, wave),
                         };
                     }
                 },
             };
+            keep_completed(&mut wave);
             let retryable = !matches!(kind, FailureKind::Capacity);
             failures.push(AttemptFailure {
                 engine: engine.name().to_string(),
@@ -420,7 +411,7 @@ pub fn supervise_with_observer(
     } else {
         DegradeReason::FaultEscalation
     };
-    let report = timed_report_with(|| match &latest {
+    let report = timed_report_with(|| match &wave {
         Some(ck) => degraded_result(inst, reason, &|s| ck.exact(s), WorkStats::default()),
         None => degraded_result(inst, reason, &|_| None, WorkStats::default()),
     });
@@ -431,18 +422,27 @@ pub fn supervise_with_observer(
         failovers,
         retries,
         resumed_level: None,
-        checkpoint: priced(inst, latest, stale),
+        checkpoint: priced(inst, wave),
     }
 }
 
-/// The warm-failover copy as handed out in a [`SuperviseReport`], with
-/// its bound sandwich priced if engine levels were copied in since it
-/// was last priced.
-fn priced(inst: &TtInstance, latest: Option<Checkpoint>, stale: bool) -> Option<Checkpoint> {
-    let mut ck = latest?;
-    if stale {
-        ck.price(inst);
+/// After a failed attempt the wavefront keeps only what the engine
+/// completed: cells a level cut short by a panic wrote above it are
+/// forgotten, and a wavefront that never got past level 0 is dropped,
+/// so the next engine starts cold.
+fn keep_completed(wave: &mut Option<Checkpoint>) {
+    match wave {
+        Some(ck) if ck.level == 0 => *wave = None,
+        Some(ck) => ck.forget_above(),
+        None => {}
     }
+}
+
+/// The wavefront as handed out in a [`SuperviseReport`], with its bound
+/// sandwich priced.
+fn priced(inst: &TtInstance, wave: Option<Checkpoint>) -> Option<Checkpoint> {
+    let mut ck = wave?;
+    ck.price(inst);
     Some(ck)
 }
 
@@ -566,13 +566,13 @@ mod tests {
             true
         }
         fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-            self.solve_resumable(inst, budget, None, &mut |_| {})
+            self.solve_resumable(inst, budget, &mut None, &mut |_| {})
         }
         fn solve_resumable(
             &self,
             inst: &TtInstance,
             budget: &Budget,
-            _resume: Option<&Checkpoint>,
+            wave: &mut Option<Checkpoint>,
             sink: &mut dyn FnMut(&LevelView<'_>),
         ) -> SolveReport {
             let mut meter = budget.start();
@@ -581,7 +581,7 @@ mod tests {
                 inst,
                 &mut meter,
                 &crate::solver::kernel::Serial,
-                None,
+                wave.insert(Checkpoint::blank(inst)),
                 &mut |view| {
                     sink(view);
                     assert!(view.level() < die, "injected mid-lattice death");

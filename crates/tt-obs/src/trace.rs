@@ -237,11 +237,23 @@ pub fn dropped() -> u64 {
 mod tests {
     use super::*;
 
-    // The tracer is global; the tests share it, so each uses distinct
-    // event names and asserts only on its own events.
+    // The tracer is global: each test that touches it holds `TRACER`
+    // for its whole body, so none can swap the ring's capacity, toggle
+    // it or drain it under another. Each still uses distinct event
+    // names and asserts only on its own events.
+    static TRACER: Mutex<()> = Mutex::new(());
+
+    fn tracer() -> std::sync::MutexGuard<'static, ()> {
+        // A test that failed while holding the lock poisons it; the
+        // tracer state is reset by the next test anyway.
+        TRACER
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn disabled_tracer_captures_nothing() {
+        let _tracer = tracer();
         disable();
         instant("test_disabled_event", vec![]);
         assert!(!drain().iter().any(|e| e.name == "test_disabled_event"));
@@ -249,6 +261,7 @@ mod tests {
 
     #[test]
     fn spans_emit_begin_and_end_with_elapsed() {
+        let _tracer = tracer();
         enable();
         {
             let _s = span(
@@ -272,6 +285,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_on_overflow() {
+        let _tracer = tracer();
         enable_with_capacity(4);
         let before = dropped();
         for i in 0..10u64 {

@@ -9,6 +9,7 @@
 
 use crate::layout::Layout;
 use crate::{bvm as bvm_tt, ccc as ccc_tt, hyper, rayon_solver};
+use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::solver::budget::{Budget, BudgetMeter};
 use tt_core::solver::checkpoint::{Checkpoint, LevelView};
@@ -26,13 +27,45 @@ fn level_check(meter: &mut BudgetMeter, pes: u64) -> bool {
     meter.charge_subsets(1) & meter.charge_candidates(pes) & meter.check()
 }
 
-/// A resume checkpoint for a machine that imports an argmin plane
-/// (`hyper`, `ccc`): validated, with the argmins its producer did not
-/// keep recovered from its own cost slab.
-fn machine_resume(inst: &TtInstance, resume: Option<&Checkpoint>) -> Option<Checkpoint> {
-    let mut ck = engine::prepare_resume(inst, resume)?.clone();
-    ck.recover_argmins(inst);
-    Some(ck)
+/// A machine simulator's share of the caller's wavefront: admits it
+/// and, when it holds a completed wavefront, recovers the argmins it
+/// lacks (`argmins`: machines with an argmin plane, `hyper` and `ccc`)
+/// or drops its plane (the blocked hypercube keeps none), then copies
+/// it as the machine's warm-start seed — the machine's per-level
+/// readbacks are absorbed into the same wavefront, so the seed cannot
+/// borrow it (`k ≤ 14`: at most 16 K cells). Returns the instance
+/// fingerprint and the seed.
+pub(crate) fn machine_wave(
+    inst: &TtInstance,
+    wave: &mut Option<Checkpoint>,
+    argmins: bool,
+) -> (u64, Option<Checkpoint>) {
+    let fingerprint = engine::admit_wave(inst, wave);
+    if let Some(ck) = wave {
+        if argmins {
+            ck.recover_argmins(inst);
+        } else {
+            ck.best = Vec::new();
+        }
+    }
+    (fingerprint, wave.clone())
+}
+
+/// Absorbs a machine's level-`level` readback into the caller's
+/// wavefront (started cold on the first level) and shows the sink the
+/// wavefront.
+pub(crate) fn absorb_and_emit(
+    inst: &TtInstance,
+    wave: &mut Option<Checkpoint>,
+    fingerprint: u64,
+    level: usize,
+    cost: &[Cost],
+    best: Option<&[Option<u16>]>,
+    sink: &mut dyn FnMut(&LevelView<'_>),
+) {
+    let ck = wave.get_or_insert_with(|| Checkpoint::cold(inst.k(), fingerprint));
+    ck.absorb_level(level, cost, best);
+    sink(&LevelView::of(inst, ck));
 }
 
 /// PE count of the complete CCC with cycle-length exponent `r`
@@ -83,7 +116,7 @@ impl Solver for RayonEngine {
         "levelwise DP over a cost-only 2^k slab on worker threads"
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        self.solve_resumable(inst, budget, None, &mut |_| {})
+        self.solve_resumable(inst, budget, &mut None, &mut |_| {})
     }
     fn resumable(&self) -> bool {
         true
@@ -92,13 +125,13 @@ impl Solver for RayonEngine {
         &self,
         inst: &TtInstance,
         budget: &Budget,
-        resume: Option<&Checkpoint>,
+        wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
             let threads = rayon::current_num_threads() as u64;
             let (cost, tree, mut work, outcome) =
-                kernel::solve(inst, budget, &rayon_solver::Rayon, resume, sink);
+                kernel::solve(inst, budget, &rayon_solver::Rayon, wave, sink);
             work.pes = threads;
             work.push_extra("threads", threads);
             (cost, tree, work, outcome)
@@ -126,7 +159,7 @@ impl Solver for HyperEngine {
         14
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        self.solve_resumable(inst, budget, None, &mut |_| {})
+        self.solve_resumable(inst, budget, &mut None, &mut |_| {})
     }
     fn resumable(&self) -> bool {
         true
@@ -135,7 +168,7 @@ impl Solver for HyperEngine {
         &self,
         inst: &TtInstance,
         budget: &Budget,
-        resume: Option<&Checkpoint>,
+        wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
@@ -144,7 +177,7 @@ impl Solver for HyperEngine {
             }
             let mut meter = budget.start();
             let pes = Layout::new(inst.k(), inst.n_actions()).pes() as u64;
-            let prepared = machine_resume(inst, resume);
+            let (fingerprint, prepared) = machine_wave(inst, wave, true);
             let warm = prepared
                 .as_ref()
                 .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
@@ -155,7 +188,7 @@ impl Solver for HyperEngine {
                 warm,
                 &mut |level, c, b| {
                     record_level_boundary(level, binomial(inst.k(), level), pes, &mut last);
-                    sink(&LevelView::dense(inst, level, c, b));
+                    absorb_and_emit(inst, wave, fingerprint, level, c, Some(b), sink);
                 },
             );
             let resumed = prepared.as_ref().map(|ck| ck.level);
@@ -220,7 +253,7 @@ impl Solver for HyperBlockedEngine {
         14
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        self.solve_resumable(inst, budget, None, &mut |_| {})
+        self.solve_resumable(inst, budget, &mut None, &mut |_| {})
     }
     fn resumable(&self) -> bool {
         true
@@ -229,7 +262,7 @@ impl Solver for HyperBlockedEngine {
         &self,
         inst: &TtInstance,
         budget: &Budget,
-        resume: Option<&Checkpoint>,
+        wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
@@ -240,10 +273,12 @@ impl Solver for HyperBlockedEngine {
             let layout = Layout::new(inst.k(), inst.n_actions());
             let phys = Self::phys(&layout);
             let pes = layout.pes() as u64;
-            let prepared = engine::prepare_resume(inst, resume);
-            let warm = prepared.map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
-            // No argmin plane on this machine: its views carry `None`
-            // argmins, and readers recompute them from the cost slab.
+            // No argmin plane on this machine: its wavefront carries
+            // none, and readers recompute argmins from the cost slab.
+            let (fingerprint, prepared) = machine_wave(inst, wave, false);
+            let warm = prepared
+                .as_ref()
+                .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
             let mut last = std::time::Instant::now();
             let (s, done) = hyper::solve_blocked_resumable(
                 inst,
@@ -252,10 +287,10 @@ impl Solver for HyperBlockedEngine {
                 warm,
                 &mut |level, c| {
                     record_level_boundary(level, binomial(inst.k(), level), pes, &mut last);
-                    sink(&LevelView::dense_costs(inst, level, c));
+                    absorb_and_emit(inst, wave, fingerprint, level, c, None, sink);
                 },
             );
-            let resumed = prepared.map(|ck| ck.level);
+            let resumed = prepared.as_ref().map(|ck| ck.level);
             let mut work = WorkStats {
                 subsets: recomputed_subsets(inst.k(), resumed, done),
                 machine_steps: s.counts.virtual_steps,
@@ -305,7 +340,7 @@ impl Solver for CccEngine {
         8
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        self.solve_resumable(inst, budget, None, &mut |_| {})
+        self.solve_resumable(inst, budget, &mut None, &mut |_| {})
     }
     fn resumable(&self) -> bool {
         true
@@ -314,7 +349,7 @@ impl Solver for CccEngine {
         &self,
         inst: &TtInstance,
         budget: &Budget,
-        resume: Option<&Checkpoint>,
+        wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
@@ -323,7 +358,7 @@ impl Solver for CccEngine {
             }
             let mut meter = budget.start();
             let pes = ccc_pes(ccc_tt::CccDriver::new(inst).machine_r);
-            let prepared = machine_resume(inst, resume);
+            let (fingerprint, prepared) = machine_wave(inst, wave, true);
             let warm = prepared
                 .as_ref()
                 .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
@@ -334,7 +369,7 @@ impl Solver for CccEngine {
                 warm,
                 &mut |level, c, b| {
                     record_level_boundary(level, binomial(inst.k(), level), pes, &mut last);
-                    sink(&LevelView::dense(inst, level, c, b));
+                    absorb_and_emit(inst, wave, fingerprint, level, c, Some(b), sink);
                 },
             );
             let resumed = prepared.as_ref().map(|ck| ck.level);
@@ -545,13 +580,22 @@ mod tests {
                 continue;
             }
             let mut cks = Vec::new();
-            let cold =
-                e.solve_resumable(&inst, &budget, None, &mut |v| cks.push(v.to_checkpoint()));
+            let mut wave = None;
+            let cold = e.solve_resumable(&inst, &budget, &mut wave, &mut |v| {
+                cks.push(v.to_checkpoint())
+            });
+            let (wave, last) = (wave.expect("a wavefront"), cks.last().unwrap());
+            assert_eq!(
+                (wave.level, &wave.cost),
+                (last.level, &last.cost),
+                "{} leaves its wavefront at the last level",
+                e.name()
+            );
             assert_eq!(cold.cost, opt.cost, "{} cold cost", e.name());
             let levels: Vec<usize> = cks.iter().map(|ck| ck.level).collect();
             assert_eq!(levels, vec![1, 2, 3], "{} checkpoint levels", e.name());
             for ck in &cks {
-                let warm = e.solve_resumable(&inst, &budget, Some(ck), &mut |_| {});
+                let warm = e.solve_resumable(&inst, &budget, &mut Some(ck.clone()), &mut |_| {});
                 assert_eq!(warm.cost, cold.cost, "{} resumed@{}", e.name(), ck.level);
                 assert_eq!(
                     warm.work.extra("resumed_level"),
@@ -576,7 +620,7 @@ mod tests {
         let bvm = engines().into_iter().find(|e| e.name() == "bvm").unwrap();
         assert!(!bvm.resumable());
         let mut cks = Vec::new();
-        let cold = bvm.solve_resumable(&inst, &Budget::unlimited(), None, &mut |v| {
+        let cold = bvm.solve_resumable(&inst, &Budget::unlimited(), &mut None, &mut |v| {
             cks.push(v.to_checkpoint());
         });
         assert!(cks.is_empty());

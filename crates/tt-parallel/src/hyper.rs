@@ -207,7 +207,8 @@ fn read_cube_wavefront(
 }
 
 /// Warm-start overlay for a resumed checkpoint: writes the exact
-/// `C(S)` (and argmin, when known) into every `i`-column of each
+/// `C(S)` (and argmin, when known — `best` may be an empty plane) into
+/// every `i`-column of each
 /// subset at or below the completed wavefront `level`. Sound because
 /// after level `#S` the min-reduction leaves *every* PE of column `S`
 /// holding `C(S)` (the `every_i_column_agrees_after_the_run`
@@ -228,7 +229,7 @@ pub fn warm_pe(
         return;
     }
     pe.m = cost[s.index()];
-    if let Some(b) = best[s.index()] {
+    if let Some(b) = best.get(s.index()).copied().flatten() {
         pe.arg = b;
     }
 }

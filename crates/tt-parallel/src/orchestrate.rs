@@ -267,7 +267,7 @@ impl Solver for FaultyCccEngine {
         8
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        self.solve_resumable(inst, budget, None, &mut |_| {})
+        self.solve_resumable(inst, budget, &mut None, &mut |_| {})
     }
     fn resumable(&self) -> bool {
         true
@@ -276,14 +276,14 @@ impl Solver for FaultyCccEngine {
         &self,
         inst: &TtInstance,
         budget: &Budget,
-        resume: Option<&Checkpoint>,
+        wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         timed_report_with(|| {
             if !budget.is_unlimited() && inst.k() > self.max_k() {
                 return engine::capacity_result(inst, WorkStats::default());
             }
-            let prepared = engine::prepare_resume(inst, resume);
+            let (fingerprint, prepared) = crate::engines::machine_wave(inst, wave, true);
             let warm = prepared
                 .as_ref()
                 .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
@@ -292,7 +292,17 @@ impl Solver for FaultyCccEngine {
                 self.plan.clone(),
                 self.max_retries,
                 warm,
-                &mut |level, c, b| sink(&LevelView::dense(inst, level, c, b)),
+                &mut |level, c, b| {
+                    crate::engines::absorb_and_emit(
+                        inst,
+                        wave,
+                        fingerprint,
+                        level,
+                        c,
+                        Some(b),
+                        sink,
+                    );
+                },
             );
             match result {
                 Ok((sol, rep)) => {

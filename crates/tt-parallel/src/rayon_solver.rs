@@ -15,6 +15,7 @@ use rayon::prelude::*;
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::solver::budget::BudgetMeter;
+use tt_core::solver::checkpoint::Checkpoint;
 use tt_core::solver::kernel::{self, Executor};
 use tt_core::solver::sequential::{argmin_at, DpTables};
 use tt_core::subset::frontier::DenseSlab;
@@ -35,14 +36,15 @@ impl Executor for Rayon {
 /// as `tt_core::solver::sequential::solve_tables`: the kernel's cost
 /// slab, plus every argmin recomputed from it (the kernel stores none).
 pub fn solve_tables(inst: &TtInstance) -> DpTables {
-    let cost = kernel::sweep(
+    let mut wave = Checkpoint::blank(inst);
+    kernel::sweep(
         inst,
         &mut BudgetMeter::unlimited(),
         &Rayon,
-        None,
+        &mut wave,
         &mut |_| {},
-    )
-    .cost;
+    );
+    let cost = wave.cost;
     let mut best: Vec<Option<u16>> = vec![None; cost.len()];
     best.par_iter_mut()
         .enumerate()
@@ -109,10 +111,17 @@ mod tests {
         let i = tt_workloads::catalog::Domain::Medical.generate(14, 3);
         let texts = |exec: &dyn Executor| {
             let mut texts = Vec::new();
-            let sweep = kernel::sweep(&i, &mut BudgetMeter::unlimited(), exec, None, &mut |v| {
-                texts.push(v.to_checkpoint().to_text());
-            });
-            assert_eq!(sweep.done, 14);
+            let mut wave = Checkpoint::blank(&i);
+            kernel::sweep(
+                &i,
+                &mut BudgetMeter::unlimited(),
+                exec,
+                &mut wave,
+                &mut |v| {
+                    texts.push(v.to_checkpoint().to_text());
+                },
+            );
+            assert_eq!(wave.level, 14);
             texts
         };
         let (serial, parallel) = (texts(&kernel::Serial), texts(&Rayon));
@@ -121,7 +130,7 @@ mod tests {
             assert_eq!(s, p, "level {}", level + 1);
         }
         // And the final slab is the reference's, argmins recomputed.
-        let last = tt_core::solver::Checkpoint::from_text(&serial[13]).unwrap();
+        let last = Checkpoint::from_text(&serial[13]).unwrap();
         let reference = sequential::solve_tables(&i);
         assert_eq!(last.cost, reference.cost);
         let view = LevelView::dense(&i, 14, &reference.cost, &reference.best).to_checkpoint();

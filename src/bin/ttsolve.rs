@@ -549,7 +549,7 @@ fn solve_and_report(inst: &TtInstance, opts: &Opts) {
         emit_observability(opts);
         exit(code);
     }
-    let resume = opts
+    let mut resume = opts
         .resume
         .as_deref()
         .map(|p| load_checkpoint_or_exit(p, inst));
@@ -597,7 +597,7 @@ fn solve_and_report(inst: &TtInstance, opts: &Opts) {
                 save_checkpoint(p, &view.to_checkpoint());
             }
         };
-        engine.solve_resumable(inst, &opts.budget(), resume.as_ref(), &mut sink)
+        engine.solve_resumable(inst, &opts.budget(), &mut resume, &mut sink)
     } else {
         engine.solve_with(inst, &opts.budget())
     };

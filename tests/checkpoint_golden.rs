@@ -8,8 +8,8 @@
 //! time, the supervisor's observer stream and final checkpoint (plain
 //! and across a failover in both directions between the two forms), and
 //! the file `ttsolve --checkpoint` leaves behind. A k = 12 failover test
-//! checks that the supervisor's incrementally copied checkpoint
-//! warm-starts the next engine at the level the first one died after.
+//! checks that the wavefront the first engine advanced warm-starts the
+//! next engine at the level the first one died after.
 
 use std::path::Path;
 use std::process::Command;
@@ -46,7 +46,7 @@ fn golden(name: &str) -> Vec<String> {
 
 fn texts_of(engine: &dyn Solver, inst: &TtInstance) -> Vec<String> {
     let mut texts = Vec::new();
-    let r = engine.solve_resumable(inst, &Budget::unlimited(), None, &mut |v| {
+    let r = engine.solve_resumable(inst, &Budget::unlimited(), &mut None, &mut |v| {
         texts.push(v.to_checkpoint().to_text());
     });
     assert!(r.outcome.is_complete(), "{}", engine.name());
@@ -83,9 +83,9 @@ fn engine_checkpoints_match_the_goldens_at_every_level() {
     }
 }
 
-/// Emits views through level `die_after`, then panics: cost-only views
-/// from the level kernel, or, with `argmins`, dense views of the
-/// reference tables with their argmin plane.
+/// Advances the wavefront through level `die_after`, then panics:
+/// cost-only with the level kernel, or, with `argmins`, level by level
+/// from the reference tables with their argmin plane.
 struct DieAfter {
     die_after: usize,
     argmins: bool,
@@ -102,13 +102,13 @@ impl Solver for DieAfter {
         true
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        self.solve_resumable(inst, budget, None, &mut |_| {})
+        self.solve_resumable(inst, budget, &mut None, &mut |_| {})
     }
     fn solve_resumable(
         &self,
         inst: &TtInstance,
         budget: &Budget,
-        _resume: Option<&Checkpoint>,
+        wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         let die = self.die_after;
@@ -116,13 +116,15 @@ impl Solver for DieAfter {
             sink(view);
             assert!(view.level() < die, "injected death after level {die}");
         };
+        let wave = wave.insert(Checkpoint::blank(inst));
         if self.argmins {
             let tables = sequential::solve_tables(inst);
             for level in 1..=inst.k() {
-                sink(&LevelView::dense(inst, level, &tables.cost, &tables.best));
+                wave.absorb_level(level, &tables.cost, Some(&tables.best));
+                sink(&LevelView::of(inst, wave));
             }
         } else {
-            kernel::sweep(inst, &mut budget.start(), &kernel::Serial, None, &mut sink);
+            kernel::sweep(inst, &mut budget.start(), &kernel::Serial, wave, &mut sink);
         }
         unreachable!("the test engine dies before finishing")
     }

@@ -57,7 +57,7 @@ proptest! {
             }
             let mut cks = Vec::new();
             let cold =
-                engine.solve_resumable(&i, &Budget::unlimited(), None, &mut |v| {
+                engine.solve_resumable(&i, &Budget::unlimited(), &mut None, &mut |v| {
                     cks.push(v.to_checkpoint());
                 });
             prop_assert!(cold.outcome.is_complete(), "{} cold run", engine.name());
@@ -78,7 +78,7 @@ proptest! {
                 let warm = engine.solve_resumable(
                     &i,
                     &Budget::unlimited(),
-                    Some(&reloaded),
+                    &mut Some(reloaded),
                     &mut |_| {},
                 );
                 prop_assert!(
@@ -115,11 +115,15 @@ fn killed_k12_solve_resumes_from_disk_with_strictly_less_work() {
         let engine = tt_repro::lookup(name).unwrap();
         let path = dir.join(format!("{name}.ck"));
         let mut saved = 0u32;
-        let partial =
-            engine.solve_resumable(&i, &Budget::with_max_candidates(2_000), None, &mut |v| {
+        let partial = engine.solve_resumable(
+            &i,
+            &Budget::with_max_candidates(2_000),
+            &mut None,
+            &mut |v| {
                 v.to_checkpoint().save(&path).unwrap();
                 saved += 1;
-            });
+            },
+        );
         assert!(
             !partial.outcome.is_complete(),
             "{name}: the starved run must stop mid-lattice"
@@ -128,7 +132,8 @@ fn killed_k12_solve_resumes_from_disk_with_strictly_less_work() {
 
         let ck = Checkpoint::load(&path).unwrap();
         assert!(ck.matches(&i));
-        let warm = engine.solve_resumable(&i, &Budget::unlimited(), Some(&ck), &mut |_| {});
+        let warm =
+            engine.solve_resumable(&i, &Budget::unlimited(), &mut Some(ck.clone()), &mut |_| {});
         let cold = engine.solve(&i);
         assert!(warm.outcome.is_complete());
         assert_eq!(warm.cost, cold.cost, "{name}: resumed cost differs");
@@ -154,11 +159,15 @@ fn killed_k12_solve_resumes_from_disk_with_strictly_less_work() {
         let path = dir.join(format!("{name}.ck"));
         let mut saved = 0u32;
         // Three levels' worth of PE sweeps, then starvation.
-        let partial =
-            engine.solve_resumable(&i, &Budget::with_max_candidates(3 * pes), None, &mut |v| {
+        let partial = engine.solve_resumable(
+            &i,
+            &Budget::with_max_candidates(3 * pes),
+            &mut None,
+            &mut |v| {
                 v.to_checkpoint().save(&path).unwrap();
                 saved += 1;
-            });
+            },
+        );
         assert!(!partial.outcome.is_complete(), "{name}: must starve");
         assert_eq!(saved, 3, "{name}: expected exactly three level checkpoints");
         assert_eq!(
@@ -169,7 +178,8 @@ fn killed_k12_solve_resumes_from_disk_with_strictly_less_work() {
 
         let ck = Checkpoint::load(&path).unwrap();
         assert_eq!(ck.level, 3);
-        let warm = engine.solve_resumable(&i, &Budget::unlimited(), Some(&ck), &mut |_| {});
+        let warm =
+            engine.solve_resumable(&i, &Budget::unlimited(), &mut Some(ck.clone()), &mut |_| {});
         let cold = engine.solve(&i);
         assert!(warm.outcome.is_complete());
         assert_eq!(warm.cost, cold.cost, "{name}: resumed cost differs");

@@ -132,7 +132,7 @@ fn dense_v1_checkpoint_resumes_under_the_frontier_engines() {
     let partial = seq.solve_resumable(
         &inst,
         &Budget::with_max_candidates(20_000),
-        None,
+        &mut None,
         &mut |v| last = Some(v.to_checkpoint()),
     );
     assert!(
@@ -148,8 +148,12 @@ fn dense_v1_checkpoint_resumes_under_the_frontier_engines() {
     for name in ["seq-frontier", "rayon-frontier"] {
         let engine = tt_repro::lookup(name).unwrap();
         let cold = engine.solve(&inst);
-        let warm =
-            engine.solve_resumable(&inst, &Budget::unlimited(), Some(&reloaded), &mut |_| {});
+        let warm = engine.solve_resumable(
+            &inst,
+            &Budget::unlimited(),
+            &mut Some(reloaded.clone()),
+            &mut |_| {},
+        );
         assert!(warm.outcome.is_complete(), "{name}");
         assert_eq!(warm.cost, cold.cost, "{name}: resumed cost differs");
         assert_eq!(
@@ -169,7 +173,7 @@ fn dense_v1_checkpoint_resumes_under_the_frontier_engines() {
     // reload and resume identically.
     let frontier_engine = tt_repro::lookup("seq-frontier").unwrap();
     let mut v2_texts: Vec<String> = Vec::new();
-    let cold = frontier_engine.solve_resumable(&inst, &Budget::unlimited(), None, &mut |v| {
+    let cold = frontier_engine.solve_resumable(&inst, &Budget::unlimited(), &mut None, &mut |v| {
         v2_texts.push(v.to_checkpoint().to_text());
     });
     assert!(!v2_texts.is_empty());
@@ -179,6 +183,6 @@ fn dense_v1_checkpoint_resumes_under_the_frontier_engines() {
     );
     let mid = Checkpoint::from_text(&v2_texts[v2_texts.len() / 2]).unwrap();
     let warm =
-        frontier_engine.solve_resumable(&inst, &Budget::unlimited(), Some(&mid), &mut |_| {});
+        frontier_engine.solve_resumable(&inst, &Budget::unlimited(), &mut Some(mid), &mut |_| {});
     assert_eq!(warm.cost, cold.cost, "v2 roundtrip resume");
 }

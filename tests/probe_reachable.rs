@@ -1,18 +1,22 @@
 //! `select::probe_reachable` keeps its visited set in one bit per
-//! lattice subset. These tests pin it to the hash-set closure walk it
-//! replaced: the same count, and the same `None` once the closure passes
-//! the cap, on every catalog domain up to k = 12. The lint's
+//! lattice subset and walks breadth-first. These tests pin it to the
+//! depth-first hash-set closure walk it replaced: the same count, and
+//! the same `None` once the closure passes the cap, on every catalog
+//! domain up to k = 12 and, at the cap `auto_select` uses, at the sizes
+//! the solve-large workloads run (k = 15, 16, 18, 20). The lint's
 //! unreachable-subset finding is computed from the same probe, so it is
 //! pinned to the `Vec<bool>` closure the lint used to run on its own.
 
 use std::collections::HashSet;
 use tt_core::instance::{ActionKind, TtInstance};
 use tt_core::lint::{self, LintCode};
-use tt_core::solver::select::probe_reachable;
+use tt_core::solver::select::{probe_reachable, PROBE_CAP, SPARSE_DIVISOR};
 use tt_core::subset::Subset;
 use tt_workloads::catalog::Domain;
 
-/// The reference: the same depth-first walk over a `HashSet<u32>`.
+/// The reference: a depth-first walk over a `HashSet<u32>`. The walk
+/// order cannot change the result: the closure is counted whole or
+/// found to exceed the cap.
 fn probe_with_hash_set(inst: &TtInstance, cap: usize) -> Option<usize> {
     let mut seen: HashSet<u32> = HashSet::new();
     let mut stack = vec![inst.universe()];
@@ -83,6 +87,30 @@ fn bit_set_probe_matches_the_hash_set_reference_on_the_catalog() {
         }
     }
     assert!(cutoffs > 0, "some cap must cut the walk off");
+}
+
+#[test]
+fn the_probe_matches_the_hash_set_reference_at_the_auto_cap_on_large_k() {
+    // Seed 7, the one the pinned `auto` picks use: the depth-first
+    // reference takes seconds per dense k = 20 closure in an unoptimized
+    // build.
+    let seed = 7;
+    let mut cutoffs = 0;
+    for domain in Domain::all() {
+        for k in [15, 16, 18, 20] {
+            let inst = domain.generate(k, seed);
+            let cap = ((1usize << k) / SPARSE_DIVISOR).clamp(1, PROBE_CAP);
+            let want = probe_with_hash_set(&inst, cap);
+            cutoffs += usize::from(want.is_none());
+            assert_eq!(
+                probe_reachable(&inst, cap),
+                want,
+                "{} k={k} seed={seed}",
+                domain.name()
+            );
+        }
+    }
+    assert!(cutoffs > 0, "some dense closure must pass the cap");
 }
 
 /// The lint's former closure: every action applied at every live set,
