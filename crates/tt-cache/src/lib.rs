@@ -41,17 +41,13 @@ pub mod store;
 pub use canon::{canonicalize, CanonMap, Canonical, CanonicalForm};
 pub use store::{CacheStatus, SolutionCache};
 
-/// 64-bit FNV-1a over a byte string, the workspace's standard content
-/// hash, rendered as the canonical 16-lowercase-hex-digit form used by
-/// checkpoint and journal checksums.
+/// 64-bit FNV-1a over a byte string ([`tt_obs::fnv1a`]), rendered in
+/// the canonical 16-lowercase-hex-digit form that checkpoint and journal
+/// checksums also use (over their own hash,
+/// `tt_core::solver::checkpoint::fnv1a`).
 #[must_use]
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", tt_obs::fnv1a(bytes))
 }
 
 #[cfg(test)]

@@ -78,12 +78,15 @@ impl BinaryTesting {
             weights.iter().all(|&w| w >= 1),
             "binary testing weights must be >= 1"
         );
-        for (idx, (s, _)) in tests.iter().enumerate() {
+        for (idx, &(s, t)) in tests.iter().enumerate() {
             if !s.is_subset_of(Subset::universe(k)) {
                 return Err(TtError::ActionOutOfUniverse { action: idx });
             }
             if s.is_empty() {
                 return Err(TtError::EmptyAction { action: idx });
+            }
+            if t == u64::MAX {
+                return Err(TtError::CostIsInf { action: idx });
             }
         }
         Ok(BinaryTesting { k, weights, tests })
@@ -116,11 +119,15 @@ impl BinaryTesting {
         true
     }
 
-    /// The treatment cost `c` used by the embedding: `p(U)·Σᵢtᵢ + 1`.
+    /// The treatment cost `c` used by the embedding: `p(U)·Σᵢtᵢ + 1`,
+    /// saturating at the largest finite cost.
     pub fn embedding_treatment_cost(&self) -> u64 {
         let total_w: u64 = self.weights.iter().fold(0, |a, &b| a.saturating_add(b));
         let total_t: u64 = self.tests.iter().fold(0, |a, &(_, t)| a.saturating_add(t));
-        total_w.saturating_mul(total_t).saturating_add(1)
+        total_w
+            .saturating_mul(total_t)
+            .saturating_add(1)
+            .min(u64::MAX - 1)
     }
 
     /// Embeds into a TT instance: the original tests plus one singleton
@@ -254,6 +261,18 @@ mod tests {
         .unwrap();
         assert!(ok.separates_all_pairs());
         assert!(ok.solve().cost.is_finite());
+    }
+
+    #[test]
+    fn infinite_test_costs_are_refused_and_the_embedding_cost_stays_finite() {
+        let tests = |t| vec![(Subset::singleton(0), 1), (Subset::singleton(1), t)];
+        assert_eq!(
+            BinaryTesting::new(2, vec![1, 1], tests(u64::MAX)),
+            Err(TtError::CostIsInf { action: 1 })
+        );
+        let huge = BinaryTesting::new(2, vec![u64::MAX / 2, 3], tests(u64::MAX - 1)).unwrap();
+        assert_eq!(huge.embedding_treatment_cost(), u64::MAX - 1);
+        assert_eq!(huge.embed().treatments().len(), 2);
     }
 
     #[test]

@@ -27,6 +27,12 @@ pub enum TtError {
         /// Index of the offending action (in insertion order).
         action: usize,
     },
+    /// An action's cost is `u64::MAX`, the value [`crate::cost::Cost`]
+    /// reserves for `INF`: no finite cost can be built from it.
+    CostIsInf {
+        /// Index of the offending action (in insertion order).
+        action: usize,
+    },
     /// Every object weight is zero, so every procedure has expected cost
     /// zero and the optimization is vacuous (almost certainly an input
     /// mistake — e.g. probabilities that were truncated to integers).
@@ -56,6 +62,12 @@ impl fmt::Display for TtError {
             TtError::EmptyAction { action } => {
                 write!(f, "action {action} has an empty set")
             }
+            TtError::CostIsInf { action } => write!(
+                f,
+                "action {action} costs {}, which is the INF sentinel; \
+                 action costs must be below it",
+                u64::MAX
+            ),
             TtError::ZeroTotalWeight => write!(
                 f,
                 "all object weights are zero; give at least one object a \

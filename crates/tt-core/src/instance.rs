@@ -281,6 +281,9 @@ impl TtInstanceBuilder {
             if a.set.is_empty() {
                 return Err(TtError::EmptyAction { action: idx });
             }
+            if a.cost == u64::MAX {
+                return Err(TtError::CostIsInf { action: idx });
+            }
         }
         let mut actions: Vec<Action> = self
             .actions
@@ -417,6 +420,18 @@ mod tests {
                 .build(),
             Err(TtError::EmptyAction { action: 0 })
         ));
+        // The INF sentinel is not a cost; the index is insertion order.
+        assert!(matches!(
+            TtInstanceBuilder::new(2)
+                .treatment(Subset::universe(2), 1)
+                .test(Subset::singleton(0), u64::MAX)
+                .build(),
+            Err(TtError::CostIsInf { action: 1 })
+        ));
+        assert!(TtInstanceBuilder::new(2)
+            .treatment(Subset::universe(2), u64::MAX - 1)
+            .build()
+            .is_ok());
     }
 
     #[test]

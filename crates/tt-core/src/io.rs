@@ -256,6 +256,11 @@ mod tests {
             from_text("tt 1\nobjects 2\nweights 1 1\n"),
             Err(ParseError::Invalid(TtError::NoActions))
         ));
+        // A cost that parses as u64 but is the INF sentinel.
+        assert!(matches!(
+            from_text("tt 1\nobjects 2\ntest 0 | 18446744073709551615\ntreat 0 1 | 1\n"),
+            Err(ParseError::Invalid(TtError::CostIsInf { action: 0 }))
+        ));
     }
 
     #[test]

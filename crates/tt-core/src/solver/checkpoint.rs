@@ -47,9 +47,13 @@ use crate::subset::frontier::{self, DenseSlab};
 use crate::subset::Subset;
 use std::fmt::Write as _;
 
-/// FNV-1a 64-bit, the integrity hash for checkpoint bytes and the
-/// instance fingerprint. Not cryptographic — it guards against
-/// truncation, bit rot, and editing mistakes, not adversaries.
+/// The integrity hash for checkpoint bytes, the instance fingerprint
+/// and the solve journal: FNV-1a's offset basis and xor-multiply loop,
+/// but with multiplier `0x1000001b3` where 64-bit FNV-1a has the prime
+/// `0x100000001b3`, so its values differ from [`tt_obs::fnv1a`]'s. The
+/// checkpoint and journal formats are pinned to it. Not cryptographic —
+/// it guards against truncation, bit rot, and editing mistakes, not
+/// adversaries.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -3,18 +3,28 @@
 //! One `#S = j` wavefront sweep of `C(S)` over a mask-indexed,
 //! cost-only slab: `2^k` [`Cost`] cells, 8 B each, and nothing else —
 //! no argmin plane (argmins are recomputed where they are read, by
-//! [`sequential::argmin_at`]) and no `p(S)` weight table (each cell
-//! sums its own weight with [`TtInstance::weight_of`]). The slab is the
-//! caller's [`Checkpoint`]: the kernel advances it in place, level by
-//! level, so the wavefront a caller keeps for a warm failover is the
-//! kernel's own slab, never a copy of it.
+//! [`sequential::argmin_at`]) and no `2^k` weight table (`p(S)` is the
+//! saturating sum of two half-width subset sums, `SplitWeights`). The
+//! slab is the caller's [`Checkpoint`]: the kernel advances it in
+//! place, level by level, so the wavefront a caller keeps for a warm
+//! failover is the kernel's own slab, never a copy of it.
 //!
 //! A level is computed into a rank-ordered buffer, one window of at
 //! most [`WINDOW`] cells at a time, and each window is scattered into
 //! the slab once. A window is walked in chunks of [`CHUNK`] cells: one
 //! `unrank` per chunk, then Gosper steps, so a chunk knows its subsets
-//! from its rank alone and chunks are independent. The only thing engines differ in is how those chunks
-//! run — the [`Executor`]: [`Serial`] here (`seq`), worker threads in
+//! from its rank alone and chunks are independent. Within a chunk the
+//! loop order is the paper's `(S, i)` order turned onto a host core:
+//! the chunk's masks and weights are laid out once, then each action
+//! makes one pass over the whole chunk, folding its candidate
+//! `M[S, i]` into every cell's running minimum. For a fixed `T_i` the
+//! masks rise through the chunk, so the `S − T_i` gathers walk the slab
+//! forward and the `S ∩ T_i` gathers stay among `T_i`'s subsets. The
+//! minimum over actions does not depend on their order, so every cell
+//! equals [`sequential::min_candidate`]'s, the cell-major reference.
+//!
+//! The only thing engines differ in is how those chunks run — the
+//! [`Executor`]: [`Serial`] here (`seq`), worker threads in
 //! `tt-parallel` (`rayon`). Every gather reads a strictly smaller set,
 //! written in an earlier level, so the slab is read-only while a level
 //! runs and every executor produces the same cells.
@@ -24,14 +34,14 @@
 //! hands the sink a [`LevelView`] of the wavefront.
 
 use crate::cost::Cost;
-use crate::instance::TtInstance;
+use crate::instance::{Action, TtInstance};
 use crate::solver::budget::{Budget, BudgetMeter};
 use crate::solver::checkpoint::{Checkpoint, LevelView};
 use crate::solver::engine::{
     admit_wave, degraded_result, record_frontier_stats, SolveOutcome, WorkStats,
 };
-use crate::solver::sequential::{self, min_candidate};
-use crate::subset::frontier::{self, DenseSlab, FrontierStats};
+use crate::solver::sequential;
+use crate::subset::frontier::{self, FrontierStats};
 use crate::subset::Subset;
 use crate::tree::TtTree;
 
@@ -72,6 +82,83 @@ fn gosper_next(s: Subset) -> Subset {
     Subset((((r ^ cur) >> 2) / c) | r)
 }
 
+/// `p(S)` for every mask from two half-width subset-sum tables: `lo`
+/// over the low `⌈k/2⌉` objects, `hi` over the rest, `2·2^⌈k/2⌉` u64 in
+/// all (16 KiB at `k = 20`). Saturating addition of non-negative
+/// integers is associative, so `lo[S_low] ⊕ hi[S_high]` is exactly
+/// [`TtInstance::weight_of`], saturation included.
+struct SplitWeights {
+    lo: Vec<u64>,
+    hi: Vec<u64>,
+    half: u32,
+}
+
+impl SplitWeights {
+    /// Builds both tables for `inst`'s weights.
+    fn new(inst: &TtInstance) -> SplitWeights {
+        let half = inst.k().div_ceil(2);
+        let (lo, hi) = inst.weights().split_at(half);
+        SplitWeights {
+            lo: subset_sums(lo),
+            hi: subset_sums(hi),
+            half: half as u32,
+        }
+    }
+
+    /// `p(s)`.
+    #[inline]
+    fn of(&self, s: Subset) -> u64 {
+        let low = s.0 & ((1u32 << self.half) - 1);
+        self.lo[low as usize].saturating_add(self.hi[(s.0 >> self.half) as usize])
+    }
+}
+
+/// The saturating subset sums of `weights`, indexed by mask.
+fn subset_sums(weights: &[u64]) -> Vec<u64> {
+    let mut sums = vec![0u64; 1 << weights.len()];
+    for mask in 1..sums.len() {
+        let low = mask.trailing_zeros() as usize;
+        sums[mask] = sums[mask & (mask - 1)].saturating_add(weights[low]);
+    }
+    sums
+}
+
+/// Computes one chunk of level cells, action by action: `cells[off]`
+/// becomes `C(masks[off])` gathered from `slab`, `weights[off]` being
+/// `p(masks[off])`. The candidates and their exclusions are
+/// [`sequential::candidate_via`]'s: an action is useless at `S` when
+/// `S ∩ T` is empty, a test also when `S − T` is. Each action's `Cost`
+/// is built once per pass (`TtInstanceBuilder::build` refuses `INF`).
+fn chunk_costs(
+    inst: &TtInstance,
+    slab: &[Cost],
+    masks: &[Subset],
+    weights: &[u64],
+    cells: &mut [Cost],
+) {
+    let each = |a: &Action| (a.set, Cost::new(a.cost));
+    cells.fill(Cost::INF);
+    for (t, cost) in inst.tests().iter().map(each) {
+        for ((cell, &s), &w) in cells.iter_mut().zip(masks).zip(weights) {
+            let (inter, diff) = (s.intersect(t), s.difference(t));
+            if inter.is_empty() || diff.is_empty() {
+                continue;
+            }
+            let m = cost.saturating_mul_weight(w) + slab[inter.index()] + slab[diff.index()];
+            *cell = (*cell).min(m);
+        }
+    }
+    for (t, cost) in inst.treatments().iter().map(each) {
+        for ((cell, &s), &w) in cells.iter_mut().zip(masks).zip(weights) {
+            if !s.intersects(t) {
+                continue;
+            }
+            let m = cost.saturating_mul_weight(w) + slab[s.difference(t).index()];
+            *cell = (*cell).min(m);
+        }
+    }
+}
+
 /// Sweeps `wave` from its level up to `k` in place, stopping between
 /// levels when `meter` runs out. `wave.level` moves up as each level
 /// completes, before the sink sees it, so a caller that catches a panic
@@ -91,7 +178,9 @@ pub fn sweep(
 }
 
 /// [`sweep`] with `window` cells per window (a multiple of [`CHUNK`]).
-fn sweep_windows(
+/// A narrower window only splits each level into more scatters: the
+/// slab it leaves is [`sweep`]'s.
+pub fn sweep_windows(
     inst: &TtInstance,
     meter: &mut BudgetMeter,
     exec: &dyn Executor,
@@ -109,6 +198,7 @@ fn sweep_windows(
     }
     wave.best = Vec::new();
     let mut buf: Vec<Cost> = Vec::new();
+    let split = SplitWeights::new(inst);
     for j in (wave.level + 1)..=k {
         let cells = frontier::binomial(k, j);
         let in_budget = meter.charge_subsets(cells)
@@ -126,16 +216,19 @@ fn sweep_windows(
         // a finished window may be scattered before the next one starts.
         for first in (0..level).step_by(window) {
             let out = &mut buf[..(level - first).min(window)];
-            let slab = DenseSlab(&wave.cost);
+            let slab = &wave.cost[..];
             exec.run(out, &|ci, chunk| {
+                let mut masks = [Subset::EMPTY; CHUNK];
+                let mut weights = [0u64; CHUNK];
+                let (masks, weights) = (&mut masks[..chunk.len()], &mut weights[..chunk.len()]);
                 let mut s = frontier::unrank(j, (first + ci * CHUNK) as u64);
-                let mut gathers = 0u64;
-                for (off, cell) in chunk.iter_mut().enumerate() {
+                for (off, (m, w)) in masks.iter_mut().zip(weights.iter_mut()).enumerate() {
                     if off > 0 {
                         s = gosper_next(s);
                     }
-                    *cell = min_candidate(inst, inst.weight_of(s), &slab, s, &mut gathers).0;
+                    (*m, *w) = (s, split.of(s));
                 }
+                chunk_costs(inst, slab, masks, weights, chunk);
             });
             let mut s = frontier::unrank(j, first as u64);
             for (off, &c) in out.iter().enumerate() {
@@ -313,6 +406,31 @@ mod tests {
         let reference = sequential::solve_tables(&i).cost;
         assert_eq!(run(CHUNK), reference);
         assert_eq!(run(WINDOW), reference);
+    }
+
+    #[test]
+    fn split_weights_equal_weight_of_on_every_mask() {
+        let near_max = [u64::MAX, u64::MAX - 1, 1 << 63, (1 << 62) + 3];
+        for k in 1..=12 {
+            for saturating in [false, true] {
+                let weights = (0..k as u64).map(|j| {
+                    if saturating && j % 3 == 1 {
+                        near_max[j as usize % near_max.len()]
+                    } else {
+                        1 + j * 7 % 11
+                    }
+                });
+                let i = TtInstanceBuilder::new(k)
+                    .weights(weights)
+                    .treatment(Subset::universe(k), 1)
+                    .build()
+                    .unwrap();
+                let split = SplitWeights::new(&i);
+                for s in Subset::all(k) {
+                    assert_eq!(split.of(s), i.weight_of(s), "k={k} S={s}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub mod metrics;
 pub mod telemetry;
 pub mod trace;
 
-pub use metrics::{counter, gauge, histogram, render_prometheus, snapshot};
+pub use metrics::{counter, fnv1a, gauge, histogram, render_prometheus, snapshot};
 pub use telemetry::{LevelSample, Telemetry};
 pub use trace::{span, TraceEvent};

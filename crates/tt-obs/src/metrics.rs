@@ -80,9 +80,12 @@ impl Entry {
 /// for the life of the process, so handles are truly `'static`.
 static TABLE: [OnceLock<Entry>; SLOTS] = [const { OnceLock::new() }; SLOTS];
 
-fn fnv1a(s: &str) -> u64 {
+/// 64-bit FNV-1a (offset basis `0xcbf29ce484222325`, prime
+/// `0x100000001b3`): the registry's slot hash, and the content hash of
+/// `tt-cache`'s keys and segment lines.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0100_0000_01b3);
     }
@@ -94,7 +97,7 @@ fn fnv1a(s: &str) -> u64 {
 /// entry unchanged (recordings through the wrong handle only touch
 /// fields the renderer ignores for that kind).
 fn entry(name: &str, kind: Kind) -> &'static Entry {
-    let start = (fnv1a(name) as usize) % SLOTS;
+    let start = (fnv1a(name.as_bytes()) as usize) % SLOTS;
     for i in 0..SLOTS {
         let slot = &TABLE[(start + i) % SLOTS];
         let e = slot.get_or_init(|| Entry::new(name, kind));

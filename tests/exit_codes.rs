@@ -5,7 +5,8 @@
 //! 2–4 and 6) — all parsed from source, so adding a code to one place
 //! without the others fails here. Codes shared across binaries must
 //! carry the same `EXIT_*` name everywhere, so a reader can grep one
-//! name and see the whole meaning.
+//! name and see the whole meaning. One instance the core refuses is
+//! also run through `ttsolve` to pin the code it exits with.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -128,4 +129,29 @@ fn usage_text_mentions_every_exit_code() {
             );
         }
     }
+}
+
+/// An action cost of `u64::MAX` parses as a number but is the INF
+/// sentinel: every solve path refuses the instance as invalid (exit 4,
+/// `EXIT_PARSE`) instead of panicking inside an engine.
+#[test]
+fn an_infinite_action_cost_exits_invalid_instance_on_every_path() {
+    let path = std::env::temp_dir().join(format!("ttsolve-inf-cost-{}.tt", std::process::id()));
+    std::fs::write(
+        &path,
+        "tt 1\nobjects 2\ntest 0 | 18446744073709551615\ntreat 0 1 | 1\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    for flags in [&["--solver", "seq"][..], &["--supervise"], &["--check"]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ttsolve"))
+            .arg(file)
+            .args(flags)
+            .output()
+            .expect("ttsolve runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "{flags:?}: {stderr}");
+        assert!(stderr.contains("INF sentinel"), "{flags:?}: {stderr}");
+    }
+    std::fs::remove_file(&path).unwrap();
 }

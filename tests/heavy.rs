@@ -2,9 +2,10 @@
 //! `cargo test --release -- --ignored` before a release).
 //!
 //! These push each component well past the sizes the regular suite uses:
-//! large-universe solver agreement, a 2^20-PE CCC pass, and a bigger
-//! bit-serial BVM solve.
+//! large-universe solver agreement, the level kernel on the catalog at
+//! k = 20, a 2^20-PE CCC pass, and a bigger bit-serial BVM solve.
 
+use tt_core::solver::budget::Budget;
 use tt_core::solver::{branch_and_bound, memo, sequential};
 use tt_parallel::{bvm as bvm_tt, ccc as ccc_tt, hyper, rayon_solver};
 use tt_workloads::random::RandomConfig;
@@ -22,6 +23,30 @@ fn large_universe_solver_agreement() {
     assert_eq!(mm.cost, seq.cost[inst.universe().index()]);
     let bnb = branch_and_bound::solve(&inst);
     assert_eq!(bnb.cost, mm.cost);
+}
+
+#[test]
+#[ignore = "heavy: five k = 20 catalog solves, three ways each"]
+fn kernel_matches_the_reference_on_the_catalog_at_k20() {
+    // C(20, 10) = 184,756 cells: the middle levels span three
+    // 65,536-cell windows of 64 chunks each.
+    tt_parallel::register_engines();
+    for domain in tt_workloads::catalog::Domain::all() {
+        let inst = domain.generate(20, 7);
+        let reference = sequential::solve_tables(&inst).cost;
+        for engine in ["seq", "rayon"] {
+            let mut wave = None;
+            let r = tt_core::solver::lookup(engine).unwrap().solve_resumable(
+                &inst,
+                &Budget::unlimited(),
+                &mut wave,
+                &mut |_| {},
+            );
+            assert!(r.outcome.is_complete(), "{domain:?} {engine}");
+            let slab = wave.expect("the engine's wavefront").cost;
+            assert!(slab == reference, "{domain:?} {engine}: slab differs");
+        }
+    }
 }
 
 #[test]

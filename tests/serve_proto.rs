@@ -2,12 +2,17 @@
 //! frames and requests round-trip byte-exactly, and every malformed
 //! input — truncations at any byte, hostile length claims, garbage,
 //! non-UTF-8 — decodes to a typed error without panicking or
-//! allocating beyond the frame cap.
+//! allocating beyond the frame cap. An instance the core refuses is
+//! answered with a typed error before any solve starts.
 
 use proptest::prelude::*;
+use std::time::Duration;
+use tt_serve::client::Client;
 use tt_serve::proto::{
-    read_frame, write_frame, FrameError, Request, Response, SolveParams, Source, MAX_FRAME,
+    read_frame, write_frame, ErrorKind, FrameError, Request, Response, SolveParams, Source,
+    MAX_FRAME,
 };
+use tt_serve::server::{start, ServerOptions};
 
 /// A printable-ish string strategy: ASCII plus the JSON-special
 /// characters that exercise the escaper.
@@ -169,4 +174,44 @@ fn writing_an_oversized_payload_is_refused_locally() {
     let err = write_frame(&mut buf, &big).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(buf.is_empty(), "nothing may hit the wire");
+}
+
+/// An action cost of `u64::MAX` is the core's INF sentinel: the server
+/// answers a typed bad-request error naming it, and no engine runs (no
+/// solve completes, no panic is contained).
+#[test]
+fn an_infinite_action_cost_is_a_typed_refusal_not_a_solve() {
+    let handle = start(
+        "127.0.0.1:0",
+        ServerOptions {
+            workers: 1,
+            ..ServerOptions::default()
+        },
+    )
+    .expect("bind an ephemeral port");
+    let text = "tt 1\nobjects 2\ntest 0 | 18446744073709551615\ntreat 0 1 | 1\n";
+    let resp = Client::connect(handle.addr(), Duration::from_secs(10))
+        .and_then(|mut c| {
+            c.request(&Request::Solve(SolveParams {
+                id: None,
+                source: Source::Instance(text.to_string()),
+                solver: Some("seq".to_string()),
+                timeout_ms: Some(5_000),
+                key: None,
+            }))
+        })
+        .expect("transport");
+    match resp {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, ErrorKind::BadRequest);
+            assert!(message.contains("INF sentinel"), "{message}");
+        }
+        other => panic!("unexpected response: {other:?}"),
+    }
+    handle.drain();
+    let outcome = handle.wait();
+    assert!(outcome.clean);
+    let s = outcome.stats;
+    assert_eq!((s.completed, s.panics, s.faulted), (0, 0, 1), "{s:?}");
+    assert!(s.balanced(), "{s:?}");
 }

@@ -12,6 +12,9 @@
 use proptest::prelude::*;
 use tt_core::cost::Cost;
 use tt_core::instance::{TtInstance, TtInstanceBuilder};
+use tt_core::solver::budget::BudgetMeter;
+use tt_core::solver::checkpoint::Checkpoint;
+use tt_core::solver::kernel::{self, Executor};
 use tt_core::solver::{exhaustive, memo, sequential};
 use tt_core::subset::Subset;
 use tt_parallel::{bvm as bvm_tt, ccc as ccc_tt, hyper, rayon_solver};
@@ -42,6 +45,89 @@ fn arb_instance(max_k: usize) -> impl Strategy<Value = TtInstance> {
         }
         b.build().unwrap()
     })
+}
+
+/// An xorshift stream of instance parameters.
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// A weight or cost: small, in `[2^62, 2^64)`, or within 3 of `cap`.
+    fn value(&mut self, cap: u64) -> u64 {
+        match self.next() % 3 {
+            0 => 1 + self.next() % 9,
+            1 => ((1 << 62) + self.next() % (3 << 62)).min(cap),
+            _ => cap - self.next() % 4,
+        }
+    }
+}
+
+/// Instances whose middle levels span several [`kernel::CHUNK`]-cell
+/// chunks (`C(13, 6) = 1716`), with weights and costs that mix small
+/// values with values near 2^62–2^64, so `t·p(S)` and the candidate
+/// sums saturate. About half carry a universe treatment; most of the
+/// others are inadequate.
+fn arb_wide_instance() -> impl Strategy<Value = TtInstance> {
+    (11usize..=14, 1usize..=6, 1usize..=6, any::<u64>()).prop_map(|(k, nt, nr, seed)| {
+        let mut r = XorShift(seed | 1);
+        let full = (1u32 << k) - 1;
+        let mut b = TtInstanceBuilder::new(k).weights((0..k).map(|_| r.value(u64::MAX)));
+        for _ in 0..nt {
+            let s = Subset(1 + (r.next() as u32) % full);
+            b = b.test(s, r.value(u64::MAX - 1));
+        }
+        for _ in 0..nr {
+            let s = Subset(1 + (r.next() as u32) % full);
+            b = b.treatment(s, r.value(u64::MAX - 1));
+        }
+        if r.next() & 1 == 0 {
+            b = b.treatment(Subset::universe(k), r.value(u64::MAX - 1));
+        }
+        b.build().unwrap()
+    })
+}
+
+/// The slab one level-kernel sweep leaves, `window` cells per window.
+fn kernel_slab(inst: &TtInstance, exec: &dyn Executor, window: usize) -> Vec<Cost> {
+    let mut wave = Checkpoint::blank(inst);
+    kernel::sweep_windows(
+        inst,
+        &mut BudgetMeter::unlimited(),
+        exec,
+        &mut wave,
+        &mut |_| {},
+        window,
+    );
+    assert_eq!(wave.level, inst.k());
+    wave.cost
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The level kernel, serial, on rayon workers and one chunk per
+    /// window, equals the cell-major mask-order DP on every cell —
+    /// across chunk boundaries, under saturation and on inadequate
+    /// instances.
+    #[test]
+    fn level_kernel_matches_the_mask_order_dp(inst in arb_wide_instance()) {
+        let reference = sequential::solve_tables(&inst).cost;
+        for (what, exec, window) in [
+            ("serial", &kernel::Serial as &dyn Executor, kernel::WINDOW),
+            ("rayon", &rayon_solver::Rayon, kernel::WINDOW),
+            ("one-chunk windows", &kernel::Serial, kernel::CHUNK),
+        ] {
+            let slab = kernel_slab(&inst, exec, window);
+            let first_diff = slab.iter().zip(&reference).position(|(got, want)| got != want);
+            prop_assert_eq!(first_diff, None, "{} differs from the mask-order DP", what);
+        }
+    }
 }
 
 proptest! {
