@@ -104,8 +104,10 @@ fn main() {
 /// whose keyed result file already exists, compute the rest — each in
 /// a subprocess (self-re-exec with the bare experiment name), so a
 /// panic is contained to one experiment and never poisons the stored
-/// results of the others. Results are committed via temp file + rename:
-/// a killed run leaves either a complete result or nothing.
+/// results of the others. Results are committed with
+/// `tt_core::durable::atomic_write` (temp file, fsync, rename, directory
+/// fsync): a kill or a power loss leaves either a complete result or
+/// nothing.
 fn run_incremental(dir: &std::path::Path, selected: &[&(&str, &str, fn())]) {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("cannot create results directory {}: {e}", dir.display());
@@ -141,11 +143,7 @@ fn run_incremental(dir: &std::path::Path, selected: &[&(&str, &str, fn())]) {
             failed += 1;
             continue;
         }
-        let tmp = path.with_extension("tmp");
-        let stored = std::fs::write(&tmp, &out.stdout)
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .is_ok();
-        if !stored {
+        if tt_core::durable::atomic_write(&path, &out.stdout).is_err() {
             eprintln!(
                 "experiments: warning: cannot persist {name} to {}",
                 path.display()

@@ -16,7 +16,8 @@
 //! 2. **Content-addressed store** ([`store`]): solved canonical forms
 //!    are kept in a bounded LRU keyed by the FNV-1a hash of the
 //!    canonical text, with byte accounting, eviction, and an optional
-//!    journal-style on-disk segment log for warm restarts. A key match
+//!    on-disk segment log for warm restarts (`tt_core::durable`, the
+//!    solve journal's format in its lenient mode). A key match
 //!    is only a candidate: the stored canonical instance must equal the
 //!    request's before a hit is served.
 //! 3. **Sub-lattice memo** ([`memo`]): when a new instance embeds as an

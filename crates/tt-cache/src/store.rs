@@ -24,13 +24,23 @@
 //!   whose result (and, for small `k`, its slab) is inserted for next
 //!   time.
 //!
-//! Durability is journal-style but deliberately *lenient*: inserts are
-//! appended to `cache-NNNNNN.seg` segments as checksummed
-//! tab-separated lines, and replay silently skips anything corrupt —
-//! for a cache, dropping an entry is always safe, so the strict
-//! fail-stop rules of the solve journal do not apply here. Cost slabs
-//! are not persisted (they are large and cheap to regrow), so
-//! sub-lattice seeding only draws on entries solved in-process.
+//! On disk the cache is a [`SegmentLog`] in [`Mode::Lenient`]: inserts
+//! are appended, unsynced, to `cache-NNNNNN.seg` segments in the same
+//! checksummed line codec as the solve journal, and replay reads each
+//! line as bytes and skips any line that fails verification without
+//! stopping — for a cache, dropping an entry is always safe, so the
+//! strict fail-stop rules of the solve journal do not apply here. Once
+//! the active segment has grown by [`SEGMENT_BYTES`] since it was
+//! opened or last rotated, the log rotates to the live entries, written
+//! in LRU order, coldest first: the directory holds at most that
+//! threshold plus one live set, and a reopened cache ranks its entries
+//! as the live one did at the rotation (lookups are not logged, so
+//! only the inserts since then add to that order) and evicts the same
+//! key next. A directory written in the older layout (checksum first)
+//! replays as empty once: its lines fail verification and are skipped,
+//! and the first rotation removes them. Cost slabs are not persisted
+//! (they are large and cheap to regrow), so sub-lattice seeding only
+//! draws on entries solved in-process.
 //!
 //! The serve path canonicalizes once per request, outside the lock that
 //! guards the cache, and hands the same [`Canonical`] to
@@ -43,13 +53,12 @@
 //! registry.
 
 use std::collections::HashMap;
-use std::fs;
-use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::canon::{canonicalize, CanonMap, Canonical, CanonicalForm};
 use crate::memo;
 use tt_core::cost::Cost;
+use tt_core::durable::{Mode, SegmentLog, Segments};
 use tt_core::instance::TtInstance;
 use tt_core::io as tt_io;
 use tt_core::solver::budget::Budget;
@@ -116,20 +125,21 @@ struct Solved {
 /// on demand instead of held).
 const MAX_MEMO_K: usize = 18;
 
-/// Segment rotation threshold (lines per `cache-NNNNNN.seg`).
-const SEG_LINES: u64 = 4096;
+/// Bytes the active segment may grow by, past what it held when it was
+/// opened or last rotated, before the log rotates to the live entries.
+pub const SEGMENT_BYTES: u64 = 1 << 20;
 
 /// Bounded, optionally disk-backed cache of solved canonical forms.
 pub struct SolutionCache {
-    dir: Option<PathBuf>,
     capacity: usize,
     max_bytes: u64,
     map: HashMap<String, Entry>,
     bytes: u64,
     tick: u64,
-    seg: Option<fs::File>,
-    seg_index: u64,
-    seg_lines: u64,
+    /// The on-disk log, for a disk-backed cache.
+    log: Option<SegmentLog>,
+    /// The active segment's size when it was opened or last rotated.
+    rotated_bytes: u64,
 }
 
 impl SolutionCache {
@@ -137,44 +147,33 @@ impl SolutionCache {
     #[must_use]
     pub fn in_memory(capacity: usize) -> SolutionCache {
         SolutionCache {
-            dir: None,
             capacity,
             max_bytes: 64 << 20,
             map: HashMap::new(),
             bytes: 0,
             tick: 0,
-            seg: None,
-            seg_index: 0,
-            seg_lines: 0,
+            log: None,
+            rotated_bytes: 0,
         }
     }
 
     /// Opens (or creates) a disk-backed cache at `dir`: existing
-    /// segments are replayed — corrupt lines skipped — and new inserts
-    /// append to a fresh segment.
+    /// segments are replayed — lines that fail verification skipped —
+    /// and new inserts append to the newest segment.
     pub fn open(dir: &Path, capacity: usize) -> std::io::Result<SolutionCache> {
-        fs::create_dir_all(dir)?;
         let mut cache = SolutionCache::in_memory(capacity);
-        cache.dir = Some(dir.to_path_buf());
-        let mut segs: Vec<PathBuf> = fs::read_dir(dir)?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| {
-                p.extension().is_some_and(|e| e == "seg")
-                    && p.file_stem()
-                        .and_then(|s| s.to_str())
-                        .is_some_and(|s| s.starts_with("cache-"))
-            })
-            .collect();
-        segs.sort();
-        for seg in &segs {
-            let file = fs::File::open(seg)?;
-            for line in BufReader::new(file).lines() {
-                let Ok(line) = line else { break };
-                cache.replay_line(&line);
-            }
-            cache.seg_index = cache.seg_index.max(1 + seg_number(seg).unwrap_or(0));
-        }
+        let segments = Segments {
+            dir: dir.to_path_buf(),
+            prefix: "cache-",
+            suffix: ".seg",
+            mode: Mode::Lenient,
+        };
+        let (log, _) = segments.open(&mut |line| {
+            cache.replay_line(line);
+            Ok(())
+        })?;
+        cache.rotated_bytes = log.segment_bytes();
+        cache.log = Some(log);
         tt_obs::metrics::gauge("ttcache_bytes").set(bytes_gauge(cache.bytes));
         Ok(cache)
     }
@@ -370,9 +369,8 @@ impl SolutionCache {
         }
         let tree_text = tree.as_ref().map(tree_io::tree_to_text);
         let bytes = entry_bytes(&form.text, tree_text.as_deref(), table.as_deref());
-        if journal {
-            self.journal_insert(&form.key, cost, tree_text.as_deref(), &form.text);
-        }
+        let line = (journal && self.log.is_some())
+            .then(|| entry_line(&form.key, cost, tree_text.as_deref(), &form.text));
         self.map.insert(
             form.key,
             Entry {
@@ -386,6 +384,9 @@ impl SolutionCache {
         );
         self.bytes += bytes;
         self.evict_to_bounds();
+        if let Some(line) = line {
+            self.persist(&line);
+        }
         tt_obs::metrics::gauge("ttcache_bytes").set(bytes_gauge(self.bytes));
     }
 
@@ -408,52 +409,37 @@ impl SolutionCache {
 
     // -- disk segments --------------------------------------------------
 
-    fn journal_insert(&mut self, key: &str, cost: Cost, tree: Option<&str>, text: &str) {
-        if self.dir.is_none() {
-            return;
-        }
-        let body = format!(
-            "{key}\t{}\t{}\t{}",
-            cost.finite()
-                .map_or_else(|| "inf".into(), |v| v.to_string()),
-            tree.map_or_else(|| "-".into(), escape),
-            escape(text),
-        );
-        let line = format!("{}\t{body}\n", crate::fnv1a_hex(body.as_bytes()));
-        if self.seg.is_none() || self.seg_lines >= SEG_LINES {
-            self.roll_segment();
-        }
-        if let Some(f) = &mut self.seg {
-            // Best-effort: a failed append only costs warm-restart
-            // coverage, never correctness.
-            if f.write_all(line.as_bytes()).is_ok() {
-                let _ = f.flush();
-                self.seg_lines += 1;
-            }
+    /// Appends one entry line, then rotates to the live entries once the
+    /// active segment has grown by [`SEGMENT_BYTES`]. Best-effort: a
+    /// failed write only costs warm-restart coverage, never correctness.
+    fn persist(&mut self, line: &str) {
+        let Some(log) = &mut self.log else { return };
+        if log.append(line).is_ok() && log.segment_bytes() > self.rotated_bytes + SEGMENT_BYTES {
+            self.rotate();
         }
     }
 
-    fn roll_segment(&mut self) {
-        let Some(dir) = &self.dir else { return };
-        let path = dir.join(format!("cache-{:06}.seg", self.seg_index));
-        self.seg_index += 1;
-        self.seg_lines = 0;
-        self.seg = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .ok();
+    /// Rotates the log to the live entries, coldest first, so a replay
+    /// rebuilds the LRU order.
+    fn rotate(&mut self) {
+        let Some(log) = &mut self.log else { return };
+        let mut live: Vec<(&String, &Entry)> = self.map.iter().collect();
+        live.sort_unstable_by_key(|(_, e)| e.tick);
+        let lines: Vec<String> = live
+            .into_iter()
+            .map(|(key, e)| {
+                let tree = e.tree.as_ref().map(tree_io::tree_to_text);
+                entry_line(key, e.cost, tree.as_deref(), &tt_io::to_text(&e.instance))
+            })
+            .collect();
+        if log.rotate(&lines).is_ok() {
+            self.rotated_bytes = log.segment_bytes();
+        }
     }
 
-    /// Replays one segment line; anything malformed is skipped.
+    /// Replays one verified segment line; anything malformed is skipped.
     fn replay_line(&mut self, line: &str) {
-        let Some((checksum, body)) = line.split_once('\t') else {
-            return;
-        };
-        if crate::fnv1a_hex(body.as_bytes()) != checksum {
-            return;
-        }
-        let mut fields = body.splitn(4, '\t');
+        let mut fields = line.splitn(4, '\t');
         let (Some(key), Some(cost), Some(tree), Some(text)) =
             (fields.next(), fields.next(), fields.next(), fields.next())
         else {
@@ -508,12 +494,16 @@ fn entry_bytes(text: &str, tree: Option<&str>, table: Option<&[Cost]>) -> u64 {
     64 + text.len() as u64 + tree.map_or(0, |t| t.len() as u64) + table_cells * 8
 }
 
-fn seg_number(path: &Path) -> Option<u64> {
-    path.file_stem()?
-        .to_str()?
-        .strip_prefix("cache-")?
-        .parse()
-        .ok()
+/// One entry's segment-line payload: key, cost, tree and canonical
+/// text, tab-separated, the last two escaped.
+fn entry_line(key: &str, cost: Cost, tree: Option<&str>, text: &str) -> String {
+    format!(
+        "{key}\t{}\t{}\t{}",
+        cost.finite()
+            .map_or_else(|| "inf".into(), |v| v.to_string()),
+        tree.map_or_else(|| "-".into(), escape),
+        escape(text),
+    )
 }
 
 fn escape(s: &str) -> String {
@@ -596,6 +586,8 @@ fn decanonicalize_report(map: &CanonMap, report: SolveReport) -> SolveReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
     use tt_core::instance::TtInstanceBuilder;
     use tt_core::subset::Subset;
@@ -718,7 +710,7 @@ mod tests {
             cold_cost = rep.cost;
         }
         // Corrupt the log with garbage plus a bad-checksum line.
-        let seg = dir.join("cache-000000.seg");
+        let seg = dir.join("cache-000001.seg");
         let mut existing = fs::read_to_string(&seg).unwrap();
         existing.push_str("not a cache line\n");
         existing.push_str("deadbeefdeadbeef\tkey\t1\t-\ttext\n");
@@ -729,6 +721,34 @@ mod tests {
         let (rep, s) = cache.solve(&inst, &Budget::unlimited());
         assert_eq!(s, CacheStatus::Hit);
         assert_eq!(rep.cost, cold_cost);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replayed_entries_survive_a_rotation() {
+        let dir = unique_dir("rotate");
+        let insts: Vec<TtInstance> = [[4, 3, 2, 1], [7, 5, 3, 2], [9, 8, 6, 5]]
+            .into_iter()
+            .map(inst_with_weights)
+            .collect();
+        let mut cache = SolutionCache::open(&dir, 16).unwrap();
+        let costs: Vec<Cost> = insts
+            .iter()
+            .map(|i| cache.solve(i, &Budget::unlimited()).0.cost)
+            .collect();
+        drop(cache);
+        // Re-rendered from replayed instances, the lines must still
+        // verify and key-match at the next open.
+        let mut cache = SolutionCache::open(&dir, 16).unwrap();
+        cache.rotate();
+        drop(cache);
+        let segs: Vec<_> = fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(segs.len(), 1, "older segments removed");
+        let mut cache = SolutionCache::open(&dir, 16).unwrap();
+        assert_eq!(cache.len(), insts.len());
+        for (inst, cost) in insts.iter().zip(costs) {
+            assert_eq!(cache.lookup_report(inst).expect("replayed").cost, cost);
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -46,6 +46,8 @@
 //! * [`tree`] — decision trees, first-principles evaluation, rendering.
 //! * [`solver`] — exhaustive, sequential-DP, memoized-DP and greedy solvers.
 //! * [`binary_testing`] — the classic binary-testing special case.
+//! * [`durable`] — crash-safe files: atomic whole-file writes and the
+//!   checksummed segment log under the solve journal and the cache.
 //!
 //! ## Quick example
 //!
@@ -72,6 +74,7 @@
 
 pub mod binary_testing;
 pub mod cost;
+pub mod durable;
 pub mod error;
 pub mod instance;
 pub mod io;

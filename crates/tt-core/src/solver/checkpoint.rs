@@ -48,12 +48,12 @@ use crate::subset::Subset;
 use std::fmt::Write as _;
 
 /// The integrity hash for checkpoint bytes, the instance fingerprint
-/// and the solve journal: FNV-1a's offset basis and xor-multiply loop,
-/// but with multiplier `0x1000001b3` where 64-bit FNV-1a has the prime
-/// `0x100000001b3`, so its values differ from [`tt_obs::fnv1a`]'s. The
-/// checkpoint and journal formats are pinned to it. Not cryptographic —
-/// it guards against truncation, bit rot, and editing mistakes, not
-/// adversaries.
+/// and the [`crate::durable`] line codec: FNV-1a's offset basis and
+/// xor-multiply loop, but with multiplier `0x1000001b3` where 64-bit
+/// FNV-1a has the prime `0x100000001b3`, so its values differ from
+/// [`tt_obs::fnv1a`]'s. The checkpoint and segment-log formats are
+/// pinned to it. Not cryptographic — it guards against truncation, bit
+/// rot, and editing mistakes, not adversaries.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -662,27 +662,17 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint to a file atomically: temp file, fsync,
-    /// rename, directory fsync. A kill or a power loss mid-write never
-    /// leaves a torn checkpoint behind — the previous complete one
-    /// survives until the new one is durable.
+    /// Writes the checkpoint to a file through
+    /// [`crate::durable::atomic_write`]: a kill or a power loss mid-write
+    /// never leaves a torn checkpoint behind, because the previous
+    /// complete one survives until the new one is durable. The temp file
+    /// is `<name>.tmp`, so even a checkpoint named `x.tmp` is never
+    /// rewritten in place.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write as _;
         let _t = tt_obs::metrics::histogram("tt_checkpoint_save_nanos").time();
         tt_obs::metrics::counter("tt_checkpoint_saves_total").inc();
         tt_obs::telemetry::add_counter("checkpoint_saves", 1);
-        let tmp = path.with_extension("tmp");
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(self.to_text().as_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
-        // The rename is durable only once the directory entry is.
-        let dir = match path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d,
-            _ => std::path::Path::new("."),
-        };
-        std::fs::File::open(dir)?.sync_all()
+        crate::durable::atomic_write(path, self.to_text().as_bytes())
     }
 
     /// Loads and verifies a checkpoint from a file.

@@ -25,7 +25,7 @@
 //!   engine that answered, the failover and retry counts, and the
 //!   outcome. [`BatchSink`] mirrors the stream into crash-safe files:
 //!   records fsync'd at every instance boundary, the summary trailer
-//!   written via temp file + atomic rename.
+//!   written with [`tt_core::durable::atomic_write`].
 
 use crate::hyper::TtPe;
 use crate::resilient::{
@@ -882,10 +882,9 @@ pub fn run_batch(manifest: &str, emit: &mut dyn FnMut(&BatchRecord)) -> BatchSum
 /// tooling from files has to survive a kill mid-run: the records file
 /// is fsync'd at every instance boundary, so a crash loses at most the
 /// record being written — every earlier record is durable and untorn —
-/// and the summary trailer goes through temp file + atomic rename
-/// (the same discipline as `Checkpoint::save` and the serve journal's
-/// segment rotation), so readers either see a complete summary or none,
-/// never a torn one.
+/// and the summary trailer is written with
+/// [`tt_core::durable::atomic_write`], so readers either see a complete
+/// summary or none, never a torn one.
 pub struct BatchSink {
     records: Option<(std::fs::File, std::path::PathBuf)>,
     summary: Option<std::path::PathBuf>,
@@ -922,24 +921,14 @@ impl BatchSink {
     }
 
     /// Seals the run: a final fsync on the records file, then the
-    /// summary via temp file + rename + directory fsync.
+    /// summary via [`tt_core::durable::atomic_write`].
     pub fn finish(self, summary: &BatchSummary) -> std::io::Result<()> {
         if let Some((f, _)) = &self.records {
             f.sync_all()?;
         }
         if let Some(path) = &self.summary {
-            let tmp = path.with_extension("tmp");
-            {
-                use std::io::Write as _;
-                let mut f = std::fs::File::create(&tmp)?;
-                f.write_all(summary.to_json().as_bytes())?;
-                f.write_all(b"\n")?;
-                f.sync_all()?;
-            }
-            std::fs::rename(&tmp, path)?;
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::File::open(dir)?.sync_all()?;
-            }
+            let trailer = format!("{}\n", summary.to_json());
+            tt_core::durable::atomic_write(path, trailer.as_bytes())?;
         }
         Ok(())
     }
@@ -1254,13 +1243,18 @@ mod tests {
         for (line, rec) in text.lines().zip(&summary.records) {
             assert_eq!(line, rec.to_json());
         }
-        // The summary landed whole, and the temp file did not survive
-        // the rename.
+        // The summary landed whole, and no temp file survived the
+        // rename.
         let trailer = std::fs::read_to_string(&summary_path).unwrap();
         assert_eq!(trailer.trim_end(), summary.to_json());
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().ends_with(".tmp"))
+            .collect();
         assert!(
-            !summary_path.with_extension("tmp").exists(),
-            "summary temp file left behind"
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
         );
         // Disabled sinks are inert.
         let mut none = BatchSink::open(None, None).unwrap();

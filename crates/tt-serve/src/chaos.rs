@@ -19,7 +19,12 @@
 //!    entry whose hash matches what the client saw, no orphan or
 //!    duplicate entries, nothing left unfinished;
 //! 4. the final server life's books balance:
-//!    `accepted == completed + degraded + shed + faulted + recovered`.
+//!    `accepted == completed + degraded + shed + faulted + recovered +
+//!    cached`;
+//! 5. the solution cache survived the kills: every life runs with
+//!    `--cache <journal>/cache` (the journal's segment filter ignores the
+//!    subdirectory), and one unkeyed repeat of a solved spec, sent to the
+//!    final life, is answered from the cache with the reference hash.
 //!
 //! SIGKILL (not SIGTERM) is the point: the server gets no chance to
 //! flush, drain, or say goodbye. Whatever survives is what the
@@ -248,6 +253,7 @@ fn spawn_server(opts: &ChaosOptions) -> io::Result<Child> {
         .args(["--workers", &opts.workers.to_string()])
         .args(["--queue", "64"])
         .args(["--journal", &opts.journal_dir.to_string_lossy()])
+        .args(["--cache", &opts.journal_dir.join("cache").to_string_lossy()])
         .args(["--default-timeout-ms", &opts.timeout_ms.to_string()])
         .args(["--max-timeout-ms", "60000"])
         .args(["--drain-ms", "2000"])
@@ -352,6 +358,43 @@ fn fail(report: &mut ChaosReport, msg: impl Into<String>) {
     report.failures.push(msg.into());
 }
 
+/// Sends one unkeyed repeat of the first spec a client holds a complete
+/// result for. Every life shares the cache directory and keyed solves
+/// feed the cache, so the answer must come from the cache with the cold
+/// reference's hash, whichever life solved it.
+fn cached_repeat(
+    addr: SocketAddr,
+    opts: &ChaosOptions,
+    tallies: &[Arc<Mutex<ClientTally>>],
+    report: &mut ChaosReport,
+) {
+    let solved = tallies.iter().enumerate().find_map(|(client_idx, tally)| {
+        let t = lock(tally);
+        let obs = t.observations.iter().find(|o| o.complete)?;
+        Some(request_spec(&opts.spec, client_idx, obs.seq))
+    });
+    let Some(spec) = solved else {
+        return fail(report, "no complete result to repeat from the cache");
+    };
+    let req = Request::Solve(SolveParams {
+        id: Some("chaos-cached-repeat".to_string()),
+        source: Source::Demo(spec.clone()),
+        solver: None,
+        timeout_ms: Some(opts.timeout_ms),
+        key: None,
+    });
+    match Client::connect(addr, opts.io_timeout).and_then(|mut c| c.request(&req)) {
+        Ok(Response::Solved(r))
+            if r.cached && reference_hash(&spec) == Some(journal::result_hash(&r)) => {}
+        other => fail(
+            report,
+            format!(
+                "unkeyed repeat of {spec} was not a cache hit with the reference hash: {other:?}"
+            ),
+        ),
+    }
+}
+
 /// Runs the chaos loop. Returns `Err` only on harness-level failures
 /// (cannot spawn or resolve); invariant violations land in
 /// [`ChaosReport::failures`] with `passed: false`.
@@ -415,6 +458,7 @@ pub fn run(opts: &ChaosOptions) -> io::Result<ChaosReport> {
     for t in threads {
         let _ = t.join();
     }
+    cached_repeat(addr, opts, &tallies, &mut report);
 
     // Quiesce: wait for headless recovery executions to settle, then
     // read the final life's books.

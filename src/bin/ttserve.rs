@@ -44,16 +44,18 @@
 //! in-memory cache), unkeyed solves are answered from the
 //! content-addressed solution cache when their canonical form has been
 //! solved before: the response carries `"cached":true` and settles
-//! under the `cached` accounting term. The directory holds journal-style
-//! cache segments replayed on restart for a warm start.
+//! under the `cached` accounting term. The directory holds the cache's
+//! segment log, replayed on restart for a warm start and compacted to
+//! the live entries once it has grown by 1 MiB.
 //!
-//! `bench --chaos` spawns its *own* `ttserve serve --journal` child on
-//! `--addr`, SIGKILLs and restarts it `--cycles` times at jittered
-//! instants (mid-frame, mid-solve, every third cycle mid-drain) while
-//! keyed closed-loop clients retry, then audits the journal and the
-//! final life's books for the exactly-once-equivalent invariant. It
-//! prints one JSON report line and exits 0 only if every invariant
-//! held (16 otherwise).
+//! `bench --chaos` spawns its *own* `ttserve serve --journal <dir>
+//! --cache <dir>/cache` child on `--addr`, SIGKILLs and restarts it
+//! `--cycles` times at jittered instants (mid-frame, mid-solve, every
+//! third cycle mid-drain) while keyed closed-loop clients retry, then
+//! audits the journal and the final life's books for the
+//! exactly-once-equivalent invariant and checks that an unkeyed repeat
+//! of a solved spec is a cache hit. It prints one JSON report line and
+//! exits 0 only if every invariant held (16 otherwise).
 //!
 //! `bench` is the closed/open-loop load generator: concurrent solve
 //! clients (retrying typed `overloaded` sheds with capped, jittered

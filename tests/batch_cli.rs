@@ -144,9 +144,14 @@ fn batch_file_sinks_mirror_the_stream() {
         trailer.trim_end(),
         "{\"total\":3,\"ok\":2,\"degraded\":0,\"errors\":1}"
     );
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|n| n.to_string_lossy().ends_with(".tmp"))
+        .collect();
     assert!(
-        !summary.with_extension("tmp").exists(),
-        "summary temp file left behind"
+        leftovers.is_empty(),
+        "temp files left behind: {leftovers:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

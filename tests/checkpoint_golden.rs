@@ -2,10 +2,9 @@
 //! `LevelView::to_checkpoint().to_text()` must equal the golden files,
 //! which hold the texts the engines wrote when each level still built an
 //! owned checkpoint. `checkpoints-dense.txt` carries argmins (the
-//! machine engines with an argmin plane write it); `checkpoints-frontier.txt`
-//! is the cost-only form every host engine writes, named after the
-//! frontier engines that first wrote it. Covered: the engines one at a
-//! time, the supervisor's observer stream and final checkpoint (plain
+//! machine engines with an argmin plane write it);
+//! `checkpoints-cost-only.txt` is the cost-only form every host engine
+//! writes. Covered: the engines one at a time, the supervisor's observer stream and final checkpoint (plain
 //! and across a failover in both directions between the two forms), and
 //! the file `ttsolve --checkpoint` leaves behind. A k = 12 failover test
 //! checks that the wavefront the first engine advanced warm-starts the
@@ -60,7 +59,7 @@ fn engine_checkpoints_match_the_goldens_at_every_level() {
     for (storage, engines) in [
         ("dense", &["hyper", "ccc"][..]),
         (
-            "frontier",
+            "cost-only",
             &[
                 "seq",
                 "rayon",
@@ -142,7 +141,7 @@ fn no_retries() -> SuperviseOptions {
 fn supervised_checkpoints_match_the_goldens() {
     tt_parallel::register_engines();
     let inst = golden_instance();
-    let (dense, costs) = (golden("dense"), golden("frontier"));
+    let (dense, costs) = (golden("dense"), golden("cost-only"));
     let k = inst.k();
     let die = |argmins| -> Box<dyn Solver> {
         Box::new(DieAfter {
@@ -193,7 +192,7 @@ fn supervised_checkpoints_match_the_goldens() {
 
 #[test]
 fn ttsolve_checkpoint_files_match_the_goldens() {
-    let (dense, costs) = (golden("dense"), golden("frontier"));
+    let (dense, costs) = (golden("dense"), golden("cost-only"));
     let dir = std::env::temp_dir().join(format!("ttck-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for (flags, want) in [
