@@ -42,10 +42,9 @@ pub mod store;
 pub use canon::{canonicalize, CanonMap, Canonical, CanonicalForm};
 pub use store::{CacheStatus, SolutionCache};
 
-/// 64-bit FNV-1a over a byte string ([`tt_obs::fnv1a`]), rendered in
-/// the canonical 16-lowercase-hex-digit form that checkpoint and journal
-/// checksums also use (over their own hash,
-/// `tt_core::solver::checkpoint::fnv1a`).
+/// [`tt_obs::fnv1a`] over a byte string, rendered in the canonical
+/// 16-lowercase-hex-digit form that checkpoint and journal checksums
+/// also use.
 #[must_use]
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
     format!("{:016x}", tt_obs::fnv1a(bytes))

@@ -725,6 +725,41 @@ mod tests {
     }
 
     #[test]
+    fn a_line_keyed_by_the_standard_fnv_prime_is_a_miss() {
+        // Builds before the workspace's one hash keyed entries with
+        // 64-bit FNV-1a's standard prime.
+        fn standard_fnv1a(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        }
+        let dir = unique_dir("old-key");
+        let inst = inst_with_weights([4, 3, 2, 1]);
+        SolutionCache::open(&dir, 16)
+            .unwrap()
+            .solve(&inst, &Budget::unlimited());
+        let seg = dir.join("cache-000001.seg");
+        let line = fs::read_to_string(&seg).unwrap();
+        let payload = tt_core::durable::decode_line(line.trim_end().as_bytes()).unwrap();
+        let (key, rest) = payload.split_once('\t').unwrap();
+        let form = canonicalize(&inst).form;
+        assert_eq!(key, form.key);
+        let old_key = format!("{:016x}", standard_fnv1a(form.text.as_bytes()));
+        assert_ne!(old_key, key);
+        assert_eq!(old_key[8..], key[8..], "the low 32 bits agree");
+        let old_line = tt_core::durable::encode_line(&format!("{old_key}\t{rest}"));
+        fs::write(&seg, old_line).unwrap();
+
+        let mut cache = SolutionCache::open(&dir, 16).unwrap();
+        assert_eq!(cache.len(), 0, "the old-keyed line is skipped");
+        assert_eq!(
+            cache.solve(&inst, &Budget::unlimited()).1,
+            CacheStatus::Miss
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn replayed_entries_survive_a_rotation() {
         let dir = unique_dir("rotate");
         let insts: Vec<TtInstance> = [[4, 3, 2, 1], [7, 5, 3, 2], [9, 8, 6, 5]]

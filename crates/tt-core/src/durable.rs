@@ -7,7 +7,7 @@
 //!   contents or the new, never a torn mix. Checkpoints, batch
 //!   summaries, experiment results and segment rotations use it.
 //! - The line codec frames one record per line:
-//!   `<payload> \t <16 lowercase hex of checkpoint::fnv1a(payload)> \n`.
+//!   `<payload> \t <16 lowercase hex of tt_obs::fnv1a(payload)> \n`.
 //!   Only the canonical lowercase checksum is accepted, so a one-byte
 //!   flip of a digit (`a` ^ 0x20 = `A`) cannot parse back to the same
 //!   value. A payload holds no newline; tabs are fine, since the
@@ -18,10 +18,10 @@
 //!   [`Mode`], is where the solve journal (strict) and the solution
 //!   cache (lenient) differ.
 
-use crate::solver::checkpoint::fnv1a;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use tt_obs::fnv1a;
 
 /// Replaces `path` with `bytes` atomically and durably. The temp file
 /// is never the target itself and does not survive a successful write.
@@ -34,6 +34,20 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         return Err(e);
     }
     // The rename is durable only once the directory entry is.
+    sync_parent(path)
+}
+
+/// Creates (or truncates) `path` and fsyncs its directory, so the new
+/// entry survives a power loss: data later fsync'd into the file is
+/// then never lost with a file that vanished.
+pub fn create_durable(path: &Path) -> io::Result<File> {
+    let file = File::create(path)?;
+    sync_parent(path)?;
+    Ok(file)
+}
+
+/// Fsyncs the directory that holds `path`'s entry.
+fn sync_parent(path: &Path) -> io::Result<()> {
     File::open(parent_dir(path))?.sync_all()
 }
 
@@ -414,6 +428,19 @@ mod tests {
     }
 
     #[test]
+    fn create_durable_truncates_and_leaves_only_the_file() {
+        let dir = temp_dir("create");
+        let target = dir.join("records.jsonl");
+        fs::write(&target, b"old run\n").unwrap();
+        let mut f = create_durable(&target).unwrap();
+        f.write_all(b"new\n").unwrap();
+        drop(f);
+        assert_eq!(fs::read(&target).unwrap(), b"new\n");
+        assert_eq!(names(&dir), ["records.jsonl"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn no_temp_file_survives_a_successful_write() {
         let dir = temp_dir("no-temp");
         let target = dir.join("summary.json");
@@ -426,6 +453,10 @@ mod tests {
 
     #[test]
     fn a_bare_file_name_fsyncs_the_current_directory() {
+        // `Path::parent` of a bare name is the empty path, which no
+        // directory open accepts; `parent_dir` maps it to `.`.
+        assert!(File::open(Path::new("run.ck").parent().unwrap()).is_err());
+        sync_parent(Path::new("run.ck")).unwrap();
         assert_eq!(parent_dir(Path::new("run.ck")), Path::new("."));
         assert_eq!(parent_dir(Path::new("out/run.ck")), Path::new("out"));
         assert_eq!(temp_path(Path::new("run.ck")), Path::new("run.ck.tmp"));

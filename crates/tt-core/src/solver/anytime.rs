@@ -1,12 +1,11 @@
 //! Anytime completion of partial DP tables.
 //!
 //! When a budget exhausts mid-solve, the exact engines hold a *partial*
-//! table: `C(S)` (and, for engines that keep one, the argmin action) is
-//! known exactly for some subsets and unknown for the rest.
-//! [`complete_tree`] turns that into a full valid procedure — following
-//! the exact argmin wherever the table knows `C(S)` (recomputed from the
-//! children's costs when the table stores none) and falling back to the
-//! greedy split-balance choice where it does not. The resulting tree's
+//! table: `C(S)` is known exactly for some subsets and unknown for the
+//! rest. [`complete_tree`] turns that into a full valid procedure —
+//! following the argmin recomputed from the children's costs wherever
+//! the table knows `C(S)` and falling back to the greedy split-balance
+//! choice where it does not. The resulting tree's
 //! expected cost is a true *upper bound* on the optimum (it is a real
 //! procedure), and it is never worse than the pure greedy tree on the
 //! subsets the table did finish.
@@ -24,40 +23,33 @@ use crate::subset::frontier::CostLookup;
 use crate::subset::Subset;
 use crate::tree::TtTree;
 
-/// What a partial table knows about one subset: its exact cost and (when
-/// finite) the argmin action index.
-pub type ExactEntry = (Cost, Option<u16>);
-
 /// Builds a complete valid procedure for `inst` from a partial exact
 /// table.
 ///
-/// `exact(S)` returns `Some((C(S), argmin))` when the table knows `S`
-/// exactly and `None` otherwise. Known-infinite entries short-circuit to
-/// `None` (no procedure exists below them); a finite entry without an
-/// argmin gets the first-minimizer recomputed from its children's
-/// entries; unknown entries fall back to the greedy choice. Returns
+/// `exact(S)` returns `Some(C(S))` when the table knows `S` exactly and
+/// `None` otherwise. Known-infinite entries short-circuit to `None` (no
+/// procedure exists below them); a finite entry gets the
+/// first-minimizer recomputed from its children's entries with
+/// [`argmin_at`]; unknown entries fall back to the greedy choice. Returns
 /// `None` iff no successful procedure could be built, in which case the
 /// upper bound is `INF`.
-pub fn complete_tree(
-    inst: &TtInstance,
-    exact: &dyn Fn(Subset) -> Option<ExactEntry>,
-) -> Option<TtTree> {
+pub fn complete_tree(inst: &TtInstance, exact: &dyn Fn(Subset) -> Option<Cost>) -> Option<TtTree> {
     complete_node(inst, inst.universe(), exact)
 }
 
 fn complete_node(
     inst: &TtInstance,
     live: Subset,
-    exact: &dyn Fn(Subset) -> Option<ExactEntry>,
+    exact: &dyn Fn(Subset) -> Option<Cost>,
 ) -> Option<TtTree> {
     debug_assert!(!live.is_empty());
     let known = match exact(live) {
-        Some((c, _)) if c.is_inf() => return None,
-        Some((_, Some(i))) => Some(i),
+        Some(c) if c.is_inf() => return None,
         // Children of an exact entry are exact too, so the recomputed
-        // argmin is the stored one; `argmin_at` refuses (and greedy
-        // decides) if the table disagrees with itself.
-        Some((_, None)) => argmin_at(inst, &Known(exact), live),
+        // argmin is the first-minimizer the DP would store; `argmin_at`
+        // refuses (and greedy decides) if the table disagrees with
+        // itself.
+        Some(_) => argmin_at(inst, &Known(exact), live),
         None => None,
     };
     let i = match known {
@@ -82,14 +74,14 @@ fn complete_node(
 }
 
 /// A partial exact table as a cost table: unknown sets read as INF.
-struct Known<'a>(&'a dyn Fn(Subset) -> Option<ExactEntry>);
+struct Known<'a>(&'a dyn Fn(Subset) -> Option<Cost>);
 
 impl CostLookup for Known<'_> {
     fn cost_of(&self, s: Subset) -> Cost {
         if s.is_empty() {
             return Cost::ZERO;
         }
-        (self.0)(s).map_or(Cost::INF, |(c, _)| c)
+        (self.0)(s).unwrap_or(Cost::INF)
     }
 }
 
@@ -134,12 +126,10 @@ mod tests {
     fn full_table_gives_the_optimal_tree() {
         let i = inst();
         let sol = sequential::solve(&i);
-        let t = complete_tree(&i, &|s| {
-            Some((sol.tables.cost[s.index()], sol.tables.best[s.index()]))
-        })
-        .unwrap();
+        let t = complete_tree(&i, &|s| Some(sol.tables.cost[s.index()])).unwrap();
         t.validate(&i).unwrap();
         assert_eq!(t.expected_cost(&i), sol.cost);
+        assert_eq!(Some(t), sol.tree, "the stored first-minimizers");
     }
 
     #[test]
@@ -150,33 +140,11 @@ mod tests {
             .unwrap()
             .cost;
         // Only subsets of size <= 2 are "known" — a typical watermark cut.
-        let t = complete_tree(&i, &|s| {
-            if s.len() <= 2 {
-                Some((sol.tables.cost[s.index()], sol.tables.best[s.index()]))
-            } else {
-                None
-            }
-        })
-        .unwrap();
+        let t = complete_tree(&i, &|s| (s.len() <= 2).then(|| sol.tables.cost[s.index()])).unwrap();
         t.validate(&i).unwrap();
         let c = t.expected_cost(&i);
         assert!(c >= sol.cost);
         assert!(c <= greedy_cost);
-    }
-
-    #[test]
-    fn a_cost_only_table_completes_like_the_argmin_table() {
-        let i = inst();
-        let sol = sequential::solve(&i);
-        for level in 0..=i.k() {
-            let with = complete_tree(&i, &|s| {
-                (s.len() <= level).then(|| (sol.tables.cost[s.index()], sol.tables.best[s.index()]))
-            });
-            let without = complete_tree(&i, &|s| {
-                (s.len() <= level).then(|| (sol.tables.cost[s.index()], None))
-            });
-            assert_eq!(with, without, "level {level}");
-        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The DP proceeds level-by-level over the subset lattice: after the
 //! `#S = j` wavefront, every entry with `#S ≤ j` is exact. That makes
 //! the completed wavefront a natural checkpoint unit — a [`Checkpoint`]
-//! is the completed-level `C(S)`/argmin slab, the level index, the
-//! incumbent bound sandwich at save time, an instance fingerprint, and
-//! an integrity checksum over the serialized bytes.
+//! is the completed-level `C(S)` slab, the level index, the incumbent
+//! bound sandwich at save time, an instance fingerprint, and an
+//! integrity checksum over the serialized bytes.
 //!
 //! Checkpoints are what make failover *warm*: when an engine dies
 //! mid-lattice (panic, fault escalation, a killed process), the
@@ -28,11 +28,13 @@
 //! [`Checkpoint::from_text`] reads both, so older `--resume` files keep
 //! loading.
 //!
-//! The host engines store no argmins, so their checkpoints carry no
-//! argmin plane (8 B per cell, not 12) and write `-` in every argmin
-//! field; the machine simulators with an argmin plane (`hyper`, `ccc`)
-//! write theirs. The bound sandwich is the same either way: pricing
-//! recomputes a missing argmin on the incumbent's path.
+//! The wavefront is cost-only, as the paper's recurrence is: the
+//! writers put `-` in every argmin field (8 B per cell in memory). The
+//! reader still accepts a numeric argmin, which builds that carried an
+//! argmin plane wrote, validates it as a number and discards it. Every
+//! reader that needs an argmin recomputes it from the cost slab with
+//! [`argmin_at`](crate::solver::sequential::argmin_at), which yields the
+//! same first-minimizer those builds stored.
 //!
 //! A `Checkpoint` is also the live wavefront of a solve: the level
 //! kernel advances one in place (see
@@ -42,26 +44,11 @@
 
 use crate::cost::Cost;
 use crate::instance::TtInstance;
-use crate::solver::anytime::{self, ExactEntry};
-use crate::subset::frontier::{self, DenseSlab};
+use crate::solver::anytime;
+use crate::subset::frontier;
 use crate::subset::Subset;
 use std::fmt::Write as _;
-
-/// The integrity hash for checkpoint bytes, the instance fingerprint
-/// and the [`crate::durable`] line codec: FNV-1a's offset basis and
-/// xor-multiply loop, but with multiplier `0x1000001b3` where 64-bit
-/// FNV-1a has the prime `0x100000001b3`, so its values differ from
-/// [`tt_obs::fnv1a`]'s. The checkpoint and segment-log formats are
-/// pinned to it. Not cryptographic — it guards against truncation, bit
-/// rot, and editing mistakes, not adversaries.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
+use tt_obs::fnv1a;
 
 /// The fingerprint binding a checkpoint to one instance: the hash of
 /// its canonical text serialization.
@@ -117,12 +104,9 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// A completed-wavefront snapshot of the DP: every subset with
-/// `#S ≤ level` carries its exact `C(S)` (and argmin when known);
-/// everything above the wavefront is unknown.
-///
-/// Equality compares argmins by what they say: an empty plane equals a
-/// plane of `None`s.
-#[derive(Clone, Debug)]
+/// `#S ≤ level` carries its exact `C(S)`; everything above the
+/// wavefront is unknown.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Number of objects (slab length is `2^k`).
     pub k: usize,
@@ -131,10 +115,6 @@ pub struct Checkpoint {
     /// `cost[S.index()] = C(S)` for `#S ≤ level`; `INF` placeholders
     /// above the wavefront.
     pub cost: Vec<Cost>,
-    /// Argmin action per mask, where the producing engine had one — or
-    /// empty when it kept no argmin plane (the level kernel, the
-    /// blocked hypercube): every argmin is then `None`.
-    pub best: Vec<Option<u16>>,
     /// Incumbent upper bound at save time (`INF` when none was built).
     pub upper: Cost,
     /// Admissible lower bound at save time.
@@ -142,24 +122,6 @@ pub struct Checkpoint {
     /// [`instance_fingerprint`] of the instance this slab belongs to.
     pub fingerprint: u64,
 }
-
-impl PartialEq for Checkpoint {
-    fn eq(&self, other: &Checkpoint) -> bool {
-        (self.k, self.level, self.fingerprint, self.upper, self.lower)
-            == (
-                other.k,
-                other.level,
-                other.fingerprint,
-                other.upper,
-                other.lower,
-            )
-            && self.cost == other.cost
-            && (self.best == other.best
-                || (0..self.cost.len()).all(|mask| self.argmin(mask) == other.argmin(mask)))
-    }
-}
-
-impl Eq for Checkpoint {}
 
 /// A borrowed view of the completed DP wavefront an engine holds at a
 /// level boundary: what [`Solver::solve_resumable`] hands its per-level
@@ -174,43 +136,31 @@ pub struct LevelView<'a> {
     level: usize,
     /// The mask-indexed `2^k` cost slab.
     cost: &'a [Cost],
-    /// The mask-indexed argmin slab, for producers that keep one.
-    best: Option<&'a [Option<u16>]>,
     /// The instance fingerprint, computed once per solve.
     fingerprint: u64,
 }
 
 impl<'a> LevelView<'a> {
-    /// The view of a wavefront an engine advances in place: its slab,
-    /// its argmins when it keeps a plane, and the fingerprint it was
-    /// made with.
+    /// The view of a wavefront an engine advances in place: its slab
+    /// and the fingerprint it was made with.
     pub fn of(inst: &'a TtInstance, wave: &'a Checkpoint) -> LevelView<'a> {
         assert_eq!(wave.k, inst.k(), "wavefront and instance sizes");
         LevelView {
             inst,
             level: wave.level,
             cost: &wave.cost,
-            best: (!wave.best.is_empty()).then_some(&wave.best[..]),
             fingerprint: wave.fingerprint,
         }
     }
 
-    /// A view of whole mask-indexed cost and argmin tables, exact for
-    /// `#S ≤ level` (a reference solver's tables). Fingerprints `inst`.
-    pub fn dense(
-        inst: &'a TtInstance,
-        level: usize,
-        cost: &'a [Cost],
-        best: &'a [Option<u16>],
-    ) -> LevelView<'a> {
-        let size = 1usize << inst.k();
-        assert_eq!(cost.len(), size, "cost slab size");
-        assert_eq!(best.len(), size, "best slab size");
+    /// A view of a whole mask-indexed cost table, exact for
+    /// `#S ≤ level` (a reference solver's table). Fingerprints `inst`.
+    pub fn dense(inst: &'a TtInstance, level: usize, cost: &'a [Cost]) -> LevelView<'a> {
+        assert_eq!(cost.len(), 1usize << inst.k(), "cost slab size");
         LevelView {
             inst,
             level,
             cost,
-            best: Some(best),
             fingerprint: instance_fingerprint(inst),
         }
     }
@@ -220,20 +170,14 @@ impl<'a> LevelView<'a> {
         self.level
     }
 
-    /// The owned checkpoint of this level: the `#S ≤ level` slab (with
-    /// argmins only when the view has them) and the incumbent bound
-    /// sandwich priced from it.
+    /// The owned checkpoint of this level: the `#S ≤ level` slab and the
+    /// incumbent bound sandwich priced from it.
     pub fn to_checkpoint(&self) -> Checkpoint {
         let known = |mask: usize| Subset(mask as u32).len() <= self.level;
         let cost = (self.cost.iter().enumerate())
             .map(|(mask, &c)| if known(mask) { c } else { Cost::INF })
             .collect();
         let mut ck = Checkpoint::from_slab(self.fingerprint, self.level, cost);
-        if let Some(best) = self.best {
-            ck.best = (best.iter().enumerate())
-                .map(|(mask, &b)| b.filter(|_| known(mask)))
-                .collect();
-        }
         ck.price(self.inst);
         ck
     }
@@ -251,7 +195,6 @@ impl Checkpoint {
             k,
             level,
             cost,
-            best: Vec::new(),
             upper: Cost::INF,
             lower: Cost::ZERO,
             fingerprint,
@@ -271,26 +214,14 @@ impl Checkpoint {
         Checkpoint::cold(inst.k(), instance_fingerprint(inst))
     }
 
-    /// The argmin stored for `mask`, if any.
-    fn argmin(&self, mask: usize) -> Option<u16> {
-        self.best.get(mask).copied().flatten()
-    }
-
-    /// Copies the `#S = level` cells of a producer's mask-indexed tables
-    /// into this wavefront and moves it to `level`; every level below
-    /// must be here already. Argmins are kept when the producer has them
-    /// (the plane is allocated on first use). The bounds are left as
-    /// they were: they are priced when the wavefront is handed out.
-    pub fn absorb_level(&mut self, level: usize, cost: &[Cost], best: Option<&[Option<u16>]>) {
+    /// Copies the `#S = level` cells of a producer's mask-indexed cost
+    /// table into this wavefront and moves it to `level`; every level
+    /// below must be here already. The bounds are left as they were:
+    /// they are priced when the wavefront is handed out.
+    pub fn absorb_level(&mut self, level: usize, cost: &[Cost]) {
         assert!(level <= self.level + 1, "levels are absorbed in order");
-        if best.is_some() && self.best.is_empty() {
-            self.best = vec![None; self.cost.len()];
-        }
         for s in Subset::of_size(self.k, level) {
             self.cost[s.index()] = cost[s.index()];
-            if let Some(b) = best {
-                self.best[s.index()] = b[s.index()];
-            }
         }
         self.level = level;
     }
@@ -301,17 +232,14 @@ impl Checkpoint {
         for mask in 0..self.cost.len() {
             if Subset(mask as u32).len() > self.level {
                 self.cost[mask] = Cost::INF;
-                if let Some(b) = self.best.get_mut(mask) {
-                    *b = None;
-                }
             }
         }
     }
 
     /// Prices the incumbent bound sandwich from the slab: the cost of
-    /// the tree that follows the exact argmins below the wavefront and
-    /// completes greedily above it, and the admissible lower bound at
-    /// `U`.
+    /// the tree that follows the argmins recomputed below the wavefront
+    /// and completes greedily above it, and the admissible lower bound
+    /// at `U`.
     pub(crate) fn price(&mut self, inst: &TtInstance) {
         let tree = anytime::complete_tree(inst, &|s| self.exact(s));
         (self.upper, self.lower) = anytime::degraded_bounds(inst, tree.as_ref());
@@ -335,34 +263,16 @@ impl Checkpoint {
     }
 
     /// The partial-exact-table view of this checkpoint, in the shape
-    /// `anytime::complete_tree` and `engine::degraded_result` consume.
-    pub fn exact(&self, s: Subset) -> Option<ExactEntry> {
-        (s.len() <= self.level).then(|| (self.cost[s.index()], self.argmin(s.index())))
-    }
-
-    /// Recomputes missing argmins for every known finite entry from the
-    /// checkpoint's own cost slab with
-    /// [`argmin_at`](crate::solver::sequential::argmin_at) — all submask
-    /// reads hit the known region, so the recovery is exact. This is a
-    /// full `O(2^k·N)` pass: only the machine simulators that import an
-    /// argmin plane (`hyper`, `ccc`) run it, before a warm start from a
-    /// checkpoint whose producer kept none.
-    pub fn recover_argmins(&mut self, inst: &TtInstance) {
-        if self.best.is_empty() {
-            self.best = vec![None; self.cost.len()];
-        }
-        for mask in 1..self.cost.len() {
-            let s = Subset(mask as u32);
-            if s.len() > self.level || self.best[mask].is_some() || self.cost[mask].is_inf() {
-                continue;
-            }
-            self.best[mask] = crate::solver::sequential::argmin_at(inst, &DenseSlab(&self.cost), s);
-        }
+    /// `anytime::complete_tree` and `engine::degraded_result` consume:
+    /// `C(S)` at or below the wavefront, `None` above it.
+    pub fn exact(&self, s: Subset) -> Option<Cost> {
+        (s.len() <= self.level).then(|| self.cost[s.index()])
     }
 
     /// Serializes the checkpoint in the frontier-compressed v2 format,
     /// ending with the checksum line: each completed wavefront level is
-    /// one `lvl <j> <C(k,j)>` group of rank-addressed `c` cells.
+    /// one `lvl <j> <C(k,j)>` group of rank-addressed `c` cells, each
+    /// with `-` in its argmin field.
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "ttck 2");
@@ -378,12 +288,7 @@ impl Checkpoint {
         for j in 0..=self.level {
             let _ = writeln!(s, "lvl {j} {}", frontier::binomial(self.k, j));
             for (r, sub) in Subset::of_size(self.k, j).enumerate() {
-                let mask = sub.index();
-                let best = match self.argmin(mask) {
-                    Some(b) => b.to_string(),
-                    None => "-".to_string(),
-                };
-                let _ = writeln!(s, "c {r} {} {best}", fmt_cost(self.cost[mask]));
+                let _ = writeln!(s, "c {r} {} -", fmt_cost(self.cost[sub.index()]));
             }
         }
         let _ = writeln!(s, "checksum {:016x}", fnv1a(s.as_bytes()));
@@ -410,11 +315,7 @@ impl Checkpoint {
             if Subset(mask as u32).len() > self.level {
                 continue;
             }
-            let best = match self.argmin(mask) {
-                Some(b) => b.to_string(),
-                None => "-".to_string(),
-            };
-            let _ = writeln!(s, "entry {mask} {} {best}", fmt_cost(self.cost[mask]));
+            let _ = writeln!(s, "entry {mask} {} -", fmt_cost(self.cost[mask]));
         }
         let _ = writeln!(s, "checksum {:016x}", fnv1a(s.as_bytes()));
         s
@@ -447,9 +348,9 @@ impl Checkpoint {
         let mut k = None;
         let mut level = None;
         let mut bounds = None;
-        let mut entries: Vec<(usize, Cost, Option<u16>)> = Vec::new();
+        let mut entries: Vec<(usize, Cost)> = Vec::new();
         // v2 state: (level index, declared cell count, cells seen so far).
-        type LevelGroup = (usize, u64, Vec<(u64, Cost, Option<u16>)>);
+        type LevelGroup = (usize, u64, Vec<(u64, Cost)>);
         let mut lvl_groups: Vec<LevelGroup> = Vec::new();
         let mut version: Option<u32> = None;
         for (idx, raw) in text[..body_end].lines().enumerate() {
@@ -508,12 +409,8 @@ impl Checkpoint {
                         .and_then(|t| t.parse().ok())
                         .ok_or_else(|| syntax("bad mask".into()))?;
                     let cost = parse_cost(parts.next()).ok_or_else(|| syntax("bad cost".into()))?;
-                    let best = match parts.next() {
-                        Some("-") => None,
-                        Some(t) => Some(t.parse().map_err(|_| syntax("bad argmin".into()))?),
-                        None => return Err(syntax("missing argmin field".into())),
-                    };
-                    entries.push((mask, cost, best));
+                    check_argmin(parts.next()).map_err(syntax)?;
+                    entries.push((mask, cost));
                 }
                 "lvl" => {
                     if version != Some(2) {
@@ -538,16 +435,12 @@ impl Checkpoint {
                         .and_then(|t| t.parse().ok())
                         .ok_or_else(|| syntax("bad rank".into()))?;
                     let cost = parse_cost(parts.next()).ok_or_else(|| syntax("bad cost".into()))?;
-                    let best = match parts.next() {
-                        Some("-") => None,
-                        Some(t) => Some(t.parse().map_err(|_| syntax("bad argmin".into()))?),
-                        None => return Err(syntax("missing argmin field".into())),
-                    };
+                    check_argmin(parts.next()).map_err(syntax)?;
                     lvl_groups
                         .last_mut()
                         .ok_or_else(|| syntax("'c' cell before any 'lvl' header".into()))?
                         .2
-                        .push((rank, cost, best));
+                        .push((rank, cost));
                 }
                 other => return Err(syntax(format!("unknown keyword '{other}'"))),
             }
@@ -598,7 +491,7 @@ impl Checkpoint {
                         cells.len()
                     )));
                 }
-                for (idx, (rank, cost, best)) in cells.iter().enumerate() {
+                for (idx, (rank, cost)) in cells.iter().enumerate() {
                     if *rank != idx as u64 {
                         return Err(CheckpointError::Inconsistent(format!(
                             "level {j} cell rank {rank} out of order (expected {idx})"
@@ -606,17 +499,15 @@ impl Checkpoint {
                     }
                     let mask = frontier::unrank(*j, *rank).index();
                     unranks += 1;
-                    entries.push((mask, *cost, *best));
+                    entries.push((mask, *cost));
                 }
             }
             tt_obs::telemetry::add_counter("frontier_unrank_calls", unranks);
         }
         let size = 1usize << k;
         let mut cost = vec![Cost::INF; size];
-        // The argmin plane is kept only when the text carries an argmin.
-        let mut best = Vec::new();
         let mut seen = vec![false; size];
-        for (mask, c, b) in entries {
+        for (mask, c) in entries {
             if mask >= size {
                 return Err(CheckpointError::Inconsistent(format!(
                     "mask {mask} out of range for k = {k}"
@@ -634,12 +525,6 @@ impl Checkpoint {
             }
             seen[mask] = true;
             cost[mask] = c;
-            if b.is_some() && best.is_empty() {
-                best = vec![None; size];
-            }
-            if let Some(slot) = best.get_mut(mask) {
-                *slot = b;
-            }
         }
         for (mask, present) in seen.iter().enumerate().take(size) {
             if Subset(mask as u32).len() <= level && !present {
@@ -655,7 +540,6 @@ impl Checkpoint {
             k,
             level,
             cost,
-            best,
             upper,
             lower,
             fingerprint,
@@ -713,6 +597,16 @@ fn fmt_cost(c: Cost) -> String {
     }
 }
 
+/// Checks a cell's argmin field: `-`, or an action index as older
+/// builds that carried an argmin plane wrote it (read and dropped).
+fn check_argmin(tok: Option<&str>) -> Result<(), String> {
+    match tok {
+        Some("-") => Ok(()),
+        Some(t) => t.parse::<u16>().map(drop).map_err(|_| "bad argmin".into()),
+        None => Err("missing argmin field".into()),
+    }
+}
+
 fn parse_cost(tok: Option<&str>) -> Option<Cost> {
     match tok? {
         "inf" => Some(Cost::INF),
@@ -741,7 +635,7 @@ mod tests {
     fn checkpoint_at(level: usize) -> (TtInstance, Checkpoint) {
         let i = inst();
         let sol = sequential::solve(&i);
-        let ck = LevelView::dense(&i, level, &sol.tables.cost, &sol.tables.best).to_checkpoint();
+        let ck = LevelView::dense(&i, level, &sol.tables.cost).to_checkpoint();
         (i, ck)
     }
 
@@ -762,7 +656,6 @@ mod tests {
             let s = Subset(mask as u32);
             if s.len() > 2 {
                 assert!(ck.cost[mask].is_inf(), "mask {mask} leaked");
-                assert_eq!(ck.best[mask], None);
                 assert_eq!(ck.exact(s), None);
             } else {
                 assert!(ck.exact(s).is_some());
@@ -815,25 +708,54 @@ mod tests {
         assert!(ck.require_match(&inst()).is_ok());
     }
 
+    /// `text` with every cell's argmin field set to the reference
+    /// solver's argmin, re-checksummed: what a writer that carried an
+    /// argmin plane produced.
+    fn with_argmins(i: &TtInstance, text: &str) -> String {
+        let best = sequential::solve(i).tables.best;
+        let body = &text[..text.rfind("checksum ").unwrap()];
+        let (mut out, mut j) = (String::new(), 0);
+        for line in body.lines() {
+            let f: Vec<&str> = line.split(' ').collect();
+            let mask = match f[0] {
+                "lvl" => {
+                    j = f[1].parse().unwrap();
+                    None
+                }
+                "entry" => Some(f[1].parse::<usize>().unwrap()),
+                "c" => Some(frontier::unrank(j, f[1].parse().unwrap()).index()),
+                _ => None,
+            };
+            let _ = match mask.and_then(|m| best[m]) {
+                Some(b) => writeln!(out, "{} {} {} {b}", f[0], f[1], f[2]),
+                None => writeln!(out, "{line}"),
+            };
+        }
+        format!("{out}checksum {:016x}\n", fnv1a(out.as_bytes()))
+    }
+
     #[test]
-    fn recover_argmins_reconstructs_the_sequential_plane() {
-        let (i, mut ck) = checkpoint_at(3);
-        let expected = ck.best.clone();
-        for b in &mut ck.best {
-            *b = None;
-        }
-        ck.recover_argmins(&i);
-        let sol = sequential::solve(&i);
-        for (mask, want) in expected.iter().enumerate().skip(1) {
-            if Subset(mask as u32).len() > 3 || ck.cost[mask].is_inf() {
-                continue;
+    fn numeric_argmins_from_older_writers_load_and_are_dropped() {
+        for level in 1..=4 {
+            let (i, ck) = checkpoint_at(level);
+            for text in [ck.to_text(), ck.to_text_v1()] {
+                let legacy = with_argmins(&i, &text);
+                assert_ne!(legacy, text, "level {level}: no argmin written");
+                let back = Checkpoint::from_text(&legacy).unwrap();
+                assert_eq!(back, ck, "level {level}");
+                assert_eq!(back.to_text(), ck.to_text(), "level {level}");
             }
-            // The recovered argmin achieves the same candidate value the
-            // sequential plane recorded (ties may pick the same index —
-            // both use first-minimizer order, so they agree exactly).
-            assert_eq!(ck.best[mask], *want, "mask {mask}");
-            assert_eq!(ck.best[mask], sol.tables.best[mask], "mask {mask}");
         }
+        // A non-numeric argmin is still a syntax error.
+        let (_, ck) = checkpoint_at(1);
+        let mut body = ck.to_text();
+        body.truncate(body.rfind("checksum ").unwrap());
+        let body = body.replace(" -\n", " x\n");
+        let text = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
+        assert!(matches!(
+            Checkpoint::from_text(&text),
+            Err(CheckpointError::Syntax { .. })
+        ));
     }
 
     #[test]
@@ -915,23 +837,17 @@ mod tests {
     }
 
     #[test]
-    fn cost_only_view_matches_dense_view_modulo_argmins() {
+    fn the_view_of_a_wavefront_equals_the_view_of_the_full_table() {
         let i = inst();
         let sol = sequential::solve(&i);
         for level in 1..=i.k() {
-            let dense =
-                LevelView::dense(&i, level, &sol.tables.cost, &sol.tables.best).to_checkpoint();
+            let dense = LevelView::dense(&i, level, &sol.tables.cost).to_checkpoint();
             let wave = Checkpoint::from_slab(dense.fingerprint, level, dense.cost.clone());
-            let costs = LevelView::of(&i, &wave).to_checkpoint();
-            assert_eq!(costs.cost, dense.cost);
-            assert!(costs.best.is_empty(), "a cost-only view copies no plane");
-            // Pricing recomputes the missing argmins on the incumbent's
-            // path, so the bound sandwich is the dense one.
-            assert_eq!((costs.upper, costs.lower), (dense.upper, dense.lower));
-            // recover_argmins rebuilds the sequential plane exactly.
-            let mut recovered = costs;
-            recovered.recover_argmins(&i);
-            assert_eq!((recovered.cost, recovered.best), (dense.cost, dense.best));
+            assert_eq!(
+                LevelView::of(&i, &wave).to_checkpoint(),
+                dense,
+                "level {level}"
+            );
         }
     }
 
@@ -939,39 +855,13 @@ mod tests {
     fn absorbing_level_by_level_equals_one_full_copy() {
         let i = inst();
         let sol = sequential::solve(&i);
-        let mut dense = Checkpoint::blank(&i);
-        let mut costs = Checkpoint::blank(&i);
+        let mut wave = Checkpoint::blank(&i);
         for level in 1..=i.k() {
-            dense.absorb_level(level, &sol.tables.cost, Some(&sol.tables.best));
-            costs.absorb_level(level, &sol.tables.cost, None);
-            let mut want =
-                LevelView::dense(&i, level, &sol.tables.cost, &sol.tables.best).to_checkpoint();
-            dense.price(&i);
-            assert_eq!(dense, want, "level {level}");
-            costs.price(&i);
-            assert!(costs.best.is_empty());
-            want.best.clear();
-            assert_eq!(costs, want, "level {level}, cost-only");
+            wave.absorb_level(level, &sol.tables.cost);
+            wave.price(&i);
+            let want = LevelView::dense(&i, level, &sol.tables.cost).to_checkpoint();
+            assert_eq!(wave, want, "level {level}");
         }
-    }
-
-    #[test]
-    fn an_empty_argmin_plane_equals_a_plane_of_nones() {
-        let (i, ck) = checkpoint_at(0);
-        assert!(ck.best.iter().all(Option::is_none));
-        let back = Checkpoint::from_text(&ck.to_text()).unwrap();
-        assert!(
-            back.best.is_empty(),
-            "a text without argmins loads no plane"
-        );
-        assert_eq!(back, ck);
-        let mut other = back.clone();
-        other.recover_argmins(&i);
-        assert_eq!(other, back, "level 0 has no argmin to recover");
-        let (_, ck2) = checkpoint_at(2);
-        let mut stripped = ck2.clone();
-        stripped.best.clear();
-        assert_ne!(stripped, ck2, "argmins that differ are not equal");
     }
 
     #[test]
@@ -979,12 +869,11 @@ mod tests {
         let i = inst();
         let sol = sequential::solve(&i);
         let mut wave = Checkpoint::blank(&i);
-        wave.absorb_level(1, &sol.tables.cost, Some(&sol.tables.best));
+        wave.absorb_level(1, &sol.tables.cost);
         let clean = wave.clone();
         // Half of level 2 written, as a panic mid-level leaves it.
         for s in Subset::of_size(i.k(), 2).take(3) {
             wave.cost[s.index()] = sol.tables.cost[s.index()];
-            wave.best[s.index()] = sol.tables.best[s.index()];
         }
         assert_ne!(wave, clean);
         wave.forget_above();

@@ -24,7 +24,7 @@
 
 use crate::cost::Cost;
 use crate::instance::TtInstance;
-use crate::solver::anytime::{self, ExactEntry};
+use crate::solver::anytime;
 use crate::solver::budget::{Budget, ExhaustReason};
 use crate::solver::checkpoint::{instance_fingerprint, Checkpoint, LevelView};
 use crate::solver::select::{AutoEngine, Selection};
@@ -335,10 +335,7 @@ pub fn record_frontier_stats(work: &mut WorkStats, stats: FrontierStats) {
 /// Admits the caller's wavefront for an engine: kept when it belongs to
 /// `inst`, dropped — start cold — when it belongs to another instance.
 /// Returns `inst`'s fingerprint, computed once per solve, for the
-/// engine's own wavefront and its views. Argmins are not recovered
-/// here: the level kernel needs none, and the machine engines that
-/// import an argmin plane call [`Checkpoint::recover_argmins`]
-/// themselves.
+/// engine's own wavefront and its views.
 pub fn admit_wave(inst: &TtInstance, wave: &mut Option<Checkpoint>) -> u64 {
     let fingerprint = instance_fingerprint(inst);
     if wave
@@ -389,14 +386,14 @@ pub fn timed_report_with(
     }
 }
 
-/// Assembles a degraded result from a partial exact table: builds the
-/// anytime incumbent (exact argmins where known, greedy elsewhere) and
-/// the `[lower, upper]` sandwich. Shared by every engine's exhaustion
+/// Assembles a degraded result from a partial exact cost table: builds
+/// the anytime incumbent (argmins recomputed where `C(S)` is known,
+/// greedy elsewhere) and the `[lower, upper]` sandwich. Shared by every engine's exhaustion
 /// path, including the machine simulators in `tt-parallel`.
 pub fn degraded_result(
     inst: &TtInstance,
     reason: DegradeReason,
-    exact: &dyn Fn(Subset) -> Option<ExactEntry>,
+    exact: &dyn Fn(Subset) -> Option<Cost>,
     work: WorkStats,
 ) -> (Cost, Option<TtTree>, WorkStats, SolveOutcome) {
     let tree = anytime::complete_tree(inst, exact);
@@ -497,7 +494,7 @@ impl Solver for MemoEngine {
                     r.into(),
                     // The memo map holds only frames that finished, so
                     // every entry is exact.
-                    &|sub| s.table.get(&sub.0).copied(),
+                    &|sub| s.table.get(&sub.0).map(|&(c, _)| c),
                     work,
                 ),
             }
@@ -535,9 +532,12 @@ impl Solver for BnbEngine {
             };
             match meter.exhausted() {
                 None => (s.cost, s.tree, work, SolveOutcome::Complete),
-                Some(r) => {
-                    degraded_result(inst, r.into(), &|sub| s.table.get(&sub.0).copied(), work)
-                }
+                Some(r) => degraded_result(
+                    inst,
+                    r.into(),
+                    &|sub| s.table.get(&sub.0).map(|&(c, _)| c),
+                    work,
+                ),
             }
         })
     }

@@ -163,10 +163,9 @@ fn chunk_costs(
 /// levels when `meter` runs out. `wave.level` moves up as each level
 /// completes, before the sink sees it, so a caller that catches a panic
 /// still holds every completed level (a level cut short may have left
-/// cells above it written: see [`Checkpoint::forget_above`]). The
-/// kernel keeps no argmins, so an argmin plane the wave arrives with is
-/// dropped. Returns the frontier counters: the slab counts as allocated
-/// for a sweep that starts at level 0.
+/// cells above it written: see [`Checkpoint::forget_above`]). Returns
+/// the frontier counters: the slab counts as allocated for a sweep that
+/// starts at level 0.
 pub fn sweep(
     inst: &TtInstance,
     meter: &mut BudgetMeter,
@@ -196,7 +195,6 @@ pub fn sweep_windows(
     if wave.level == 0 {
         stats.on_alloc(1u64 << k);
     }
-    wave.best = Vec::new();
     let mut buf: Vec<Cost> = Vec::new();
     let split = SplitWeights::new(inst);
     for j in (wave.level + 1)..=k {
@@ -340,10 +338,10 @@ mod tests {
         let i = inst();
         let full = sequential::solve_tables(&i);
         let mut levels = Vec::new();
-        // Levels 0..=2 exact, with an argmin plane the kernel drops.
+        // Levels 0..=2 exact.
         let mut wave = Checkpoint::blank(&i);
         for level in 1..=2 {
-            wave.absorb_level(level, &full.cost, Some(&full.best));
+            wave.absorb_level(level, &full.cost);
         }
         let stats = sweep(
             &i,
@@ -354,7 +352,6 @@ mod tests {
         );
         assert_eq!(levels, vec![3, 4, 5]);
         assert_eq!(wave.cost, full.cost);
-        assert!(wave.best.is_empty(), "the kernel keeps no argmins");
         assert_eq!(stats.cells_allocated, 0);
     }
 

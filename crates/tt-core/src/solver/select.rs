@@ -438,7 +438,7 @@ mod tests {
     fn a_resumed_auto_solve_decides_among_resumable_engines_only() {
         let inst = sparse_chain(7);
         let sol = crate::solver::sequential::solve(&inst);
-        let ck = LevelView::dense(&inst, 3, &sol.tables.cost, &sol.tables.best).to_checkpoint();
+        let ck = LevelView::dense(&inst, 3, &sol.tables.cost).to_checkpoint();
         let mut levels = Vec::new();
         let mut wave = Some(ck);
         let r = AutoEngine.solve_resumable(&inst, &Budget::unlimited(), &mut wave, &mut |v| {

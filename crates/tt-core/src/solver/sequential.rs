@@ -170,13 +170,13 @@ pub fn solve_tables(inst: &TtInstance) -> DpTables {
 }
 
 /// Per-level observer of a machine simulator's wavefront: called as
-/// `sink(j, &cost, &best)` after each completed level `j`.
-pub type LevelSink<'a> = dyn FnMut(usize, &[Cost], &[Option<u16>]) + 'a;
+/// `sink(j, &cost)` after each completed level `j`.
+pub type LevelSink<'a> = dyn FnMut(usize, &[Cost]) + 'a;
 
 /// A completed `#S ≤ level` wavefront to warm-start a machine simulator
-/// from: `(level, cost slab, argmin slab)`, as recovered from a
+/// from: `(level, cost slab)`, as held by a
 /// [`Checkpoint`](super::checkpoint::Checkpoint).
-pub type WavefrontSeed<'a> = (usize, &'a [Cost], &'a [Option<u16>]);
+pub type WavefrontSeed<'a> = (usize, &'a [Cost]);
 
 /// The first-minimizer argmin at `s`, recomputed from the costs of its
 /// children: the action the mask-order DP stores in its argmin plane.

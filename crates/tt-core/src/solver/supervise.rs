@@ -768,7 +768,7 @@ mod tests {
     fn resume_option_seeds_the_first_engine() {
         let i = inst();
         let sol = sequential::solve(&i);
-        let ck = LevelView::dense(&i, 3, &sol.tables.cost, &sol.tables.best).to_checkpoint();
+        let ck = LevelView::dense(&i, 3, &sol.tables.cost).to_checkpoint();
         let opts = SuperviseOptions {
             resume: Some(ck),
             ..fast_opts()

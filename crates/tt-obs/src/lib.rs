@@ -34,6 +34,25 @@ pub mod metrics;
 pub mod telemetry;
 pub mod trace;
 
-pub use metrics::{counter, fnv1a, gauge, histogram, render_prometheus, snapshot};
+pub use metrics::{counter, gauge, histogram, render_prometheus, snapshot};
 pub use telemetry::{LevelSample, Telemetry};
 pub use trace::{span, TraceEvent};
+
+/// The workspace's one 64-bit hash: FNV-1a's offset basis and
+/// xor-multiply loop, with multiplier `0x1000001b3` where 64-bit FNV-1a
+/// has the prime `0x100000001b3`. Checkpoint and segment-log checksums,
+/// instance fingerprints, cache keys and the metrics registry's slot
+/// hash all use it, and the checkpoint and segment-log formats are
+/// pinned to it. The two multipliers share their low 32 bits, so the
+/// low 32 bits of the hash are standard FNV-1a's. Not cryptographic —
+/// it guards against truncation, bit rot, and editing mistakes, not
+/// adversaries.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1_0000_01b3);
+    }
+    h
+}

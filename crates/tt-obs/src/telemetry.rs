@@ -165,9 +165,20 @@ pub fn add_counter(name: &str, delta: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Held by every test that calls [`record_level`]: the level
+    /// counters are process-global and tests run on parallel threads,
+    /// so an exact before/after reading needs the others kept out.
+    fn record_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn scope_collects_levels_and_counters() {
+        let _serial = record_lock();
         begin();
         record_level(1, 4, 20, 100);
         record_level(2, 6, 30, 200);
@@ -184,6 +195,7 @@ mod tests {
 
     #[test]
     fn scopes_nest_innermost_wins() {
+        let _serial = record_lock();
         begin();
         record_level(1, 1, 1, 1);
         begin();
@@ -204,6 +216,7 @@ mod tests {
 
     #[test]
     fn recording_without_a_scope_still_feeds_global_metrics() {
+        let _serial = record_lock();
         let before = metrics::counter("tt_dp_levels_total").get();
         record_level(3, 10, 50, 123);
         assert_eq!(metrics::counter("tt_dp_levels_total").get(), before + 1);

@@ -13,7 +13,7 @@ use crate::layout::{padded_actions, Layout};
 use hypercube::ccc::{min_r_for_dims, CccMachine, CccStepCounts};
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
-use tt_core::solver::sequential::{LevelSink, WavefrontSeed};
+use tt_core::solver::sequential::{extract_tree_costs, LevelSink, WavefrontSeed};
 use tt_core::subset::Subset;
 
 /// Result of a CCC TT run.
@@ -23,7 +23,8 @@ pub struct CccSolution {
     pub cost: Cost,
     /// `c_table[S.index()] = C(S)`.
     pub c_table: Vec<Cost>,
-    /// Minimizing action per subset (see `hyper::HyperSolution`).
+    /// Minimizing action per subset (see `hyper::HyperSolution`): `None`
+    /// at or below the level a warm start imported.
     pub best_table: Vec<Option<u16>>,
     /// CCC link-step counters.
     pub steps: CccStepCounts,
@@ -99,50 +100,47 @@ impl CccDriver {
     }
 
     /// Imports a completed `#S ≤ level` wavefront (a checkpoint's cost
-    /// and argmin slabs) into *every* replica of the machine — the CCC
-    /// twin of [`crate::hyper::warm_pe`]. Applied via `host_load`, so it
-    /// counts no machine step and bypasses any armed fault plan: a dead
-    /// PE's state is still written (quarantine happens at readback).
-    pub fn import_wavefront(
-        &self,
-        m: &mut CccMachine<TtPe>,
-        level: usize,
-        cost: &[Cost],
-        best: &[Option<u16>],
-    ) {
+    /// slab) into *every* replica of the machine — the CCC twin of
+    /// [`crate::hyper::warm_pe`]. Applied via `host_load`, so it counts
+    /// no machine step and bypasses any armed fault plan: a dead PE's
+    /// state is still written (quarantine happens at readback).
+    pub fn import_wavefront(&self, m: &mut CccMachine<TtPe>, level: usize, cost: &[Cost]) {
         let (layout, mask) = (self.layout, self.replica_mask);
         let level = level.min(layout.k);
-        m.host_load(|addr, pe| crate::hyper::warm_pe(addr & mask, pe, &layout, level, cost, best));
+        m.host_load(|addr, pe| crate::hyper::warm_pe(addr & mask, pe, &layout, level, cost));
     }
 
-    /// Reads the `C(·)` and argmin tables out of replica block `replica`.
-    pub fn read_tables(
+    /// The `i = 0` PE of column `S` in replica block `replica`.
+    fn column(&self, m: &CccMachine<TtPe>, replica: usize, s: Subset) -> TtPe {
+        assert!(replica < self.replicas(m), "replica {replica} out of range");
+        *m.pe((replica << self.layout.dims()) + self.layout.addr(s, 0))
+    }
+
+    /// Reads the `C(·)` table out of replica block `replica`.
+    pub fn read_costs(&self, inst: &TtInstance, m: &CccMachine<TtPe>, replica: usize) -> Vec<Cost> {
+        Subset::all(inst.k())
+            .map(|s| self.column(m, replica, s).m)
+            .collect()
+    }
+
+    /// Packages a finished machine's state as a [`CccSolution`], read
+    /// from replica block `replica`. `resumed` is the level a warm start
+    /// imported (`0` for a cold run): the machine computed no argmin at
+    /// or below it.
+    pub fn solution(
         &self,
         inst: &TtInstance,
         m: &CccMachine<TtPe>,
         replica: usize,
-    ) -> (Vec<Cost>, Vec<Option<u16>>) {
-        assert!(replica < self.replicas(m), "replica {replica} out of range");
-        let base = replica << self.layout.dims();
-        let c_table: Vec<Cost> = Subset::all(inst.k())
-            .map(|s| m.pe(base + self.layout.addr(s, 0)).m)
-            .collect();
-        let best_table: Vec<Option<u16>> = Subset::all(inst.k())
+        resumed: usize,
+    ) -> CccSolution {
+        let c_table = self.read_costs(inst, m, replica);
+        let best_table = Subset::all(inst.k())
             .map(|s| {
-                let pe = m.pe(base + self.layout.addr(s, 0));
-                if s.is_empty() || pe.m.is_inf() {
-                    None
-                } else {
-                    Some(pe.arg)
-                }
+                let pe = self.column(m, replica, s);
+                (s.len() > resumed && !pe.m.is_inf()).then_some(pe.arg)
             })
             .collect();
-        (c_table, best_table)
-    }
-
-    /// Packages a finished machine's state as a [`CccSolution`].
-    pub fn solution(&self, inst: &TtInstance, m: &CccMachine<TtPe>, replica: usize) -> CccSolution {
-        let (c_table, best_table) = self.read_tables(inst, m, replica);
         let cost = c_table[inst.universe().index()];
         CccSolution {
             cost,
@@ -166,13 +164,13 @@ pub fn solve(inst: &TtInstance) -> CccSolution {
 /// the number of completed levels (entries for `#S ≤` that count are
 /// exact, the rest still `INF` placeholders).
 pub fn solve_budgeted(inst: &TtInstance, check: &mut dyn FnMut() -> bool) -> (CccSolution, usize) {
-    solve_resumable(inst, check, None, &mut |_, _, _| {})
+    solve_resumable(inst, check, None, &mut |_, _| {})
 }
 
-/// As [`solve_budgeted`], but resumable: `resume = (level, cost, best)`
+/// As [`solve_budgeted`], but resumable: `resume = (level, cost)`
 /// warm-starts every replica from a completed wavefront (see
-/// [`CccDriver::import_wavefront`]), and `on_level` receives the tables
-/// read back from replica 0 after each completed level.
+/// [`CccDriver::import_wavefront`]), and `on_level` receives the cost
+/// table read back from replica 0 after each completed level.
 pub fn solve_resumable(
     inst: &TtInstance,
     check: &mut dyn FnMut() -> bool,
@@ -183,9 +181,9 @@ pub fn solve_resumable(
     let mut ccc = driver.fresh_machine();
     driver.init(&mut ccc);
     let start = match resume {
-        Some((level, cost, best)) => {
+        Some((level, cost)) => {
             let lvl = level.min(driver.layout.k);
-            driver.import_wavefront(&mut ccc, lvl, cost, best);
+            driver.import_wavefront(&mut ccc, lvl, cost);
             lvl
         }
         None => 0,
@@ -197,20 +195,15 @@ pub fn solve_resumable(
             break;
         }
         driver.run_level(&mut ccc, level);
-        let (c, b) = driver.read_tables(inst, &ccc, 0);
-        on_level(level, &c, &b);
+        on_level(level, &driver.read_costs(inst, &ccc, 0));
     }
-    (driver.solution(inst, &ccc, 0), done)
+    (driver.solution(inst, &ccc, 0, start), done)
 }
 
 impl CccSolution {
-    /// Extracts an optimal procedure tree from the machine's argmin table.
+    /// Extracts an optimal procedure tree from the cost table.
     pub fn tree(&self, inst: &TtInstance) -> Option<tt_core::tree::TtTree> {
-        let tables = tt_core::solver::sequential::DpTables {
-            cost: self.c_table.clone(),
-            best: self.best_table.clone(),
-        };
-        tt_core::solver::sequential::extract_tree(inst, &tables, inst.universe())
+        extract_tree_costs(inst, &self.c_table, inst.universe())
     }
 }
 
@@ -262,6 +255,29 @@ mod tests {
         // oversized for the instance; it must still be a small constant.
         assert!(slowdown < 20.0, "slowdown {slowdown}");
         assert!(slowdown > 1.0);
+    }
+
+    #[test]
+    fn a_warm_start_imports_costs_and_argmins_only_above_it() {
+        let i = inst();
+        let seq = sequential::solve(&i);
+        let warm = Some((2, &seq.tables.cost[..]));
+        let (ccc, _) = solve_resumable(&i, &mut || true, warm, &mut |_, _| {});
+        let (hyp, _) = hyper::solve_resumable(&i, &mut || true, warm, &mut |_, _| {});
+        for (c_table, best_table) in [
+            (&ccc.c_table, &ccc.best_table),
+            (&hyp.c_table, &hyp.best_table),
+        ] {
+            assert_eq!(c_table, &seq.tables.cost);
+            for s in Subset::all(i.k()) {
+                let want = if s.len() <= 2 {
+                    None
+                } else {
+                    seq.tables.best[s.index()]
+                };
+                assert_eq!(best_table[s.index()], want, "S={s}");
+            }
+        }
     }
 
     #[test]

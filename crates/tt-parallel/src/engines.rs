@@ -17,38 +17,15 @@ use tt_core::solver::engine::{
     self, timed_report_with, EngineKind, SolveOutcome, SolveReport, Solver, WorkStats,
 };
 use tt_core::solver::kernel;
-use tt_core::solver::sequential::extract_tree_costs;
+use tt_core::solver::sequential::{extract_tree_costs, LevelSink, WavefrontSeed};
 use tt_core::subset::frontier::binomial;
+use tt_core::subset::Subset;
 
 /// A per-level budget check for the machine simulators: charges the whole
 /// machine's PE sweep for the upcoming level, then polls the deadline and
 /// cancellation.
 fn level_check(meter: &mut BudgetMeter, pes: u64) -> bool {
     meter.charge_subsets(1) & meter.charge_candidates(pes) & meter.check()
-}
-
-/// A machine simulator's share of the caller's wavefront: admits it
-/// and, when it holds a completed wavefront, recovers the argmins it
-/// lacks (`argmins`: machines with an argmin plane, `hyper` and `ccc`)
-/// or drops its plane (the blocked hypercube keeps none), then copies
-/// it as the machine's warm-start seed — the machine's per-level
-/// readbacks are absorbed into the same wavefront, so the seed cannot
-/// borrow it (`k ≤ 14`: at most 16 K cells). Returns the instance
-/// fingerprint and the seed.
-pub(crate) fn machine_wave(
-    inst: &TtInstance,
-    wave: &mut Option<Checkpoint>,
-    argmins: bool,
-) -> (u64, Option<Checkpoint>) {
-    let fingerprint = engine::admit_wave(inst, wave);
-    if let Some(ck) = wave {
-        if argmins {
-            ck.recover_argmins(inst);
-        } else {
-            ck.best = Vec::new();
-        }
-    }
-    (fingerprint, wave.clone())
 }
 
 /// Absorbs a machine's level-`level` readback into the caller's
@@ -60,12 +37,71 @@ pub(crate) fn absorb_and_emit(
     fingerprint: u64,
     level: usize,
     cost: &[Cost],
-    best: Option<&[Option<u16>]>,
     sink: &mut dyn FnMut(&LevelView<'_>),
 ) {
     let ck = wave.get_or_insert_with(|| Checkpoint::cold(inst.k(), fingerprint));
-    ck.absorb_level(level, cost, best);
+    ck.absorb_level(level, cost);
     sink(&LevelView::of(inst, ck));
+}
+
+/// What a machine simulator's run leaves behind: its cost table, its
+/// completed levels, and its own counters (`machine_steps`, `pes`,
+/// extras).
+type MachineRun = (Vec<Cost>, usize, WorkStats);
+
+/// One resumable solve on a word-level machine simulator (`hyper`,
+/// `hyper-blocked`, `ccc`). Refuses an instance above `max_k` under a
+/// limited budget; charges the budget `pes` candidates per level;
+/// starts `run` warm from the caller's wavefront and absorbs every level
+/// it completes back into it, with a telemetry sample per level. `run`
+/// gets the per-level budget check, the warm-start seed and the level
+/// sink. The tree is extracted from the cost table; an exhausted budget
+/// yields the degraded sandwich over the completed levels.
+fn solve_on_machine(
+    inst: &TtInstance,
+    budget: &Budget,
+    max_k: usize,
+    wave: &mut Option<Checkpoint>,
+    sink: &mut dyn FnMut(&LevelView<'_>),
+    pes: u64,
+    run: impl FnOnce(
+        &mut dyn FnMut() -> bool,
+        Option<WavefrontSeed<'_>>,
+        &mut LevelSink<'_>,
+    ) -> MachineRun,
+) -> SolveReport {
+    timed_report_with(|| {
+        if !budget.is_unlimited() && inst.k() > max_k {
+            return engine::capacity_result(inst, WorkStats::default());
+        }
+        let mut meter = budget.start();
+        let fingerprint = engine::admit_wave(inst, wave);
+        // The machine's readbacks are absorbed into `wave`, so its
+        // warm-start seed is a copy (`k ≤ 14`: at most 16 K cells).
+        let prepared = wave.clone();
+        let resumed = prepared.as_ref().map(|ck| ck.level);
+        let mut last = std::time::Instant::now();
+        let (c_table, done, mut work) = run(
+            &mut || level_check(&mut meter, pes),
+            prepared.as_ref().map(|ck| (ck.level, ck.cost.as_slice())),
+            &mut |level, c| {
+                record_level_boundary(level, binomial(inst.k(), level), pes, &mut last);
+                absorb_and_emit(inst, wave, fingerprint, level, c, sink);
+            },
+        );
+        work.subsets = recomputed_subsets(inst.k(), resumed, done);
+        if let Some(level) = resumed {
+            work.push_extra("resumed_level", level as u64);
+        }
+        if let Some(r) = meter.exhausted() {
+            work.push_extra("completed_levels", done as u64);
+            let exact = |sub: Subset| (sub.len() <= done).then(|| c_table[sub.index()]);
+            return engine::degraded_result(inst, r.into(), &exact, work);
+        }
+        let u = inst.universe();
+        let tree = extract_tree_costs(inst, &c_table, u);
+        (c_table[u.index()], tree, work, SolveOutcome::Complete)
+    })
 }
 
 /// PE count of the complete CCC with cycle-length exponent `r`
@@ -171,56 +207,29 @@ impl Solver for HyperEngine {
         wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
-        timed_report_with(|| {
-            if !budget.is_unlimited() && inst.k() > self.max_k() {
-                return engine::capacity_result(inst, WorkStats::default());
-            }
-            let mut meter = budget.start();
-            let pes = Layout::new(inst.k(), inst.n_actions()).pes() as u64;
-            let (fingerprint, prepared) = machine_wave(inst, wave, true);
-            let warm = prepared
-                .as_ref()
-                .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
-            let mut last = std::time::Instant::now();
-            let (s, done) = hyper::solve_resumable(
-                inst,
-                &mut || level_check(&mut meter, pes),
-                warm,
-                &mut |level, c, b| {
-                    record_level_boundary(level, binomial(inst.k(), level), pes, &mut last);
-                    absorb_and_emit(inst, wave, fingerprint, level, c, Some(b), sink);
-                },
-            );
-            let resumed = prepared.as_ref().map(|ck| ck.level);
-            let mut work = WorkStats {
-                subsets: recomputed_subsets(inst.k(), resumed, done),
-                machine_steps: s.steps.exchange + s.steps.local,
-                pes: s.layout.pes() as u64,
-                ..WorkStats::default()
-            };
-            work.push_extra("exchange_steps", s.steps.exchange);
-            work.push_extra("local_steps", s.steps.local);
-            work.push_extra("wire_transits", s.steps.wire_transits);
-            tt_obs::telemetry::add_counter("wire_transits", s.steps.wire_transits);
-            tt_obs::metrics::counter("tt_wire_transits_total").add(s.steps.wire_transits);
-            if let Some(ck) = &prepared {
-                work.push_extra("resumed_level", ck.level as u64);
-            }
-            if let Some(r) = meter.exhausted() {
-                work.push_extra("completed_levels", done as u64);
-                return engine::degraded_result(
-                    inst,
-                    r.into(),
-                    &|sub| {
-                        (sub.len() <= done)
-                            .then(|| (s.c_table[sub.index()], s.best_table[sub.index()]))
-                    },
-                    work,
-                );
-            }
-            let tree = s.tree(inst);
-            (s.cost, tree, work, SolveOutcome::Complete)
-        })
+        let pes = Layout::new(inst.k(), inst.n_actions()).pes() as u64;
+        solve_on_machine(
+            inst,
+            budget,
+            self.max_k(),
+            wave,
+            sink,
+            pes,
+            |check, warm, on_level| {
+                let (s, done) = hyper::solve_resumable(inst, check, warm, on_level);
+                let mut work = WorkStats {
+                    machine_steps: s.steps.exchange + s.steps.local,
+                    pes: s.layout.pes() as u64,
+                    ..WorkStats::default()
+                };
+                work.push_extra("exchange_steps", s.steps.exchange);
+                work.push_extra("local_steps", s.steps.local);
+                work.push_extra("wire_transits", s.steps.wire_transits);
+                tt_obs::telemetry::add_counter("wire_transits", s.steps.wire_transits);
+                tt_obs::metrics::counter("tt_wire_transits_total").add(s.steps.wire_transits);
+                (s.c_table, done, work)
+            },
+        )
     }
 }
 
@@ -265,61 +274,31 @@ impl Solver for HyperBlockedEngine {
         wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
-        timed_report_with(|| {
-            if !budget.is_unlimited() && inst.k() > self.max_k() {
-                return engine::capacity_result(inst, WorkStats::default());
-            }
-            let mut meter = budget.start();
-            let layout = Layout::new(inst.k(), inst.n_actions());
-            let phys = Self::phys(&layout);
-            let pes = layout.pes() as u64;
-            // No argmin plane on this machine: its wavefront carries
-            // none, and readers recompute argmins from the cost slab.
-            let (fingerprint, prepared) = machine_wave(inst, wave, false);
-            let warm = prepared
-                .as_ref()
-                .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
-            let mut last = std::time::Instant::now();
-            let (s, done) = hyper::solve_blocked_resumable(
-                inst,
-                phys,
-                &mut || level_check(&mut meter, pes),
-                warm,
-                &mut |level, c| {
-                    record_level_boundary(level, binomial(inst.k(), level), pes, &mut last);
-                    absorb_and_emit(inst, wave, fingerprint, level, c, None, sink);
-                },
-            );
-            let resumed = prepared.as_ref().map(|ck| ck.level);
-            let mut work = WorkStats {
-                subsets: recomputed_subsets(inst.k(), resumed, done),
-                machine_steps: s.counts.virtual_steps,
-                pes: 1u64 << phys,
-                ..WorkStats::default()
-            };
-            work.push_extra("local_pair_ops", s.counts.local_pair_ops);
-            work.push_extra("remote_pair_ops", s.counts.remote_pair_ops);
-            work.push_extra("words_communicated", s.counts.words_communicated);
-            tt_obs::telemetry::add_counter("words_communicated", s.counts.words_communicated);
-            work.push_extra("block_size", s.block_size as u64);
-            if let Some(level) = resumed {
-                work.push_extra("resumed_level", level as u64);
-            }
-            if let Some(r) = meter.exhausted() {
-                work.push_extra("completed_levels", done as u64);
-                // The blocked machine carries no argmin plane; the
-                // incumbent recomputes argmins below the wavefront from
-                // the exact C values.
-                return engine::degraded_result(
-                    inst,
-                    r.into(),
-                    &|sub| (sub.len() <= done).then(|| (s.c_table[sub.index()], None)),
-                    work,
-                );
-            }
-            let tree = extract_tree_costs(inst, &s.c_table, inst.universe());
-            (s.cost, tree, work, SolveOutcome::Complete)
-        })
+        let layout = Layout::new(inst.k(), inst.n_actions());
+        let phys = Self::phys(&layout);
+        let pes = layout.pes() as u64;
+        solve_on_machine(
+            inst,
+            budget,
+            self.max_k(),
+            wave,
+            sink,
+            pes,
+            |check, warm, on_level| {
+                let (s, done) = hyper::solve_blocked_resumable(inst, phys, check, warm, on_level);
+                let mut work = WorkStats {
+                    machine_steps: s.counts.virtual_steps,
+                    pes: 1u64 << phys,
+                    ..WorkStats::default()
+                };
+                work.push_extra("local_pair_ops", s.counts.local_pair_ops);
+                work.push_extra("remote_pair_ops", s.counts.remote_pair_ops);
+                work.push_extra("words_communicated", s.counts.words_communicated);
+                tt_obs::telemetry::add_counter("words_communicated", s.counts.words_communicated);
+                work.push_extra("block_size", s.block_size as u64);
+                (s.c_table, done, work)
+            },
+        )
     }
 }
 
@@ -352,59 +331,33 @@ impl Solver for CccEngine {
         wave: &mut Option<Checkpoint>,
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
-        timed_report_with(|| {
-            if !budget.is_unlimited() && inst.k() > self.max_k() {
-                return engine::capacity_result(inst, WorkStats::default());
-            }
-            let mut meter = budget.start();
-            let pes = ccc_pes(ccc_tt::CccDriver::new(inst).machine_r);
-            let (fingerprint, prepared) = machine_wave(inst, wave, true);
-            let warm = prepared
-                .as_ref()
-                .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
-            let mut last = std::time::Instant::now();
-            let (s, done) = ccc_tt::solve_resumable(
-                inst,
-                &mut || level_check(&mut meter, pes),
-                warm,
-                &mut |level, c, b| {
-                    record_level_boundary(level, binomial(inst.k(), level), pes, &mut last);
-                    absorb_and_emit(inst, wave, fingerprint, level, c, Some(b), sink);
-                },
-            );
-            let resumed = prepared.as_ref().map(|ck| ck.level);
-            let mut work = WorkStats {
-                subsets: recomputed_subsets(inst.k(), resumed, done),
-                machine_steps: s.steps.total_comm() + s.steps.local,
-                pes: ccc_pes(s.machine_r),
-                ..WorkStats::default()
-            };
-            work.push_extra("rotations", s.steps.rotations);
-            work.push_extra("lateral_exchanges", s.steps.lateral_exchanges);
-            work.push_extra("intra_cycle", s.steps.intra_cycle);
-            work.push_extra("local_steps", s.steps.local);
-            work.push_extra("wire_transits", s.steps.wire_transits);
-            tt_obs::telemetry::add_counter("wire_transits", s.steps.wire_transits);
-            tt_obs::metrics::counter("tt_wire_transits_total").add(s.steps.wire_transits);
-            work.push_extra("machine_r", s.machine_r as u64);
-            if let Some(ck) = &prepared {
-                work.push_extra("resumed_level", ck.level as u64);
-            }
-            if let Some(r) = meter.exhausted() {
-                work.push_extra("completed_levels", done as u64);
-                return engine::degraded_result(
-                    inst,
-                    r.into(),
-                    &|sub| {
-                        (sub.len() <= done)
-                            .then(|| (s.c_table[sub.index()], s.best_table[sub.index()]))
-                    },
-                    work,
-                );
-            }
-            let tree = s.tree(inst);
-            (s.cost, tree, work, SolveOutcome::Complete)
-        })
+        let dims = Layout::new(inst.k(), inst.n_actions()).dims();
+        let pes = ccc_pes(hypercube::ccc::min_r_for_dims(dims));
+        solve_on_machine(
+            inst,
+            budget,
+            self.max_k(),
+            wave,
+            sink,
+            pes,
+            |check, warm, on_level| {
+                let (s, done) = ccc_tt::solve_resumable(inst, check, warm, on_level);
+                let mut work = WorkStats {
+                    machine_steps: s.steps.total_comm() + s.steps.local,
+                    pes: ccc_pes(s.machine_r),
+                    ..WorkStats::default()
+                };
+                work.push_extra("rotations", s.steps.rotations);
+                work.push_extra("lateral_exchanges", s.steps.lateral_exchanges);
+                work.push_extra("intra_cycle", s.steps.intra_cycle);
+                work.push_extra("local_steps", s.steps.local);
+                work.push_extra("wire_transits", s.steps.wire_transits);
+                tt_obs::telemetry::add_counter("wire_transits", s.steps.wire_transits);
+                tt_obs::metrics::counter("tt_wire_transits_total").add(s.steps.wire_transits);
+                work.push_extra("machine_r", s.machine_r as u64);
+                (s.c_table, done, work)
+            },
+        )
     }
 }
 
@@ -468,11 +421,10 @@ impl Solver for BvmEngine {
             }
             if let Some(r) = meter.exhausted() {
                 work.push_extra("completed_levels", done as u64);
-                // The BVM readback carries no argmin plane either.
                 return engine::degraded_result(
                     inst,
                     r.into(),
-                    &|sub| (sub.len() <= done).then(|| (s.c_table[sub.index()], None)),
+                    &|sub| (sub.len() <= done).then(|| s.c_table[sub.index()]),
                     work,
                 );
             }
@@ -504,7 +456,6 @@ mod tests {
     use super::*;
     use tt_core::instance::TtInstanceBuilder;
     use tt_core::solver::sequential;
-    use tt_core::subset::Subset;
 
     fn small_instance() -> TtInstance {
         TtInstanceBuilder::new(3)

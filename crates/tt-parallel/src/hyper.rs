@@ -27,14 +27,15 @@ use crate::layout::{padded_actions, Layout, PadAction};
 use hypercube::cube::{SimdHypercube, StepCounts};
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
-use tt_core::solver::sequential::{LevelSink, WavefrontSeed};
+use tt_core::solver::sequential::{extract_tree_costs, LevelSink, WavefrontSeed};
 use tt_core::subset::Subset;
 
 /// Per-PE state: the four words of the paper's working set, plus an
-/// argmin word (an extension: the paper computes only `C(·)`; carrying
-/// the minimizing action index through the ASCEND minimization lets the
-/// machine return the optimal *procedure* too, at one extra word of
-/// state and no extra steps).
+/// argmin word (an extension: the paper computes only `C(·)`; the
+/// minimizing action index rides through the ASCEND minimization at one
+/// extra word of state and no extra steps, and is read back as
+/// [`HyperSolution::best_table`]). Trees and checkpoints come from the
+/// cost table alone.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TtPe {
     /// The candidate cost `M[S, i]`.
@@ -58,7 +59,8 @@ pub struct HyperSolution {
     pub c_table: Vec<Cost>,
     /// `best_table[S.index()]` = minimizing action at `S` (the smallest
     /// index among ties, matching the sequential solver), or `None` when
-    /// `C(S) = INF` or `S = ∅`.
+    /// `C(S) = INF`, `S = ∅`, or `#S` is at or below the level a warm
+    /// start imported (the import carries costs only).
     pub best_table: Vec<Option<u16>>,
     /// Parallel step counts (exchange steps are the communication time).
     pub steps: StepCounts,
@@ -67,14 +69,10 @@ pub struct HyperSolution {
 }
 
 impl HyperSolution {
-    /// Extracts an optimal procedure tree from the machine's argmin
-    /// table (`None` when the instance is inadequate).
+    /// Extracts an optimal procedure tree from the cost table (`None`
+    /// when the instance is inadequate).
     pub fn tree(&self, inst: &TtInstance) -> Option<tt_core::tree::TtTree> {
-        let tables = tt_core::solver::sequential::DpTables {
-            cost: self.c_table.clone(),
-            best: self.best_table.clone(),
-        };
-        tt_core::solver::sequential::extract_tree(inst, &tables, inst.universe())
+        extract_tree_costs(inst, &self.c_table, inst.universe())
     }
 }
 
@@ -125,13 +123,13 @@ pub fn solve_budgeted(
     inst: &TtInstance,
     check: &mut dyn FnMut() -> bool,
 ) -> (HyperSolution, usize) {
-    solve_resumable(inst, check, None, &mut |_, _, _| {})
+    solve_resumable(inst, check, None, &mut |_, _| {})
 }
 
-/// As [`solve_budgeted`], but resumable: `resume = (level, cost, best)`
+/// As [`solve_budgeted`], but resumable: `resume = (level, cost)`
 /// warm-starts the machine from a completed `#S ≤ level` wavefront (see
-/// [`warm_pe`]), and `on_level` is called with the freshly read tables
-/// after every completed level — the checkpoint-export hook.
+/// [`warm_pe`]), and `on_level` is called with the freshly read cost
+/// table after every completed level — the checkpoint-export hook.
 pub fn solve_resumable(
     inst: &TtInstance,
     check: &mut dyn FnMut() -> bool,
@@ -145,9 +143,9 @@ pub fn solve_resumable(
     let mut cube = SimdHypercube::new(layout.dims(), |_| TtPe::default());
     cube.local_step(|addr, pe| init_pe(addr, pe, &layout, &actions, &weights));
     let start = match resume {
-        Some((level, cost, best)) => {
+        Some((level, cost)) => {
             let lvl = level.min(layout.k);
-            cube.host_load(|addr, pe| warm_pe(addr, pe, &layout, lvl, cost, best));
+            cube.host_load(|addr, pe| warm_pe(addr, pe, &layout, lvl, cost));
             lvl
         }
         None => 0,
@@ -157,11 +155,13 @@ pub fn solve_resumable(
     // each level — `Σ_j C(k, j) = 2^k` reads over a whole run instead of
     // the `k · 2^k` the old full-table-per-level readback cost. Levels
     // at or below the warm start are read back once from the overlaid
-    // machine state.
+    // machine state, costs only.
     let mut c_table = vec![Cost::INF; 1usize << inst.k()];
     let mut best_table: Vec<Option<u16>> = vec![None; c_table.len()];
     for level in 0..=start {
-        read_cube_wavefront(&cube, &layout, level, &mut c_table, &mut best_table);
+        for (s, addr) in layout.wavefront_addrs(level) {
+            c_table[s.index()] = cube.pe(addr).m;
+        }
     }
     let mut done = layout.k;
     for level in (start + 1)..=layout.k {
@@ -171,7 +171,7 @@ pub fn solve_resumable(
         }
         run_level_cube(&mut cube, &layout, &actions, level, m_tests);
         read_cube_wavefront(&cube, &layout, level, &mut c_table, &mut best_table);
-        on_level(level, &c_table, &best_table);
+        on_level(level, &c_table);
     }
     let cost = c_table[inst.universe().index()];
     (
@@ -207,30 +207,19 @@ fn read_cube_wavefront(
 }
 
 /// Warm-start overlay for a resumed checkpoint: writes the exact
-/// `C(S)` (and argmin, when known — `best` may be an empty plane) into
-/// every `i`-column of each
-/// subset at or below the completed wavefront `level`. Sound because
-/// after level `#S` the min-reduction leaves *every* PE of column `S`
-/// holding `C(S)` (the `every_i_column_agrees_after_the_run`
-/// invariant), and `R`/`Q` are re-seeded from `M` at the start of each
-/// level — so a machine overlaid at level `j` is state-identical to
-/// one that computed levels `1..j` itself. Apply via `host_load`, not
-/// `local_step`: the import is host intervention, not machine work.
-pub fn warm_pe(
-    addr: usize,
-    pe: &mut TtPe,
-    layout: &Layout,
-    level: usize,
-    cost: &[Cost],
-    best: &[Option<u16>],
-) {
+/// `C(S)` into every `i`-column of each subset at or below the
+/// completed wavefront `level`. Sound because after level `#S` the
+/// min-reduction leaves *every* PE of column `S` holding `C(S)` (the
+/// `every_i_column_agrees_after_the_run` invariant), and `R`/`Q` are
+/// re-seeded from `M` at the start of each level — so a machine
+/// overlaid at level `j` computes the same costs as one that computed
+/// levels `1..j` itself. Costs never read the argmin word, so the
+/// overlay leaves it alone. Apply via `host_load`, not `local_step`:
+/// the import is host intervention, not machine work.
+pub fn warm_pe(addr: usize, pe: &mut TtPe, layout: &Layout, level: usize, cost: &[Cost]) {
     let (s, _) = layout.split(addr);
-    if s.is_empty() || s.len() > level {
-        return;
-    }
-    pe.m = cost[s.index()];
-    if let Some(b) = best.get(s.index()).copied().flatten() {
-        pe.arg = b;
+    if !s.is_empty() && s.len() <= level {
+        pe.m = cost[s.index()];
     }
 }
 
@@ -559,15 +548,13 @@ pub fn solve_blocked_budgeted(
 
 /// As [`solve_blocked_budgeted`], but resumable: `resume` warm-starts
 /// the virtual machine from a completed wavefront via [`warm_pe`], and
-/// `on_level` receives the cost table after each completed level (the
-/// blocked machine carries no argmin plane, so checkpoints it produces
-/// have their argmins recovered from the cost slab on load).
+/// `on_level` receives the cost table after each completed level.
 pub fn solve_blocked_resumable(
     inst: &TtInstance,
     phys: usize,
     check: &mut dyn FnMut() -> bool,
     resume: Option<WavefrontSeed<'_>>,
-    on_level: &mut dyn FnMut(usize, &[Cost]),
+    on_level: &mut LevelSink<'_>,
 ) -> (BlockedSolution, usize) {
     use hypercube::blocked::BlockedHypercube;
     let layout = Layout::new(inst.k(), inst.n_actions());
@@ -578,15 +565,15 @@ pub fn solve_blocked_resumable(
     let mut cube = BlockedHypercube::new(layout.dims(), phys, |_| TtPe::default());
     cube.local_step(|addr, pe| init_pe(addr, pe, &layout, &actions, &weights));
     let start = match resume {
-        Some((level, cost, best)) => {
+        Some((level, cost)) => {
             let lvl = level.min(layout.k);
-            cube.host_load(|addr, pe| warm_pe(addr, pe, &layout, lvl, cost, best));
+            cube.host_load(|addr, pe| warm_pe(addr, pe, &layout, lvl, cost));
             lvl
         }
         None => 0,
     };
     // The same incremental wavefront readback as the word-level cube
-    // (cost only — this machine carries no argmin plane).
+    // (cost only).
     let mut c_table = vec![Cost::INF; 1usize << inst.k()];
     for level in 0..=start {
         for (s, addr) in layout.wavefront_addrs(level) {

@@ -283,25 +283,15 @@ impl Solver for FaultyCccEngine {
             if !budget.is_unlimited() && inst.k() > self.max_k() {
                 return engine::capacity_result(inst, WorkStats::default());
             }
-            let (fingerprint, prepared) = crate::engines::machine_wave(inst, wave, true);
-            let warm = prepared
-                .as_ref()
-                .map(|ck| (ck.level, ck.cost.as_slice(), ck.best.as_slice()));
+            let fingerprint = engine::admit_wave(inst, wave);
+            let prepared = wave.clone();
             let result = solve_ccc_resilient_resumable(
                 inst,
                 self.plan.clone(),
                 self.max_retries,
-                warm,
-                &mut |level, c, b| {
-                    crate::engines::absorb_and_emit(
-                        inst,
-                        wave,
-                        fingerprint,
-                        level,
-                        c,
-                        Some(b),
-                        sink,
-                    );
+                prepared.as_ref().map(|ck| (ck.level, ck.cost.as_slice())),
+                &mut |level, c| {
+                    crate::engines::absorb_and_emit(inst, wave, fingerprint, level, c, sink);
                 },
             );
             match result {
@@ -892,13 +882,15 @@ pub struct BatchSink {
 
 impl BatchSink {
     /// Opens the sinks. `None` for either path disables that sink; the
-    /// records file is truncated (a sink names one run, not a log).
+    /// records file is truncated (a sink names one run, not a log) and
+    /// its directory entry made durable with
+    /// [`tt_core::durable::create_durable`].
     pub fn open(
         records: Option<&std::path::Path>,
         summary: Option<&std::path::Path>,
     ) -> std::io::Result<BatchSink> {
         let records = match records {
-            Some(p) => Some((std::fs::File::create(p)?, p.to_path_buf())),
+            Some(p) => Some((tt_core::durable::create_durable(p)?, p.to_path_buf())),
             None => None,
         };
         Ok(BatchSink {
@@ -1026,9 +1018,8 @@ mod tests {
                 plan,
                 max_retries: 0,
             });
-            let resume = (level > 1).then(|| {
-                LevelView::dense(&i, level - 1, &seq.tables.cost, &seq.tables.best).to_checkpoint()
-            });
+            let resume = (level > 1)
+                .then(|| LevelView::dense(&i, level - 1, &seq.tables.cost).to_checkpoint());
             let opts = SuperviseOptions {
                 resume,
                 ..SuperviseOptions::default()

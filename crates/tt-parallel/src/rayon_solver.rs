@@ -133,7 +133,7 @@ mod tests {
         let last = Checkpoint::from_text(&serial[13]).unwrap();
         let reference = sequential::solve_tables(&i);
         assert_eq!(last.cost, reference.cost);
-        let view = LevelView::dense(&i, 14, &reference.cost, &reference.best).to_checkpoint();
+        let view = LevelView::dense(&i, 14, &reference.cost).to_checkpoint();
         assert_eq!((last.upper, last.lower), (view.upper, view.lower));
     }
 

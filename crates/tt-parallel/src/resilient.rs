@@ -143,14 +143,14 @@ pub fn solve_ccc_resilient(
     plan: CccFaultPlan<crate::hyper::TtPe>,
     max_retries: usize,
 ) -> Result<(CccSolution, ResilienceReport), FaultEscalation> {
-    solve_ccc_resilient_resumable(inst, plan, max_retries, None, &mut |_, _, _| {})
+    solve_ccc_resilient_resumable(inst, plan, max_retries, None, &mut |_, _| {})
 }
 
 /// As [`solve_ccc_resilient`], but resumable: `resume` warm-starts every
 /// replica from a completed `#S ≤ level` wavefront (the import is a host
 /// load — it bypasses the armed fault plan, exactly like the dead-PE
-/// probe), and `on_level` receives the clean replica's tables after each
-/// *committed* level. An escalation mid-solve therefore leaves the
+/// probe), and `on_level` receives the clean replica's cost table after
+/// each *committed* level. An escalation mid-solve therefore leaves the
 /// caller holding a checkpoint of the last level that passed the
 /// redundant-execution check — the warm handoff the supervision chain
 /// resumes a software engine from.
@@ -177,9 +177,9 @@ pub fn solve_ccc_resilient_resumable(
 
     driver.init(&mut m);
     let start = match resume {
-        Some((level, cost, best)) => {
+        Some((level, cost)) => {
             let lvl = level.min(driver.layout.k);
-            driver.import_wavefront(&mut m, lvl, cost, best);
+            driver.import_wavefront(&mut m, lvl, cost);
             lvl
         }
         None => 0,
@@ -208,10 +208,9 @@ pub fn solve_ccc_resilient_resumable(
             attempts += 1;
             report.retries += 1;
         }
-        let (c, b) = driver.read_tables(inst, &m, replica);
-        on_level(level, &c, &b);
+        on_level(level, &driver.read_costs(inst, &m, replica));
     }
-    Ok((driver.solution(inst, &m, replica), report))
+    Ok((driver.solution(inst, &m, replica, start), report))
 }
 
 /// One dual-pattern stuck-link probe round: fetch an all-zeros plane and

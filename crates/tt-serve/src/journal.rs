@@ -48,7 +48,7 @@ use crate::json::{self, Json};
 use std::collections::HashMap;
 use std::path::Path;
 use tt_core::durable::{self, Mode, SegmentLog, Segments};
-use tt_core::solver::checkpoint::fnv1a;
+use tt_obs::fnv1a;
 
 /// Why the journal could not be written or replayed: the segment log's
 /// typed error, so tests can assert the exact failure class.

@@ -1,14 +1,20 @@
 //! Checkpoint bytes are pinned: every level boundary's
-//! `LevelView::to_checkpoint().to_text()` must equal the golden files,
-//! which hold the texts the engines wrote when each level still built an
-//! owned checkpoint. `checkpoints-dense.txt` carries argmins (the
-//! machine engines with an argmin plane write it);
-//! `checkpoints-cost-only.txt` is the cost-only form every host engine
-//! writes. Covered: the engines one at a time, the supervisor's observer stream and final checkpoint (plain
-//! and across a failover in both directions between the two forms), and
-//! the file `ttsolve --checkpoint` leaves behind. A k = 12 failover test
-//! checks that the wavefront the first engine advanced warm-starts the
-//! next engine at the level the first one died after.
+//! `LevelView::to_checkpoint().to_text()` must equal
+//! `checkpoints-cost-only.txt`, which holds the texts the engines wrote
+//! when each level still built an owned checkpoint. Every engine writes
+//! that one cost-only form. Covered: the engines one at a time, the
+//! supervisor's observer stream and final checkpoint (plain and across a
+//! failover in both directions between a machine simulator and the level
+//! kernel), and the file `ttsolve --checkpoint` leaves behind.
+//!
+//! `checkpoints-dense.txt` is a legacy input: the same levels as older
+//! builds wrote them, with the `hyper`/`ccc` argmin in every cell. Its
+//! texts must still load, write back as the cost-only golden, and
+//! warm-start `seq`, `hyper` and `ccc` to the cold cost.
+//!
+//! A k = 12 failover test checks that the wavefront the first engine
+//! advanced warm-starts the next engine at the level the first one died
+//! after.
 
 use std::path::Path;
 use std::process::Command;
@@ -17,8 +23,8 @@ use tt_core::instance::TtInstance;
 use tt_core::solver::budget::Budget;
 use tt_core::solver::checkpoint::{Checkpoint, LevelView};
 use tt_core::solver::engine::{EngineKind, SolveReport, Solver};
+use tt_core::solver::sequential;
 use tt_core::solver::supervise::{supervise, supervise_with_observer, SuperviseOptions};
-use tt_core::solver::{kernel, sequential};
 use tt_workloads::catalog::Domain;
 
 const INSTANCE: &str = "tests/golden/medical-k8-seed7.tt";
@@ -56,38 +62,69 @@ fn texts_of(engine: &dyn Solver, inst: &TtInstance) -> Vec<String> {
 fn engine_checkpoints_match_the_goldens_at_every_level() {
     tt_parallel::register_engines();
     let inst = golden_instance();
-    for (storage, engines) in [
-        ("dense", &["hyper", "ccc"][..]),
-        (
-            "cost-only",
-            &[
-                "seq",
-                "rayon",
-                "rayon-frontier",
-                "seq-frontier",
-                "hyper-blocked",
-            ][..],
-        ),
+    let want = golden("cost-only");
+    assert_eq!(want.len(), inst.k());
+    for name in [
+        "seq",
+        "rayon",
+        "rayon-frontier",
+        "seq-frontier",
+        "hyper",
+        "hyper-blocked",
+        "ccc",
     ] {
-        let want = golden(storage);
-        assert_eq!(want.len(), inst.k());
-        for name in engines {
-            let engine = tt_repro::lookup(name).unwrap();
-            let got = texts_of(engine.as_ref(), &inst);
-            assert_eq!(got.len(), want.len(), "{name}: levels");
-            for (level, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g, w, "{name}: level {} differs from the golden", level + 1);
-            }
+        let engine = tt_repro::lookup(name).unwrap();
+        let got = texts_of(engine.as_ref(), &inst);
+        assert_eq!(got.len(), want.len(), "{name}: levels");
+        for (level, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "{name}: level {} differs from the golden", level + 1);
         }
     }
 }
 
-/// Advances the wavefront through level `die_after`, then panics:
-/// cost-only with the level kernel, or, with `argmins`, level by level
-/// from the reference tables with their argmin plane.
+#[test]
+fn legacy_argmin_checkpoints_load_as_the_cost_only_golden_and_resume() {
+    tt_parallel::register_engines();
+    let inst = golden_instance();
+    let (dense, costs) = (golden("dense"), golden("cost-only"));
+    assert_eq!(dense.len(), inst.k());
+    let cold = sequential::solve(&inst).cost;
+    for (level, (legacy, want)) in dense.iter().zip(&costs).enumerate() {
+        let level = level + 1;
+        assert_ne!(legacy, want, "level {level}: the fixture carries argmins");
+        let ck = Checkpoint::from_text(legacy).unwrap();
+        assert_eq!(ck.level, level);
+        assert_eq!(&ck.to_text(), want, "level {level}: written back");
+        // `ccc` simulates a 2^20-PE machine here: one mid-lattice resume.
+        let engines: &[&str] = if level == 4 {
+            &["seq", "hyper", "ccc"]
+        } else {
+            &["seq", "hyper"]
+        };
+        for name in engines {
+            let engine = tt_repro::lookup(name).unwrap();
+            let r = engine.solve_resumable(
+                &inst,
+                &Budget::unlimited(),
+                &mut Some(ck.clone()),
+                &mut |_| {},
+            );
+            assert!(r.outcome.is_complete(), "{name} resumed@{level}");
+            assert_eq!(r.cost, cold, "{name} resumed@{level}");
+            assert_eq!(
+                r.work.extra("resumed_level"),
+                Some(level as u64),
+                "{name} resumed@{level}"
+            );
+        }
+    }
+}
+
+/// Runs `engine` until it has advanced the wavefront through level
+/// `die_after`, then panics.
 struct DieAfter {
     die_after: usize,
-    argmins: bool,
+    engine: &'static str,
 }
 
 impl Solver for DieAfter {
@@ -115,16 +152,8 @@ impl Solver for DieAfter {
             sink(view);
             assert!(view.level() < die, "injected death after level {die}");
         };
-        let wave = wave.insert(Checkpoint::blank(inst));
-        if self.argmins {
-            let tables = sequential::solve_tables(inst);
-            for level in 1..=inst.k() {
-                wave.absorb_level(level, &tables.cost, Some(&tables.best));
-                sink(&LevelView::of(inst, wave));
-            }
-        } else {
-            kernel::sweep(inst, &mut budget.start(), &kernel::Serial, wave, &mut sink);
-        }
+        let engine = tt_repro::lookup(self.engine).unwrap();
+        engine.solve_resumable(inst, budget, wave, &mut sink);
         unreachable!("the test engine dies before finishing")
     }
 }
@@ -141,12 +170,12 @@ fn no_retries() -> SuperviseOptions {
 fn supervised_checkpoints_match_the_goldens() {
     tt_parallel::register_engines();
     let inst = golden_instance();
-    let (dense, costs) = (golden("dense"), golden("cost-only"));
+    let costs = golden("cost-only");
     let k = inst.k();
-    let die = |argmins| -> Box<dyn Solver> {
+    let die = |engine| -> Box<dyn Solver> {
         Box::new(DieAfter {
             die_after: 3,
-            argmins,
+            engine,
         })
     };
     // (name, chain, expected observer stream); the final checkpoint is
@@ -156,17 +185,17 @@ fn supervised_checkpoints_match_the_goldens() {
         (
             "default chain",
             tt_parallel::orchestrate::default_chain(&inst),
-            dense.clone(),
+            costs.clone(),
         ),
         (
-            "dense then cost-only",
-            vec![die(true), tt_repro::lookup("rayon").unwrap()],
-            [&dense[..3], &costs[3..]].concat(),
+            "machine then kernel",
+            vec![die("hyper"), tt_repro::lookup("rayon").unwrap()],
+            costs.clone(),
         ),
         (
-            "cost-only then dense",
-            vec![die(false), tt_repro::lookup("hyper").unwrap()],
-            [&costs[..3], &dense[3..]].concat(),
+            "kernel then machine",
+            vec![die("seq"), tt_repro::lookup("hyper").unwrap()],
+            costs.clone(),
         ),
     ];
     for (name, chain, want) in cases {
@@ -192,13 +221,13 @@ fn supervised_checkpoints_match_the_goldens() {
 
 #[test]
 fn ttsolve_checkpoint_files_match_the_goldens() {
-    let (dense, costs) = (golden("dense"), golden("cost-only"));
+    let costs = golden("cost-only");
     let dir = std::env::temp_dir().join(format!("ttck-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for (flags, want) in [
         (&["--solver", "rayon"][..], costs.last()),
         (&["--solver", "rayon-frontier"][..], costs.last()),
-        (&["--supervise"][..], dense.last()),
+        (&["--supervise"][..], costs.last()),
     ] {
         let file = dir.join("out.ttck");
         let out = Command::new(env!("CARGO_BIN_EXE_ttsolve"))
@@ -222,12 +251,12 @@ fn k12_failover_resumes_from_the_incremental_copy_with_the_cold_cost() {
     let inst = Domain::Random.generate(12, 3);
     let cold = sequential::solve(&inst).cost;
     for die_after in [1, 5, 11] {
-        for (argmins, next) in [(false, "rayon"), (true, "rayon"), (false, "seq")] {
+        for (engine, next) in [("seq", "rayon"), ("hyper", "rayon"), ("seq", "seq")] {
             let chain: Vec<Box<dyn Solver>> = vec![
-                Box::new(DieAfter { die_after, argmins }),
+                Box::new(DieAfter { die_after, engine }),
                 tt_repro::lookup(next).unwrap(),
             ];
-            let case = format!("die after {die_after} (argmins {argmins}), then {next}");
+            let case = format!("{engine} dies after {die_after}, then {next}");
             let r = supervise(&inst, &chain, &Budget::unlimited(), &no_retries());
             assert_eq!(r.engine, next, "{case}");
             assert!(r.report.outcome.is_complete(), "{case}");

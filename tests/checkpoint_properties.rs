@@ -28,7 +28,7 @@ proptest! {
         let i = random_adequate(k, seed);
         let sol = sequential::solve(&i);
         let level = 1 + (usize::from(level_frac) * (k - 1)) / 100;
-        let ck = LevelView::dense(&i, level, &sol.tables.cost, &sol.tables.best).to_checkpoint();
+        let ck = LevelView::dense(&i, level, &sol.tables.cost).to_checkpoint();
         let mut bytes = ck.to_text().into_bytes();
         let pos = (usize::from(pos_frac) * (bytes.len() - 1)) / 100;
         bytes[pos] ^= flip;
