@@ -7,8 +7,9 @@
 //!
 //! Runs a pinned workload matrix (catalog domains × engines × k, fixed
 //! seeds), each cell warmed up once and sampled N times, and writes the
-//! timings to a stable JSON file (`BENCH_pr5.json` by default — see the
-//! README's "Observability" section for the schema). With `--baseline`
+//! timings to a stable JSON file (`target/ttbench.json` by default, so a
+//! local run leaves the committed reports alone — see the README's
+//! "Observability" section for the schema). With `--baseline`
 //! it compares against a committed run and exits `11` (the
 //! `EXIT_BENCH_REGRESSION` code from `ttsolve`'s table) on regression.
 //!
@@ -41,7 +42,7 @@
 //!
 //! Besides the engine matrix, three cells pin the orchestration paths:
 //! `batch/mixed/*` (a demo manifest through `orchestrate::run_batch`),
-//! `supervised/random/*` (the shape-selected failover chain through
+//! `supervised/random/*` (the default failover chain through
 //! `supervise::supervise`), and `cache/random/*` (warm exact-hit
 //! lookups through `tt_cache::SolutionCache`, pinned on every run to
 //! answer bit-identically to the cold solve and at least 5× faster
@@ -166,7 +167,7 @@ fn parse_args() -> Opts {
     let mut opts = Opts {
         quick: false,
         samples: 0, // 0 = default for the mode
-        out: "BENCH_pr5.json".to_string(),
+        out: "target/ttbench.json".to_string(),
         baseline: None,
         threshold: 0.25,
         self_test: false,
@@ -470,15 +471,13 @@ fn batch_cell(opts: &Opts, ref_solve: &dyn Fn(), ref_iters: u64) -> CellResult {
     })
 }
 
-/// The supervised path as a pinned cell: the shape-selected failover
-/// chain ([`supervise::fallback_chain`], machine primary + software
-/// tail) driven by [`supervise::supervise`] with an unlimited budget.
+/// The supervised path as a pinned cell: the default failover chain
+/// ([`orchestrate::default_chain`], `auto` first) driven by
+/// [`supervise::supervise`] with an unlimited budget.
 fn supervised_cell(opts: &Opts, ref_solve: &dyn Fn(), ref_iters: u64) -> CellResult {
-    // Full mode leads with the hyper sim at k = 10; quick mode with the
-    // CCC at k = 7 (the CCC's k = 8+ solves cost seconds).
     let k = if opts.quick { 7 } else { 10 };
     let inst = Domain::parse("random").unwrap().generate(k, 7);
-    let chain = supervise::fallback_chain(&inst);
+    let chain = orchestrate::default_chain(&inst);
     let meta = CellMeta {
         engine: "supervised".to_string(),
         domain: "random".to_string(),
@@ -738,7 +737,11 @@ fn main() {
     let mut cell_failures = Vec::new();
     let results = run_matrix(&opts, &mut cell_failures);
     let json = render_json(&opts, &results);
-    if let Err(e) = std::fs::write(&opts.out, &json) {
+    let parent = std::path::Path::new(&opts.out).parent();
+    if let Err(e) = parent
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(&opts.out, &json))
+    {
         eprintln!("cannot write {}: {e}", opts.out);
         std::process::exit(2);
     }

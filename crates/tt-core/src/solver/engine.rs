@@ -368,13 +368,13 @@ pub fn timed_report_with(
     f: impl FnOnce() -> (Cost, Option<TtTree>, WorkStats, SolveOutcome),
 ) -> SolveReport {
     tt_obs::metrics::counter("tt_solves_total").inc();
-    tt_obs::telemetry::begin();
+    let scope = tt_obs::telemetry::begin();
     let span = tt_obs::trace::span("solve", Vec::new());
     let start = Instant::now();
     let (cost, tree, work, outcome) = f();
     let wall = start.elapsed();
     drop(span);
-    let telemetry = tt_obs::telemetry::finish();
+    let telemetry = scope.finish();
     SolveReport {
         cost,
         tree,

@@ -148,18 +148,26 @@ impl CostLookup for SparseLower<'_> {
     }
 }
 
-/// Marks the closure of `U` under the recurrence's useful actions,
-/// level by level: `marked[j]` holds the `#S = j` reachable masks,
-/// sorted and deduplicated. A child is pushed once, the first time a
-/// visited set of one bit per lattice subset (`2^k / 8` bytes, 128 KiB
-/// at `k = 20`) sees it, and each level is sorted when the top-down walk
-/// reaches it. Deduplicating a level only when the walk reaches it would
+/// Walks the closure of `U` under the recurrence's useful actions,
+/// level by level from `U` down: each `#S = j` level is sorted when the
+/// walk reaches it, expanded, then handed to `expanded(j, masks)`
+/// (sorted and deduplicated) — `memo` keeps it, a count-only caller
+/// drops it. A child is queued once, the first time a visited set of
+/// one bit per lattice subset (`2^k / 8` bytes, 128 KiB at `k = 20`)
+/// sees it. Deduplicating a level only when the walk reaches it would
 /// hold up to `2N` pending copies of each subset until then (15 MB on a
-/// 58,151-subset `k = 20` closure). Polls the meter's deadline/cancel
-/// state periodically; on a dead meter returns `None`.
-fn mark_closure(inst: &TtInstance, meter: &mut BudgetMeter) -> Option<Vec<Vec<u32>>> {
+/// 58,151-subset `k = 20` closure). Returns the closure's size counting
+/// `U` (`∅` is implicit, `C(∅) = 0`, never a cell), or `None` as soon
+/// as that size exceeds `cap` or `alive`, polled every 1024 expanded
+/// subsets, returns `false`.
+pub(crate) fn walk_closure(
+    inst: &TtInstance,
+    cap: usize,
+    alive: &mut dyn FnMut() -> bool,
+    expanded: &mut dyn FnMut(usize, Vec<u32>),
+) -> Option<usize> {
     let k = inst.k();
-    let mut marked: Vec<Vec<u32>> = vec![Vec::new(); k + 1];
+    let mut pending: Vec<Vec<u32>> = vec![Vec::new(); k + 1];
     let mut seen = vec![0u64; (1usize << k).div_ceil(64)];
     let mut fresh = |s: Subset| {
         let (word, bit) = (s.index() / 64, s.index() % 64);
@@ -169,15 +177,16 @@ fn mark_closure(inst: &TtInstance, meter: &mut BudgetMeter) -> Option<Vec<Vec<u3
     };
     let root = inst.universe();
     fresh(root);
-    marked[k].push(root.0);
+    pending[k].push(root.0);
+    let mut count = 1usize;
     let mut polled = 0u32;
     for j in (1..=k).rev() {
-        let mut lvl = std::mem::take(&mut marked[j]);
+        let mut lvl = std::mem::take(&mut pending[j]);
         lvl.sort_unstable();
         for &mask in &lvl {
             let s = Subset(mask);
             polled += 1;
-            if polled.is_multiple_of(1024) && !meter.check() {
+            if polled.is_multiple_of(1024) && !alive() {
                 return None;
             }
             for i in 0..inst.n_actions() {
@@ -187,18 +196,21 @@ fn mark_closure(inst: &TtInstance, meter: &mut BudgetMeter) -> Option<Vec<Vec<u3
                 if inter.is_empty() || (a.is_test() && diff.is_empty()) {
                     continue;
                 }
-                if a.is_test() && fresh(inter) {
-                    marked[inter.len()].push(inter.0);
-                }
-                if !diff.is_empty() && fresh(diff) {
-                    marked[diff.len()].push(diff.0);
+                let children = [a.is_test().then_some(inter), Some(diff)];
+                for c in children.into_iter().flatten() {
+                    if !c.is_empty() && fresh(c) {
+                        pending[c.len()].push(c.0);
+                        count += 1;
+                        if count > cap {
+                            return None;
+                        }
+                    }
                 }
             }
         }
-        marked[j] = lvl;
+        expanded(j, lvl);
     }
-    // marked[0] stays empty: ∅ is implicit (C(∅) = 0), never a cell.
-    Some(marked)
+    Some(count)
 }
 
 /// Solves `inst` top-down, touching only reachable subsets.
@@ -225,9 +237,13 @@ pub fn solve_with(inst: &TtInstance, meter: &mut BudgetMeter) -> MemoSolution {
             frontier: stats,
         }
     };
-    let Some(marked) = mark_closure(inst, meter) else {
+    let mut marked: Vec<Vec<u32>> = vec![Vec::new(); k + 1];
+    let walked = walk_closure(inst, usize::MAX, &mut || meter.check(), &mut |j, lvl| {
+        marked[j] = lvl;
+    });
+    if walked.is_none() {
         return dead_solution(stats, candidates, HashMap::new());
-    };
+    }
     let mut levels: Vec<SparseLevel> = marked.into_iter().map(SparseLevel::new).collect();
     for lvl in &levels {
         stats.on_alloc(lvl.masks.len() as u64);

@@ -54,6 +54,6 @@ pub use engine::{
 pub use select::{auto_select, Selection};
 pub use sequential::{solve, DpStats, DpTables, Solution};
 pub use supervise::{
-    fallback_chain, jitter_seed, jittered_backoff, supervise, AttemptFailure, FailureKind,
-    SuperviseOptions, SuperviseReport,
+    jitter_seed, jittered_backoff, supervise, AttemptFailure, FailureKind, SuperviseOptions,
+    SuperviseReport,
 };

@@ -49,8 +49,6 @@ use crate::solver::budget::Budget;
 use crate::solver::checkpoint::{Checkpoint, LevelView};
 use crate::solver::engine::{registry, EngineKind, SolveReport, Solver};
 use crate::subset::frontier;
-use crate::subset::Subset;
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Largest `k` for which plain sequential DP is preferred over thread
@@ -89,55 +87,14 @@ pub struct Selection {
 /// following the same usefulness rules as the DP recurrence. Returns
 /// `None` — "dense" — as soon as the closure exceeds `cap`.
 ///
-/// The walk is breadth-first. The result does not depend on the order
+/// This is `memo`'s marking pass, counting only: each level is dropped
+/// once it is expanded. The result does not depend on the walk order
 /// (the closure is counted whole or found to exceed `cap`), but on a
-/// dense closure a FIFO walk reaches `cap` sooner than a depth-first
-/// one: it expands the large sets near `U`, whose splits are mostly
-/// new, before the small ones, whose splits mostly repeat.
+/// dense closure the top-down level walk reaches `cap` soon: it expands
+/// the large sets near `U`, whose splits are mostly new, before the
+/// small ones, whose splits mostly repeat.
 pub fn probe_reachable(inst: &TtInstance, cap: usize) -> Option<usize> {
-    // One visited bit per lattice subset: 2^k / 8 bytes (128 KiB at
-    // k = 20), no hashing.
-    let mut seen = vec![0u64; (1usize << inst.k()).div_ceil(64)];
-    let mut mark = |s: Subset| {
-        let (word, bit) = (s.index() / 64, s.index() % 64);
-        let fresh = seen[word] & (1 << bit) == 0;
-        seen[word] |= 1 << bit;
-        fresh
-    };
-    mark(inst.universe());
-    let mut count = 1usize;
-    let mut queue = VecDeque::from([inst.universe()]);
-    while let Some(s) = queue.pop_front() {
-        for i in 0..inst.n_actions() {
-            let a = inst.action(i);
-            let inter = s.intersect(a.set);
-            let diff = s.difference(a.set);
-            if inter.is_empty() {
-                continue; // useless action, excluded by the recurrence
-            }
-            let children: &[Subset] = if a.is_test() {
-                if diff.is_empty() {
-                    continue; // outcome certain: useless test
-                }
-                &[inter, diff]
-            } else {
-                &[diff]
-            };
-            for &c in children {
-                if c.is_empty() {
-                    continue;
-                }
-                if mark(c) {
-                    count += 1;
-                    if count > cap {
-                        return None;
-                    }
-                    queue.push_back(c);
-                }
-            }
-        }
-    }
-    Some(count)
+    crate::solver::memo::walk_closure(inst, cap, &mut || true, &mut |_, _| {})
 }
 
 /// The pure decision table. `reachable` is the probe result (`None` =

@@ -8,7 +8,7 @@
 //! supervisor wraps a *chain* of engines so that none of these ever
 //! surfaces as a missing or silently wrong answer: the failing engine
 //! is retried with exponential backoff, then abandoned for the next
-//! engine down the chain (e.g. ccc → auto → rayon → seq → bnb).
+//! engine down the chain (e.g. auto → rayon → seq → bnb).
 //!
 //! Failover is *warm*: every engine run goes through
 //! [`Solver::solve_resumable`] over one wavefront [`Checkpoint`] the
@@ -217,46 +217,22 @@ fn remaining(budget: &Budget, start: Instant) -> Option<Budget> {
     }
 }
 
-/// Auto-selects a fallback chain from the instance shape: the
-/// preferred machine simulator that fits `k` first (ccc, then the
-/// hypercubes — the paper's cost-efficient network leads), then the
-/// `auto` engine, which picks the host engine at solve time, then the
-/// failover tail rayon → seq → bnb → memo → greedy, each filtered by
-/// its `max_k()`. Built from the live [`registry`], so the chain
-/// automatically contains whatever extensions are linked in. Building
-/// it probes nothing: `auto` decides when it runs.
-pub fn fallback_chain(inst: &TtInstance) -> Vec<Box<dyn Solver>> {
-    chain_for_shape(inst.k())
-}
-
-/// [`fallback_chain`] by `k` alone.
+/// The default failover chain for a `k`-object instance: the `auto`
+/// engine, which picks the host engine at solve time, then the tail
+/// rayon → seq → bnb → memo → greedy, each kept only when it is
+/// registered and its `max_k()` admits `k`. Built from the live
+/// [`registry`], so it sees whatever extensions are linked in. Building
+/// it probes nothing: `auto` decides when it runs. The machine
+/// simulators are never in it; a caller that wants one names it.
 pub fn chain_for_shape(k: usize) -> Vec<Box<dyn Solver>> {
     let mut pool = registry();
     let mut chain: Vec<Box<dyn Solver>> = Vec::new();
-    for name in ["ccc", "hyper", "hyper-blocked"] {
-        if let Some(pos) = pool
-            .iter()
-            .position(|e| e.name() == name && e.max_k() >= k && e.kind() == EngineKind::Machine)
-        {
-            chain.push(pool.remove(pos));
-            break; // one machine primary is enough
-        }
-    }
     for name in ["auto", "rayon", "seq", "bnb", "memo", "greedy"] {
         if let Some(pos) = pool.iter().position(|e| e.name() == name && e.max_k() >= k) {
             chain.push(pool.remove(pos));
         }
     }
     chain
-}
-
-/// Builds a chain from engine names via [`lookup`](crate::solver::lookup);
-/// `Err` carries the first unknown name.
-pub fn chain_from_names<S: AsRef<str>>(names: &[S]) -> Result<Vec<Box<dyn Solver>>, String> {
-    names
-        .iter()
-        .map(|n| crate::solver::lookup(n.as_ref()).ok_or_else(|| n.as_ref().to_string()))
-        .collect()
 }
 
 /// Runs `inst` through the supervision chain. See the module docs for
@@ -551,7 +527,8 @@ mod tests {
     }
 
     /// Emits checkpoints through level `die_after`, then panics —
-    /// a machine dying mid-lattice with its wavefront saved.
+    /// a machine dying mid-lattice with its wavefront saved, inside its
+    /// own telemetry scope as a real engine would.
     struct EmitThenPanic {
         die_after: usize,
     }
@@ -577,17 +554,19 @@ mod tests {
         ) -> SolveReport {
             let mut meter = budget.start();
             let die = self.die_after;
-            crate::solver::kernel::sweep(
-                inst,
-                &mut meter,
-                &crate::solver::kernel::Serial,
-                wave.insert(Checkpoint::blank(inst)),
-                &mut |view| {
-                    sink(view);
-                    assert!(view.level() < die, "injected mid-lattice death");
-                },
-            );
-            unreachable!("test engine must die before finishing")
+            timed_report_with(|| {
+                crate::solver::kernel::sweep(
+                    inst,
+                    &mut meter,
+                    &crate::solver::kernel::Serial,
+                    wave.insert(Checkpoint::blank(inst)),
+                    &mut |view| {
+                        sink(view);
+                        assert!(view.level() < die, "injected mid-lattice death");
+                    },
+                );
+                unreachable!("test engine must die before finishing")
+            })
         }
     }
 
@@ -604,6 +583,25 @@ mod tests {
         assert_eq!(r.retries, 1);
         assert_eq!(r.failures.len(), 2);
         assert!(matches!(r.failures[0].kind, FailureKind::Panicked(_)));
+    }
+
+    #[test]
+    fn an_engine_panicking_mid_solve_leaves_no_telemetry_scope_open() {
+        let i = inst();
+        let chain: Vec<Box<dyn Solver>> = vec![
+            Box::new(EmitThenPanic { die_after: 2 }),
+            lookup("seq").unwrap(),
+        ];
+        let r = supervise(&i, &chain, &Budget::unlimited(), &fast_opts());
+        assert_eq!(r.engine, "seq");
+        assert!(matches!(r.failures[0].kind, FailureKind::Panicked(_)));
+        assert!(
+            !tt_obs::telemetry::active(),
+            "the dead engine's scope leaked"
+        );
+        // With no scope open, a later level feeds only the global layers.
+        tt_obs::telemetry::record_level(1, 1, 1, 1);
+        assert!(!tt_obs::telemetry::active());
     }
 
     #[test]
@@ -794,18 +792,12 @@ mod tests {
 
     #[test]
     fn chain_for_shape_orders_software_tail() {
-        // Only tt-core engines are guaranteed registered here; `auto`
-        // heads the software tail, which must appear in fallback order.
-        let names: Vec<String> = chain_for_shape(4)
-            .iter()
-            .map(|e| e.name().to_string())
-            .collect();
-        let tail: Vec<&str> = names
-            .iter()
-            .map(String::as_str)
-            .filter(|n| ["auto", "seq", "bnb", "memo", "greedy"].contains(n))
-            .collect();
-        assert_eq!(tail, vec!["auto", "seq", "bnb", "memo", "greedy"]);
+        // Only tt-core engines are registered here, so `rayon` is absent;
+        // no machine heads the chain at any k.
+        for k in 1..=crate::MAX_K {
+            let names: Vec<&str> = chain_for_shape(k).iter().map(|e| e.name()).collect();
+            assert_eq!(names, ["auto", "seq", "bnb", "memo", "greedy"], "k={k}");
+        }
     }
 
     #[test]
@@ -852,15 +844,5 @@ mod tests {
         let a = jitter_seed();
         let b = jitter_seed();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn chain_from_names_resolves_and_reports_unknowns() {
-        let chain = chain_from_names(&["seq", "bnb"]).unwrap();
-        assert_eq!(chain.len(), 2);
-        match chain_from_names(&["no-such"]) {
-            Err(unknown) => assert_eq!(unknown, "no-such"),
-            Ok(_) => panic!("unknown engine name must be rejected"),
-        }
     }
 }

@@ -6,7 +6,8 @@
 //! [`record_level`] (one sample per completed DP level) and
 //! [`add_counter`] (named counters: pruned candidates, checkpoint
 //! latencies, machine counters). When the scope closes the collected
-//! [`Telemetry`] is attached to the `SolveReport`.
+//! [`Telemetry`] is attached to the `SolveReport`; a scope whose engine
+//! panics closes as its guard unwinds.
 //!
 //! Recording also fans out to the global layers: each level sample
 //! bumps the `tt_dp_levels_total` / `tt_dp_cells_total` /
@@ -101,16 +102,50 @@ thread_local! {
     static STACK: RefCell<Vec<Telemetry>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Opens a collector scope on this thread. Must be balanced by
-/// [`finish`].
-pub fn begin() {
-    STACK.with(|s| s.borrow_mut().push(Telemetry::default()));
+/// An open collector scope on the current thread. [`finish`](Scope::finish)
+/// closes it and returns what it collected; dropping it unfinished (an
+/// engine that panicked) closes it too, so no scope outlives its solve.
+#[must_use = "a scope closes when dropped"]
+pub struct Scope {
+    /// Stack depth below this scope.
+    depth: usize,
+    /// Scopes live on one thread's stack: not `Send`.
+    _thread: std::marker::PhantomData<*const ()>,
 }
 
-/// Closes the innermost scope and returns what it collected (empty if
-/// no scope was open — callers never panic on imbalance).
-pub fn finish() -> Telemetry {
-    STACK.with(|s| s.borrow_mut().pop()).unwrap_or_default()
+impl Scope {
+    /// Closes the scope (and any left open inside it) and returns what
+    /// it collected.
+    pub fn finish(self) -> Telemetry {
+        STACK
+            .with(|s| s.borrow_mut().get_mut(self.depth).map(std::mem::take))
+            .unwrap_or_default()
+    }
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        // A drop must not panic, even at thread exit.
+        let _ = STACK.try_with(|s| {
+            if let Ok(mut s) = s.try_borrow_mut() {
+                s.truncate(self.depth);
+            }
+        });
+    }
+}
+
+/// Opens a collector scope on this thread, closed by the returned
+/// guard.
+pub fn begin() -> Scope {
+    let depth = STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        s.push(Telemetry::default());
+        s.len() - 1
+    });
+    Scope {
+        depth,
+        _thread: std::marker::PhantomData,
+    }
 }
 
 /// Is a collector scope open on this thread?
@@ -179,12 +214,12 @@ mod tests {
     #[test]
     fn scope_collects_levels_and_counters() {
         let _serial = record_lock();
-        begin();
+        let scope = begin();
         record_level(1, 4, 20, 100);
         record_level(2, 6, 30, 200);
         add_counter("pruned", 3);
         add_counter("pruned", 2);
-        let t = finish();
+        let t = scope.finish();
         assert_eq!(t.levels.len(), 2);
         assert_eq!(t.levels[1].candidates, 30);
         assert_eq!(t.counter("pruned"), Some(5));
@@ -196,12 +231,12 @@ mod tests {
     #[test]
     fn scopes_nest_innermost_wins() {
         let _serial = record_lock();
-        begin();
+        let outer = begin();
         record_level(1, 1, 1, 1);
-        begin();
+        let inner = begin();
         record_level(1, 9, 9, 9);
-        let inner = finish();
-        let outer = finish();
+        let inner = inner.finish();
+        let outer = outer.finish();
         assert_eq!(inner.levels.len(), 1);
         assert_eq!(inner.levels[0].cells, 9);
         assert_eq!(outer.levels.len(), 1);
@@ -209,9 +244,14 @@ mod tests {
     }
 
     #[test]
-    fn unbalanced_finish_is_harmless() {
+    fn a_dropped_scope_closes_itself() {
+        let _serial = record_lock();
         assert!(!active());
-        assert_eq!(finish(), Telemetry::default());
+        let outer = begin();
+        drop(begin());
+        record_level(1, 2, 3, 4);
+        assert_eq!(outer.finish().levels.len(), 1);
+        assert!(!active());
     }
 
     #[test]

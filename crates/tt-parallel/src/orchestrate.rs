@@ -385,45 +385,37 @@ impl Solver for FaultyBvmEngine {
 }
 
 /// Builds the failover chain for a fault-armed solve: the faulty
-/// machine engine first, then the plain software tail of the
-/// shape-selected chain (never another machine — the fault plan says
-/// the machines are suspect).
+/// machine engine first, then the default software chain.
 pub fn fault_chain(inst: &TtInstance, target: FaultTarget) -> Vec<Box<dyn Solver>> {
-    crate::register_engines();
-    let mut chain: Vec<Box<dyn Solver>> = Vec::new();
-    match target {
-        FaultTarget::Ccc(plan) => chain.push(Box::new(FaultyCccEngine::new(plan))),
-        FaultTarget::Bvm(plan) => chain.push(Box::new(FaultyBvmEngine::new(plan))),
-    }
-    for e in supervise::chain_for_shape(inst.k()) {
-        if e.kind() != EngineKind::Machine {
-            chain.push(e);
-        }
-    }
-    chain
+    let head: Box<dyn Solver> = match target {
+        FaultTarget::Ccc(plan) => Box::new(FaultyCccEngine::new(plan)),
+        FaultTarget::Bvm(plan) => Box::new(FaultyBvmEngine::new(plan)),
+    };
+    headed_chain(inst, head)
 }
 
 /// The default supervision chain with this crate's engines registered
-/// (the plain [`tt_core::solver::fallback_chain`] only sees engines the
+/// (the plain [`supervise::chain_for_shape`] only sees engines the
 /// caller registered first).
 pub fn default_chain(inst: &TtInstance) -> Vec<Box<dyn Solver>> {
     crate::register_engines();
-    supervise::fallback_chain(inst)
+    supervise::chain_for_shape(inst.k())
 }
 
-/// A chain headed by the named engine, backed by the software tail of
-/// the shape-selected chain (so pinning a machine engine still leaves a
-/// failover path).
+/// A chain headed by the named engine, backed by the default chain (so
+/// pinning a machine engine still leaves a software failover path).
 pub fn named_chain(inst: &TtInstance, name: &str) -> Result<Vec<Box<dyn Solver>>, String> {
     crate::register_engines();
-    let mut chain = supervise::chain_from_names(&[name])
-        .map_err(|unknown| format!("unknown solver '{unknown}'"))?;
-    for e in supervise::chain_for_shape(inst.k()) {
-        if e.kind() != EngineKind::Machine && e.name() != chain[0].name() {
-            chain.push(e);
-        }
-    }
-    Ok(chain)
+    let head = tt_core::solver::lookup(name).ok_or_else(|| format!("unknown solver '{name}'"))?;
+    Ok(headed_chain(inst, head))
+}
+
+/// `head`, then the default chain without `head`'s name.
+fn headed_chain(inst: &TtInstance, head: Box<dyn Solver>) -> Vec<Box<dyn Solver>> {
+    let mut chain = default_chain(inst);
+    chain.retain(|e| e.name() != head.name());
+    chain.insert(0, head);
+    chain
 }
 
 // ---------------------------------------------------------------------
@@ -601,7 +593,7 @@ impl BatchItem {
             return Ok(fault_chain(inst, target));
         }
         match &self.solver {
-            None => Ok(supervise::fallback_chain(inst)),
+            None => Ok(default_chain(inst)),
             Some(name) => named_chain(inst, name),
         }
     }
@@ -1127,6 +1119,29 @@ mod tests {
             .skip(1)
             .all(|e| e.kind() != EngineKind::Machine));
         assert!(chain.len() >= 2);
+    }
+
+    #[test]
+    fn every_chain_tail_is_the_software_chain_at_every_k() {
+        let software = ["auto", "rayon", "seq", "bnb", "memo", "greedy"];
+        for k in 1..=tt_core::MAX_K {
+            let i = TtInstanceBuilder::new(k)
+                .weights(vec![1; k])
+                .treatment(Subset::universe(k), 1)
+                .build()
+                .unwrap();
+            let names = |chain: &[Box<dyn Solver>]| -> Vec<&'static str> {
+                chain.iter().map(|e| e.name()).collect()
+            };
+            assert_eq!(names(&default_chain(&i)), software, "k={k}");
+            let pinned = named_chain(&i, "ccc").unwrap();
+            assert_eq!(pinned[0].name(), "ccc", "k={k}");
+            assert_eq!(names(&pinned[1..]), software, "k={k}: ccc tail");
+            let target = parse_fault_spec("ccc:dead:1").unwrap();
+            let faulty = fault_chain(&i, target);
+            assert_eq!(faulty[0].kind(), EngineKind::Machine, "k={k}");
+            assert_eq!(names(&faulty[1..]), software, "k={k}: fault tail");
+        }
     }
 
     #[test]

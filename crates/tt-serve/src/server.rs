@@ -778,9 +778,9 @@ fn load_instance(params: &SolveParams) -> Result<TtInstance, String> {
     }
 }
 
-/// An omitted solver and `"auto"` both get the default chain: the
-/// machine primary when one fits (`k ≤ 14`), then the `auto` engine,
-/// which makes the same solve-time decision as `ttsolve --solver auto`.
+/// An omitted solver and `"auto"` both get the default chain, headed by
+/// the `auto` engine, which makes the same solve-time decision as
+/// `ttsolve --solver auto`.
 fn build_chain(params: &SolveParams, inst: &TtInstance) -> Result<Vec<Box<dyn Solver>>, String> {
     match params.solver.as_deref() {
         None | Some("auto") => Ok(orchestrate::default_chain(inst)),

@@ -43,8 +43,8 @@
 //!
 //! `--supervise` solves through a health-aware failover chain
 //! (`tt_core::solver::supervise`) instead of a single engine: the
-//! shape-selected machine primary first, then the `auto` engine, then
-//! software fallbacks; panics, fault escalations, and capacity refusals
+//! `auto` engine first, then software fallbacks (a machine simulator
+//! runs only when `--solver` or `--faults` names it); panics, fault escalations, and capacity refusals
 //! retry with backoff and then fail over — warm, when a checkpoint
 //! exists. `--checkpoint <file>` persists the newest level-boundary
 //! checkpoint to disk during the solve (fsynced temp file, atomic

@@ -32,8 +32,8 @@ fn stdout(out: &Output) -> String {
 fn fifty_instance_batch_isolates_bad_lines_and_exits_partial() {
     let mut manifest = String::new();
     let domains = ["random", "medical", "faults", "biology", "lab"];
-    // 45 solvable: software-pinned for speed, plus a few unpinned lines
-    // that exercise the machine-primary chain.
+    // 45 solvable: most pinned to one engine, plus a few unpinned lines
+    // that exercise the default chain.
     for n in 0..45u64 {
         let d = domains[(n % 5) as usize];
         match n % 9 {

@@ -107,17 +107,22 @@ fn work_stats_respect_problem_bounds() {
     }
 }
 
-/// The default supervision chain heads its host engines with `auto`,
-/// which decides at solve time. The answer must name the engine that
-/// ran — `memo` on a sparse reachable closure, `seq` on a dense one at
-/// k = 15 (narrow widest level), `rayon` at k = 16 — never `auto`, and
-/// its cost and tree must be `seq`'s exactly.
+/// The default supervision chain is headed by `auto`, which decides at
+/// solve time, at every k. The answer must name the engine that ran —
+/// `memo` on a sparse reachable closure, `seq` on a dense one up to
+/// k = 15 (narrow widest level), `rayon` at k = 16 — never `auto` and
+/// never a machine simulator, and its cost and tree must be `seq`'s
+/// exactly.
 #[test]
 fn default_chains_name_the_engine_auto_delegated_to() {
     use tt_core::solver::supervise::{supervise, SuperviseOptions};
     use tt_core::solver::Budget;
     use tt_workloads::catalog::Domain;
     for (domain, k, want) in [
+        (Domain::Medical, 6, "seq"),
+        (Domain::Random, 8, "seq"),
+        (Domain::Medical, 12, "seq"),
+        (Domain::Random, 14, "memo"),
         (Domain::Random, 15, "memo"),
         (Domain::Random, 16, "memo"),
         (Domain::Medical, 15, "seq"),

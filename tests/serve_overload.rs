@@ -54,10 +54,10 @@ fn tiny_server() -> tt_serve::server::ServerHandle {
     .expect("bind an ephemeral port")
 }
 
-fn solve_req(tag: usize, k: u32, timeout_ms: u64) -> Request {
+fn solve_req(tag: usize, domain: &str, k: u32, timeout_ms: u64) -> Request {
     Request::Solve(SolveParams {
         id: Some(format!("flood-{tag}")),
-        source: Source::Demo(format!("random:{k}:{}", 7 + tag)),
+        source: Source::Demo(format!("{domain}:{k}:{}", 7 + tag)),
         solver: None,
         timeout_ms: Some(timeout_ms),
         key: None,
@@ -89,10 +89,11 @@ fn flood_sheds_typed_degrades_deadlined_and_balances_the_books() {
         let barrier = Arc::clone(&barrier);
         threads.push(std::thread::spawn(move || {
             barrier.wait();
-            // k = 14 is far too big to finish exactly in 150 ms, so
-            // every admitted request must come back deadline-degraded.
+            // A dense k = 21 closure is far too big to finish exactly in
+            // 150 ms, so every admitted request must come back
+            // deadline-degraded.
             let outcome = Client::connect(addr, Duration::from_secs(10))
-                .and_then(|mut c| c.request(&solve_req(tag, 14, 150)));
+                .and_then(|mut c| c.request(&solve_req(tag, "medical", 21, 150)));
             match outcome {
                 Ok(resp) => resp,
                 Err(e) => panic!("client {tag} transport error: {e:?}"),
@@ -214,7 +215,7 @@ fn fault_barrage_leaves_no_wreckage() {
     // The server shrugs it off and still does real work.
     assert!(ping(addr), "server wedged by fault barrage");
     let resp = Client::connect(addr, Duration::from_secs(10))
-        .and_then(|mut c| c.request(&solve_req(0, 6, 400)))
+        .and_then(|mut c| c.request(&solve_req(0, "random", 6, 400)))
         .expect("post-barrage solve");
     match resp {
         Response::Solved(r) => assert!(r.complete || r.lower.is_some()),
