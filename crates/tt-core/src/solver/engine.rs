@@ -463,7 +463,7 @@ impl Solver for SequentialEngine {
     }
 }
 
-/// Top-down memoized DP over reachable subsets only.
+/// The level kernel over the reachable closure only.
 struct MemoEngine;
 
 impl Solver for MemoEngine {
@@ -474,32 +474,40 @@ impl Solver for MemoEngine {
         EngineKind::Exact
     }
     fn description(&self) -> &'static str {
-        "top-down memoized DP over reachable subsets"
+        "level kernel over the reachable closure only"
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        timed_report_with(|| {
-            let mut meter = budget.start();
-            let s = memo::solve_with(inst, &mut meter);
-            tt_obs::telemetry::add_counter("reachable_subsets", s.reachable_subsets as u64);
-            let mut work = WorkStats {
-                subsets: s.reachable_subsets as u64,
-                candidates: s.candidates,
-                ..WorkStats::default()
-            };
-            record_frontier_stats(&mut work, s.frontier);
-            match meter.exhausted() {
-                None => (s.cost, s.tree, work, SolveOutcome::Complete),
-                Some(r) => degraded_result(
-                    inst,
-                    r.into(),
-                    // The memo map holds only frames that finished, so
-                    // every entry is exact.
-                    &|sub| s.table.get(&sub.0).map(|&(c, _)| c),
-                    work,
-                ),
-            }
-        })
+        memo_report(inst, budget, None)
     }
+}
+
+/// `memo`'s report under `budget`: the closure `walked` when a caller
+/// (`auto`'s selection walk) has marked it already, else a fresh walk.
+pub(crate) fn memo_report(
+    inst: &TtInstance,
+    budget: &Budget,
+    walked: Option<memo::Closure>,
+) -> SolveReport {
+    timed_report_with(|| {
+        let mut meter = budget.start();
+        let s = match walked {
+            Some(closure) => memo::solve_closure(inst, &mut meter, closure),
+            None => memo::solve_with(inst, &mut meter),
+        };
+        tt_obs::telemetry::add_counter("reachable_subsets", s.reachable_subsets as u64);
+        let mut work = WorkStats {
+            subsets: s.reachable_subsets as u64,
+            candidates: s.candidates,
+            ..WorkStats::default()
+        };
+        record_frontier_stats(&mut work, s.frontier);
+        match meter.exhausted() {
+            None => (s.cost, s.tree, work, SolveOutcome::Complete),
+            // The table holds only completed levels, so every entry is
+            // exact.
+            Some(r) => degraded_result(inst, r.into(), &|sub| s.table.get(sub), work),
+        }
+    })
 }
 
 /// Memoized DP with admissible bound-ordered pruning.

@@ -23,6 +23,11 @@
 //! minimum over actions does not depend on their order, so every cell
 //! equals [`sequential::min_candidate`]'s, the cell-major reference.
 //!
+//! The chunk pass is generic over its gather, a [`CostLookup`]: the
+//! dense sweep reads the slab through [`DenseSlab`], and `memo` hands
+//! it the masks of one marked closure level and its closure-sized
+//! `mask → C(S)` table (see [`super::memo`]).
+//!
 //! The only thing engines differ in is how those chunks run — the
 //! [`Executor`]: [`Serial`] here (`seq`), worker threads in
 //! `tt-parallel` (`rayon`). Every gather reads a strictly smaller set,
@@ -41,7 +46,7 @@ use crate::solver::engine::{
     admit_wave, degraded_result, record_frontier_stats, SolveOutcome, WorkStats,
 };
 use crate::solver::sequential;
-use crate::subset::frontier::{self, FrontierStats};
+use crate::subset::frontier::{self, CostLookup, DenseSlab, FrontierStats};
 use crate::subset::Subset;
 use crate::tree::TtTree;
 
@@ -87,7 +92,7 @@ fn gosper_next(s: Subset) -> Subset {
 /// all (16 KiB at `k = 20`). Saturating addition of non-negative
 /// integers is associative, so `lo[S_low] ⊕ hi[S_high]` is exactly
 /// [`TtInstance::weight_of`], saturation included.
-struct SplitWeights {
+pub(crate) struct SplitWeights {
     lo: Vec<u64>,
     hi: Vec<u64>,
     half: u32,
@@ -95,7 +100,7 @@ struct SplitWeights {
 
 impl SplitWeights {
     /// Builds both tables for `inst`'s weights.
-    fn new(inst: &TtInstance) -> SplitWeights {
+    pub(crate) fn new(inst: &TtInstance) -> SplitWeights {
         let half = inst.k().div_ceil(2);
         let (lo, hi) = inst.weights().split_at(half);
         SplitWeights {
@@ -107,7 +112,7 @@ impl SplitWeights {
 
     /// `p(s)`.
     #[inline]
-    fn of(&self, s: Subset) -> u64 {
+    pub(crate) fn of(&self, s: Subset) -> u64 {
         let low = s.0 & ((1u32 << self.half) - 1);
         self.lo[low as usize].saturating_add(self.hi[(s.0 >> self.half) as usize])
     }
@@ -124,14 +129,15 @@ fn subset_sums(weights: &[u64]) -> Vec<u64> {
 }
 
 /// Computes one chunk of level cells, action by action: `cells[off]`
-/// becomes `C(masks[off])` gathered from `slab`, `weights[off]` being
+/// becomes `C(masks[off])` gathered from `table`, `weights[off]` being
 /// `p(masks[off])`. The candidates and their exclusions are
 /// [`sequential::candidate_via`]'s: an action is useless at `S` when
-/// `S ∩ T` is empty, a test also when `S − T` is. Each action's `Cost`
-/// is built once per pass (`TtInstanceBuilder::build` refuses `INF`).
-fn chunk_costs(
+/// `S ∩ T` is empty, a test also when `S − T` is, so `table` is only
+/// read at the children of useful pairs. Each action's `Cost` is built
+/// once per pass (`TtInstanceBuilder::build` refuses `INF`).
+pub(crate) fn chunk_costs<L: CostLookup>(
     inst: &TtInstance,
-    slab: &[Cost],
+    table: &L,
     masks: &[Subset],
     weights: &[u64],
     cells: &mut [Cost],
@@ -144,7 +150,7 @@ fn chunk_costs(
             if inter.is_empty() || diff.is_empty() {
                 continue;
             }
-            let m = cost.saturating_mul_weight(w) + slab[inter.index()] + slab[diff.index()];
+            let m = cost.saturating_mul_weight(w) + table.cost_of(inter) + table.cost_of(diff);
             *cell = (*cell).min(m);
         }
     }
@@ -153,7 +159,7 @@ fn chunk_costs(
             if !s.intersects(t) {
                 continue;
             }
-            let m = cost.saturating_mul_weight(w) + slab[s.difference(t).index()];
+            let m = cost.saturating_mul_weight(w) + table.cost_of(s.difference(t));
             *cell = (*cell).min(m);
         }
     }
@@ -226,7 +232,7 @@ pub fn sweep_windows(
                     }
                     (*m, *w) = (s, split.of(s));
                 }
-                chunk_costs(inst, slab, masks, weights, chunk);
+                chunk_costs(inst, &DenseSlab(slab), masks, weights, chunk);
             });
             let mut s = frontier::unrank(j, first as u64);
             for (off, &c) in out.iter().enumerate() {

@@ -1,4 +1,4 @@
-//! Live-set DP over reachable subsets only, on sparse frontiers.
+//! Live-set DP over reachable subsets only, on the level kernel.
 //!
 //! The paper's parallel algorithm allocates a PE to **every** `(S, i)` pair
 //! because a SIMD machine cannot cheaply skip lattice levels. A sequential
@@ -7,30 +7,31 @@
 //! tiny fraction of `2^k`. This solver quantifies that ablation
 //! (experiment E14 in DESIGN.md).
 //!
-//! Since the frontier refactor this is no longer a recursive memo: it runs
-//! in two levelwise passes. A **marking pass** walks the closure top-down
-//! from `U` (the same usefulness rules as the recurrence), producing one
-//! sorted mask list per `#S = j` level — deduplicated by a visited set of
-//! one bit per lattice subset, no hash set in the loop; an **evaluation
-//! pass** then sweeps those
-//! sparse frontiers bottom-up. Within a level, ascending CNS rank *is*
-//! ascending mask order (the colex property [`frontier::rank`](crate::subset::frontier::rank) documents),
-//! so each child gather is a rank lookup implemented as a probe of the
-//! level's `MaskIndex` — no per-gather rank arithmetic. Peak resident cells
-//! equal the closure size — the counter the `memo/random/k20` ttbench cell
-//! pins — while the visit order (ascending rank within ascending level)
-//! picks the same first-minimizer argmins as the old depth-first memo, so
-//! costs, trees, and the `reachable_subsets`/`candidates` counters are
-//! unchanged.
+//! It runs in two passes. `walk_closure` marks the closure top-down
+//! from `U` under the recurrence's usefulness rules, one `#S = j` level
+//! at a time, into sorted per-level mask lists, and counts the useful
+//! `(S, i)` pairs as it goes. Then each marked level, bottom-up, goes
+//! through the level kernel's action-major chunk pass
+//! (`kernel::chunk_costs`), which gathers from one closure-sized,
+//! open-addressed `mask → C(S)` table ([`ClosureTable`]) instead of the
+//! `2^k` slab. A level's cells enter the table once the level is done,
+//! and every gather of a useful pair lands on a smaller closure set, so
+//! the table never misses. Every closure cell equals the mask-order
+//! DP's, and the tree comes from [`argmin_at`] over the same table, so
+//! it is the tree `seq` extracts. `auto` hands over the closure its
+//! selection walk already marked (`solve_closure`), so an `auto` solve
+//! walks once.
+//!
+//! [`argmin_at`]: crate::solver::sequential::argmin_at
 
 use crate::cost::Cost;
-use crate::instance::TtInstance;
+use crate::instance::{Action, TtInstance};
 use crate::solver::budget::BudgetMeter;
-use crate::solver::sequential::candidate_via;
+use crate::solver::kernel::{self, SplitWeights, CHUNK};
+use crate::solver::sequential::extract_tree_via;
 use crate::subset::frontier::{CostLookup, FrontierStats};
 use crate::subset::Subset;
 use crate::tree::TtTree;
-use std::collections::HashMap;
 
 /// Result of the memoized solver.
 #[derive(Clone, Debug)]
@@ -43,317 +44,252 @@ pub struct MemoSolution {
     pub tree: Option<TtTree>,
     /// Number of distinct subsets actually evaluated (compare `2^k`).
     pub reachable_subsets: usize,
-    /// Number of `(S, i)` candidate evaluations performed.
+    /// Number of useful `(S, i)` pairs at the evaluated subsets.
     pub candidates: u64,
-    /// The memo table: exact `(C(S), argmin)` for every *finished*
-    /// subset — cells cut by the budget are never inserted, so a
-    /// degraded caller can trust every entry.
-    pub table: HashMap<u32, (Cost, Option<u16>)>,
+    /// Exact `C(S)` for every subset of a *completed* level (and `∅`):
+    /// a budget that runs out stops between levels, so a degraded
+    /// caller can trust every entry.
+    pub table: ClosureTable,
     /// Frontier accounting: cells allocated / peak resident equal the
-    /// reachable-closure size, rank calls count the sparse gathers.
+    /// reachable-closure size; `rank_calls` counts the closure-table
+    /// gathers of the chunk pass.
     pub frontier: FrontierStats,
 }
 
-/// Open-addressed `mask → cell index` map for one sparse level:
-/// Fibonacci hashing on the mask, linear probing, power-of-two
-/// capacity at twice the cell count. Non-empty masks are never zero,
-/// so zero marks a free slot. A level's table is a few cache lines for
-/// typical closures — each gather costs one multiply and (almost
-/// always) one probe, against the ~log₂(cells) mispredicting probes of
-/// a bisection.
-struct MaskIndex {
-    /// `(mask, cell index)` slots; `mask == 0` means empty.
-    slots: Vec<(u32, u32)>,
-    /// `64 − log₂(slots.len())`, the Fibonacci-hash shift.
-    shift: u32,
+/// One `#S = j` level of the reachable closure.
+#[derive(Default)]
+pub(crate) struct Level {
+    /// The level's subsets in ascending mask order.
+    masks: Vec<Subset>,
+    /// Useful test pairs at them (two gathers each).
+    tests: u64,
+    /// Useful treatment pairs at them (one gather each).
+    treatments: u64,
 }
 
-/// `⌊2^64 / φ⌋`, the Fibonacci-hashing multiplier.
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The closure of `U` as [`walk_closure`] marks it: `levels[j]` holds the
+/// `#S = j` subsets (`levels[0]` stays empty: `C(∅) = 0` is implicit).
+#[derive(Default)]
+pub(crate) struct Closure {
+    levels: Vec<Level>,
+    /// Subsets in the closure, `U` included.
+    pub(crate) cells: usize,
+}
 
-impl MaskIndex {
-    fn build(masks: &[u32]) -> MaskIndex {
-        let cap = (masks.len() * 2).next_power_of_two().max(4);
-        let shift = 64 - cap.trailing_zeros();
-        let mut slots = vec![(0u32, 0u32); cap];
-        for (i, &key) in masks.iter().enumerate() {
-            debug_assert_ne!(key, 0, "∅ is never a cell");
-            let mut h = (u64::from(key).wrapping_mul(FIB) >> shift) as usize;
-            while slots[h].0 != 0 {
-                h = (h + 1) & (cap - 1);
-            }
-            slots[h] = (key, u32::try_from(i).expect("cells fit u32"));
-        }
-        MaskIndex { slots, shift }
-    }
+/// The walk's visited set, one bit per lattice subset, and the subsets
+/// marked for each level the walk has not reached yet.
+struct Marks {
+    seen: Vec<u64>,
+    pending: Vec<Vec<Subset>>,
+    count: usize,
+}
 
-    /// The cell index of `key`, which must be present.
+impl Marks {
+    /// Queues `s` for its level the first time it is seen. `∅` starts
+    /// out seen, so it is never queued or counted.
     #[inline]
-    fn get(&self, key: u32) -> usize {
-        let mut h = (u64::from(key).wrapping_mul(FIB) >> self.shift) as usize;
-        loop {
-            let (k, i) = self.slots[h];
-            if k == key {
-                return i as usize;
-            }
-            debug_assert_ne!(k, 0, "gather target is in the closure by construction");
-            h = (h + 1) & (self.slots.len() - 1);
+    fn mark(&mut self, s: Subset) {
+        let (word, bit) = (s.index() / 64, s.index() % 64);
+        if self.seen[word] & (1 << bit) == 0 {
+            self.seen[word] |= 1 << bit;
+            self.pending[s.len()].push(s);
+            self.count += 1;
         }
-    }
-}
-
-/// One `#S = j` slice of the reachable closure: the marked subsets'
-/// masks in ascending order (= ascending CNS rank order), with their
-/// costs and argmins filled in by the evaluation pass, plus the
-/// mask-index table the gathers probe.
-struct SparseLevel {
-    masks: Vec<u32>,
-    index: MaskIndex,
-    cost: Vec<Cost>,
-    arg: Vec<Option<u16>>,
-}
-
-impl SparseLevel {
-    /// Builds a level from an already sorted, deduplicated mask list.
-    fn new(masks: Vec<u32>) -> SparseLevel {
-        debug_assert!(masks.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-        let cells = masks.len();
-        SparseLevel {
-            index: MaskIndex::build(&masks),
-            masks,
-            cost: vec![Cost::INF; cells],
-            arg: vec![None; cells],
-        }
-    }
-}
-
-/// Gather view over the completed lower levels (and `∅ → 0`). Each
-/// lookup is a [`frontier::rank`](crate::subset::frontier::rank)-order access: within a level,
-/// ascending rank is ascending mask, so the cell index comes from the
-/// level's [`MaskIndex`] and the rank itself is never computed.
-struct SparseLower<'a> {
-    levels: &'a [SparseLevel],
-    rank_calls: std::cell::Cell<u64>,
-}
-
-impl CostLookup for SparseLower<'_> {
-    #[inline]
-    fn cost_of(&self, s: Subset) -> Cost {
-        if s.is_empty() {
-            return Cost::ZERO;
-        }
-        self.rank_calls.set(self.rank_calls.get() + 1);
-        let lvl = &self.levels[s.len()];
-        lvl.cost[lvl.index.get(s.0)]
     }
 }
 
 /// Walks the closure of `U` under the recurrence's useful actions,
-/// level by level from `U` down: each `#S = j` level is sorted when the
-/// walk reaches it, expanded, then handed to `expanded(j, masks)`
-/// (sorted and deduplicated) — `memo` keeps it, a count-only caller
-/// drops it. A child is queued once, the first time a visited set of
-/// one bit per lattice subset (`2^k / 8` bytes, 128 KiB at `k = 20`)
-/// sees it. Deduplicating a level only when the walk reaches it would
-/// hold up to `2N` pending copies of each subset until then (15 MB on a
-/// 58,151-subset `k = 20` closure). Returns the closure's size counting
-/// `U` (`∅` is implicit, `C(∅) = 0`, never a cell), or `None` as soon
-/// as that size exceeds `cap` or `alive`, polled every 1024 expanded
-/// subsets, returns `false`.
+/// level by level from `U` down. When the walk reaches level `j`, every
+/// set above it has been expanded, so the level's marks are final:
+/// `go_on(j, marked)` sees their number and may stop the walk. The
+/// level is then sorted and expanded, tests and treatments in separate
+/// loops as in the kernel. A child is queued once, the first time the
+/// visited set (`2^k / 8` bytes, 128 KiB at `k = 20`) sees it.
+/// Returns the closure, or `None` as soon as a marked child takes its
+/// size, counting `U`, past `cap`, or when `go_on` returns `false`.
 pub(crate) fn walk_closure(
     inst: &TtInstance,
     cap: usize,
-    alive: &mut dyn FnMut() -> bool,
-    expanded: &mut dyn FnMut(usize, Vec<u32>),
-) -> Option<usize> {
+    go_on: &mut dyn FnMut(usize, usize) -> bool,
+) -> Option<Closure> {
     let k = inst.k();
-    let mut pending: Vec<Vec<u32>> = vec![Vec::new(); k + 1];
+    let sets = |actions: &[Action]| -> Vec<Subset> { actions.iter().map(|a| a.set).collect() };
+    let (tests, treatments) = (sets(inst.tests()), sets(inst.treatments()));
     let mut seen = vec![0u64; (1usize << k).div_ceil(64)];
-    let mut fresh = |s: Subset| {
-        let (word, bit) = (s.index() / 64, s.index() % 64);
-        let new = seen[word] & (1 << bit) == 0;
-        seen[word] |= 1 << bit;
-        new
+    seen[0] = 1;
+    let mut marks = Marks {
+        seen,
+        pending: vec![Vec::new(); k + 1],
+        count: 0,
     };
-    let root = inst.universe();
-    fresh(root);
-    pending[k].push(root.0);
-    let mut count = 1usize;
-    let mut polled = 0u32;
+    marks.mark(inst.universe());
+    let mut levels: Vec<Level> = (0..=k).map(|_| Level::default()).collect();
     for j in (1..=k).rev() {
-        let mut lvl = std::mem::take(&mut pending[j]);
-        lvl.sort_unstable();
-        for &mask in &lvl {
-            let s = Subset(mask);
-            polled += 1;
-            if polled.is_multiple_of(1024) && !alive() {
+        let mut masks = std::mem::take(&mut marks.pending[j]);
+        if !go_on(j, masks.len()) {
+            return None;
+        }
+        masks.sort_unstable();
+        let level = &mut levels[j];
+        // A useless action's children are `∅` and `S` itself, both
+        // seen, so every action is marked and only the counts test
+        // usefulness.
+        for &s in &masks {
+            for &t in &tests {
+                let (inter, diff) = (s.intersect(t), s.difference(t));
+                level.tests += u64::from(!inter.is_empty() & !diff.is_empty());
+                marks.mark(inter);
+                marks.mark(diff);
+            }
+            for &t in &treatments {
+                level.treatments += u64::from(s.intersects(t));
+                marks.mark(s.difference(t));
+            }
+            // Only a marked child can pass the cap: `U` alone never does.
+            if marks.count > cap.max(1) {
                 return None;
             }
-            for i in 0..inst.n_actions() {
-                let a = inst.action(i);
-                let inter = s.intersect(a.set);
-                let diff = s.difference(a.set);
-                if inter.is_empty() || (a.is_test() && diff.is_empty()) {
-                    continue;
-                }
-                let children = [a.is_test().then_some(inter), Some(diff)];
-                for c in children.into_iter().flatten() {
-                    if !c.is_empty() && fresh(c) {
-                        pending[c.len()].push(c.0);
-                        count += 1;
-                        if count > cap {
-                            return None;
-                        }
-                    }
-                }
-            }
         }
-        expanded(j, lvl);
+        level.masks = masks;
     }
-    Some(count)
+    Some(Closure {
+        levels,
+        cells: marks.count,
+    })
 }
 
-/// Solves `inst` top-down, touching only reachable subsets.
+/// `C(S)` over the closure: `(mask, cost)` slots with Fibonacci hashing
+/// on the mask, linear probing and a power-of-two capacity at least
+/// twice the entries. No subset of a universe of at most `MAX_K`
+/// objects has mask `u32::MAX`, so it marks a free slot, and `∅ → 0` is
+/// an ordinary entry.
+#[derive(Clone, Debug)]
+pub struct ClosureTable {
+    slots: Vec<(u32, Cost)>,
+    /// `64 − log₂(slots.len())`, the Fibonacci-hash shift.
+    shift: u32,
+}
+
+/// The free-slot key.
+const FREE: u32 = u32::MAX;
+
+/// `⌊2^64 / φ⌋`, the Fibonacci-hashing multiplier.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl ClosureTable {
+    /// A table with room for `cells` subsets besides `∅`, which it holds.
+    fn for_cells(cells: usize) -> ClosureTable {
+        let cap = ((cells + 1) * 2).next_power_of_two().max(4);
+        let mut table = ClosureTable {
+            slots: vec![(FREE, Cost::INF); cap],
+            shift: 64 - cap.trailing_zeros(),
+        };
+        table.insert(Subset::EMPTY, Cost::ZERO);
+        table
+    }
+
+    /// The slot holding `s`, or the free slot where it would go.
+    #[inline]
+    fn slot(&self, s: Subset) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut h = (u64::from(s.0).wrapping_mul(FIB) >> self.shift) as usize;
+        while self.slots[h].0 != s.0 && self.slots[h].0 != FREE {
+            h = (h + 1) & mask;
+        }
+        h
+    }
+
+    fn insert(&mut self, s: Subset, c: Cost) {
+        let h = self.slot(s);
+        self.slots[h] = (s.0, c);
+    }
+
+    /// `C(s)`, when the table holds `s`.
+    pub fn get(&self, s: Subset) -> Option<Cost> {
+        let (key, c) = self.slots[self.slot(s)];
+        (key == s.0).then_some(c)
+    }
+
+    /// Every `(S, C(S))` the table holds, `∅` included, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (Subset, Cost)> + '_ {
+        self.slots
+            .iter()
+            .filter(|&&(key, _)| key != FREE)
+            .map(|&(key, c)| (Subset(key), c))
+    }
+}
+
+impl CostLookup for ClosureTable {
+    #[inline]
+    fn cost_of(&self, s: Subset) -> Cost {
+        let (key, c) = self.slots[self.slot(s)];
+        debug_assert_eq!(key, s.0, "gathers stay inside the finished closure");
+        c
+    }
+}
+
+/// Solves `inst` over the reachable closure only.
 pub fn solve(inst: &TtInstance) -> MemoSolution {
     solve_with(inst, &mut BudgetMeter::unlimited())
 }
 
-/// As [`solve`] but under a budget. If the meter exhausts, the sweep
-/// stops at the current cell; the returned `table` still holds only
-/// exact entries, and `cost`/`tree` must be ignored (check
-/// `meter.exhausted()`).
+/// As [`solve`] but under a budget, polled by the walk at each level and
+/// charged per level by the evaluation. If the meter exhausts, `table`
+/// holds only the completed levels, and `cost`/`tree` must be ignored
+/// (check `meter.exhausted()`).
 pub fn solve_with(inst: &TtInstance, meter: &mut BudgetMeter) -> MemoSolution {
-    let k = inst.k();
-    let mut stats = FrontierStats::default();
-    let mut candidates = 0u64;
-    let dead_solution = |stats: FrontierStats, candidates: u64, table: HashMap<u32, _>| {
-        let reachable = table.len();
-        MemoSolution {
-            cost: Cost::INF,
-            tree: None,
-            reachable_subsets: reachable,
-            candidates,
-            table,
-            frontier: stats,
+    let closure = walk_closure(inst, usize::MAX, &mut |_, _| meter.check());
+    solve_closure(inst, meter, closure.unwrap_or_default())
+}
+
+/// Evaluates a walked closure bottom-up, each level charged to `meter`
+/// (its cells and its useful pairs) before it runs.
+pub(crate) fn solve_closure(
+    inst: &TtInstance,
+    meter: &mut BudgetMeter,
+    closure: Closure,
+) -> MemoSolution {
+    let Closure { levels, cells } = closure;
+    let mut frontier = FrontierStats::default();
+    frontier.on_alloc(cells as u64);
+    let mut table = ClosureTable::for_cells(cells);
+    let split = SplitWeights::new(inst);
+    let (mut weights, mut costs) = ([0u64; CHUNK], [Cost::INF; CHUNK]);
+    let (mut reachable_subsets, mut candidates) = (0, 0);
+    for level in levels.iter().skip(1) {
+        let pairs = level.tests + level.treatments;
+        let in_budget = meter.charge_subsets(level.masks.len() as u64)
+            & meter.charge_candidates(pairs)
+            & meter.check();
+        if !in_budget {
+            break;
         }
+        for masks in level.masks.chunks(CHUNK) {
+            let (weights, costs) = (&mut weights[..masks.len()], &mut costs[..masks.len()]);
+            for (w, &s) in weights.iter_mut().zip(masks) {
+                *w = split.of(s);
+            }
+            kernel::chunk_costs(inst, &table, masks, weights, costs);
+            for (&s, &c) in masks.iter().zip(costs.iter()) {
+                table.insert(s, c);
+            }
+        }
+        reachable_subsets += level.masks.len();
+        candidates += pairs;
+        frontier.rank_calls += 2 * level.tests + level.treatments;
+    }
+    let root = inst.universe();
+    let (cost, tree) = match meter.exhausted() {
+        None => (table.cost_of(root), extract_tree_via(inst, &table, root)),
+        Some(_) => (Cost::INF, None),
     };
-    let mut marked: Vec<Vec<u32>> = vec![Vec::new(); k + 1];
-    let walked = walk_closure(inst, usize::MAX, &mut || meter.check(), &mut |j, lvl| {
-        marked[j] = lvl;
-    });
-    if walked.is_none() {
-        return dead_solution(stats, candidates, HashMap::new());
-    }
-    let mut levels: Vec<SparseLevel> = marked.into_iter().map(SparseLevel::new).collect();
-    for lvl in &levels {
-        stats.on_alloc(lvl.masks.len() as u64);
-    }
-
-    // Bottom-up evaluation over the sparse frontiers: ascending rank
-    // within ascending level, the same first-minimizer tie-break as the
-    // dense sweeps. `cut` marks the first unfinished cell when the
-    // budget exhausts mid-sweep.
-    let mut cut: Option<(usize, usize)> = None;
-    'levels: for j in 1..=k {
-        let (lower, cur) = levels.split_at_mut(j);
-        let cur = &mut cur[0];
-        let gather = SparseLower {
-            levels: lower,
-            rank_calls: std::cell::Cell::new(0),
-        };
-        for idx in 0..cur.masks.len() {
-            let s = Subset(cur.masks[idx]);
-            if !meter.charge_subsets(1) {
-                cut = Some((j, idx));
-                stats.rank_calls += gather.rank_calls.get();
-                break 'levels;
-            }
-            let w = inst.weight_of(s);
-            let mut best = Cost::INF;
-            let mut arg = None;
-            let mut gathers = 0u64;
-            for i in 0..inst.n_actions() {
-                let a = inst.action(i);
-                let inter = s.intersect(a.set);
-                let diff = s.difference(a.set);
-                if inter.is_empty() || (a.is_test() && diff.is_empty()) {
-                    continue;
-                }
-                candidates += 1;
-                if !meter.charge_candidates(1) {
-                    cut = Some((j, idx));
-                    stats.rank_calls += gather.rank_calls.get();
-                    break 'levels;
-                }
-                let m = candidate_via(inst, w, &gather, s, i, &mut gathers);
-                if m < best {
-                    best = m;
-                    arg = Some(i as u16);
-                }
-            }
-            cur.cost[idx] = best;
-            cur.arg[idx] = arg;
-        }
-        stats.rank_calls += gather.rank_calls.get();
-    }
-
-    // Export the finished cells as the memo table (INF cells included:
-    // a finished INF entry is exact knowledge, same as before).
-    let mut table: HashMap<u32, (Cost, Option<u16>)> = HashMap::new();
-    for (j, lvl) in levels.iter().enumerate().skip(1) {
-        for idx in 0..lvl.masks.len() {
-            if let Some((cj, ci)) = cut {
-                if j > cj || (j == cj && idx >= ci) {
-                    break;
-                }
-            }
-            table.insert(lvl.masks[idx], (lvl.cost[idx], lvl.arg[idx]));
-        }
-    }
-    if cut.is_some() {
-        return dead_solution(stats, candidates, table);
-    }
-
-    let cost = table.get(&inst.universe().0).map_or(Cost::INF, |&(c, _)| c);
-    let tree = tree_from_table(inst, &table, inst.universe());
     MemoSolution {
         cost,
         tree,
-        reachable_subsets: table.len(),
+        reachable_subsets,
         candidates,
         table,
-        frontier: stats,
-    }
-}
-
-fn tree_from_table(
-    inst: &TtInstance,
-    table: &HashMap<u32, (Cost, Option<u16>)>,
-    s: Subset,
-) -> Option<TtTree> {
-    if s.is_empty() {
-        return None;
-    }
-    let &(c, arg) = table.get(&s.0)?;
-    if c.is_inf() {
-        return None;
-    }
-    let i = arg? as usize;
-    let a = inst.action(i);
-    if a.is_test() {
-        let pos = tree_from_table(inst, table, s.intersect(a.set))?;
-        let neg = tree_from_table(inst, table, s.difference(a.set))?;
-        Some(TtTree::test(i, pos, neg))
-    } else {
-        let remaining = s.difference(a.set);
-        if remaining.is_empty() {
-            Some(TtTree::leaf(i))
-        } else {
-            Some(TtTree::treat_then(
-                i,
-                tree_from_table(inst, table, remaining)?,
-            ))
-        }
+        frontier,
     }
 }
 
@@ -361,6 +297,7 @@ fn tree_from_table(
 mod tests {
     use super::*;
     use crate::instance::TtInstanceBuilder;
+    use crate::solver::budget::Budget;
     use crate::solver::sequential;
 
     fn inst() -> TtInstance {
@@ -407,9 +344,21 @@ mod tests {
     }
 
     #[test]
-    fn candidate_count_is_bounded_by_full_lattice_work() {
+    fn candidates_count_the_useful_pairs_of_the_closure() {
         let i = inst();
         let memo = solve(&i);
+        let useful = memo
+            .table
+            .iter()
+            .filter(|(s, _)| !s.is_empty())
+            .map(|(s, _)| {
+                let useless = |a: &Action| {
+                    !s.intersects(a.set) || (a.is_test() && s.difference(a.set).is_empty())
+                };
+                i.actions().iter().filter(|a| !useless(a)).count() as u64
+            })
+            .sum::<u64>();
+        assert_eq!(memo.candidates, useful);
         let full = ((1u64 << i.k()) - 1) * i.n_actions() as u64;
         assert!(memo.candidates <= full);
     }
@@ -420,7 +369,7 @@ mod tests {
         let memo = solve(&i);
         assert_eq!(
             memo.frontier.cells_allocated, memo.reachable_subsets as u64,
-            "sparse frontiers hold exactly the closure"
+            "the closure table holds exactly the closure"
         );
         assert_eq!(
             memo.frontier.peak_resident_cells,
@@ -434,10 +383,28 @@ mod tests {
         let i = inst();
         let memo = solve(&i);
         let seq = sequential::solve(&i);
-        for (&mask, &(c, arg)) in &memo.table {
-            let s = Subset(mask);
+        assert_eq!(memo.table.iter().count(), memo.reachable_subsets + 1);
+        for (s, c) in memo.table.iter() {
             assert_eq!(c, seq.tables.cost[s.index()], "cost at {s}");
-            assert_eq!(arg, seq.tables.best[s.index()], "argmin at {s}");
+        }
+    }
+
+    #[test]
+    fn a_starved_solve_keeps_only_its_completed_levels() {
+        let i = inst();
+        let full = solve(&i);
+        let seq = sequential::solve_tables(&i);
+        // One candidate short of the whole closure: the top level is
+        // never evaluated, everything below it is.
+        let mut meter = Budget::with_max_candidates(full.candidates - 1).start();
+        let cut = solve_with(&i, &mut meter);
+        assert!(meter.exhausted().is_some());
+        assert!(cut.cost.is_inf() && cut.tree.is_none());
+        assert_eq!(cut.table.get(i.universe()), None);
+        assert!(cut.reachable_subsets < full.reachable_subsets);
+        assert!(cut.table.iter().count() > 1, "the lower levels finished");
+        for (s, c) in cut.table.iter() {
+            assert_eq!(c, seq.cost[s.index()], "cost at {s}");
         }
     }
 }

@@ -3,15 +3,22 @@
 //! The registry's `auto` engine lands here at solve time, on every
 //! entry point: `ttsolve --solver auto`, the default supervision chain
 //! it heads (batch items, ttserve misses), and a wire request's
-//! `"solver": "auto"`. The decision costs one bounded probe per solve
+//! `"solver": "auto"`. The decision costs one bounded walk per solve
 //! and never runs while a chain is built. The choice is driven by these
 //! observable facts, in priority order:
 //!
 //! 1. **Reachable-set sparsity.** The memoized DP touches only subsets
 //!    reachable from `U` by test/treatment splits; when a cheap bounded
-//!    probe shows that closure is a small fraction of the `2^k`
+//!    walk shows that closure is a small fraction of the `2^k`
 //!    lattice, `memo` does asymptotically less work than any
-//!    full-lattice sweep.
+//!    full-lattice sweep. The walk is `memo`'s own marking pass
+//!    (`memo::walk_closure`), top-down from `U`. It gives up as dense
+//!    past [`PROBE_CAP`] or `2^k / SPARSE_DIVISOR` subsets, and exits
+//!    early as dense at the first level `j ≥ k/2` of at least
+//!    [`DENSE_LEVEL_CELLS`] cells that is at least half marked: a
+//!    dense closure shows that within its top few levels, long before
+//!    the cap. When the walk completes, its sorted levels go to `memo`,
+//!    which evaluates them without walking again.
 //! 2. **Lattice size.** Below [`SMALL_K`] the full table fits in cache
 //!    and a solve is microseconds; thread fan-out or machine simulation
 //!    only adds overhead, so plain `seq` wins.
@@ -34,7 +41,10 @@
 //! The decision table itself ([`decide`]) is a pure function of
 //! `(k, reachable, available engines)` so it can be unit-tested
 //! exhaustively; [`auto_select`] feeds it the live registry (filtered
-//! by each engine's `max_k`) and the reachability probe.
+//! by each engine's `max_k`) and the selection walk's count.
+//! [`probe_reachable`] is the same walk without the dense exit: it
+//! counts the closure or reports it past a cap, for the lint and for
+//! perfbench's `select.probe_ms`.
 //!
 //! A solve resumed from a checkpoint decides among the resumable
 //! (level-synchronous) engines only, without probing: the checkpoint's
@@ -47,7 +57,8 @@
 use crate::instance::TtInstance;
 use crate::solver::budget::Budget;
 use crate::solver::checkpoint::{Checkpoint, LevelView};
-use crate::solver::engine::{registry, EngineKind, SolveReport, Solver};
+use crate::solver::engine::{memo_report, registry, EngineKind, SolveReport, Solver};
+use crate::solver::memo::{walk_closure, Closure};
 use crate::subset::frontier;
 use std::time::Instant;
 
@@ -73,6 +84,10 @@ pub const SPARSE_DIVISOR: usize = 8;
 /// larger than this are conservatively treated as dense.
 pub const PROBE_CAP: usize = 1 << 16;
 
+/// The selection walk's dense exit reads only levels of at least this
+/// many cells: a small level says little about the closure.
+pub const DENSE_LEVEL_CELLS: u64 = 1000;
+
 /// The outcome of auto-selection: which engine, and why.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Selection {
@@ -87,14 +102,27 @@ pub struct Selection {
 /// following the same usefulness rules as the DP recurrence. Returns
 /// `None` — "dense" — as soon as the closure exceeds `cap`.
 ///
-/// This is `memo`'s marking pass, counting only: each level is dropped
-/// once it is expanded. The result does not depend on the walk order
-/// (the closure is counted whole or found to exceed `cap`), but on a
-/// dense closure the top-down level walk reaches `cap` soon: it expands
-/// the large sets near `U`, whose splits are mostly new, before the
-/// small ones, whose splits mostly repeat.
+/// This is `memo`'s marking pass, counted. The result does not depend
+/// on the walk order (the closure is counted whole or found to exceed
+/// `cap`), but on a dense closure the top-down level walk reaches `cap`
+/// soon: it expands the large sets near `U`, whose splits are mostly
+/// new, before the small ones, whose splits mostly repeat.
 pub fn probe_reachable(inst: &TtInstance, cap: usize) -> Option<usize> {
-    crate::solver::memo::walk_closure(inst, cap, &mut || true, &mut |_, _| {})
+    walk_closure(inst, cap, &mut |_, _| true).map(|closure| closure.cells)
+}
+
+/// `auto`'s selection walk: [`probe_reachable`] at the auto cap, which
+/// also stops as dense at the first level `j ≥ k/2` of at least
+/// [`DENSE_LEVEL_CELLS`] cells with at least half of them marked, and
+/// keeps the closure for `memo` when it completes. The upper-half bound
+/// matters: a sparse closure can mark most of a level far below `U`.
+fn selection_walk(inst: &TtInstance) -> Option<Closure> {
+    let k = inst.k();
+    let cap = ((1usize << k) / SPARSE_DIVISOR).clamp(1, PROBE_CAP);
+    walk_closure(inst, cap, &mut |j, marked| {
+        let cells = frontier::binomial(k, j);
+        !(2 * j >= k && cells >= DENSE_LEVEL_CELLS && 2 * marked as u64 >= cells)
+    })
 }
 
 /// The pure decision table. `reachable` is the probe result (`None` =
@@ -160,39 +188,37 @@ pub fn decide(k: usize, reachable: Option<usize>, available: &[&str]) -> Selecti
 }
 
 /// Picks an engine for `inst` from the live registry: filters by
-/// `max_k`, runs the bounded reachability probe, applies [`decide`].
+/// `max_k`, runs the selection walk, applies [`decide`].
 pub fn auto_select(inst: &TtInstance) -> Selection {
     choose(inst, false).1
 }
 
-/// [`auto_select`], returning the chosen engine too. With `resuming`
-/// only resumable engines are candidates and the probe is skipped.
-fn choose(inst: &TtInstance, resuming: bool) -> (Box<dyn Solver>, Selection) {
+/// [`auto_select`], returning the chosen engine too, and the walked
+/// closure when that engine is `memo`. With `resuming` only resumable
+/// engines are candidates and the walk is skipped.
+fn choose(inst: &TtInstance, resuming: bool) -> (Box<dyn Solver>, Selection, Option<Closure>) {
     let mut engines = registry();
     engines.retain(|e| e.name() != AUTO && e.max_k() >= inst.k() && (!resuming || e.resumable()));
     let available: Vec<&str> = engines.iter().map(|e| e.name()).collect();
-    let reachable = if resuming {
-        None
-    } else {
-        let cap = ((1usize << inst.k()) / SPARSE_DIVISOR).clamp(1, PROBE_CAP);
-        probe_reachable(inst, cap)
-    };
-    let selection = decide(inst.k(), reachable, &available);
+    let closure = if resuming { None } else { selection_walk(inst) };
+    let selection = decide(inst.k(), closure.as_ref().map(|c| c.cells), &available);
     // `seq` (always registered, resumable, `max_k` = MAX_K) keeps
     // `available` non-empty, so `decide` names one of its engines.
     let engine = engines
         .into_iter()
         .find(|e| e.name() == selection.engine)
         .expect("decide picks from the available engines");
-    (engine, selection)
+    let closure = closure.filter(|_| engine.name() == "memo");
+    (engine, selection, closure)
 }
 
 /// The `auto` engine's registry name.
 const AUTO: &str = "auto";
 
 /// The registry's `auto` engine: at solve time it runs the
-/// [`auto_select`] decision (probe plus [`decide`]) and delegates the
-/// whole solve to the chosen engine. The report is the delegate's,
+/// [`auto_select`] decision (selection walk plus [`decide`]) and
+/// delegates the whole solve to the chosen engine, handing `memo` the
+/// closure the walk marked. The report is the delegate's,
 /// with [`SolveReport::selection`] naming it and its `wall` including
 /// the decision, so supervision and the CLIs report the engine that
 /// ran, never `auto`.
@@ -225,9 +251,12 @@ impl Solver for AutoEngine {
         sink: &mut dyn FnMut(&LevelView<'_>),
     ) -> SolveReport {
         let start = Instant::now();
-        let (engine, selection) = choose(inst, wave.is_some());
+        let (engine, selection, closure) = choose(inst, wave.is_some());
         let decided = start.elapsed();
-        let mut report = engine.solve_resumable(inst, budget, wave, sink);
+        let mut report = match closure {
+            Some(closure) => memo_report(inst, budget, Some(closure)),
+            None => engine.solve_resumable(inst, budget, wave, sink),
+        };
         report.wall += decided;
         report.selection = Some(selection);
         report

@@ -197,7 +197,17 @@ pub fn argmin_at<L: CostLookup>(inst: &TtInstance, table: &L, s: Subset) -> Opti
 /// argmin at each node on the path with [`argmin_at`] — the same tree
 /// [`extract_tree`] yields from a stored argmin plane.
 pub fn extract_tree_costs(inst: &TtInstance, cost: &[Cost], root: Subset) -> Option<TtTree> {
-    extract_by(inst, root, &|s| argmin_at(inst, &DenseSlab(cost), s))
+    extract_tree_via(inst, &DenseSlab(cost), root)
+}
+
+/// [`extract_tree_costs`] over any cost table that is exact at every
+/// set the tree visits: the slab, or `memo`'s closure table.
+pub fn extract_tree_via<L: CostLookup>(
+    inst: &TtInstance,
+    table: &L,
+    root: Subset,
+) -> Option<TtTree> {
+    extract_by(inst, root, &|s| argmin_at(inst, table, s))
 }
 
 /// Extracts an optimal tree from the argmin table, starting at `root`.

@@ -141,7 +141,8 @@ pub struct FrontierStats {
     pub cells_allocated: u64,
     /// Peak number of cells resident at once.
     pub peak_resident_cells: u64,
-    /// Number of ranked gathers (the memo's per-level closure lookups).
+    /// Number of closure-table gathers (the memo's chunk pass: two per
+    /// useful test pair, one per useful treatment pair).
     pub rank_calls: u64,
     /// Number of [`unrank`] evaluations (one per kernel chunk and window).
     pub unrank_calls: u64,

@@ -85,6 +85,26 @@ fn engines_agree_with_dense_seq_at_k16() {
     }
 }
 
+/// `memo` holds the reachable closure, not the lattice: on the catalog's
+/// random k = 20 instance (seed 7) its peak resident cells stay within
+/// twice the widest frontier `C(20, 10)`, far below the `2^20` cells a
+/// dense slab would hold.
+#[test]
+fn memo_on_random_k20_stays_within_twice_the_widest_frontier() {
+    let inst = tt_workloads::catalog::Domain::Random.generate(20, 7);
+    let mm = tt_repro::lookup("memo").unwrap().solve(&inst);
+    assert!(mm.outcome.is_complete());
+    let resident = mm
+        .work
+        .extra("frontier_peak_resident_cells")
+        .expect("memo reports frontier residency");
+    assert_eq!(resident, mm.work.subsets, "resident cells are the closure");
+    assert!(
+        resident <= 2 * max_frontier(20),
+        "memo resident cells {resident} exceed twice the widest frontier"
+    );
+}
+
 /// The CI `frontier-scale` check: at `k = 18` the two full-lattice
 /// frontier engines and the sparse memo agree with the dense DP, the
 /// frontier engines allocate exactly `Σ_j C(18, j) = 2^18` cost-only

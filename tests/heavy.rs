@@ -2,8 +2,9 @@
 //! `cargo test --release -- --ignored` before a release).
 //!
 //! These push each component well past the sizes the regular suite uses:
-//! large-universe solver agreement, the level kernel on the catalog at
-//! k = 20, a 2^20-PE CCC pass, and a bigger bit-serial BVM solve.
+//! large-universe solver agreement, `memo` at k = 25, the level kernel
+//! on the catalog at k = 20, a 2^20-PE CCC pass, and a bigger
+//! bit-serial BVM solve.
 
 use tt_core::solver::budget::Budget;
 use tt_core::solver::{branch_and_bound, memo, sequential};
@@ -23,6 +24,22 @@ fn large_universe_solver_agreement() {
     assert_eq!(mm.cost, seq.cost[inst.universe().index()]);
     let bnb = branch_and_bound::solve(&inst);
     assert_eq!(bnb.cost, mm.cost);
+}
+
+/// `memo` at `MAX_K`: the catalog's random k = 25 closure is 11,336
+/// subsets, and `memo` must hold just those — a `2^25`-cell slab would
+/// show up as `frontier_cells_allocated` — and return a valid tree that
+/// costs what it reports.
+#[test]
+#[ignore = "heavy: k = MAX_K, run in release with the other heavy tests"]
+fn memo_at_k25_allocates_only_its_closure() {
+    let inst = tt_workloads::catalog::Domain::Random.generate(25, 7);
+    let mm = memo::solve(&inst);
+    assert_eq!(mm.frontier.cells_allocated, mm.reachable_subsets as u64);
+    assert!(mm.reachable_subsets < 1 << 20, "{}", mm.reachable_subsets);
+    let tree = mm.tree.expect("the catalog instance is adequate");
+    tree.validate(&inst).unwrap();
+    assert_eq!(tree.expected_cost(&inst), mm.cost);
 }
 
 #[test]

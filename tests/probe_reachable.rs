@@ -1,16 +1,19 @@
 //! `select::probe_reachable` keeps its visited set in one bit per
-//! lattice subset and walks breadth-first. These tests pin it to the
+//! lattice subset and walks the closure top-down, one `#S = j` level at
+//! a time (`memo`'s marking walk). These tests pin it to the
 //! depth-first hash-set closure walk it replaced: the same count, and
 //! the same `None` once the closure passes the cap, on every catalog
 //! domain up to k = 12 and, at the cap `auto_select` uses, at the sizes
-//! the solve-large workloads run (k = 15, 16, 18, 20). The lint's
-//! unreachable-subset finding is computed from the same probe, so it is
-//! pinned to the `Vec<bool>` closure the lint used to run on its own.
+//! the solve-large workloads run (k = 15, 16, 18, 20). `auto`'s own
+//! walk adds an early dense exit; it must reach the capped probe's
+//! verdict. The lint's unreachable-subset finding is computed from the
+//! same probe, so it is pinned to the `Vec<bool>` closure the lint used
+//! to run on its own.
 
 use std::collections::HashSet;
 use tt_core::instance::{ActionKind, TtInstance};
 use tt_core::lint::{self, LintCode};
-use tt_core::solver::select::{probe_reachable, PROBE_CAP, SPARSE_DIVISOR};
+use tt_core::solver::select::{auto_select, probe_reachable, PROBE_CAP, SPARSE_DIVISOR};
 use tt_core::subset::Subset;
 use tt_workloads::catalog::Domain;
 
@@ -111,6 +114,39 @@ fn the_probe_matches_the_hash_set_reference_at_the_auto_cap_on_large_k() {
         }
     }
     assert!(cutoffs > 0, "some dense closure must pass the cap");
+}
+
+/// `auto`'s selection walk stops as dense at the first half-marked
+/// level of at least `DENSE_LEVEL_CELLS` cells in the upper half of the
+/// lattice. That must not change a verdict: `auto` picks `memo` exactly
+/// when the probe at the auto cap counts the whole closure (below k = 4
+/// `auto` never picks `memo`, and every k here is above it).
+#[test]
+fn the_dense_exit_reaches_the_capped_probe_verdict_on_the_catalog() {
+    let (mut sparse, mut dense) = (0, 0);
+    for domain in Domain::all() {
+        for k in 13..=20 {
+            for seed in 0..10 {
+                let inst = domain.generate(k, seed);
+                let cap = ((1usize << k) / SPARSE_DIVISOR).clamp(1, PROBE_CAP);
+                let probed_sparse = probe_reachable(&inst, cap).is_some();
+                let pick = auto_select(&inst);
+                assert_eq!(
+                    pick.engine == "memo",
+                    probed_sparse,
+                    "{} k={k} seed={seed}: {}",
+                    domain.name(),
+                    pick.reason
+                );
+                *if probed_sparse {
+                    &mut sparse
+                } else {
+                    &mut dense
+                } += 1;
+            }
+        }
+    }
+    assert!(sparse > 0 && dense > 0, "{sparse} sparse, {dense} dense");
 }
 
 /// The lint's former closure: every action applied at every live set,

@@ -115,6 +115,29 @@ fn unlimited_budget_changes_nothing() {
     }
 }
 
+/// `memo` charges its budget one closure level at a time. Cut between
+/// levels at several points of a solve, it reports a degraded sandwich
+/// around the optimum, priced from the levels it finished.
+#[test]
+fn memo_cut_mid_solve_returns_a_sandwich_around_the_optimum() {
+    let i = tt_workloads::catalog::Domain::Lab.generate(12, 7);
+    let memo = tt_repro::lookup("memo").unwrap();
+    let full = memo.solve(&i);
+    assert!(full.outcome.is_complete());
+    let total = full.work.candidates;
+    for max_candidates in [total / 4, total / 2, 3 * total / 4, total - 1] {
+        let report = memo.solve_with(&i, &Budget::with_max_candidates(max_candidates));
+        let name = format!("memo at {max_candidates} of {total} candidates");
+        assert!(
+            matches!(report.outcome, SolveOutcome::Degraded { .. }),
+            "{name}: {:?}",
+            report.outcome
+        );
+        assert!(report.work.subsets > 0, "{name}: no level finished");
+        assert_sound(&name, true, &i, &report);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -128,6 +128,31 @@ proptest! {
             prop_assert_eq!(first_diff, None, "{} differs from the mask-order DP", what);
         }
     }
+
+    /// `memo`'s chunk pass over its closure table equals the mask-order
+    /// DP on every closure cell, and its tree is the DP's and costs
+    /// `C(U)` — under saturation and on inadequate instances (no tree,
+    /// `C(U) = INF`).
+    #[test]
+    fn memo_matches_the_mask_order_dp_on_its_closure(inst in arb_wide_instance()) {
+        let reference = sequential::solve_tables(&inst);
+        let mm = memo::solve(&inst);
+        // Every closure subset, plus `∅`.
+        prop_assert_eq!(mm.table.iter().count(), mm.reachable_subsets + 1);
+        for (s, c) in mm.table.iter() {
+            prop_assert_eq!(c, reference.cost[s.index()], "C({}) differs", s);
+        }
+        let root = inst.universe();
+        prop_assert_eq!(mm.cost, reference.cost[root.index()]);
+        prop_assert_eq!(&mm.tree, &sequential::extract_tree(&inst, &reference, root));
+        match &mm.tree {
+            Some(t) => {
+                prop_assert!(t.validate(&inst).is_ok(), "memo tree invalid");
+                prop_assert_eq!(t.expected_cost(&inst), mm.cost, "memo tree cost");
+            }
+            None => prop_assert!(mm.cost.is_inf(), "memo lost the tree"),
+        }
+    }
 }
 
 proptest! {
