@@ -319,7 +319,7 @@ pub trait Solver: Send + Sync {
 
 /// Threads the frontier accounting counters into both a report's
 /// [`WorkStats::extras`] and the active telemetry scope, under the
-/// stable names the observability layer and `ttbench` read.
+/// stable names the observability layer and the tests read.
 pub fn record_frontier_stats(work: &mut WorkStats, stats: FrontierStats) {
     for (name, v) in [
         ("frontier_cells_allocated", stats.cells_allocated),

@@ -69,8 +69,8 @@
 //! request failed (bench/scrape/healthz/drain/ping could not reach or
 //! parse the server), `16` recovery failure (journal replay failed, or
 //! the chaos harness caught an invariant violation). Codes below 12
-//! are owned by `ttsolve`/`ttbench`, and 15 by `ttcheck`; all share
-//! this exit-code space.
+//! are owned by `ttsolve`, and 15 by `ttcheck`; all share this
+//! exit-code space.
 
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -100,8 +100,7 @@
 //! (degraded result printed), `8` machine faults escalated past
 //! recovery, `9` corrupt or mismatched `--resume` checkpoint, `10`
 //! batch finished with non-optimal instances (degraded or error
-//! records), `11` benchmark regression (exited by `ttbench`, which
-//! shares this exit-code space).
+//! records).
 
 use std::path::Path;
 use std::process::exit;
@@ -128,11 +127,6 @@ const EXIT_DEGRADED: i32 = 7;
 const EXIT_FAULT_ESCALATION: i32 = 8;
 const EXIT_RESUME_CORRUPT: i32 = 9;
 const EXIT_BATCH_PARTIAL: i32 = 10;
-/// Owned by `ttbench` (crates/bench): a benchmark run whose medians
-/// regressed past the threshold exits with this code. Declared here so
-/// the CLI exit-code space stays a single table.
-#[allow(dead_code)]
-const EXIT_BENCH_REGRESSION: i32 = 11;
 
 fn usage() -> ! {
     eprintln!(
@@ -151,8 +145,7 @@ fn usage() -> ! {
          exit codes: 0 ok, 2 usage, 3 unreadable file, 4 invalid instance,\n\
          \x20           5 lint error (--check), 6 unknown engine/domain,\n\
          \x20           7 degraded (budget), 8 fault escalation,\n\
-         \x20           9 corrupt/mismatched resume checkpoint, 10 batch partial,\n\
-         \x20           11 bench regression (ttbench)"
+         \x20           9 corrupt/mismatched resume checkpoint, 10 batch partial"
     );
     exit(EXIT_USAGE)
 }

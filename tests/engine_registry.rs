@@ -169,3 +169,70 @@ fn auto_picks_on_the_catalog_are_pinned() {
         }
     }
 }
+
+/// The exact work and memory anchors of the quick benchmark matrix:
+/// `cost`, `subsets`, `machine_steps` and the peak resident cost cells
+/// (`frontier_peak_resident_cells`, 0 for the machine engines) of each
+/// cell, plus the batch and supervised orchestration paths. These are
+/// simulator outputs, not timings; a change in any of them is an
+/// algorithm change, so the table is regenerated in the same change.
+#[test]
+fn quick_matrix_work_and_residency_are_pinned() {
+    use tt_core::solver::supervise::{supervise, SuperviseOptions};
+    use tt_core::solver::Budget;
+    use tt_parallel::orchestrate::{self, BatchStatus};
+    use tt_workloads::catalog::Domain::{Medical, Random};
+    #[rustfmt::skip]
+    let cells = [
+        // (engine, domain, k, seed, cost, subsets, machine_steps, resident cells)
+        ("seq", Random, 9, 7, 200, 511, 0, 512),
+        ("seq", Medical, 9, 3, 8530, 511, 0, 512),
+        ("memo", Random, 9, 7, 200, 99, 0, 99),
+        ("rayon", Random, 9, 7, 200, 511, 0, 512),
+        ("seq", Random, 11, 7, 304, 2047, 0, 2048),
+        ("rayon", Random, 12, 7, 179, 4095, 0, 4096),
+        ("memo", Random, 13, 7, 196, 495, 0, 495),
+        ("hyper", Random, 7, 7, 114, 128, 92, 0),
+        ("hyper-blocked", Random, 7, 7, 114, 128, 92, 0),
+        ("ccc", Random, 6, 7, 72, 64, 391, 0),
+        ("bvm", Random, 6, 7, 72, 64, 26820, 0),
+    ];
+    for (engine, domain, k, seed, cost, subsets, steps, resident) in cells {
+        let r = tt_repro::lookup(engine)
+            .unwrap()
+            .solve(&domain.generate(k, seed));
+        let w = &r.work;
+        assert_eq!(
+            (r.cost.0, w.subsets, w.machine_steps),
+            (cost, subsets, steps),
+            "{engine}/{}/k{k}: cost, subsets, machine_steps",
+            domain.name()
+        );
+        let cells = w.extra("frontier_peak_resident_cells").unwrap_or(0);
+        assert_eq!(cells, resident, "{engine}/{}/k{k}", domain.name());
+    }
+
+    let manifest = "demo:random:8:7 id=a solver=seq\n\
+                    demo:medical:8:3 id=b solver=memo\n\
+                    demo:random:7:5 id=c solver=rayon\n";
+    let batch = orchestrate::run_batch(manifest, &mut |_| {});
+    let costs: Vec<_> = batch.records.iter().map(|r| r.cost.map(|c| c.0)).collect();
+    assert_eq!(costs, [Some(204), Some(4502), Some(149)], "batch/mixed/k8");
+    assert!(batch
+        .records
+        .iter()
+        .all(|r| matches!(r.status, BatchStatus::Ok)));
+
+    let inst = Random.generate(7, 7);
+    let chain = orchestrate::default_chain(&inst);
+    let unlimited = Budget::unlimited();
+    let sup = supervise(&inst, &chain, &unlimited, &SuperviseOptions::default());
+    let w = &sup.report.work;
+    assert_eq!((sup.report.cost.0, sup.engine.as_str()), (114, "seq"));
+    assert_eq!(
+        (w.subsets, w.machine_steps),
+        (127, 0),
+        "supervised/random/k7"
+    );
+    assert_eq!(w.extra("frontier_peak_resident_cells"), Some(128));
+}

@@ -1,6 +1,6 @@
 //! Keeps the README's exit-code table in sync with the `EXIT_*`
 //! constants across every binary that owns part of the exit-code
-//! space — `src/bin/ttsolve.rs` (codes 2–11), `src/bin/ttserve.rs`
+//! space — `src/bin/ttsolve.rs` (codes 2–10), `src/bin/ttserve.rs`
 //! (12–14, sharing 2), and `src/bin/ttcheck.rs` (1 and 15, sharing
 //! 2–4 and 6) — all parsed from source, so adding a code to one place
 //! without the others fails here. Codes shared across binaries must
