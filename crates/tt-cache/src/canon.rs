@@ -10,9 +10,14 @@
 //!    duplicate-set and complement-equivalent actions collapse to their
 //!    cheapest member.
 //! 2. **Object relabeling** to sorted weight order (heaviest first),
-//!    ties broken by a label-independent structural signature (the
-//!    sorted multiset of `(kind, cost, set size)` over the actions
-//!    containing the object).
+//!    ties broken by a colour that depends on structure only. Colour
+//!    refinement starts from the gcd-normalized weight and, round by
+//!    round, hashes into each object's colour what every action that
+//!    touches it sees: its kind, its cost, and the colour multisets of
+//!    the object's side and of the other side (a test touches both
+//!    sides, a treatment its members only). When the classes stop
+//!    splitting, the lowest-indexed member of the first tied class is
+//!    individualized and refinement runs again, until no class is tied.
 //! 3. **Weight normalization** by the gcd of all weights — only weight
 //!    *ratios* steer the DP, and expected costs scale linearly, so the
 //!    gcd is recorded as the [`CanonMap::scale`] to multiply back.
@@ -25,10 +30,15 @@
 //! The [`CanonMap`] carries everything needed to translate a solution
 //! of the canonical instance back to the original: the object
 //! permutation, the weight scale, the canonical→original action index
-//! map, and the per-test polarity flips. Symmetric instances whose
-//! objects tie on both weight and signature may still canonicalize
-//! differently under relabeling — that costs a cache hit, never an
-//! incorrect one.
+//! map, and the per-test polarity flips.
+//!
+//! Symmetric instances: objects that an automorphism of the instance
+//! swaps (the `faults` domain's interchangeable sibling fault clusters,
+//! say) stay tied under refinement, and whichever one is individualized,
+//! the canonical form is the same, so every relabeling of such an
+//! instance hits. Two tied objects that no automorphism swaps, or a
+//! colour hash collision, can still canonicalize differently under
+//! relabeling. That costs a cache hit, never an incorrect one.
 //!
 //! The cache key is a 64-bit FNV-1a hash of the canonical text, and
 //! FNV is not collision-resistant: two different canonical forms can
@@ -36,7 +46,8 @@
 //! instance and compares it with the request's on every hit, insert
 //! and segment replay (see [`crate::store`]).
 //!
-//! Cost: a reduction pass plus sorting, `O(N log N + k·N)` — no
+//! Cost: a reduction pass, sorting, and refinement rounds of
+//! `O(Σ|T| + k log k)` each, with at most `k` individualizations — no
 //! `2^k` lattice work — so canonicalizing a k = 16 instance takes tens
 //! of microseconds.
 
@@ -101,28 +112,9 @@ pub fn canonicalize(inst: &TtInstance) -> Canonical {
     let r = &red.instance;
     let k = r.k();
 
-    // Label-independent structural signature per object: the sorted
-    // multiset of (kind, cost, set size) over actions containing it.
-    let mut sig: Vec<Vec<(u8, u64, usize)>> = vec![Vec::new(); k];
-    for a in r.actions() {
-        let kind_tag = u8::from(!a.is_test());
-        for j in a.set.iter() {
-            sig[j].push((kind_tag, a.cost, a.set.len()));
-        }
-    }
-    for s in &mut sig {
-        s.sort_unstable();
-    }
-
-    // Canonical object order: heaviest first, signature tie-break,
-    // original index as the final (label-dependent) tiebreaker.
-    let mut order: Vec<usize> = (0..k).collect();
-    order.sort_by(|&a, &b| {
-        r.weight(b)
-            .cmp(&r.weight(a))
-            .then_with(|| sig[a].cmp(&sig[b]))
-            .then_with(|| a.cmp(&b))
-    });
+    // Weight normalization: divide by the gcd, remember the scale.
+    let scale = r.weights().iter().copied().fold(0, gcd).max(1);
+    let order = object_order(r, scale);
     let mut new_label = vec![0usize; k];
     for (new, &old) in order.iter().enumerate() {
         new_label[old] = new;
@@ -135,8 +127,6 @@ pub fn canonicalize(inst: &TtInstance) -> Canonical {
         out
     };
 
-    // Weight normalization: divide by the gcd, remember the scale.
-    let scale = r.weights().iter().copied().fold(0, gcd).max(1);
     let weights: Vec<u64> = order.iter().map(|&j| r.weight(j) / scale).collect();
 
     // Action normalization. A useless whole-universe test is dropped
@@ -232,6 +222,116 @@ pub fn canonicalize(inst: &TtInstance) -> Canonical {
             flipped: acts.iter().map(|a| a.flipped).collect(),
         },
     }
+}
+
+/// splitmix64's finalizer: every input bit reaches every output bit, so
+/// wrapping sums of mixed values serve as multiset hashes.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Hashes a sequence of words, order-sensitively.
+fn hash_words(words: &[u64]) -> u64 {
+    words.iter().fold(0, |h, &w| mix(h ^ w))
+}
+
+/// The canonical object order: heaviest first, then by a colour that
+/// depends only on the instance's structure, never on its labels.
+///
+/// Colours start from the gcd-normalized weight and are refined (see
+/// [`refine`]) until the number of colour classes stops growing. While
+/// a class is still tied, its lowest-indexed member is individualized
+/// (given a colour of its own) and refinement runs again. Tied objects
+/// that an automorphism of the instance swaps give the same canonical
+/// form whichever one is picked; any other tie, like a colour hash
+/// collision, can only cost a cache hit.
+fn object_order(r: &TtInstance, scale: u64) -> Vec<usize> {
+    const INDIVIDUALIZED: u64 = 0x6a09_e667_f3bc_c909;
+    let k = r.k();
+    let mut colour: Vec<u64> = r.weights().iter().map(|&w| mix(w / scale)).collect();
+    let mut order: Vec<usize> = (0..k).collect();
+    let mut classes = refine(r, &mut colour);
+    // Each pass splits off at least one object, so k passes suffice.
+    for _ in 0..k {
+        order.sort_unstable_by(|&a, &b| {
+            r.weight(b)
+                .cmp(&r.weight(a))
+                .then(colour[a].cmp(&colour[b]))
+                .then(a.cmp(&b))
+        });
+        if classes == k {
+            break;
+        }
+        let Some(tied) = order
+            .windows(2)
+            .find(|w| colour[w[0]] == colour[w[1]])
+            .map(|w| w[0])
+        else {
+            break;
+        };
+        colour[tied] = mix(colour[tied] ^ INDIVIDUALIZED);
+        classes = refine(r, &mut colour);
+    }
+    order
+}
+
+/// Colour refinement to a stable partition; returns the class count.
+///
+/// Each round, every action adds to each object it touches a hash of
+/// its kind, its cost, the colour multiset of the object's side and
+/// that of the other side. A test touches both sides, so its polarity
+/// does not matter; a treatment touches its members only. Each object's
+/// new colour hashes its old colour with that sum, so classes only ever
+/// split. Rounds repeat until the number of classes stops growing.
+fn refine(r: &TtInstance, colour: &mut [u64]) -> usize {
+    let mut classes = count_classes(colour);
+    let mut mixed = vec![0u64; colour.len()];
+    let mut sum = vec![0u64; colour.len()];
+    loop {
+        for (m, &c) in mixed.iter_mut().zip(colour.iter()) {
+            *m = mix(c);
+        }
+        let total = mixed.iter().fold(0u64, |s, &m| s.wrapping_add(m));
+        sum.fill(0);
+        // What every object receives: the tests' other-side hashes,
+        // taken back off each test's own members below.
+        let mut everyone = 0u64;
+        for a in r.actions() {
+            let inside = a.set.iter().fold(0u64, |s, j| s.wrapping_add(mixed[j]));
+            let outside = total.wrapping_sub(inside);
+            let kind = u64::from(a.is_test());
+            let on_members = hash_words(&[kind, a.cost, inside, outside]);
+            let on_others = if a.is_test() {
+                hash_words(&[kind, a.cost, outside, inside])
+            } else {
+                0
+            };
+            everyone = everyone.wrapping_add(on_others);
+            let delta = on_members.wrapping_sub(on_others);
+            for j in a.set.iter() {
+                sum[j] = sum[j].wrapping_add(delta);
+            }
+        }
+        for (c, &s) in colour.iter_mut().zip(&sum) {
+            *c = hash_words(&[*c, s.wrapping_add(everyone)]);
+        }
+        let now = count_classes(colour);
+        if now <= classes {
+            return now;
+        }
+        classes = now;
+    }
+}
+
+/// The number of distinct colours.
+fn count_classes(colour: &[u64]) -> usize {
+    let mut sorted = colour.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted.len()
 }
 
 impl CanonMap {

@@ -6,7 +6,9 @@
 //! has already priced. This crate removes that waste in three layers:
 //!
 //! 1. **Canonicalization** ([`canon`]): objects are relabeled to sorted
-//!    weight order, weights are normalized by their gcd, and dominated
+//!    weight order, ties broken by colour refinement so that relabeling
+//!    an instance does not change the result, weights are normalized by
+//!    their gcd, and dominated
 //!    or duplicate actions are dropped by
 //!    [`tt_core::preprocess::reduce`]. The result is a
 //!    [`canon::CanonicalForm`] — a canonical instance plus its exact
@@ -14,8 +16,10 @@
 //!    needed to translate a cached answer (cost *and* tree) back into
 //!    the caller's numbering.
 //! 2. **Content-addressed store** ([`store`]): solved canonical forms
-//!    are kept in a bounded LRU keyed by the FNV-1a hash of the
-//!    canonical text, with byte accounting, eviction, and an optional
+//!    are kept in a bounded cache keyed by the FNV-1a hash of the
+//!    canonical text. It evicts the least recently used entry, and once
+//!    full it admits a new answer only if its key has been looked up
+//!    more often than that victim's. It has byte accounting and an optional
 //!    on-disk segment log for warm restarts (`tt_core::durable`, the
 //!    solve journal's format in its lenient mode). A key match
 //!    is only a candidate: the stored canonical instance must equal the
@@ -29,7 +33,8 @@
 //! Observability: every lookup settles exactly one of the
 //! `ttcache_hits` / `ttcache_partial_hits` / `ttcache_misses` counters,
 //! residency is exported as the `ttcache_bytes` gauge, evictions as
-//! `ttcache_evictions`, and key-collision events (each lookup, insert
+//! `ttcache_evictions`, answers a full cache declined to admit as
+//! `ttcache_rejected`, and key-collision events (each lookup, insert
 //! or replayed line whose key is held by a different canonical
 //! instance counts one) as `ttcache_collisions` — all through the process-global `tt-obs`
 //! registry, so they render in `ttsolve --metrics` and `ttserve scrape`

@@ -1,5 +1,6 @@
-//! Content-addressed solution store: bounded LRU over canonical forms,
-//! with an optional on-disk segment log for warm restarts.
+//! Content-addressed solution store: a bounded cache of canonical forms
+//! with LRU eviction and frequency-gated admission, and an optional
+//! on-disk segment log for warm restarts.
 //!
 //! Keys are the FNV-1a hash of the canonical text form ([`crate::canon`]),
 //! so every relabeling/rescaling/dominated-action variant of an instance
@@ -21,8 +22,21 @@
 //!   slab is projected down ([`crate::memo`]) and the level kernel
 //!   starts with every level pre-filled.
 //! - **Miss**: a cold level-kernel solve of the canonical instance,
-//!   whose result (and, for small `k`, its slab) is inserted for next
-//!   time.
+//!   whose result (and, for small `k`, its slab) is offered to the
+//!   store for next time.
+//!
+//! Admission: the store counts each key's sightings. Every lookup, hit
+//! or miss, is one; an insert that no missed lookup announced (a keyed
+//! serve completion, say) is one too. The counts live in a history of
+//! at most `HISTORY_PER_ENTRY` (4) × capacity keys, which, when full,
+//! forgets the least recently sighted key that is not resident; every
+//! `AGING_PER_ENTRY` (10) × capacity lookups, every count is halved. Below
+//! capacity every answer is admitted. At capacity an answer is admitted
+//! only if its key's count is strictly greater than the LRU victim's,
+//! which it then evicts; otherwise it is dropped and counted in
+//! `ttcache_rejected`. So a one-off instance cannot push out an
+//! archetype that keeps coming back. Eviction stays LRU, and the byte
+//! bound evicts as before.
 //!
 //! On disk the cache is a [`SegmentLog`] in [`Mode::Lenient`]: inserts
 //! are appended, unsynced, to `cache-NNNNNN.seg` segments in the same
@@ -34,9 +48,14 @@
 //! opened or last rotated, the log rotates to the live entries, written
 //! in LRU order, coldest first: the directory holds at most that
 //! threshold plus one live set, and a reopened cache ranks its entries
-//! as the live one did at the rotation (lookups are not logged, so
-//! only the inserts since then add to that order) and evicts the same
-//! key next. A directory written in the older layout (checksum first)
+//! as the live one did at the rotation and evicts the same key next.
+//! Replayed lines bypass admission, and a dropped answer appends no
+//! line. A reopen loses two things. Lookups are not logged, so the
+//! lookups made since the last rotation are lost: only the inserts
+//! since then add to the rotation's order. Sighting counts are not
+//! logged either, so every replayed entry starts at zero, and until
+//! the counts rebuild the reopened cache admits like plain LRU. A
+//! directory written in the older layout (checksum first)
 //! replays as empty once: its lines fail verification and are skipped,
 //! and the first rotation removes them. Cost slabs are not persisted
 //! (they are large and cheap to regrow), so sub-lattice seeding only
@@ -48,9 +67,11 @@
 //! [`SolutionCache::insert_canonical`].
 //!
 //! Observability: `ttcache_hits` / `ttcache_partial_hits` /
-//! `ttcache_misses` / `ttcache_evictions` / `ttcache_collisions`
-//! counters, `ttcache_bytes` gauge, all in the process-global `tt-obs`
-//! registry.
+//! `ttcache_misses` / `ttcache_evictions` / `ttcache_rejected` /
+//! `ttcache_collisions` counters, `ttcache_bytes` gauge, all in the
+//! process-global `tt-obs` registry. The eviction and rejection
+//! counters are registered when a cache is made, so a scrape shows
+//! the pair from the start.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -108,6 +129,32 @@ struct Entry {
     tick: u64,
 }
 
+/// How often a canonical key has been sighted, for admission.
+struct Seen {
+    /// Sightings, halved every [`AGING_PER_ENTRY`] × capacity lookups.
+    count: u32,
+    /// Clock value of the last sighting.
+    tick: u64,
+    /// The last lookup missed and no answer has arrived since: the next
+    /// insert is that lookup's answer, not a new sighting.
+    awaiting: bool,
+}
+
+/// Where a completed answer landed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Landing {
+    /// Its canonical form was resident: only its LRU position moved.
+    Refreshed,
+    /// Stored, evicting the LRU victim if the cache was full.
+    Admitted,
+    /// The cache was full and the key was sighted no more often than
+    /// the LRU victim: dropped, counted in `ttcache_rejected`.
+    Rejected,
+    /// The key is held by a different canonical instance: skipped,
+    /// counted in `ttcache_collisions`.
+    Collision,
+}
+
 /// A solved canonical form on its way into the store.
 struct Solved {
     /// The canonical form: key, text and instance.
@@ -129,6 +176,13 @@ const MAX_MEMO_K: usize = 18;
 /// opened or last rotated, before the log rotates to the live entries.
 pub const SEGMENT_BYTES: u64 = 1 << 20;
 
+/// Keys the admission history remembers, per entry of capacity.
+const HISTORY_PER_ENTRY: usize = 4;
+
+/// Lookups, per entry of capacity, between two halvings of every
+/// sighting count.
+const AGING_PER_ENTRY: u64 = 10;
+
 /// Bounded, optionally disk-backed cache of solved canonical forms.
 pub struct SolutionCache {
     capacity: usize,
@@ -140,12 +194,18 @@ pub struct SolutionCache {
     log: Option<SegmentLog>,
     /// The active segment's size when it was opened or last rotated.
     rotated_bytes: u64,
+    /// Sighting counts per key, resident or not, for admission.
+    seen: HashMap<String, Seen>,
+    /// Lookups since the counts were last halved.
+    lookups: u64,
 }
 
 impl SolutionCache {
     /// A purely in-memory cache holding at most `capacity` entries.
     #[must_use]
     pub fn in_memory(capacity: usize) -> SolutionCache {
+        tt_obs::metrics::counter("ttcache_evictions");
+        tt_obs::metrics::counter("ttcache_rejected");
         SolutionCache {
             capacity,
             max_bytes: 64 << 20,
@@ -154,6 +214,8 @@ impl SolutionCache {
             tick: 0,
             log: None,
             rotated_bytes: 0,
+            seen: HashMap::new(),
+            lookups: 0,
         }
     }
 
@@ -253,7 +315,7 @@ impl SolutionCache {
                     tree: report.tree.clone(),
                     table: keep_table.then_some(table),
                 },
-                true,
+                false,
             );
         }
         (decanonicalize_report(&map, report), status)
@@ -290,18 +352,19 @@ impl SolutionCache {
     /// the caller has already canonicalized; `report` is in the
     /// original instance's numbering and weight scale.
     pub fn insert_canonical(&mut self, canonical: Canonical, report: &SolveReport) {
+        self.insert_completed(canonical, report);
+    }
+
+    /// [`insert_canonical`](SolutionCache::insert_canonical), saying
+    /// where the answer landed; `None` when it was not offered at all.
+    fn insert_completed(&mut self, canonical: Canonical, report: &SolveReport) -> Option<Landing> {
         if !report.outcome.is_complete() {
-            return;
+            return None;
         }
         // Original cost = scale × canonical cost, exactly.
-        let Some(cost) = crate::canon::rescale_cost(report.cost, 1, canonical.map.scale) else {
-            return;
-        };
+        let cost = crate::canon::rescale_cost(report.cost, 1, canonical.map.scale)?;
         let tree = match &report.tree {
-            Some(t) => match canonical.map.canonicalize_tree(t) {
-                Some(t) => Some(t),
-                None => return,
-            },
+            Some(t) => Some(canonical.map.canonicalize_tree(t)?),
             None => None,
         };
         self.insert_entry(
@@ -311,22 +374,81 @@ impl SolutionCache {
                 tree,
                 table: None,
             },
-            true,
-        );
+            false,
+        )
     }
 
     /// The entry holding exactly `form`, touched as most recently used.
     /// A key held by a different canonical instance is a collision: it
-    /// counts in `ttcache_collisions` and finds nothing.
+    /// counts in `ttcache_collisions` and finds nothing. Hit or miss,
+    /// the lookup is one sighting of the key.
     fn find(&mut self, form: &CanonicalForm) -> Option<&Entry> {
         self.tick += 1;
-        let e = self.map.get_mut(&form.key)?;
-        if e.instance != form.instance {
+        let held = self.map.get(&form.key).map(|e| e.instance == form.instance);
+        if held == Some(false) {
             tt_obs::metrics::counter("ttcache_collisions").inc();
+        }
+        let hit = held == Some(true);
+        self.sight(&form.key, !hit);
+        self.lookups += 1;
+        if self.lookups >= AGING_PER_ENTRY * self.capacity as u64 {
+            self.lookups = 0;
+            for s in self.seen.values_mut() {
+                s.count /= 2;
+            }
+        }
+        if !hit {
             return None;
         }
+        let e = self.map.get_mut(&form.key)?;
         e.tick = self.tick;
         Some(e)
+    }
+
+    /// Counts one sighting of `key`; `missed` marks it as awaiting the
+    /// answer its lookup did not find. A new key makes room in a full
+    /// history by forgetting the least recently sighted key that is not
+    /// resident.
+    fn sight(&mut self, key: &str, missed: bool) {
+        if self.capacity == 0 {
+            return;
+        }
+        let tick = self.tick;
+        if let Some(s) = self.seen.get_mut(key) {
+            s.count = s.count.saturating_add(1);
+            s.tick = tick;
+            s.awaiting = missed;
+            return;
+        }
+        if self.seen.len() >= HISTORY_PER_ENTRY * self.capacity {
+            let forgotten = self
+                .seen
+                .iter()
+                .filter(|(k, _)| !self.map.contains_key(*k))
+                .min_by_key(|(_, s)| s.tick)
+                .map(|(k, _)| k.clone());
+            if let Some(k) = forgotten {
+                self.seen.remove(&k);
+            }
+        }
+        self.seen.insert(
+            key.to_string(),
+            Seen {
+                count: 1,
+                tick,
+                awaiting: missed,
+            },
+        );
+    }
+
+    /// The sighting count of `key`, 0 when the history has none.
+    fn sightings(&self, key: &str) -> u32 {
+        self.seen.get(key).map_or(0, |s| s.count)
+    }
+
+    /// The least recently used entry's key.
+    fn lru_victim(&self) -> Option<&String> {
+        self.map.iter().min_by_key(|(_, e)| e.tick).map(|(k, _)| k)
     }
 
     /// Looks for a cached superset lattice that embeds `sub` and
@@ -348,7 +470,12 @@ impl SolutionCache {
     /// canonical instance only refreshes that entry's LRU position; one
     /// held by a different instance is a collision, counted and
     /// skipped, so a forged or colliding key never displaces an entry.
-    fn insert_entry(&mut self, new: Solved, journal: bool) {
+    /// At a full cache a solved answer is admitted only when its key has
+    /// been sighted strictly more often than the LRU victim's; an
+    /// insert no lookup announced counts as one sighting. A `replay`
+    /// line bypasses admission, is not sighted, and is not re-logged.
+    /// `None` for a capacity-zero cache or an inconsistent answer.
+    fn insert_entry(&mut self, new: Solved, replay: bool) -> Option<Landing> {
         let Solved {
             form,
             cost,
@@ -356,20 +483,36 @@ impl SolutionCache {
             table,
         } = new;
         if self.capacity == 0 || (cost.is_inf() && tree.is_some()) {
-            return; // capacity-zero cache, or an inconsistent answer
+            return None;
         }
         self.tick += 1;
+        if !replay {
+            let announced = self
+                .seen
+                .get_mut(&form.key)
+                .is_some_and(|s| std::mem::take(&mut s.awaiting));
+            if !announced {
+                self.sight(&form.key, false);
+            }
+        }
         if let Some(held) = self.map.get_mut(&form.key) {
             if held.instance == form.instance {
                 held.tick = self.tick;
-            } else {
-                tt_obs::metrics::counter("ttcache_collisions").inc();
+                return Some(Landing::Refreshed);
             }
-            return;
+            tt_obs::metrics::counter("ttcache_collisions").inc();
+            return Some(Landing::Collision);
+        }
+        if !replay && self.map.len() >= self.capacity {
+            let victim = self.lru_victim().map_or(0, |k| self.sightings(k));
+            if self.sightings(&form.key) <= victim {
+                tt_obs::metrics::counter("ttcache_rejected").inc();
+                return Some(Landing::Rejected);
+            }
         }
         let tree_text = tree.as_ref().map(tree_io::tree_to_text);
         let bytes = entry_bytes(&form.text, tree_text.as_deref(), table.as_deref());
-        let line = (journal && self.log.is_some())
+        let line = (!replay && self.log.is_some())
             .then(|| entry_line(&form.key, cost, tree_text.as_deref(), &form.text));
         self.map.insert(
             form.key,
@@ -388,16 +531,12 @@ impl SolutionCache {
             self.persist(&line);
         }
         tt_obs::metrics::gauge("ttcache_bytes").set(bytes_gauge(self.bytes));
+        Some(Landing::Admitted)
     }
 
     fn evict_to_bounds(&mut self) {
         while self.map.len() > self.capacity || self.bytes > self.max_bytes {
-            let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| k.clone())
-            else {
+            let Some(victim) = self.lru_victim().cloned() else {
                 break;
             };
             if let Some(e) = self.map.remove(&victim) {
@@ -479,7 +618,7 @@ impl SolutionCache {
                 tree,
                 table: None,
             },
-            false,
+            true,
         );
     }
 }
@@ -683,19 +822,105 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest_entry() {
-        let before = tt_obs::metrics::counter("ttcache_evictions").get();
+        let evictions = || tt_obs::metrics::counter("ttcache_evictions").get();
+        let resident = |cache: &SolutionCache, inst: &TtInstance| {
+            cache.map.contains_key(&canonicalize(inst).form.key)
+        };
         let mut cache = SolutionCache::in_memory(2);
         let a = inst_with_weights([4, 3, 2, 1]);
         let b = inst_with_weights([7, 5, 3, 2]);
         let c = inst_with_weights([9, 8, 6, 5]);
+        let once = inst_with_weights([11, 8, 6, 5]);
         cache.solve(&a, &Budget::unlimited());
         cache.solve(&b, &Budget::unlimited());
         cache.solve(&a, &Budget::unlimited()); // touch a: b is now coldest
+
+        // A one-off key, sighted once like the coldest entry, is
+        // rejected and evicts nothing.
+        let before = evictions();
+        assert_eq!(
+            cache.solve(&once, &Budget::unlimited()).1,
+            CacheStatus::Miss
+        );
+        assert_eq!(cache.len(), 2);
+        assert!(!resident(&cache, &once));
+        assert!(
+            resident(&cache, &a) && resident(&cache, &b),
+            "a rejected answer evicts nothing"
+        );
+
+        // A key looked up more often than the coldest entry evicts
+        // exactly that entry.
+        assert!(cache.lookup_report(&c).is_none());
         cache.solve(&c, &Budget::unlimited());
         assert_eq!(cache.len(), 2);
-        assert!(tt_obs::metrics::counter("ttcache_evictions").get() > before);
+        assert!(evictions() > before);
+        assert!(!resident(&cache, &b), "the coldest entry is the victim");
         assert_eq!(cache.solve(&a, &Budget::unlimited()).1, CacheStatus::Hit);
-        assert_eq!(cache.solve(&b, &Budget::unlimited()).1, CacheStatus::Miss);
+        assert_eq!(cache.solve(&c, &Budget::unlimited()).1, CacheStatus::Hit);
+    }
+
+    #[test]
+    fn every_completed_insert_lands_exactly_one_way() {
+        let rejected = || tt_obs::metrics::counter("ttcache_rejected").get();
+        let seq = tt_core::solver::engine::lookup("seq").unwrap();
+        let insts: Vec<TtInstance> = (0..6)
+            .map(|i| inst_with_weights([10 + i, 3, 2, 1]))
+            .collect();
+        let mut cache = SolutionCache::in_memory(3);
+        let (mut tally, mut rejections) = ([0usize; 4], 0);
+        let before = rejected();
+        let mut state = 7u64;
+        for step in 0..200 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let i = (state >> 33) as usize % insts.len();
+            let inst = &insts[i];
+            if state >> 62 == 0 {
+                cache.lookup_report(inst);
+                continue;
+            }
+            let mut canonical = canonicalize(inst);
+            if step % 17 == 0 {
+                // Forge the key of some resident entry.
+                if let Some(k) = cache.map.keys().find(|k| **k != canonical.form.key) {
+                    canonical.form.key = k.clone();
+                }
+            }
+            let key = canonical.form.key.clone();
+            let held = cache
+                .map
+                .get(&key)
+                .map(|e| e.instance == canonical.form.instance);
+            let (len, full) = (cache.len(), cache.len() == cache.capacity);
+            let landing = cache
+                .insert_completed(canonical, &seq.solve(inst))
+                .expect("a complete report is offered");
+            let same = cache
+                .map
+                .get(&key)
+                .map(|e| e.instance == canonicalize(inst).form.instance);
+            match landing {
+                Landing::Refreshed => assert_eq!((held, same), (Some(true), Some(true))),
+                Landing::Collision => assert_eq!((held, same), (Some(false), Some(false))),
+                Landing::Admitted => {
+                    assert_eq!((held, same), (None, Some(true)));
+                    assert_eq!(cache.len(), len + usize::from(!full));
+                }
+                Landing::Rejected => {
+                    assert!(full && held.is_none() && same.is_none());
+                    assert_eq!(cache.len(), len);
+                    rejections += 1;
+                }
+            }
+            tally[landing as usize] += 1;
+        }
+        assert!(
+            tally.iter().all(|&n| n > 0),
+            "every landing occurs: {tally:?}"
+        );
+        assert!(rejected() - before >= rejections);
     }
 
     #[test]
@@ -809,7 +1034,7 @@ mod tests {
                 tree: None,
                 table: None,
             },
-            false,
+            true,
         );
         assert_eq!(collisions(), before + 1, "the skipped insert counts once");
         assert_eq!(cache.len(), 1, "the colliding insert is skipped");

@@ -894,7 +894,8 @@ fn run_solve(inner: &Inner, params: SolveParams) -> (Response, Terminal) {
 /// up: keyed requests belong to the journal's exactly-once contract,
 /// where a dedup replay must return the journaled bytes, not a
 /// cache-translated equivalent (they still populate the cache when
-/// they complete).
+/// they complete, and each such insert counts as one sighting of its
+/// key for the cache's admission rule).
 fn cache_lookup(
     inner: &Inner,
     params: &SolveParams,

@@ -4,10 +4,11 @@
 //! must be exactly the optimum the engines compute directly on the
 //! variant.
 //!
-//! Weights are kept pairwise distinct so the canonical object order is
-//! unique: equal-weight objects with equal signatures may legitimately
-//! canonicalize in either order (a missed hit, never a wrong one), and
-//! the property here is the strict form.
+//! The random instances keep weights pairwise distinct, so the property
+//! holds for them whatever the tie-break. The catalog property covers
+//! ties: the `faults` domain's sibling fault clusters tie on weight and
+//! structure, and colour refinement must still canonicalize every
+//! relabelling of them alike.
 
 use proptest::prelude::*;
 use tt_cache::{canonicalize, CacheStatus, SolutionCache};
@@ -15,6 +16,7 @@ use tt_core::instance::{ActionKind, TtInstance, TtInstanceBuilder};
 use tt_core::solver::budget::Budget;
 use tt_core::solver::engine;
 use tt_core::subset::Subset;
+use tt_workloads::catalog::Domain;
 
 /// Pairwise-distinct weights from raw entropy: `(raw % 50) * 6` spreads
 /// values at least 6 apart whenever the raw values differ, and the
@@ -159,5 +161,69 @@ proptest! {
         let tree = report.tree.expect("adequate instance: cached hit carries a tree");
         prop_assert!(tree.validate(&variant).is_ok());
         prop_assert_eq!(tree.expected_cost(&variant), report.cost);
+    }
+
+    /// A catalog instance at k = 8–16, relabelled, its actions shuffled,
+    /// some tests flipped to their complement polarity and every weight
+    /// rescaled, keeps the base instance's key; the cached answer,
+    /// translated back, prices on the variant to the base's cold optimum
+    /// times the scale.
+    #[test]
+    fn catalog_variants_keep_the_base_key_and_price_to_the_optimum(
+        domain in 0usize..5,
+        k in 8usize..=16,
+        seed in any::<u64>(),
+        shuffle_seed in any::<u64>(),
+        flips in any::<u64>(),
+        scale in 2u64..=9,
+    ) {
+        let domain = Domain::all()[domain];
+        let inst = domain.generate(k, seed);
+        let mut rng = shuffle_seed | 1;
+        let mut next = |n: usize| {
+            rng = rng.wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (rng >> 33) as usize % n
+        };
+        let mut perm: Vec<usize> = (0..k).collect();
+        for i in (1..k).rev() {
+            perm.swap(i, next(i + 1));
+        }
+        let mut actions = inst.actions().to_vec();
+        for i in (1..actions.len()).rev() {
+            actions.swap(i, next(i + 1));
+        }
+        let mut weights = vec![0u64; k];
+        for j in 0..k {
+            weights[perm[j]] = inst.weight(j) * scale;
+        }
+        let mut b = TtInstanceBuilder::new(k).weights(weights);
+        for (i, a) in actions.iter().enumerate() {
+            let set = Subset::from_iter(a.set.iter().map(|j| perm[j]));
+            b = match a.kind {
+                ActionKind::Test if flips >> (i % 64) & 1 == 1 && set != Subset::universe(k) => {
+                    b.test(set.complement(k), a.cost)
+                }
+                ActionKind::Test => b.test(set, a.cost),
+                ActionKind::Treatment => b.treatment(set, a.cost),
+            };
+        }
+        let variant = b.build().expect("a relabelled valid instance stays valid");
+
+        let label = format!("{} k={k} seed={seed}", domain.name());
+        prop_assert_eq!(
+            &canonicalize(&inst).form.key,
+            &canonicalize(&variant).form.key,
+            "{}", label
+        );
+        let cold = engine::lookup("seq").unwrap().solve(&inst);
+        let mut cache = SolutionCache::in_memory(4);
+        cache.insert_report(&inst, &cold);
+        let hit = cache.lookup_report(&variant).expect("the variant hits the base's entry");
+        let optimum = tt_core::cost::Cost::new(cold.cost.0 * scale);
+        prop_assert_eq!(hit.cost, optimum, "{}", label);
+        let tree = hit.tree.expect("catalog instances are adequate");
+        prop_assert!(tree.validate(&variant).is_ok(), "{}", label);
+        prop_assert_eq!(tree.expected_cost(&variant), optimum, "{}", label);
     }
 }

@@ -7,7 +7,8 @@
 //! far more distinct instances than the cache holds must rotate the
 //! segments to the live entries, so the directory stays within the
 //! rotation threshold plus one live set, and a reopened cache must hold
-//! the same keys and evict the same one first as the live cache.
+//! the same keys and evict the same one first as the live cache did at
+//! the last rotation; a lookup made after it is lost.
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -142,19 +143,32 @@ proptest! {
 }
 
 /// Capacity `C`, three rotations' worth of distinct inserts, with
-/// lookups mixed in so the LRU order is not the insertion order. The
-/// run stops right after the third rotation: lookups are not logged,
-/// so the rotation's snapshot is the live order a reopen must rebuild.
+/// lookups mixed in so the LRU order is not the insertion order. Each
+/// new key is looked up [`HOT`] times before it is solved, so the cache
+/// admits it: its count beats the coldest entry's, which has been
+/// halved (every `10 × C` lookups) at least twice since that entry was
+/// last touched. After the third rotation one more lookup warms the
+/// coldest key. Lookups are not logged, so the live cache then evicts
+/// the next key while a reopened one, ranking its entries as the
+/// rotation's snapshot did, still evicts the warmed one.
 #[test]
 fn cache_disk_stays_bounded_and_a_reopened_cache_evicts_the_same_key() {
     const C: usize = 8;
+    const HOT: usize = 24;
     let dir = temp_dir("bounded");
     let mut cache = SolutionCache::open(&dir, C).unwrap();
+    let heat = |cache: &mut SolutionCache, inst: &TtInstance| {
+        let canonical = tt_cache::canonicalize(inst);
+        for _ in 0..HOT {
+            assert!(cache.lookup_canonical(&canonical).is_none());
+        }
+    };
     // The LRU order the live cache must hold, coldest first.
     let mut lru: VecDeque<u64> = VecDeque::new();
     let mut segments = files(&dir);
     let (mut rotations, mut peak) = (0, 0);
     for i in 0.. {
+        heat(&mut cache, &instance(i));
         cache.solve(&instance(i), &Budget::unlimited());
         lru.push_back(i);
         if lru.len() > C {
@@ -185,6 +199,13 @@ fn cache_disk_stays_bounded_and_a_reopened_cache_evicts_the_same_key() {
     let bound = tt_cache::store::SEGMENT_BYTES + (C as u64 + 1) * line;
     assert!(peak <= bound, "directory reached {peak} B, bound {bound} B");
 
+    // A lookup after the rotation: the live cache ranks the warmed key
+    // last, the snapshot still ranks it first.
+    let snapshot_order = lru.clone();
+    let warmed = lru.pop_front().unwrap();
+    assert!(cache.lookup_report(&instance(warmed)).is_some());
+    lru.push_back(warmed);
+
     // A reopened cache holds the same C keys...
     let mut reopened = SolutionCache::open(&dir, C).unwrap();
     assert_eq!(reopened.len(), C);
@@ -194,15 +215,20 @@ fn cache_disk_stays_bounded_and_a_reopened_cache_evicts_the_same_key() {
             "key {j} lost"
         );
     }
-    // ...and, opened afresh, evicts the live cache's coldest key first.
+    // ...and, opened afresh, evicts the snapshot's coldest key first,
+    // while the live cache evicts its own coldest.
     let fresh = instance(1 << 40);
-    for mut c in [SolutionCache::open(&dir, C).unwrap(), cache] {
+    for (mut c, order) in [
+        (SolutionCache::open(&dir, C).unwrap(), &snapshot_order),
+        (cache, &lru),
+    ] {
+        heat(&mut c, &fresh);
         c.solve(&fresh, &Budget::unlimited());
         assert!(
-            c.lookup_report(&instance(lru[0])).is_none(),
+            c.lookup_report(&instance(order[0])).is_none(),
             "evicted another key"
         );
-        for &j in lru.iter().skip(1) {
+        for &j in order.iter().skip(1) {
             assert!(c.lookup_report(&instance(j)).is_some(), "key {j} evicted");
         }
     }

@@ -3,7 +3,9 @@
 //! catalog domain at k ∈ {6, 10, 15}, plus one relabelled, rescaled and
 //! duplicate-padded variant of each. Cache keys that drift orphan every
 //! on-disk cache segment written before the drift, so any change to the
-//! canonicalizer must keep these bytes.
+//! canonicalizer must keep these bytes. Every variant must also share
+//! its base's key: the variant is the same problem, so it must hit the
+//! base's cache entry.
 //!
 //! Also pinned: on a warm cache the instance-level `lookup_report` and
 //! the canonical-level `lookup_canonical` give the same answer.
@@ -86,6 +88,21 @@ fn canonical_keys_and_texts_match_the_goldens() {
     for (g, w) in got.iter().zip(&want) {
         let label = w.lines().next().unwrap_or_default();
         assert_eq!(g, w, "canonical form drifted: {label}");
+    }
+}
+
+#[test]
+fn every_variant_shares_its_base_key() {
+    let cases = cases();
+    for pair in cases.chunks(2) {
+        let [(base_label, base), (variant_label, variant)] = pair else {
+            unreachable!("cases come in base/variant pairs");
+        };
+        assert_eq!(
+            canonicalize(base).form.key,
+            canonicalize(variant).form.key,
+            "{base_label} and {variant_label}"
+        );
     }
 }
 

@@ -147,6 +147,14 @@ fn scrape_renders_counters_registered_after_startup() {
         !before.contains("ttserve_late_registration_probe_total"),
         "probe counter must not exist yet"
     );
+    // The cache's pressure counters are registered with the cache, so
+    // a scrape shows them before the first eviction or rejection.
+    for name in ["ttcache_evictions", "ttcache_rejected"] {
+        assert!(
+            before.lines().any(|l| l.starts_with(&format!("{name} "))),
+            "a cache server exports {name} from the start"
+        );
+    }
 
     // Register and bump a brand-new counter only now, while the server
     // is already serving scrapes.
