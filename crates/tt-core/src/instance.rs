@@ -185,6 +185,29 @@ impl TtInstance {
             Err(TtError::Inadequate { untreatable })
         }
     }
+
+    /// A proven strict upper bound on every finite value the recurrence
+    /// produces, `Σt·p(U)·(2k+2) + 1`, or `None` when it exceeds `u64`.
+    ///
+    /// The recurrence excludes an action wherever it is useless, and a
+    /// repeat on a path always is: a repeated test has a certain outcome,
+    /// a repeated treatment cures nothing. So every finite `C(S)` is the
+    /// cost of a tree that charges each object of `S` at most `Σt`, and
+    /// `C(S) ≤ p(S)·Σt`; a candidate `t_i·p(S) + C(S ∩ T_i) + C(S − T_i)`
+    /// is then at most `2·Σt·p(S)`. The factor `2k+2` is the slack the
+    /// BVM's vertical-number width has always been sized with, kept so
+    /// that width does not move. The formula is evaluated exactly —
+    /// `p(U)` without saturation, a zero factor giving zero — with
+    /// checked arithmetic.
+    pub fn finite_cost_bound(&self) -> Option<u64> {
+        let sum_t: u128 = self.actions.iter().map(|a| u128::from(a.cost)).sum();
+        let p_u: u128 = self.weights.iter().map(|&w| u128::from(w)).sum();
+        let bound = sum_t
+            .checked_mul(p_u)?
+            .checked_mul(2 * self.k as u128 + 2)?
+            .checked_add(1)?;
+        u64::try_from(bound).ok()
+    }
 }
 
 /// Builder for [`TtInstance`].
@@ -355,6 +378,30 @@ mod tests {
             .unwrap();
         let table = inst.weight_table();
         assert_eq!(table[3], u64::MAX);
+    }
+
+    #[test]
+    fn the_cost_bound_is_exact_or_none() {
+        // Σt = 4, p(U) = 6, k = 3: 4·6·8 + 1.
+        assert_eq!(small().finite_cost_bound(), Some(193));
+        let with = |weights: [u64; 2], cost| {
+            TtInstanceBuilder::new(2)
+                .weights(weights)
+                .treatment(Subset::universe(2), cost)
+                .treatment(Subset::singleton(0), cost)
+                .build()
+                .unwrap()
+                .finite_cost_bound()
+        };
+        // p(U) overflows u64 but Σt = 0: every cost is 0.
+        assert_eq!(with([u64::MAX, u64::MAX], 0), Some(1));
+        // Σt overflows u64 with nonzero weight.
+        assert_eq!(with([1, 0], u64::MAX - 1), None);
+        // The largest fitting bound and the first that does not:
+        // 2·t·1·6 + 1 with t = (2^64 − 2)/12.
+        let t = (u64::MAX - 1) / 12;
+        assert_eq!(with([1, 0], t), Some(12 * t + 1));
+        assert_eq!(with([1, 0], t + 1), None);
     }
 
     #[test]

@@ -23,6 +23,14 @@
 //! minimum over actions does not depend on their order, so every cell
 //! equals [`sequential::min_candidate`]'s, the cell-major reference.
 //!
+//! The chunk pass's arithmetic is sized to the instance, as the paper
+//! sizes its `w`-bit numbers: when [`TtInstance::finite_cost_bound`]
+//! is below `2^63` (see [`raw_pass`]) the pass runs on raw `u64`, and
+//! above it each cell is [`sequential::min_candidate`]'s. Under the
+//! bound no finite product or sum reaches `Cost`'s saturation point,
+//! so both give the same bits (see [`chunk_costs`]); what the slab
+//! stores and compares is still [`Cost`].
+//!
 //! The chunk pass is generic over its gather, a [`CostLookup`]: the
 //! dense sweep reads the slab through [`DenseSlab`], and `memo` hands
 //! it the masks of one marked closure level and its closure-sized
@@ -39,7 +47,7 @@
 //! hands the sink a [`LevelView`] of the wavefront.
 
 use crate::cost::Cost;
-use crate::instance::{Action, TtInstance};
+use crate::instance::TtInstance;
 use crate::solver::budget::{Budget, BudgetMeter};
 use crate::solver::checkpoint::{Checkpoint, LevelView};
 use crate::solver::engine::{
@@ -128,39 +136,67 @@ fn subset_sums(weights: &[u64]) -> Vec<u64> {
     sums
 }
 
-/// Computes one chunk of level cells, action by action: `cells[off]`
-/// becomes `C(masks[off])` gathered from `table`, `weights[off]` being
-/// `p(masks[off])`. The candidates and their exclusions are
+/// Whether `inst`'s chunk passes run on raw `u64`: its
+/// [`TtInstance::finite_cost_bound`] is below `2^63`. Decided once per
+/// sweep or `memo` solve.
+pub(crate) fn raw_pass(inst: &TtInstance) -> bool {
+    inst.finite_cost_bound().is_some_and(|b| b < 1 << 63)
+}
+
+/// Computes one chunk of level cells: `cells[off]` becomes
+/// `C(masks[off])` gathered from `table`, `weights[off]` being
+/// `p(masks[off])`.
+///
+/// With `raw` (see [`raw_pass`]) the pass runs action by action on
+/// plain `u64`. The candidates and their exclusions are
 /// [`sequential::candidate_via`]'s: an action is useless at `S` when
 /// `S ∩ T` is empty, a test also when `S − T` is, so `table` is only
-/// read at the children of useful pairs. Each action's `Cost` is built
-/// once per pass (`TtInstanceBuilder::build` refuses `INF`).
+/// read at the children of useful pairs. Under the bound every finite
+/// cell, product and sum is below `2^63`, never reaching `Cost`'s
+/// saturation at `u64::MAX − 1`, so `t·p(S)` and the sums are plain
+/// (wrapping) arithmetic and the minimum a plain `min`. A gathered
+/// `INF` (`u64::MAX`) is then the one value with its top bit set; its
+/// sign mask, or-ed into the sum, keeps `INF` absorbing. Every cell
+/// equals `Cost`'s algebra bit for bit. Without `raw` each cell is
+/// [`sequential::min_candidate`]'s.
 pub(crate) fn chunk_costs<L: CostLookup>(
     inst: &TtInstance,
+    raw: bool,
     table: &L,
     masks: &[Subset],
     weights: &[u64],
     cells: &mut [Cost],
 ) {
-    let each = |a: &Action| (a.set, Cost::new(a.cost));
-    cells.fill(Cost::INF);
-    for (t, cost) in inst.tests().iter().map(each) {
+    if !raw {
+        let mut gathers = 0;
         for ((cell, &s), &w) in cells.iter_mut().zip(masks).zip(weights) {
-            let (inter, diff) = (s.intersect(t), s.difference(t));
+            *cell = sequential::min_candidate(inst, w, table, s, &mut gathers).0;
+        }
+        return;
+    }
+    let gather = |s| table.cost_of(s).0;
+    // All ones for a gathered `INF`, zero for a finite cost.
+    let inf = |c: u64| (c >> 63).wrapping_neg();
+    cells.fill(Cost::INF);
+    for t in inst.tests() {
+        for ((cell, &s), &w) in cells.iter_mut().zip(masks).zip(weights) {
+            let (inter, diff) = (s.intersect(t.set), s.difference(t.set));
             if inter.is_empty() || diff.is_empty() {
                 continue;
             }
-            let m = cost.saturating_mul_weight(w) + table.cost_of(inter) + table.cost_of(diff);
-            *cell = (*cell).min(m);
+            let (a, b) = (gather(inter), gather(diff));
+            let m = (t.cost * w).wrapping_add(a).wrapping_add(b) | inf(a | b);
+            cell.0 = cell.0.min(m);
         }
     }
-    for (t, cost) in inst.treatments().iter().map(each) {
+    for t in inst.treatments() {
         for ((cell, &s), &w) in cells.iter_mut().zip(masks).zip(weights) {
-            if !s.intersects(t) {
+            if !s.intersects(t.set) {
                 continue;
             }
-            let m = cost.saturating_mul_weight(w) + table.cost_of(s.difference(t));
-            *cell = (*cell).min(m);
+            let a = gather(s.difference(t.set));
+            let m = (t.cost * w).wrapping_add(a) | inf(a);
+            cell.0 = cell.0.min(m);
         }
     }
 }
@@ -202,7 +238,7 @@ pub fn sweep_windows(
         stats.on_alloc(1u64 << k);
     }
     let mut buf: Vec<Cost> = Vec::new();
-    let split = SplitWeights::new(inst);
+    let (split, raw) = (SplitWeights::new(inst), raw_pass(inst));
     for j in (wave.level + 1)..=k {
         let cells = frontier::binomial(k, j);
         let in_budget = meter.charge_subsets(cells)
@@ -232,7 +268,7 @@ pub fn sweep_windows(
                     }
                     (*m, *w) = (s, split.of(s));
                 }
-                chunk_costs(inst, &DenseSlab(slab), masks, weights, chunk);
+                chunk_costs(inst, raw, &DenseSlab(slab), masks, weights, chunk);
             });
             let mut s = frontier::unrank(j, first as u64);
             for (off, &c) in out.iter().enumerate() {

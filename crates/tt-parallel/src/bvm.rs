@@ -62,17 +62,12 @@ pub struct BvmTtSolution {
 }
 
 /// A safe vertical-number width for an instance: every finite value the
-/// recurrence can produce — `C(S) ≤ k·Σt·p(U)` for adequate instances,
-/// intermediates `M ≤ (2k+1)·Σt·p(U)` — fits below `2^w`.
+/// recurrence can produce — `C(S) ≤ p(S)·Σt`, since an optimal tree never
+/// repeats an action on a path, and candidates `M ≤ 2·Σt·p(S)` — lies
+/// below [`TtInstance::finite_cost_bound`] and so fits below `2^w`. An
+/// instance whose bound exceeds `u64` gets the width of `u64::MAX`.
 pub fn required_width(inst: &TtInstance) -> usize {
-    let sum_t: u64 = inst
-        .actions()
-        .iter()
-        .fold(0u64, |a, x| a.saturating_add(x.cost));
-    let bound = sum_t
-        .saturating_mul(inst.total_weight())
-        .saturating_mul(2 * inst.k() as u64 + 2)
-        .saturating_add(1);
+    let bound = inst.finite_cost_bound().unwrap_or(u64::MAX);
     let w = (64 - bound.leading_zeros() as usize) + 1;
     w.max(4)
 }
@@ -471,6 +466,43 @@ mod tests {
             .max()
             .unwrap();
         assert!(1u64 << w > max_c * 2);
+    }
+
+    #[test]
+    fn required_width_keeps_the_saturating_formula() {
+        // The width this crate computed before the bound moved into
+        // tt-core: `Σt ⊗ p(U) ⊗ (2k+2) ⊕ 1` in saturating arithmetic.
+        let saturating = |i: &TtInstance| {
+            let sum_t = i
+                .actions()
+                .iter()
+                .fold(0u64, |a, x| a.saturating_add(x.cost));
+            let bound = sum_t
+                .saturating_mul(i.total_weight())
+                .saturating_mul(2 * i.k() as u64 + 2)
+                .saturating_add(1);
+            ((64 - bound.leading_zeros() as usize) + 1).max(4)
+        };
+        let big = u64::MAX - 1;
+        for (weights, costs) in [
+            ([3, 1, 2], [1, 2, 3]),
+            ([1, 1, 1], [0, 0, 0]),
+            ([u64::MAX, u64::MAX, 1], [0, 0, 0]),
+            ([u64::MAX, u64::MAX, 1], [1, 0, 0]),
+            ([1, 0, 0], [big, big, 1]),
+            ([1, 0, 0], [big / 16, 0, 0]),
+            ([1, 0, 0], [big / 8, 0, 0]),
+            ([1 << 40, 1 << 40, 0], [1 << 20, 1 << 21, 5]),
+        ] {
+            let i = TtInstanceBuilder::new(3)
+                .weights(weights)
+                .test(Subset::singleton(0), costs[0])
+                .treatment(Subset::from_iter([0, 1]), costs[1])
+                .treatment(Subset::universe(3), costs[2])
+                .build()
+                .unwrap();
+            assert_eq!(required_width(&i), saturating(&i), "{weights:?} {costs:?}");
+        }
     }
 
     #[test]

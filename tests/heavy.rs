@@ -3,7 +3,7 @@
 //!
 //! These push each component well past the sizes the regular suite uses:
 //! large-universe solver agreement, `memo` at k = 25, the level kernel
-//! on the catalog at k = 20, a 2^20-PE CCC pass, and a bigger
+//! and `memo` on the catalog at k = 20, a 2^20-PE CCC pass, and a bigger
 //! bit-serial BVM solve.
 //!
 //! Two are timing pins, meaningful only in release: the observability
@@ -81,14 +81,18 @@ fn memo_at_k25_allocates_only_its_closure() {
 }
 
 #[test]
-#[ignore = "heavy: five k = 20 catalog solves, three ways each"]
+#[ignore = "heavy: five k = 20 catalog solves, four ways each"]
 fn kernel_matches_the_reference_on_the_catalog_at_k20() {
     let _shared = untimed();
     // C(20, 10) = 184,756 cells: the middle levels span three
-    // 65,536-cell windows of 64 chunks each.
+    // 65,536-cell windows of 64 chunks each. The reference is the
+    // cell-major DP on `Cost` arithmetic; `seq`, `rayon` and `memo`
+    // run the chunk pass, on raw `u64` for every catalog instance.
     tt_parallel::register_engines();
     for domain in tt_workloads::catalog::Domain::all() {
         let inst = domain.generate(20, 7);
+        let bound = inst.finite_cost_bound();
+        assert!(bound.is_some_and(|b| b < 1 << 63), "{domain:?}: {bound:?}");
         let reference = sequential::solve_tables(&inst).cost;
         for engine in ["seq", "rayon"] {
             let mut wave = None;
@@ -101,6 +105,11 @@ fn kernel_matches_the_reference_on_the_catalog_at_k20() {
             assert!(r.outcome.is_complete(), "{domain:?} {engine}");
             let slab = wave.expect("the engine's wavefront").cost;
             assert!(slab == reference, "{domain:?} {engine}: slab differs");
+        }
+        let mm = memo::solve(&inst);
+        assert_eq!(mm.table.iter().count(), mm.reachable_subsets + 1);
+        for (s, c) in mm.table.iter() {
+            assert_eq!(c, reference[s.index()], "{domain:?} memo: C({s}) differs");
         }
     }
 }

@@ -93,6 +93,47 @@ fn arb_wide_instance() -> impl Strategy<Value = TtInstance> {
     })
 }
 
+/// One instance on each side of the kernel's raw-`u64` bound, from one
+/// seed: the same sets, small weights and small base costs, every cost
+/// scaled by one factor so that `finite_cost_bound` lies just below
+/// `2^63` in the first and just above it in the second. Candidates run
+/// up to about `2^59`. Without a universe treatment most are
+/// inadequate, so `INF` cells are gathered on both sides.
+fn arb_bound_edge_pair() -> impl Strategy<Value = [TtInstance; 2]> {
+    (11usize..=13, 1usize..=6, 1usize..=6, any::<u64>()).prop_map(|(k, nt, nr, seed)| {
+        let mut r = XorShift(seed | 1);
+        let full = (1u32 << k) - 1;
+        let weights: Vec<u64> = (0..k).map(|_| 1 + r.next() % 16).collect();
+        let mut actions: Vec<(bool, Subset, u64)> = (0..nt + nr)
+            .map(|a| {
+                (
+                    a < nt,
+                    Subset(1 + (r.next() as u32) % full),
+                    1 + r.next() % 8,
+                )
+            })
+            .collect();
+        if r.next() & 1 == 0 {
+            actions.push((false, Subset::universe(k), 1 + r.next() % 8));
+        }
+        let unit = actions.iter().map(|a| a.2).sum::<u64>()
+            * weights.iter().sum::<u64>()
+            * (2 * k as u64 + 2);
+        let below = ((1u64 << 63) - 1) / unit;
+        [below, below + 1].map(|factor| {
+            let mut b = TtInstanceBuilder::new(k).weights(weights.iter().copied());
+            for &(is_test, set, cost) in &actions {
+                b = if is_test {
+                    b.test(set, cost * factor)
+                } else {
+                    b.treatment(set, cost * factor)
+                };
+            }
+            b.build().unwrap()
+        })
+    })
+}
+
 /// The slab one level-kernel sweep leaves, `window` cells per window.
 fn kernel_slab(inst: &TtInstance, exec: &dyn Executor, window: usize) -> Vec<Cost> {
     let mut wave = Checkpoint::blank(inst);
@@ -108,49 +149,74 @@ fn kernel_slab(inst: &TtInstance, exec: &dyn Executor, window: usize) -> Vec<Cos
     wave.cost
 }
 
+/// The level kernel, serial, on rayon workers and one chunk per window,
+/// equals the cell-major mask-order DP on every cell.
+fn check_kernel(inst: &TtInstance) {
+    let reference = sequential::solve_tables(inst).cost;
+    for (what, exec, window) in [
+        ("serial", &kernel::Serial as &dyn Executor, kernel::WINDOW),
+        ("rayon", &rayon_solver::Rayon, kernel::WINDOW),
+        ("one-chunk windows", &kernel::Serial, kernel::CHUNK),
+    ] {
+        let slab = kernel_slab(inst, exec, window);
+        let first_diff = slab
+            .iter()
+            .zip(&reference)
+            .position(|(got, want)| got != want);
+        prop_assert_eq!(first_diff, None, "{} differs from the mask-order DP", what);
+    }
+}
+
+/// `memo`'s chunk pass over its closure table equals the mask-order DP
+/// on every closure cell, and its tree is the DP's and costs `C(U)` —
+/// or, on an inadequate instance, there is no tree and `C(U) = INF`.
+fn check_memo(inst: &TtInstance) {
+    let reference = sequential::solve_tables(inst);
+    let mm = memo::solve(inst);
+    // Every closure subset, plus `∅`.
+    prop_assert_eq!(mm.table.iter().count(), mm.reachable_subsets + 1);
+    for (s, c) in mm.table.iter() {
+        prop_assert_eq!(c, reference.cost[s.index()], "C({}) differs", s);
+    }
+    let root = inst.universe();
+    prop_assert_eq!(mm.cost, reference.cost[root.index()]);
+    prop_assert_eq!(&mm.tree, &sequential::extract_tree(inst, &reference, root));
+    match &mm.tree {
+        Some(t) => {
+            prop_assert!(t.validate(inst).is_ok(), "memo tree invalid");
+            prop_assert_eq!(t.expected_cost(inst), mm.cost, "memo tree cost");
+        }
+        None => prop_assert!(mm.cost.is_inf(), "memo lost the tree"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The level kernel, serial, on rayon workers and one chunk per
-    /// window, equals the cell-major mask-order DP on every cell —
-    /// across chunk boundaries, under saturation and on inadequate
-    /// instances.
+    /// The level kernel equals the mask-order DP on every cell — across
+    /// chunk boundaries, under saturation and on inadequate instances.
     #[test]
     fn level_kernel_matches_the_mask_order_dp(inst in arb_wide_instance()) {
-        let reference = sequential::solve_tables(&inst).cost;
-        for (what, exec, window) in [
-            ("serial", &kernel::Serial as &dyn Executor, kernel::WINDOW),
-            ("rayon", &rayon_solver::Rayon, kernel::WINDOW),
-            ("one-chunk windows", &kernel::Serial, kernel::CHUNK),
-        ] {
-            let slab = kernel_slab(&inst, exec, window);
-            let first_diff = slab.iter().zip(&reference).position(|(got, want)| got != want);
-            prop_assert_eq!(first_diff, None, "{} differs from the mask-order DP", what);
-        }
+        check_kernel(&inst);
     }
 
-    /// `memo`'s chunk pass over its closure table equals the mask-order
-    /// DP on every closure cell, and its tree is the DP's and costs
-    /// `C(U)` — under saturation and on inadequate instances (no tree,
-    /// `C(U) = INF`).
+    /// `memo`'s closure equals the mask-order DP — under saturation and
+    /// on inadequate instances.
     #[test]
     fn memo_matches_the_mask_order_dp_on_its_closure(inst in arb_wide_instance()) {
-        let reference = sequential::solve_tables(&inst);
-        let mm = memo::solve(&inst);
-        // Every closure subset, plus `∅`.
-        prop_assert_eq!(mm.table.iter().count(), mm.reachable_subsets + 1);
-        for (s, c) in mm.table.iter() {
-            prop_assert_eq!(c, reference.cost[s.index()], "C({}) differs", s);
-        }
-        let root = inst.universe();
-        prop_assert_eq!(mm.cost, reference.cost[root.index()]);
-        prop_assert_eq!(&mm.tree, &sequential::extract_tree(&inst, &reference, root));
-        match &mm.tree {
-            Some(t) => {
-                prop_assert!(t.validate(&inst).is_ok(), "memo tree invalid");
-                prop_assert_eq!(t.expected_cost(&inst), mm.cost, "memo tree cost");
-            }
-            None => prop_assert!(mm.cost.is_inf(), "memo lost the tree"),
+        check_memo(&inst);
+    }
+
+    /// Both chunk-pass arithmetics — raw `u64` just below the bound,
+    /// the cell-major reference just above it — give the mask-order
+    /// DP's cells, in the dense sweep and in `memo`'s closure.
+    #[test]
+    fn both_sides_of_the_raw_bound_match_the_mask_order_dp(pair in arb_bound_edge_pair()) {
+        for (inst, raw) in pair.iter().zip([true, false]) {
+            let bound = inst.finite_cost_bound();
+            prop_assert_eq!(bound.is_some_and(|b| b < 1 << 63), raw, "bound {:?}", bound);
+            check_kernel(inst);
+            check_memo(inst);
         }
     }
 }
