@@ -64,7 +64,7 @@ pub struct CanonicalForm {
     /// The canonical instance (reduced, relabeled, normalized).
     pub instance: TtInstance,
     /// Its exact `tt_core::io` text rendering — the content that is
-    /// hashed, and the embedding witness the sub-lattice memo compares.
+    /// hashed, and what a disk-backed cache persists.
     pub text: String,
     /// FNV-1a of `text`, 16 lowercase hex digits: the cache key.
     pub key: String,
@@ -423,8 +423,8 @@ impl CanonMap {
 }
 
 /// Rescales a cost by the exact rational `mul / div`, or `None` when
-/// the division does not come out exact (the embedding is then
-/// rejected rather than approximated). `INF` is preserved.
+/// the division does not come out exact (the answer is then not cached
+/// rather than approximated). `INF` is preserved.
 #[must_use]
 pub fn rescale_cost(c: Cost, mul: u64, div: u64) -> Option<Cost> {
     if c.is_inf() {

@@ -2,8 +2,8 @@
 //!
 //! At fleet traffic most served instances are near-duplicates —
 //! relabelings, reorderings, and uniformly rescaled weights of a few
-//! archetypes — so the `Θ(N·2^k)` DP keeps recomputing sub-lattices it
-//! has already priced. This crate removes that waste in three layers:
+//! archetypes — so the `Θ(N·2^k)` DP keeps re-solving instances it has
+//! already solved. This crate removes that waste in two layers:
 //!
 //! 1. **Canonicalization** ([`canon`]): objects are relabeled to sorted
 //!    weight order, ties broken by colour refinement so that relabeling
@@ -24,28 +24,33 @@
 //!    solve journal's format in its lenient mode). A key match
 //!    is only a candidate: the stored canonical instance must equal the
 //!    request's before a hit is served.
-//! 3. **Sub-lattice memo** ([`memo`]): when a new instance embeds as an
-//!    object-subset of an already-solved superset instance, the cached
-//!    cost slab is projected into a complete seed slab for the level
-//!    kernel ([`tt_core::solver::kernel`]), so even a partial hit skips
-//!    every DP level.
+//!
+//! The cache does not solve. A caller canonicalizes once, looks the
+//! form up, and on a miss runs its own solve and offers the report
+//! back with the same [`Canonical`]; ttserve and `ttsolve --cache` both
+//! work this way.
 //!
 //! Observability: every lookup settles exactly one of the
-//! `ttcache_hits` / `ttcache_partial_hits` / `ttcache_misses` counters,
+//! `ttcache_hits` / `ttcache_misses` counters,
 //! residency is exported as the `ttcache_bytes` gauge, evictions as
 //! `ttcache_evictions`, answers a full cache declined to admit as
 //! `ttcache_rejected`, and key-collision events (each lookup, insert
 //! or replayed line whose key is held by a different canonical
-//! instance counts one) as `ttcache_collisions` — all through the process-global `tt-obs`
+//! instance, or whose replayed tree does not price to its stored cost,
+//! counts one) as `ttcache_collisions` — all through the process-global `tt-obs`
 //! registry, so they render in `ttsolve --metrics` and `ttserve scrape`
 //! without extra wiring.
 
 pub mod canon;
-pub mod memo;
 pub mod store;
 
 pub use canon::{canonicalize, CanonMap, Canonical, CanonicalForm};
-pub use store::{CacheStatus, SolutionCache};
+pub use store::SolutionCache;
+
+/// Entries a disk-backed cache holds when its user names no capacity
+/// (`ttsolve --cache`, `ttserve serve --cache` without
+/// `--cache-capacity`).
+pub const DEFAULT_CAPACITY: usize = 1024;
 
 /// [`tt_obs::fnv1a`] over a byte string, rendered in the canonical
 /// 16-lowercase-hex-digit form that checkpoint and journal checksums

@@ -12,18 +12,15 @@
 //! entry. `ttcache_collisions` counts these events, not requests: a
 //! colliding lookup is one, a skipped insert or replay line another,
 //! so a request that misses on a collision and then inserts its solved
-//! answer counts two. A lookup settles exactly one of three ways:
+//! answer counts two. A lookup settles exactly one of two ways:
 //!
 //! - **Hit**: the canonical form is present — the stored cost and tree
 //!   are translated back through the caller's [`CanonMap`] with no DP
 //!   work at all.
-//! - **Partial**: no exact entry, but the instance embeds as an object
-//!   subset of a cached superset that still holds its cost slab — the
-//!   slab is projected down ([`crate::memo`]) and the level kernel
-//!   starts with every level pre-filled.
-//! - **Miss**: a cold level-kernel solve of the canonical instance,
-//!   whose result (and, for small `k`, its slab) is offered to the
-//!   store for next time.
+//! - **Miss**: the caller solves the instance with whatever engine it
+//!   runs and offers the report to
+//!   [`insert_canonical`](SolutionCache::insert_canonical), which keeps
+//!   it only when it is complete.
 //!
 //! Admission: the store counts each key's sightings. Every lookup, hit
 //! or miss, is one; an insert that no missed lookup announced (a keyed
@@ -57,17 +54,19 @@
 //! the counts rebuild the reopened cache admits like plain LRU. A
 //! directory written in the older layout (checksum first)
 //! replays as empty once: its lines fail verification and are skipped,
-//! and the first rotation removes them. Cost slabs are not persisted
-//! (they are large and cheap to regrow), so sub-lattice seeding only
-//! draws on entries solved in-process.
+//! and the first rotation removes them. A replayed line is checked
+//! before it is served: its key must hash its canonical text, its tree
+//! must be valid on that instance and must price to the stored cost. A
+//! line that fails the last check is skipped and counted in
+//! `ttcache_collisions`, like a line whose key another instance holds.
 //!
-//! The serve path canonicalizes once per request, outside the lock that
-//! guards the cache, and hands the same [`Canonical`] to
-//! [`SolutionCache::lookup_canonical`] and, after a miss is solved, to
-//! [`SolutionCache::insert_canonical`].
+//! Both ttserve and `ttsolve --cache` canonicalize once per request
+//! (ttserve outside the lock that guards the cache) and hand the same
+//! [`Canonical`] to [`SolutionCache::lookup_canonical`] and, after a
+//! miss is solved, to [`SolutionCache::insert_canonical`].
 //!
-//! Observability: `ttcache_hits` / `ttcache_partial_hits` /
-//! `ttcache_misses` / `ttcache_evictions` / `ttcache_rejected` /
+//! Observability: `ttcache_hits` / `ttcache_misses` /
+//! `ttcache_evictions` / `ttcache_rejected` /
 //! `ttcache_collisions` counters, `ttcache_bytes` gauge, all in the
 //! process-global `tt-obs` registry. The eviction and rejection
 //! counters are registered when a cache is made, so a scrape shows
@@ -77,52 +76,22 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use crate::canon::{canonicalize, CanonMap, Canonical, CanonicalForm};
-use crate::memo;
 use tt_core::cost::Cost;
 use tt_core::durable::{Mode, SegmentLog, Segments};
 use tt_core::instance::TtInstance;
 use tt_core::io as tt_io;
-use tt_core::solver::budget::Budget;
-use tt_core::solver::checkpoint::{instance_fingerprint, Checkpoint};
 use tt_core::solver::engine::{self, SolveOutcome, SolveReport, WorkStats};
-use tt_core::solver::kernel;
 use tt_core::tree::TtTree;
 use tt_core::tree_io;
 
-/// How a cache-mediated solve was satisfied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheStatus {
-    /// Exact canonical-form hit: no DP work.
-    Hit,
-    /// Sub-lattice seed from a cached superset: DP levels skipped.
-    Partial,
-    /// Cold solve (now cached).
-    Miss,
-}
-
-impl CacheStatus {
-    /// Stable lowercase label (wire format, logs).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheStatus::Hit => "hit",
-            CacheStatus::Partial => "partial",
-            CacheStatus::Miss => "miss",
-        }
-    }
-}
-
 /// One cached canonical solution.
 struct Entry {
-    /// The canonical instance (kept for embedding checks).
+    /// The canonical instance, compared on every key match.
     instance: TtInstance,
     /// `C(U)` at canonical scale.
     cost: Cost,
     /// An optimal tree in canonical action indices.
     tree: Option<TtTree>,
-    /// The complete cost slab, kept for small instances solved
-    /// in-process so later subsets can seed from it.
-    table: Option<Vec<Cost>>,
     /// Approximate resident bytes, for the byte bound and gauge.
     bytes: u64,
     /// LRU clock value of the last touch.
@@ -163,14 +132,7 @@ struct Solved {
     cost: Cost,
     /// An optimal tree in canonical action indices.
     tree: Option<TtTree>,
-    /// The complete cost slab, when worth keeping.
-    table: Option<Vec<Cost>>,
 }
-
-/// Largest `k` whose complete cost slab is retained for
-/// sub-lattice seeding (2^18 cells ≈ 2 MiB; bigger tables are regrown
-/// on demand instead of held).
-const MAX_MEMO_K: usize = 18;
 
 /// Bytes the active segment may grow by, past what it held when it was
 /// opened or last rotated, before the log rotates to the live entries.
@@ -259,68 +221,6 @@ impl SolutionCache {
         self.map.is_empty()
     }
 
-    /// Solves `inst` through the cache. Returns the report (already in
-    /// the caller's numbering and weight scale) and how it was found.
-    /// Degraded (budget-cut) solves are returned but never cached.
-    pub fn solve(&mut self, inst: &TtInstance, budget: &Budget) -> (SolveReport, CacheStatus) {
-        let canonical = canonicalize(inst);
-        if let Some(e) = self.find(&canonical.form) {
-            tt_obs::metrics::counter("ttcache_hits").inc();
-            return (
-                hit_report(e.cost, e.tree.as_ref(), &canonical.map),
-                CacheStatus::Hit,
-            );
-        }
-
-        // No exact entry: try to seed from a cached superset lattice.
-        let seed = self.find_seed(&canonical.form.instance);
-        let status = if seed.is_some() {
-            tt_obs::metrics::counter("ttcache_partial_hits").inc();
-            CacheStatus::Partial
-        } else {
-            tt_obs::metrics::counter("ttcache_misses").inc();
-            CacheStatus::Miss
-        };
-
-        let mut kept: Option<Vec<Cost>> = None;
-        let canon_inst = &canonical.form.instance;
-        let report = engine::timed_report_with(|| {
-            let mut meter = budget.start();
-            let fingerprint = instance_fingerprint(canon_inst);
-            let mut wave = match seed {
-                Some(cost) => Checkpoint::from_slab(fingerprint, canon_inst.k(), cost),
-                None => Checkpoint::cold(canon_inst.k(), fingerprint),
-            };
-            let stats = kernel::sweep(
-                canon_inst,
-                &mut meter,
-                &kernel::Serial,
-                &mut wave,
-                &mut |_| {},
-            );
-            let report = kernel::report(canon_inst, &meter, &wave, stats, None);
-            if meter.exhausted().is_none() {
-                kept = Some(wave.cost);
-            }
-            report
-        });
-
-        let Canonical { form, map } = canonical;
-        if let Some(table) = kept {
-            let keep_table = form.instance.k() <= MAX_MEMO_K;
-            self.insert_entry(
-                Solved {
-                    form,
-                    cost: report.cost,
-                    tree: report.tree.clone(),
-                    table: keep_table.then_some(table),
-                },
-                false,
-            );
-        }
-        (decanonicalize_report(&map, report), status)
-    }
-
     /// Exact-hit-only lookup (the fast path in front of a solve queue).
     /// Settles `ttcache_hits` or `ttcache_misses`.
     pub fn lookup_report(&mut self, inst: &TtInstance) -> Option<SolveReport> {
@@ -372,7 +272,6 @@ impl SolutionCache {
                 form: canonical.form,
                 cost,
                 tree,
-                table: None,
             },
             false,
         )
@@ -451,21 +350,6 @@ impl SolutionCache {
         self.map.iter().min_by_key(|(_, e)| e.tick).map(|(k, _)| k)
     }
 
-    /// Looks for a cached superset lattice that embeds `sub` and
-    /// projects its table down into a complete seed.
-    fn find_seed(&self, sub: &TtInstance) -> Option<Vec<Cost>> {
-        for e in self.map.values() {
-            let Some(table) = &e.table else { continue };
-            let Some(emb) = memo::find_embedding(sub, &e.instance) else {
-                continue;
-            };
-            if let Some(seed) = memo::seed_table(table, &emb, sub.k()) {
-                return Some(seed);
-            }
-        }
-        None
-    }
-
     /// Stores `new` unless its key is taken. A key held by the same
     /// canonical instance only refreshes that entry's LRU position; one
     /// held by a different instance is a collision, counted and
@@ -476,12 +360,7 @@ impl SolutionCache {
     /// line bypasses admission, is not sighted, and is not re-logged.
     /// `None` for a capacity-zero cache or an inconsistent answer.
     fn insert_entry(&mut self, new: Solved, replay: bool) -> Option<Landing> {
-        let Solved {
-            form,
-            cost,
-            tree,
-            table,
-        } = new;
+        let Solved { form, cost, tree } = new;
         if self.capacity == 0 || (cost.is_inf() && tree.is_some()) {
             return None;
         }
@@ -511,7 +390,7 @@ impl SolutionCache {
             }
         }
         let tree_text = tree.as_ref().map(tree_io::tree_to_text);
-        let bytes = entry_bytes(&form.text, tree_text.as_deref(), table.as_deref());
+        let bytes = entry_bytes(&form.text, tree_text.as_deref());
         let line = (!replay && self.log.is_some())
             .then(|| entry_line(&form.key, cost, tree_text.as_deref(), &form.text));
         self.map.insert(
@@ -520,7 +399,6 @@ impl SolutionCache {
                 instance: form.instance,
                 cost,
                 tree,
-                table,
                 bytes,
                 tick: self.tick,
             },
@@ -577,6 +455,9 @@ impl SolutionCache {
     }
 
     /// Replays one verified segment line; anything malformed is skipped.
+    /// A tree that does not price to the stored cost is skipped too, and
+    /// counted in `ttcache_collisions`: the line is well formed but its
+    /// answer is not the one its key promises.
     fn replay_line(&mut self, line: &str) {
         let mut fields = line.splitn(4, '\t');
         let (Some(key), Some(cost), Some(tree), Some(text)) =
@@ -607,6 +488,13 @@ impl SolutionCache {
                 _ => return,
             }
         };
+        if tree
+            .as_ref()
+            .is_some_and(|t| t.expected_cost(&instance) != cost)
+        {
+            tt_obs::metrics::counter("ttcache_collisions").inc();
+            return;
+        }
         self.insert_entry(
             Solved {
                 form: CanonicalForm {
@@ -616,7 +504,6 @@ impl SolutionCache {
                 },
                 cost,
                 tree,
-                table: None,
             },
             true,
         );
@@ -628,9 +515,8 @@ fn bytes_gauge(bytes: u64) -> i64 {
     i64::try_from(bytes).unwrap_or(i64::MAX)
 }
 
-fn entry_bytes(text: &str, tree: Option<&str>, table: Option<&[Cost]>) -> u64 {
-    let table_cells = table.map_or(0, |t| t.len() as u64);
-    64 + text.len() as u64 + tree.map_or(0, |t| t.len() as u64) + table_cells * 8
+fn entry_bytes(text: &str, tree: Option<&str>) -> u64 {
+    64 + text.len() as u64 + tree.map_or(0, |t| t.len() as u64)
 }
 
 /// One entry's segment-line payload: key, cost, tree and canonical
@@ -687,41 +573,6 @@ fn hit_report(cost: Cost, tree: Option<&TtTree>, map: &CanonMap) -> SolveReport 
     })
 }
 
-/// Translates a report over the canonical instance back to the caller's
-/// action numbering and weight scale.
-fn decanonicalize_report(map: &CanonMap, report: SolveReport) -> SolveReport {
-    let SolveReport {
-        cost,
-        tree,
-        outcome,
-        work,
-        wall,
-        telemetry,
-        selection,
-    } = report;
-    let outcome = match outcome {
-        SolveOutcome::Complete => SolveOutcome::Complete,
-        SolveOutcome::Degraded {
-            upper_bound,
-            lower_bound,
-            reason,
-        } => SolveOutcome::Degraded {
-            upper_bound: map.decanonicalize_cost(upper_bound),
-            lower_bound: map.decanonicalize_cost(lower_bound),
-            reason,
-        },
-    };
-    SolveReport {
-        cost: map.decanonicalize_cost(cost),
-        tree: tree.map(|t| map.decanonicalize_tree(&t)),
-        outcome,
-        work,
-        wall,
-        telemetry,
-        selection,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,6 +581,19 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use tt_core::instance::TtInstanceBuilder;
     use tt_core::subset::Subset;
+
+    /// One request as both binaries serve it: look the canonical form
+    /// up and, on a miss, solve with `seq` and offer the report. Returns
+    /// the report and whether it was a hit.
+    fn serve(cache: &mut SolutionCache, inst: &TtInstance) -> (SolveReport, bool) {
+        let canonical = canonicalize(inst);
+        if let Some(hit) = cache.lookup_canonical(&canonical) {
+            return (hit, true);
+        }
+        let report = engine::lookup("seq").unwrap().solve(inst);
+        cache.insert_canonical(canonical, &report);
+        (report, false)
+    }
 
     fn unique_dir(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -753,10 +617,10 @@ mod tests {
     fn miss_then_hit_returns_the_identical_report() {
         let mut cache = SolutionCache::in_memory(16);
         let inst = inst_with_weights([4, 3, 2, 1]);
-        let (cold, s1) = cache.solve(&inst, &Budget::unlimited());
-        assert_eq!(s1, CacheStatus::Miss);
-        let (warm, s2) = cache.solve(&inst, &Budget::unlimited());
-        assert_eq!(s2, CacheStatus::Hit);
+        let (cold, hit) = serve(&mut cache, &inst);
+        assert!(!hit);
+        let (warm, hit) = serve(&mut cache, &inst);
+        assert!(hit);
         assert_eq!(warm.cost, cold.cost);
         assert_eq!(warm.tree, cold.tree);
         assert_eq!(warm.work.extra("cache_hit"), Some(1));
@@ -768,56 +632,19 @@ mod tests {
     fn relabeled_and_rescaled_variants_share_one_entry() {
         let mut cache = SolutionCache::in_memory(16);
         let inst = inst_with_weights([4, 3, 2, 1]);
-        cache.solve(&inst, &Budget::unlimited());
+        serve(&mut cache, &inst);
         assert_eq!(cache.len(), 1);
         // Uniform ×3 rescale of every weight: same canonical form.
         let scaled = inst_with_weights([12, 9, 6, 3]);
-        let (rep, status) = cache.solve(&scaled, &Budget::unlimited());
-        assert_eq!(status, CacheStatus::Hit);
+        let (rep, hit) = serve(&mut cache, &scaled);
+        assert!(hit);
         assert_eq!(cache.len(), 1);
-        let (cold, _) = SolutionCache::in_memory(1).solve(&scaled, &Budget::unlimited());
+        let cold = engine::lookup("seq").unwrap().solve(&scaled);
         assert_eq!(rep.cost, cold.cost);
         assert_eq!(
             rep.tree.unwrap().expected_cost(&scaled),
             cold.tree.unwrap().expected_cost(&scaled)
         );
-    }
-
-    #[test]
-    fn subset_instance_partial_hits_and_skips_every_level() {
-        let mut cache = SolutionCache::in_memory(16);
-        let sup = TtInstanceBuilder::new(5)
-            .weights([8, 4, 2, 6, 5])
-            .test(Subset::from_iter([0, 1]), 1)
-            .treatment(Subset::from_iter([0]), 3)
-            .treatment(Subset::from_iter([1, 2]), 4)
-            .test(Subset::from_iter([3]), 2)
-            .treatment(Subset::from_iter([3, 4]), 5)
-            .build()
-            .unwrap();
-        let (_, s) = cache.solve(&sup, &Budget::unlimited());
-        assert_eq!(s, CacheStatus::Miss);
-
-        let sub = TtInstanceBuilder::new(3)
-            .weights([4, 2, 1])
-            .test(Subset::from_iter([0, 1]), 1)
-            .treatment(Subset::from_iter([0]), 3)
-            .treatment(Subset::from_iter([1, 2]), 4)
-            .build()
-            .unwrap();
-        let (rep, s) = cache.solve(&sub, &Budget::unlimited());
-        assert_eq!(s, CacheStatus::Partial);
-        assert_eq!(
-            rep.work.extra("frontier_cells_allocated"),
-            Some(0),
-            "seeded solve allocates no slab"
-        );
-        let (cold, _) = SolutionCache::in_memory(1).solve(&sub, &Budget::unlimited());
-        assert_eq!(rep.cost, cold.cost);
-        assert_eq!(rep.tree, cold.tree);
-        // The partial hit inserted the sub's own form: now an exact hit.
-        let (_, s) = cache.solve(&sub, &Budget::unlimited());
-        assert_eq!(s, CacheStatus::Hit);
     }
 
     #[test]
@@ -831,17 +658,14 @@ mod tests {
         let b = inst_with_weights([7, 5, 3, 2]);
         let c = inst_with_weights([9, 8, 6, 5]);
         let once = inst_with_weights([11, 8, 6, 5]);
-        cache.solve(&a, &Budget::unlimited());
-        cache.solve(&b, &Budget::unlimited());
-        cache.solve(&a, &Budget::unlimited()); // touch a: b is now coldest
+        serve(&mut cache, &a);
+        serve(&mut cache, &b);
+        serve(&mut cache, &a); // touch a: b is now coldest
 
         // A one-off key, sighted once like the coldest entry, is
         // rejected and evicts nothing.
         let before = evictions();
-        assert_eq!(
-            cache.solve(&once, &Budget::unlimited()).1,
-            CacheStatus::Miss
-        );
+        assert!(!serve(&mut cache, &once).1);
         assert_eq!(cache.len(), 2);
         assert!(!resident(&cache, &once));
         assert!(
@@ -852,18 +676,18 @@ mod tests {
         // A key looked up more often than the coldest entry evicts
         // exactly that entry.
         assert!(cache.lookup_report(&c).is_none());
-        cache.solve(&c, &Budget::unlimited());
+        serve(&mut cache, &c);
         assert_eq!(cache.len(), 2);
         assert!(evictions() > before);
         assert!(!resident(&cache, &b), "the coldest entry is the victim");
-        assert_eq!(cache.solve(&a, &Budget::unlimited()).1, CacheStatus::Hit);
-        assert_eq!(cache.solve(&c, &Budget::unlimited()).1, CacheStatus::Hit);
+        assert!(serve(&mut cache, &a).1);
+        assert!(serve(&mut cache, &c).1);
     }
 
     #[test]
     fn every_completed_insert_lands_exactly_one_way() {
         let rejected = || tt_obs::metrics::counter("ttcache_rejected").get();
-        let seq = tt_core::solver::engine::lookup("seq").unwrap();
+        let seq = engine::lookup("seq").unwrap();
         let insts: Vec<TtInstance> = (0..6)
             .map(|i| inst_with_weights([10 + i, 3, 2, 1]))
             .collect();
@@ -930,8 +754,8 @@ mod tests {
         let cold_cost;
         {
             let mut cache = SolutionCache::open(&dir, 16).unwrap();
-            let (rep, s) = cache.solve(&inst, &Budget::unlimited());
-            assert_eq!(s, CacheStatus::Miss);
+            let (rep, hit) = serve(&mut cache, &inst);
+            assert!(!hit);
             cold_cost = rep.cost;
         }
         // Corrupt the log with garbage plus a bad-checksum line.
@@ -943,8 +767,8 @@ mod tests {
 
         let mut cache = SolutionCache::open(&dir, 16).unwrap();
         assert_eq!(cache.len(), 1, "good line replayed, corrupt lines skipped");
-        let (rep, s) = cache.solve(&inst, &Budget::unlimited());
-        assert_eq!(s, CacheStatus::Hit);
+        let (rep, hit) = serve(&mut cache, &inst);
+        assert!(hit);
         assert_eq!(rep.cost, cold_cost);
         fs::remove_dir_all(&dir).ok();
     }
@@ -960,9 +784,7 @@ mod tests {
         }
         let dir = unique_dir("old-key");
         let inst = inst_with_weights([4, 3, 2, 1]);
-        SolutionCache::open(&dir, 16)
-            .unwrap()
-            .solve(&inst, &Budget::unlimited());
+        serve(&mut SolutionCache::open(&dir, 16).unwrap(), &inst);
         let seg = dir.join("cache-000001.seg");
         let line = fs::read_to_string(&seg).unwrap();
         let payload = tt_core::durable::decode_line(line.trim_end().as_bytes()).unwrap();
@@ -977,10 +799,32 @@ mod tests {
 
         let mut cache = SolutionCache::open(&dir, 16).unwrap();
         assert_eq!(cache.len(), 0, "the old-keyed line is skipped");
-        assert_eq!(
-            cache.solve(&inst, &Budget::unlimited()).1,
-            CacheStatus::Miss
-        );
+        assert!(!serve(&mut cache, &inst).1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_line_whose_tree_does_not_price_to_its_cost_is_skipped() {
+        let collisions = || tt_obs::metrics::counter("ttcache_collisions").get();
+        let dir = unique_dir("wrong-cost");
+        let inst = inst_with_weights([4, 3, 2, 1]);
+        serve(&mut SolutionCache::open(&dir, 16).unwrap(), &inst);
+        let seg = dir.join("cache-000001.seg");
+        let line = fs::read_to_string(&seg).unwrap();
+        let payload = tt_core::durable::decode_line(line.trim_end().as_bytes()).unwrap();
+        let mut fields: Vec<&str> = payload.splitn(4, '\t').collect();
+        let cost: u64 = fields[1].parse().unwrap();
+        let wrong = (cost + 1).to_string();
+        fields[1] = &wrong;
+        // The checksum covers the rewritten payload: only the cost check
+        // can reject this line.
+        fs::write(&seg, tt_core::durable::encode_line(&fields.join("\t"))).unwrap();
+
+        let before = collisions();
+        let mut cache = SolutionCache::open(&dir, 16).unwrap();
+        assert_eq!(cache.len(), 0, "the mispriced line is skipped");
+        assert!(collisions() > before, "the skipped line is counted");
+        assert!(!serve(&mut cache, &inst).1);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -992,10 +836,7 @@ mod tests {
             .map(inst_with_weights)
             .collect();
         let mut cache = SolutionCache::open(&dir, 16).unwrap();
-        let costs: Vec<Cost> = insts
-            .iter()
-            .map(|i| cache.solve(i, &Budget::unlimited()).0.cost)
-            .collect();
+        let costs: Vec<Cost> = insts.iter().map(|i| serve(&mut cache, i).0.cost).collect();
         drop(cache);
         // Re-rendered from replayed instances, the lines must still
         // verify and key-match at the next open.
@@ -1017,7 +858,7 @@ mod tests {
         let collisions = || tt_obs::metrics::counter("ttcache_collisions").get();
         let mut cache = SolutionCache::in_memory(16);
         let original = inst_with_weights([4, 3, 2, 1]);
-        let (cold, _) = cache.solve(&original, &Budget::unlimited());
+        let (cold, _) = serve(&mut cache, &original);
         let held_key = canonicalize(&original).form.key;
 
         // A different instance whose canonical form claims the same key.
@@ -1032,7 +873,6 @@ mod tests {
                 form: forged.form.clone(),
                 cost: Cost::new(1),
                 tree: None,
-                table: None,
             },
             true,
         );
@@ -1056,7 +896,7 @@ mod tests {
         let mut cache = SolutionCache::in_memory(16);
         let inst = inst_with_weights([4, 3, 2, 1]);
         assert!(cache.lookup_report(&inst).is_none());
-        let report = tt_core::solver::engine::lookup("seq").unwrap().solve(&inst);
+        let report = engine::lookup("seq").unwrap().solve(&inst);
         cache.insert_report(&inst, &report);
         let hit = cache.lookup_report(&inst).expect("inserted");
         assert_eq!(hit.cost, report.cost);

@@ -289,7 +289,7 @@ pub fn sweep_windows(
 
 /// A whole host-engine solve: the sweep under `budget` over the
 /// caller's wavefront — resumed from it when it belongs to `inst`,
-/// replaced by a cold one otherwise — then its [`report`], with the
+/// replaced by a cold one otherwise — then its `report`, with the
 /// resumed level as `resumed_level`. The wavefront is left at the last
 /// completed level.
 pub fn solve(
@@ -311,7 +311,7 @@ pub fn solve(
 /// the slab, or — when `meter` ran out — the degraded result from the
 /// completed wavefront. Reports `completed_levels`, the frontier
 /// counters and `resumed_level` when given.
-pub fn report(
+fn report(
     inst: &TtInstance,
     meter: &BudgetMeter,
     wave: &Checkpoint,

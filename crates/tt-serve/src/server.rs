@@ -104,16 +104,12 @@ pub struct ServerOptions {
     pub journal_rotate_bytes: u64,
     /// Entries the content-addressed solution cache may hold. `0`
     /// disables the cache entirely (unless [`cache_dir`](ServerOptions::cache_dir)
-    /// is set, which enables it at a default capacity).
+    /// is set, which enables it at [`tt_cache::DEFAULT_CAPACITY`]).
     pub cache_capacity: usize,
     /// Directory for the cache's on-disk segments (warm restarts).
     /// `None` keeps an enabled cache purely in memory.
     pub cache_dir: Option<PathBuf>,
 }
-
-/// Capacity used when a cache directory is given without an explicit
-/// capacity.
-const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 impl Default for ServerOptions {
     // `Duration::from_mins` would trip MSRV 1.85.
@@ -383,7 +379,7 @@ pub fn start(addr: &str, opts: ServerOptions) -> io::Result<ServerHandle> {
         (None, cap) => Some(Mutex::new(tt_cache::SolutionCache::in_memory(cap))),
         (Some(dir), cap) => {
             let cap = if cap == 0 {
-                DEFAULT_CACHE_CAPACITY
+                tt_cache::DEFAULT_CAPACITY
             } else {
                 cap
             };

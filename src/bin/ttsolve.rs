@@ -68,17 +68,19 @@
 //! record) and `--summary <file>` writes the totals trailer via temp
 //! file + atomic rename.
 //!
-//! `--cache <dir>` routes the solve through the content-addressed
-//! solution cache (`tt_cache`): the instance is canonicalized (object
-//! relabelling, weight gcd-rescale, dominance reduction), looked up by
-//! content hash, and on a miss solved by the level kernel — possibly
-//! warm-started from a cached superset instance's cost slab (a partial
-//! hit) — then stored, both in memory and as journal-style segments in
-//! `<dir>` that are replayed on the next run. The printed `cache:` line
-//! says which of hit/partial/miss happened; `--metrics` exposes the
-//! same as `ttcache_hits`/`ttcache_misses`/`ttcache_partial_hits`.
-//! Cache mode solves on its own engine, so it conflicts with
-//! `--solver`, `--supervise`, `--faults`, `--checkpoint`, `--resume`.
+//! `--cache <dir>` puts the content-addressed solution cache
+//! (`tt_cache`) in front of the solve, the same sequence ttserve runs:
+//! the instance is canonicalized once (object relabelling, weight
+//! gcd-rescale, dominance reduction) and looked up by content hash. A
+//! hit prints the cached answer, translated back to this instance's
+//! labels and weight scale, without solving. A miss runs the normal
+//! solve — `seq`, `--solver <engine>` or `--supervise` — and offers its
+//! report to the cache, which keeps it only when it is complete and
+//! from an exact engine; the cache directory gains a segment line for
+//! the next run to replay. The printed `cache: hit|miss (N entries)`
+//! line says which happened; `--metrics` exposes the same as
+//! `ttcache_hits`/`ttcache_misses`. `--cache` conflicts with
+//! `--faults`, `--checkpoint` and `--resume`.
 //!
 //! Observability (see the README's "Observability" section for the
 //! schemas): `--trace <file>` captures the solve's span/instant event
@@ -525,29 +527,16 @@ fn solve_and_report(inst: &TtInstance, opts: &Opts) {
             exit(EXIT_LINT);
         }
     }
-    if let Some(dir) = &opts.cache {
-        // Cache mode has its own engine (the level kernel on the
-        // canonical form) and its own warm-start story, so combining
-        // it with another solve pipeline would silently ignore flags.
-        if opts.solver.is_some()
-            || opts.supervise
-            || opts.faults.is_some()
-            || opts.checkpoint.is_some()
-            || opts.resume.is_some()
-        {
-            eprintln!("--cache conflicts with --solver/--supervise/--faults/--checkpoint/--resume");
-            exit(EXIT_USAGE);
-        }
-        let code = solve_cached(inst, opts, dir);
-        emit_observability(opts);
-        exit(code);
-    }
+    let cached = opts
+        .cache
+        .as_deref()
+        .map(|dir| cache_lookup(inst, opts, dir));
     let mut resume = opts
         .resume
         .as_deref()
         .map(|p| load_checkpoint_or_exit(p, inst));
     if opts.supervise {
-        let code = solve_supervised(inst, opts, resume);
+        let code = solve_supervised(inst, opts, resume, cached);
         emit_observability(opts);
         exit(code);
     }
@@ -607,36 +596,71 @@ fn solve_and_report(inst: &TtInstance, opts: &Opts) {
     if opts.profile {
         print_profile(&report);
     }
-    let code = print_result(inst, opts, &report, engine.kind().is_exact());
+    let exact = engine.kind().is_exact();
+    offer_to_cache(cached, &report, exact);
+    let code = print_result(inst, opts, &report, exact);
     emit_observability(opts);
     exit(code)
 }
 
-/// `--cache <dir>`: solve through the content-addressed solution
-/// cache. An exact canonical-form hit answers without solving; a
-/// partial hit warm-starts the level kernel from a cached superset's
-/// cost slab; a miss solves cold. Either way the result (de-canonicalized
-/// back to this instance's labels and weight scale) is printed exactly
-/// like a plain solve, and the cache directory gains a segment line
-/// for the next run to replay.
-fn solve_cached(inst: &TtInstance, opts: &Opts, dir: &str) -> i32 {
-    let mut cache = match tt_cache::SolutionCache::open(Path::new(dir), 1024) {
+/// A `--cache` miss: the opened cache and this instance's canonical
+/// form, carried from the lookup to the insert.
+struct CacheMiss {
+    cache: tt_cache::SolutionCache,
+    canonical: tt_cache::Canonical,
+}
+
+/// `--cache <dir>`: opens the cache, canonicalizes the instance once
+/// and looks it up. A hit is printed like a plain solve and exits; a
+/// miss returns what the normal solve needs to offer its report back.
+fn cache_lookup(inst: &TtInstance, opts: &Opts, dir: &str) -> CacheMiss {
+    // A hit has no levels to checkpoint or resume from, and the fault
+    // demo prints a machine solution with no report to offer.
+    if opts.faults.is_some() || opts.checkpoint.is_some() || opts.resume.is_some() {
+        eprintln!("--cache conflicts with --faults/--checkpoint/--resume");
+        exit(EXIT_USAGE);
+    }
+    let mut cache = match tt_cache::SolutionCache::open(Path::new(dir), tt_cache::DEFAULT_CAPACITY)
+    {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot open cache directory {dir}: {e}");
             exit(EXIT_READ)
         }
     };
+    let canonical = tt_cache::canonicalize(inst);
+    let Some(report) = cache.lookup_canonical(&canonical) else {
+        return CacheMiss { cache, canonical };
+    };
     print_instance_line(inst);
-    let (report, status) = cache.solve(inst, &opts.budget());
-    println!("cache: {} ({} entries)", status.label(), cache.len());
+    println!("cache: hit ({} entries)", cache.len());
     if opts.stats {
         println!("engine: cache");
     }
     if opts.profile {
         print_profile(&report);
     }
-    print_result(inst, opts, &report, true)
+    let code = print_result(inst, opts, &report, true);
+    emit_observability(opts);
+    exit(code)
+}
+
+/// Offers a finished solve to the `--cache` store and prints the
+/// `cache: miss` line. Only an `exact` engine's report is offered: the
+/// store keeps any complete report, and a heuristic engine marks its
+/// upper bound complete.
+fn offer_to_cache(miss: Option<CacheMiss>, report: &SolveReport, exact: bool) {
+    let Some(CacheMiss {
+        mut cache,
+        canonical,
+    }) = miss
+    else {
+        return;
+    };
+    if exact {
+        cache.insert_canonical(canonical, report);
+    }
+    println!("cache: miss ({} entries)", cache.len());
 }
 
 // ---------------------------------------------------------------------
@@ -672,8 +696,15 @@ fn save_checkpoint(path: &str, ck: &Checkpoint) {
 }
 
 /// `--supervise`: solve through a failover chain under the supervisor,
-/// persisting checkpoints when `--checkpoint` is set.
-fn solve_supervised(inst: &TtInstance, opts: &Opts, resume: Option<Checkpoint>) -> i32 {
+/// persisting checkpoints when `--checkpoint` is set. The chain reports
+/// a heuristic answer as degraded, so its report is offered to a
+/// `--cache` miss as exact.
+fn solve_supervised(
+    inst: &TtInstance,
+    opts: &Opts,
+    resume: Option<Checkpoint>,
+    cached: Option<CacheMiss>,
+) -> i32 {
     let chain: Vec<Box<dyn Solver>> = if let Some(spec) = &opts.faults {
         let target = match orchestrate::parse_fault_spec(spec) {
             Ok(t) => t,
@@ -733,6 +764,7 @@ fn solve_supervised(inst: &TtInstance, opts: &Opts, resume: Option<Checkpoint>) 
     if opts.profile {
         print_profile(&r.report);
     }
+    offer_to_cache(cached, &r.report, true);
     let code = print_result(inst, opts, &r.report, true);
     if matches!(
         r.report.outcome,

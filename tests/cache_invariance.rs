@@ -11,7 +11,7 @@
 //! relabelling of them alike.
 
 use proptest::prelude::*;
-use tt_cache::{canonicalize, CacheStatus, SolutionCache};
+use tt_cache::{canonicalize, SolutionCache};
 use tt_core::instance::{ActionKind, TtInstance, TtInstanceBuilder};
 use tt_core::solver::budget::Budget;
 use tt_core::solver::engine;
@@ -144,10 +144,13 @@ proptest! {
         let variant = transform(&inst, &perm, scale, &dups, rot);
 
         let mut cache = SolutionCache::in_memory(64);
-        let (_, status) = cache.solve(&inst, &Budget::unlimited());
-        prop_assert_eq!(status, CacheStatus::Miss);
-        let (report, status) = cache.solve(&variant, &Budget::unlimited());
-        prop_assert_eq!(status, CacheStatus::Hit);
+        let canonical = canonicalize(&inst);
+        prop_assert!(cache.lookup_canonical(&canonical).is_none());
+        let cold = engine::lookup("seq").unwrap().solve(&inst);
+        cache.insert_canonical(canonical, &cold);
+        let report = cache.lookup_report(&variant);
+        prop_assert!(report.is_some(), "the variant hits the base's entry");
+        let report = report.unwrap();
         prop_assert!(report.outcome.is_complete());
 
         let seq = engine::lookup("seq").unwrap().solve(&variant);

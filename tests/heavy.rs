@@ -15,7 +15,7 @@
 
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
-use tt_cache::{CacheStatus, SolutionCache};
+use tt_cache::SolutionCache;
 use tt_core::solver::budget::Budget;
 use tt_core::solver::{branch_and_bound, kernel, memo, sequential};
 use tt_parallel::{bvm as bvm_tt, ccc as ccc_tt, hyper, rayon_solver};
@@ -228,14 +228,14 @@ fn a_warm_cache_hit_is_exact_and_five_times_faster_than_cold_seq() {
     let _solo = TIMING.write().unwrap_or_else(PoisonError::into_inner);
     let inst = tt_workloads::catalog::Domain::Random.generate(12, 7);
     let seq = tt_repro::lookup("seq").unwrap();
-    let unlimited = Budget::unlimited();
     let mut cache = SolutionCache::in_memory(8);
-    let (miss, status) = cache.solve(&inst, &unlimited);
-    assert_eq!(status, CacheStatus::Miss);
+    let canonical = tt_cache::canonicalize(&inst);
+    assert!(cache.lookup_canonical(&canonical).is_none());
+    let miss = seq.solve(&inst);
+    cache.insert_canonical(canonical, &miss);
     let tree_text =
         |r: &tt_core::solver::SolveReport| r.tree.as_ref().map(tt_core::tree_io::tree_to_text);
-    let (hit, status) = cache.solve(&inst, &unlimited);
-    assert_eq!(status, CacheStatus::Hit);
+    let hit = cache.lookup_report(&inst).expect("the miss was stored");
     assert_eq!(hit.cost, miss.cost);
     assert_eq!(tree_text(&hit), tree_text(&miss));
 
@@ -243,7 +243,7 @@ fn a_warm_cache_hit_is_exact_and_five_times_faster_than_cold_seq() {
         std::hint::black_box(seq.solve(&inst));
     };
     let mut warm = || {
-        std::hint::black_box(cache.solve(&inst, &unlimited));
+        std::hint::black_box(cache.lookup_report(&inst));
     };
     let iters = batch_size(Duration::from_millis(20), &mut warm);
     let (mut cold_min, mut warm_min) = (Duration::MAX, Duration::MAX);
