@@ -59,37 +59,23 @@ pub struct BinaryTestingSolution {
 
 impl BinaryTesting {
     /// Creates an instance. Weights must all be ≥ 1 (required by the
-    /// reduction's gap argument).
+    /// reduction's gap argument). The instance is validated by building
+    /// its embedding, so the errors are the builder's; the embedding adds
+    /// the tests first, so an action index is the test's own. The
+    /// embedding's treatment cost `p(U)·Σᵢtᵢ + 1` can put an instance
+    /// whose tests look valid past the builder's cost bound.
     pub fn new(
         k: usize,
         weights: Vec<u64>,
         tests: Vec<(Subset, u64)>,
     ) -> Result<BinaryTesting, TtError> {
-        if k == 0 || k > crate::MAX_K {
-            return Err(TtError::BadUniverseSize { k });
-        }
-        if weights.len() != k {
-            return Err(TtError::WeightCountMismatch {
-                k,
-                got: weights.len(),
-            });
-        }
         assert!(
             weights.iter().all(|&w| w >= 1),
             "binary testing weights must be >= 1"
         );
-        for (idx, &(s, t)) in tests.iter().enumerate() {
-            if !s.is_subset_of(Subset::universe(k)) {
-                return Err(TtError::ActionOutOfUniverse { action: idx });
-            }
-            if s.is_empty() {
-                return Err(TtError::EmptyAction { action: idx });
-            }
-            if t == u64::MAX {
-                return Err(TtError::CostIsInf { action: idx });
-            }
-        }
-        Ok(BinaryTesting { k, weights, tests })
+        let bt = BinaryTesting { k, weights, tests };
+        bt.embedding()?;
+        Ok(bt)
     }
 
     /// Universe size.
@@ -133,6 +119,11 @@ impl BinaryTesting {
     /// Embeds into a TT instance: the original tests plus one singleton
     /// treatment of cost `c` per object.
     pub fn embed(&self) -> TtInstance {
+        self.embedding()
+            .expect("new() built this embedding once already")
+    }
+
+    fn embedding(&self) -> Result<TtInstance, TtError> {
         let c = self.embedding_treatment_cost();
         let mut b = TtInstanceBuilder::new(self.k).weights(self.weights.iter().copied());
         for &(s, t) in &self.tests {
@@ -142,7 +133,6 @@ impl BinaryTesting {
             b = b.treatment(Subset::singleton(j), c);
         }
         b.build()
-            .expect("embedding of a validated instance is valid")
     }
 
     /// Solves via the TT reduction: returns the minimum expected **test**
@@ -154,9 +144,8 @@ impl BinaryTesting {
         let total_w = embedded.total_weight();
         let cost = match sol.cost.finite() {
             Some(v) => {
-                let treat_part = c.saturating_mul(total_w);
                 if self.separates_all_pairs() {
-                    Cost::new(v - treat_part)
+                    Cost::new(v - c * total_w)
                 } else {
                     Cost::INF
                 }
@@ -270,9 +259,55 @@ mod tests {
             BinaryTesting::new(2, vec![1, 1], tests(u64::MAX)),
             Err(TtError::CostIsInf { action: 1 })
         );
-        let huge = BinaryTesting::new(2, vec![u64::MAX / 2, 3], tests(u64::MAX - 1)).unwrap();
+        // The embedding's treatment cost saturates below INF, and the
+        // builder refuses the embedding by its cost bound.
+        let huge = BinaryTesting {
+            k: 2,
+            weights: vec![u64::MAX / 2, 3],
+            tests: tests(u64::MAX - 1),
+        };
         assert_eq!(huge.embedding_treatment_cost(), u64::MAX - 1);
-        assert_eq!(huge.embed().treatments().len(), 2);
+        assert_eq!(
+            BinaryTesting::new(2, huge.weights, huge.tests),
+            Err(TtError::CostBoundTooLarge)
+        );
+    }
+
+    #[test]
+    fn the_builder_validates_through_the_embedding() {
+        let tests = vec![(Subset::singleton(0), 1), (Subset::singleton(2), 1)];
+        assert_eq!(
+            BinaryTesting::new(0, vec![], vec![]),
+            Err(TtError::BadUniverseSize { k: 0 })
+        );
+        assert_eq!(
+            BinaryTesting::new(2, vec![1], tests.clone()),
+            Err(TtError::WeightCountMismatch { k: 2, got: 1 })
+        );
+        assert_eq!(
+            BinaryTesting::new(2, vec![1, 1], tests.clone()),
+            Err(TtError::ActionOutOfUniverse { action: 1 })
+        );
+        assert_eq!(
+            BinaryTesting::new(2, vec![1, 1], vec![(Subset::EMPTY, 1)]),
+            Err(TtError::EmptyAction { action: 0 })
+        );
+        // Weights 1, 1 and tests [1, t]: the embedding's treatments cost
+        // c = 2(1 + t) + 1, so Σt = 5(1 + t) + 2 and its bound is
+        // 2·6·Σt + 1 = 60(1 + t) + 25, below 2^63 up to the largest t.
+        let t = ((1u64 << 63) - 26) / 60 - 1;
+        let edge = |t| {
+            BinaryTesting::new(
+                2,
+                vec![1, 1],
+                vec![(Subset::singleton(0), 1), (Subset::singleton(1), t)],
+            )
+        };
+        assert_eq!(
+            edge(t).unwrap().embed().finite_cost_bound(),
+            60 * (1 + t) + 25
+        );
+        assert_eq!(edge(t + 1), Err(TtError::CostBoundTooLarge));
     }
 
     #[test]

@@ -33,6 +33,9 @@ pub enum TtError {
         /// Index of the offending action (in insertion order).
         action: usize,
     },
+    /// The cost bound `Σt·p(U)·(2k+2) + 1` is not below `2^63`, so costs
+    /// could leave the range every engine computes exactly.
+    CostBoundTooLarge,
     /// Every object weight is zero, so every procedure has expected cost
     /// zero and the optimization is vacuous (almost certainly an input
     /// mistake — e.g. probabilities that were truncated to integers).
@@ -67,6 +70,11 @@ impl fmt::Display for TtError {
                 "action {action} costs {}, which is the INF sentinel; \
                  action costs must be below it",
                 u64::MAX
+            ),
+            TtError::CostBoundTooLarge => write!(
+                f,
+                "cost bound Σt·p(U)·(2k+2) + 1 is not below 2^63, so costs could \
+                 overflow; scale weights or costs down (only ratios matter)"
             ),
             TtError::ZeroTotalWeight => write!(
                 f,

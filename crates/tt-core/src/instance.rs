@@ -50,6 +50,8 @@ impl Action {
 /// * `1 ≤ k ≤ MAX_K`, exactly `k` weights;
 /// * every action set is a non-empty subset of the universe;
 /// * at least one action exists;
+/// * no action costs `INF`, and [`TtInstance::finite_cost_bound`] is
+///   below `2^63`;
 /// * actions are ordered tests-first.
 ///
 /// Adequacy (every object covered by some treatment) is *not* an invariant:
@@ -62,6 +64,7 @@ pub struct TtInstance {
     weights: Vec<u64>,
     actions: Vec<Action>,
     m: usize,
+    cost_bound: u64,
 }
 
 impl TtInstance {
@@ -187,7 +190,8 @@ impl TtInstance {
     }
 
     /// A proven strict upper bound on every finite value the recurrence
-    /// produces, `Σt·p(U)·(2k+2) + 1`, or `None` when it exceeds `u64`.
+    /// produces, `Σt·p(U)·(2k+2) + 1`; [`TtInstanceBuilder::build`]
+    /// refuses an instance whose bound is not below `2^63`.
     ///
     /// The recurrence excludes an action wherever it is useless, and a
     /// repeat on a path always is: a repeated test has a certain outcome,
@@ -196,17 +200,12 @@ impl TtInstance {
     /// `C(S) ≤ p(S)·Σt`; a candidate `t_i·p(S) + C(S ∩ T_i) + C(S − T_i)`
     /// is then at most `2·Σt·p(S)`. The factor `2k+2` is the slack the
     /// BVM's vertical-number width has always been sized with, kept so
-    /// that width does not move. The formula is evaluated exactly —
-    /// `p(U)` without saturation, a zero factor giving zero — with
-    /// checked arithmetic.
-    pub fn finite_cost_bound(&self) -> Option<u64> {
-        let sum_t: u128 = self.actions.iter().map(|a| u128::from(a.cost)).sum();
-        let p_u: u128 = self.weights.iter().map(|&w| u128::from(w)).sum();
-        let bound = sum_t
-            .checked_mul(p_u)?
-            .checked_mul(2 * self.k as u128 + 2)?
-            .checked_add(1)?;
-        u64::try_from(bound).ok()
+    /// that width does not move. Below `2^63` no finite product or sum
+    /// reaches `Cost`'s saturation point at `u64::MAX − 1`, so every
+    /// engine's arithmetic is exact.
+    #[inline]
+    pub fn finite_cost_bound(&self) -> u64 {
+        self.cost_bound
     }
 }
 
@@ -308,6 +307,15 @@ impl TtInstanceBuilder {
                 return Err(TtError::CostIsInf { action: idx });
             }
         }
+        // Exact: `p(U)` unsaturated, a zero factor giving zero.
+        let sum_t: u128 = self.actions.iter().map(|a| u128::from(a.cost)).sum();
+        let p_u: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+        let cost_bound = sum_t
+            .checked_mul(p_u)
+            .and_then(|b| b.checked_mul(2 * k as u128 + 2))
+            .filter(|&b| b < (1 << 63) - 1)
+            .ok_or(TtError::CostBoundTooLarge)? as u64
+            + 1;
         let mut actions: Vec<Action> = self
             .actions
             .iter()
@@ -321,6 +329,7 @@ impl TtInstanceBuilder {
             weights,
             actions,
             m,
+            cost_bound,
         })
     }
 }
@@ -371,9 +380,10 @@ mod tests {
 
     #[test]
     fn weight_table_saturates() {
+        // Free actions keep the cost bound at 1 whatever the weights.
         let inst = TtInstanceBuilder::new(2)
             .weights([u64::MAX, u64::MAX])
-            .treatment(Subset::universe(2), 1)
+            .treatment(Subset::universe(2), 0)
             .build()
             .unwrap();
         let table = inst.weight_table();
@@ -381,27 +391,36 @@ mod tests {
     }
 
     #[test]
-    fn the_cost_bound_is_exact_or_none() {
+    fn the_cost_bound_is_exact_and_refused_from_2_63() {
         // Σt = 4, p(U) = 6, k = 3: 4·6·8 + 1.
-        assert_eq!(small().finite_cost_bound(), Some(193));
+        assert_eq!(small().finite_cost_bound(), 193);
         let with = |weights: [u64; 2], cost| {
             TtInstanceBuilder::new(2)
                 .weights(weights)
                 .treatment(Subset::universe(2), cost)
                 .treatment(Subset::singleton(0), cost)
                 .build()
-                .unwrap()
-                .finite_cost_bound()
+                .map(|i| i.finite_cost_bound())
         };
         // p(U) overflows u64 but Σt = 0: every cost is 0.
-        assert_eq!(with([u64::MAX, u64::MAX], 0), Some(1));
+        assert_eq!(with([u64::MAX, u64::MAX], 0), Ok(1));
         // Σt overflows u64 with nonzero weight.
-        assert_eq!(with([1, 0], u64::MAX - 1), None);
-        // The largest fitting bound and the first that does not:
-        // 2·t·1·6 + 1 with t = (2^64 − 2)/12.
-        let t = (u64::MAX - 1) / 12;
-        assert_eq!(with([1, 0], t), Some(12 * t + 1));
-        assert_eq!(with([1, 0], t + 1), None);
+        assert_eq!(with([1, 0], u64::MAX - 1), Err(TtError::CostBoundTooLarge));
+        // The largest admitted bound and the first refused one:
+        // 2·t·1·6 + 1 with t = (2^63 − 2)/12.
+        let t = ((1 << 63) - 2) / 12;
+        assert_eq!(with([1, 0], t), Ok(12 * t + 1));
+        assert_eq!(with([1, 0], t + 1), Err(TtError::CostBoundTooLarge));
+        // An optimum past u64 (9·2^62), and a p(U) past u64 (2^64).
+        for w in [1 << 62, 1 << 63] {
+            let refused = TtInstanceBuilder::new(2)
+                .weights([w, w])
+                .test(Subset::singleton(0), 3)
+                .treatment(Subset::singleton(0), 3)
+                .treatment(Subset::singleton(1), 3)
+                .build();
+            assert_eq!(refused, Err(TtError::CostBoundTooLarge), "w = {w}");
+        }
     }
 
     #[test]
@@ -475,10 +494,13 @@ mod tests {
                 .build(),
             Err(TtError::CostIsInf { action: 1 })
         ));
-        assert!(TtInstanceBuilder::new(2)
-            .treatment(Subset::universe(2), u64::MAX - 1)
-            .build()
-            .is_ok());
+        // One below the sentinel is a cost, but its bound is past 2^63.
+        assert!(matches!(
+            TtInstanceBuilder::new(2)
+                .treatment(Subset::universe(2), u64::MAX - 1)
+                .build(),
+            Err(TtError::CostBoundTooLarge)
+        ));
     }
 
     #[test]

@@ -24,12 +24,12 @@
 //! equals [`sequential::min_candidate`]'s, the cell-major reference.
 //!
 //! The chunk pass's arithmetic is sized to the instance, as the paper
-//! sizes its `w`-bit numbers: when [`TtInstance::finite_cost_bound`]
-//! is below `2^63` (see [`raw_pass`]) the pass runs on raw `u64`, and
-//! above it each cell is [`sequential::min_candidate`]'s. Under the
-//! bound no finite product or sum reaches `Cost`'s saturation point,
-//! so both give the same bits (see [`chunk_costs`]); what the slab
-//! stores and compares is still [`Cost`].
+//! sizes its `w`-bit numbers: every built instance has its
+//! [`TtInstance::finite_cost_bound`] below `2^63`, so the pass runs on
+//! plain `u64` and no finite product or sum reaches `Cost`'s
+//! saturation point; its cells are `Cost`'s algebra bit for bit (see
+//! `chunk_costs`), and what the slab stores and compares is still
+//! [`Cost`].
 //!
 //! The chunk pass is generic over its gather, a [`CostLookup`]: the
 //! dense sweep reads the slab through [`DenseSlab`], and `memo` hands
@@ -136,44 +136,27 @@ fn subset_sums(weights: &[u64]) -> Vec<u64> {
     sums
 }
 
-/// Whether `inst`'s chunk passes run on raw `u64`: its
-/// [`TtInstance::finite_cost_bound`] is below `2^63`. Decided once per
-/// sweep or `memo` solve.
-pub(crate) fn raw_pass(inst: &TtInstance) -> bool {
-    inst.finite_cost_bound().is_some_and(|b| b < 1 << 63)
-}
-
 /// Computes one chunk of level cells: `cells[off]` becomes
 /// `C(masks[off])` gathered from `table`, `weights[off]` being
 /// `p(masks[off])`.
 ///
-/// With `raw` (see [`raw_pass`]) the pass runs action by action on
-/// plain `u64`. The candidates and their exclusions are
-/// [`sequential::candidate_via`]'s: an action is useless at `S` when
-/// `S ∩ T` is empty, a test also when `S − T` is, so `table` is only
-/// read at the children of useful pairs. Under the bound every finite
-/// cell, product and sum is below `2^63`, never reaching `Cost`'s
-/// saturation at `u64::MAX − 1`, so `t·p(S)` and the sums are plain
-/// (wrapping) arithmetic and the minimum a plain `min`. A gathered
-/// `INF` (`u64::MAX`) is then the one value with its top bit set; its
-/// sign mask, or-ed into the sum, keeps `INF` absorbing. Every cell
-/// equals `Cost`'s algebra bit for bit. Without `raw` each cell is
-/// [`sequential::min_candidate`]'s.
+/// The pass runs action by action on plain `u64`. The candidates and
+/// their exclusions are [`sequential::candidate_via`]'s: an action is
+/// useless at `S` when `S ∩ T` is empty, a test also when `S − T` is,
+/// so `table` is only read at the children of useful pairs. Under the
+/// instance's cost bound every finite cell, product and sum is below
+/// `2^63`, never reaching `Cost`'s saturation at `u64::MAX − 1`, so
+/// `t·p(S)` and the sums are plain (wrapping) arithmetic and the
+/// minimum a plain `min`. A gathered `INF` (`u64::MAX`) is then the one
+/// value with its top bit set; its sign mask, or-ed into the sum, keeps
+/// `INF` absorbing. Every cell equals `Cost`'s algebra bit for bit.
 pub(crate) fn chunk_costs<L: CostLookup>(
     inst: &TtInstance,
-    raw: bool,
     table: &L,
     masks: &[Subset],
     weights: &[u64],
     cells: &mut [Cost],
 ) {
-    if !raw {
-        let mut gathers = 0;
-        for ((cell, &s), &w) in cells.iter_mut().zip(masks).zip(weights) {
-            *cell = sequential::min_candidate(inst, w, table, s, &mut gathers).0;
-        }
-        return;
-    }
     let gather = |s| table.cost_of(s).0;
     // All ones for a gathered `INF`, zero for a finite cost.
     let inf = |c: u64| (c >> 63).wrapping_neg();
@@ -238,7 +221,7 @@ pub fn sweep_windows(
         stats.on_alloc(1u64 << k);
     }
     let mut buf: Vec<Cost> = Vec::new();
-    let (split, raw) = (SplitWeights::new(inst), raw_pass(inst));
+    let split = SplitWeights::new(inst);
     for j in (wave.level + 1)..=k {
         let cells = frontier::binomial(k, j);
         let in_budget = meter.charge_subsets(cells)
@@ -268,7 +251,7 @@ pub fn sweep_windows(
                     }
                     (*m, *w) = (s, split.of(s));
                 }
-                chunk_costs(inst, raw, &DenseSlab(slab), masks, weights, chunk);
+                chunk_costs(inst, &DenseSlab(slab), masks, weights, chunk);
             });
             let mut s = frontier::unrank(j, first as u64);
             for (off, &c) in out.iter().enumerate() {
@@ -459,9 +442,11 @@ mod tests {
                         1 + j * 7 % 11
                     }
                 });
+                // A free treatment keeps the cost bound at 1, so
+                // saturating weights are admitted.
                 let i = TtInstanceBuilder::new(k)
                     .weights(weights)
-                    .treatment(Subset::universe(k), 1)
+                    .treatment(Subset::universe(k), 0)
                     .build()
                     .unwrap();
                 let split = SplitWeights::new(&i);

@@ -253,7 +253,7 @@ pub(crate) fn solve_closure(
     let mut frontier = FrontierStats::default();
     frontier.on_alloc(cells as u64);
     let mut table = ClosureTable::for_cells(cells);
-    let (split, raw) = (SplitWeights::new(inst), kernel::raw_pass(inst));
+    let split = SplitWeights::new(inst);
     let (mut weights, mut costs) = ([0u64; CHUNK], [Cost::INF; CHUNK]);
     let (mut reachable_subsets, mut candidates) = (0, 0);
     for level in levels.iter().skip(1) {
@@ -269,7 +269,7 @@ pub(crate) fn solve_closure(
             for (w, &s) in weights.iter_mut().zip(masks) {
                 *w = split.of(s);
             }
-            kernel::chunk_costs(inst, raw, &table, masks, weights, costs);
+            kernel::chunk_costs(inst, &table, masks, weights, costs);
             for (&s, &c) in masks.iter().zip(costs.iter()) {
                 table.insert(s, c);
             }

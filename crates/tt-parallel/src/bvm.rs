@@ -32,6 +32,7 @@ use bvm::ops::arith::{self, Num};
 use bvm::ops::{processor_id, RegAlloc};
 use bvm::plane::BitPlane;
 use bvm::program::Program;
+use bvm::topology::CccTopology;
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::subset::Subset;
@@ -64,12 +65,22 @@ pub struct BvmTtSolution {
 /// A safe vertical-number width for an instance: every finite value the
 /// recurrence can produce — `C(S) ≤ p(S)·Σt`, since an optimal tree never
 /// repeats an action on a path, and candidates `M ≤ 2·Σt·p(S)` — lies
-/// below [`TtInstance::finite_cost_bound`] and so fits below `2^w`. An
-/// instance whose bound exceeds `u64` gets the width of `u64::MAX`.
+/// below [`TtInstance::finite_cost_bound`] and so fits below `2^w`. The
+/// bound is below `2^63` for every built instance, so `w ≤ 64`.
 pub fn required_width(inst: &TtInstance) -> usize {
-    let bound = inst.finite_cost_bound().unwrap_or(u64::MAX);
-    let w = (64 - bound.leading_zeros() as usize) + 1;
+    let w = (64 - inst.finite_cost_bound().leading_zeros() as usize) + 1;
     w.max(4)
+}
+
+/// The register rows the TT program allocates for `inst` at width `w`:
+/// the processor ID and its scratch, one `e ∈ T_i` plane per object,
+/// six single control rows, five `w`-bit numbers with their INF flags
+/// and the `w` cost-bit planes of `t_i`. An instance needing more than
+/// [`bvm::NUM_REGISTERS`] rows does not fit the machine.
+pub fn registers_needed(inst: &TtInstance, w: usize) -> usize {
+    let layout = Layout::new(inst.k(), inst.n_actions());
+    let topo = CccTopology::new(hypercube::ccc::min_r_for_dims(layout.dims()));
+    topo.dims() + topo.q().max(4) + inst.k() + 6 + 5 * (w + 1) + w
 }
 
 /// Fetches a whole vertical number's dimension partner:
@@ -199,6 +210,11 @@ fn solve_impl(
         w >= required_width(inst),
         "width {w} too small for this instance"
     );
+    let needed = registers_needed(inst, w);
+    assert!(
+        needed <= bvm::NUM_REGISTERS,
+        "register file exhausted: {needed} rows needed (reduce w={w} or instance size)"
+    );
     let layout = Layout::new(inst.k(), inst.n_actions());
     let actions = padded_actions(inst, &layout);
     let k = inst.k();
@@ -226,11 +242,7 @@ fn solve_impl(
     let num_tp = al.num(w);
     let partner = al.num(w);
     let tcost = al.regs(w); // tcost[b]: bit b of t_i
-    assert!(
-        al.used() <= bvm::NUM_REGISTERS,
-        "register file exhausted: {} rows needed (reduce w={w} or instance size)",
-        al.used()
-    );
+    debug_assert_eq!(al.used(), needed, "registers_needed counts every row");
 
     // ---- control bits ----------------------------------------------------
     m.mark_phase("processor-id");
@@ -472,14 +484,13 @@ mod tests {
     fn required_width_keeps_the_saturating_formula() {
         // The width this crate computed before the bound moved into
         // tt-core: `Σt ⊗ p(U) ⊗ (2k+2) ⊕ 1` in saturating arithmetic.
-        let saturating = |i: &TtInstance| {
-            let sum_t = i
-                .actions()
-                .iter()
-                .fold(0u64, |a, x| a.saturating_add(x.cost));
+        // The builder refuses exactly the instances it gave 65 bits.
+        let saturating = |weights: [u64; 3], costs: [u64; 3]| {
+            let sum_t = costs.iter().fold(0u64, |a, &x| a.saturating_add(x));
+            let p_u = weights.iter().fold(0u64, |a, &x| a.saturating_add(x));
             let bound = sum_t
-                .saturating_mul(i.total_weight())
-                .saturating_mul(2 * i.k() as u64 + 2)
+                .saturating_mul(p_u)
+                .saturating_mul(8)
                 .saturating_add(1);
             ((64 - bound.leading_zeros() as usize) + 1).max(4)
         };
@@ -493,15 +504,23 @@ mod tests {
             ([1, 0, 0], [big / 16, 0, 0]),
             ([1, 0, 0], [big / 8, 0, 0]),
             ([1 << 40, 1 << 40, 0], [1 << 20, 1 << 21, 5]),
+            ([1 << 20, 1 << 20, 0], [1 << 20, 1 << 21, 5]),
         ] {
-            let i = TtInstanceBuilder::new(3)
+            let built = TtInstanceBuilder::new(3)
                 .weights(weights)
                 .test(Subset::singleton(0), costs[0])
                 .treatment(Subset::from_iter([0, 1]), costs[1])
                 .treatment(Subset::universe(3), costs[2])
-                .build()
-                .unwrap();
-            assert_eq!(required_width(&i), saturating(&i), "{weights:?} {costs:?}");
+                .build();
+            let want = saturating(weights, costs);
+            match built {
+                Ok(i) => assert_eq!(required_width(&i), want, "{weights:?} {costs:?}"),
+                Err(e) => assert_eq!(
+                    (e, want),
+                    (tt_core::TtError::CostBoundTooLarge, 65),
+                    "{weights:?} {costs:?}"
+                ),
+            }
         }
     }
 

@@ -379,7 +379,11 @@ impl Solver for BvmEngine {
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
         timed_report_with(|| {
-            if !budget.is_unlimited() && inst.k() > self.max_k() {
+            // Past `max_k` only under a budget; past the register file
+            // always, since the program cannot be laid out at all.
+            if !budget.is_unlimited() && inst.k() > self.max_k()
+                || bvm_tt::registers_needed(inst, bvm_tt::required_width(inst)) > bvm::NUM_REGISTERS
+            {
                 return engine::capacity_result(inst, WorkStats::default());
             }
             let mut meter = budget.start();
@@ -455,6 +459,7 @@ pub fn register_engines() {
 mod tests {
     use super::*;
     use tt_core::instance::TtInstanceBuilder;
+    use tt_core::solver::engine::DegradeReason;
     use tt_core::solver::sequential;
 
     fn small_instance() -> TtInstance {
@@ -576,5 +581,42 @@ mod tests {
         });
         assert!(cks.is_empty());
         assert_eq!(cold.cost, sequential::solve(&inst).cost);
+    }
+
+    #[test]
+    fn bvm_refuses_by_register_capacity_and_answers_just_below_it() {
+        // k = 2, three actions: a 6-dimension CCC (q = 4), so the program
+        // needs 23 + 6·w rows — 251 at w = 38, 257 at w = 39.
+        let with = |w: u64| {
+            TtInstanceBuilder::new(2)
+                .weights([w, w])
+                .test(Subset::singleton(0), 3)
+                .treatment(Subset::singleton(0), 3)
+                .treatment(Subset::singleton(1), 3)
+                .build()
+                .unwrap()
+        };
+        let bvm = engines().into_iter().find(|e| e.name() == "bvm").unwrap();
+        let fits = with(1_272_582_902);
+        assert_eq!(bvm_tt::required_width(&fits), 38);
+        let r = bvm.solve(&fits);
+        assert!(r.outcome.is_complete());
+        assert_eq!(r.cost, sequential::solve(&fits).cost);
+        let wide = with(2_545_165_805);
+        assert_eq!(bvm_tt::required_width(&wide), 39);
+        for budget in [Budget::unlimited(), Budget::with_max_candidates(1 << 40)] {
+            let r = bvm.solve_with(&wide, &budget);
+            assert!(
+                matches!(
+                    r.outcome,
+                    SolveOutcome::Degraded {
+                        reason: DegradeReason::Capacity,
+                        ..
+                    }
+                ),
+                "{:?}",
+                r.outcome
+            );
+        }
     }
 }

@@ -87,12 +87,10 @@ fn kernel_matches_the_reference_on_the_catalog_at_k20() {
     // C(20, 10) = 184,756 cells: the middle levels span three
     // 65,536-cell windows of 64 chunks each. The reference is the
     // cell-major DP on `Cost` arithmetic; `seq`, `rayon` and `memo`
-    // run the chunk pass, on raw `u64` for every catalog instance.
+    // run the chunk pass on plain `u64`.
     tt_parallel::register_engines();
     for domain in tt_workloads::catalog::Domain::all() {
         let inst = domain.generate(20, 7);
-        let bound = inst.finite_cost_bound();
-        assert!(bound.is_some_and(|b| b < 1 << 63), "{domain:?}: {bound:?}");
         let reference = sequential::solve_tables(&inst).cost;
         for engine in ["seq", "rayon"] {
             let mut wave = None;

@@ -176,11 +176,11 @@ fn writing_an_oversized_payload_is_refused_locally() {
     assert!(buf.is_empty(), "nothing may hit the wire");
 }
 
-/// An action cost of `u64::MAX` is the core's INF sentinel: the server
-/// answers a typed bad-request error naming it, and no engine runs (no
-/// solve completes, no panic is contained).
-#[test]
-fn an_infinite_action_cost_is_a_typed_refusal_not_a_solve() {
+/// Sends `text` to a fresh one-worker server as a `seq` solve, expects
+/// a typed bad-request error, and checks that no engine ran (no solve
+/// completes, no panic is contained, the request counts as faulted).
+/// Returns the error message.
+fn refusal_of(text: &str) -> String {
     let handle = start(
         "127.0.0.1:0",
         ServerOptions {
@@ -189,7 +189,6 @@ fn an_infinite_action_cost_is_a_typed_refusal_not_a_solve() {
         },
     )
     .expect("bind an ephemeral port");
-    let text = "tt 1\nobjects 2\ntest 0 | 18446744073709551615\ntreat 0 1 | 1\n";
     let resp = Client::connect(handle.addr(), Duration::from_secs(10))
         .and_then(|mut c| {
             c.request(&Request::Solve(SolveParams {
@@ -201,17 +200,39 @@ fn an_infinite_action_cost_is_a_typed_refusal_not_a_solve() {
             }))
         })
         .expect("transport");
-    match resp {
+    let message = match resp {
         Response::Error { kind, message } => {
             assert_eq!(kind, ErrorKind::BadRequest);
-            assert!(message.contains("INF sentinel"), "{message}");
+            message
         }
         other => panic!("unexpected response: {other:?}"),
-    }
+    };
     handle.drain();
     let outcome = handle.wait();
     assert!(outcome.clean);
     let s = outcome.stats;
     assert_eq!((s.completed, s.panics, s.faulted), (0, 0, 1), "{s:?}");
     assert!(s.balanced(), "{s:?}");
+    message
+}
+
+/// An action cost of `u64::MAX` is the core's INF sentinel: the server
+/// answers a typed bad-request error naming it, and no engine runs.
+#[test]
+fn an_infinite_action_cost_is_a_typed_refusal_not_a_solve() {
+    let message = refusal_of("tt 1\nobjects 2\ntest 0 | 18446744073709551615\ntreat 0 1 | 1\n");
+    assert!(message.contains("INF sentinel"), "{message}");
+}
+
+/// An instance whose cost bound is not below `2^63` — weights `2^62`,
+/// whose optimum overflows `u64`, or `2^63`, whose `p(U)` does — is a
+/// typed refusal too, never an answer at the clamp.
+#[test]
+fn an_instance_past_the_cost_bound_is_a_typed_refusal_not_a_solve() {
+    for w in [1u64 << 62, 1 << 63] {
+        let text =
+            format!("tt 1\nobjects 2\nweights {w} {w}\ntest 0 | 3\ntreat 0 | 3\ntreat 1 | 3\n");
+        let message = refusal_of(&text);
+        assert!(message.contains("not below 2^63"), "{w}: {message}");
+    }
 }

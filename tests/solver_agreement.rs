@@ -17,6 +17,7 @@ use tt_core::solver::checkpoint::Checkpoint;
 use tt_core::solver::kernel::{self, Executor};
 use tt_core::solver::{exhaustive, memo, sequential};
 use tt_core::subset::Subset;
+use tt_core::TtError;
 use tt_parallel::{bvm as bvm_tt, ccc as ccc_tt, hyper, rayon_solver};
 use tt_workloads::random::RandomConfig;
 
@@ -58,80 +59,93 @@ impl XorShift {
         self.0
     }
 
-    /// A weight or cost: small, in `[2^62, 2^64)`, or within 3 of `cap`.
-    fn value(&mut self, cap: u64) -> u64 {
+    /// A weight: small, around `2^20`, or around `2^30`.
+    fn weight(&mut self) -> u64 {
         match self.next() % 3 {
             0 => 1 + self.next() % 9,
-            1 => ((1 << 62) + self.next() % (3 << 62)).min(cap),
-            _ => cap - self.next() % 4,
+            1 => (1 << 20) + self.next() % (1 << 20),
+            _ => (1 << 30) + self.next() % (1 << 30),
         }
     }
 }
 
-/// Instances whose middle levels span several [`kernel::CHUNK`]-cell
-/// chunks (`C(13, 6) = 1716`), with weights and costs that mix small
-/// values with values near 2^62–2^64, so `t·p(S)` and the candidate
-/// sums saturate. About half carry a universe treatment; most of the
+/// One draw of a wide instance: weights, and actions `(is_test, set,
+/// base cost, scaled)`; the costs of the scaled actions share one
+/// factor (see [`WideDraw::build`]).
+#[derive(Clone, Debug)]
+struct WideDraw {
+    k: usize,
+    weights: Vec<u64>,
+    actions: Vec<(bool, Subset, u64, bool)>,
+}
+
+impl WideDraw {
+    /// The instance whose scaled costs are their base times the largest
+    /// factor that keeps `finite_cost_bound` below `2^63`, plus `extra`.
+    /// With `Σt = f·B + S` (`B` the scaled bases, `S` the rest), the
+    /// bound `Σt·p(U)·(2k+2) + 1` is below `2^63` exactly while
+    /// `Σt ≤ (2^63 − 2) / (p(U)·(2k+2))`.
+    fn build(&self, extra: u64) -> Result<TtInstance, TtError> {
+        let p_u: u64 = self.weights.iter().sum();
+        let base = |scaled: bool| -> u64 {
+            self.actions
+                .iter()
+                .filter(|a| a.3 == scaled)
+                .map(|a| a.2)
+                .sum()
+        };
+        let max_sum_t = ((1 << 63) - 2) / (p_u * (2 * self.k as u64 + 2));
+        let factor = (max_sum_t - base(false)) / base(true) + extra;
+        let mut b = TtInstanceBuilder::new(self.k).weights(self.weights.iter().copied());
+        for &(is_test, set, cost, scaled) in &self.actions {
+            let cost = if scaled { cost * factor } else { cost };
+            b = if is_test {
+                b.test(set, cost)
+            } else {
+                b.treatment(set, cost)
+            };
+        }
+        b.build()
+    }
+}
+
+/// Draws whose middle levels span several [`kernel::CHUNK`]-cell
+/// chunks (`C(13, 6) = 1716`), with weights from 1 to about `2^31` and
+/// small base costs, about half of them scaled. The first action is
+/// always scaled. About half carry a universe treatment; most of the
 /// others are inadequate.
-fn arb_wide_instance() -> impl Strategy<Value = TtInstance> {
+fn arb_wide_draw() -> impl Strategy<Value = WideDraw> {
     (11usize..=14, 1usize..=6, 1usize..=6, any::<u64>()).prop_map(|(k, nt, nr, seed)| {
         let mut r = XorShift(seed | 1);
         let full = (1u32 << k) - 1;
-        let mut b = TtInstanceBuilder::new(k).weights((0..k).map(|_| r.value(u64::MAX)));
-        for _ in 0..nt {
-            let s = Subset(1 + (r.next() as u32) % full);
-            b = b.test(s, r.value(u64::MAX - 1));
-        }
-        for _ in 0..nr {
-            let s = Subset(1 + (r.next() as u32) % full);
-            b = b.treatment(s, r.value(u64::MAX - 1));
-        }
-        if r.next() & 1 == 0 {
-            b = b.treatment(Subset::universe(k), r.value(u64::MAX - 1));
-        }
-        b.build().unwrap()
-    })
-}
-
-/// One instance on each side of the kernel's raw-`u64` bound, from one
-/// seed: the same sets, small weights and small base costs, every cost
-/// scaled by one factor so that `finite_cost_bound` lies just below
-/// `2^63` in the first and just above it in the second. Candidates run
-/// up to about `2^59`. Without a universe treatment most are
-/// inadequate, so `INF` cells are gathered on both sides.
-fn arb_bound_edge_pair() -> impl Strategy<Value = [TtInstance; 2]> {
-    (11usize..=13, 1usize..=6, 1usize..=6, any::<u64>()).prop_map(|(k, nt, nr, seed)| {
-        let mut r = XorShift(seed | 1);
-        let full = (1u32 << k) - 1;
-        let weights: Vec<u64> = (0..k).map(|_| 1 + r.next() % 16).collect();
-        let mut actions: Vec<(bool, Subset, u64)> = (0..nt + nr)
+        let weights = (0..k).map(|_| r.weight()).collect();
+        let mut actions: Vec<(bool, Subset, u64, bool)> = (0..nt + nr)
             .map(|a| {
-                (
-                    a < nt,
-                    Subset(1 + (r.next() as u32) % full),
-                    1 + r.next() % 8,
-                )
+                let set = Subset(1 + (r.next() as u32) % full);
+                (a < nt, set, 1 + r.next() % 9, a == 0 || r.next() & 1 == 0)
             })
             .collect();
         if r.next() & 1 == 0 {
-            actions.push((false, Subset::universe(k), 1 + r.next() % 8));
+            actions.push((
+                false,
+                Subset::universe(k),
+                1 + r.next() % 9,
+                r.next() & 1 == 0,
+            ));
         }
-        let unit = actions.iter().map(|a| a.2).sum::<u64>()
-            * weights.iter().sum::<u64>()
-            * (2 * k as u64 + 2);
-        let below = ((1u64 << 63) - 1) / unit;
-        [below, below + 1].map(|factor| {
-            let mut b = TtInstanceBuilder::new(k).weights(weights.iter().copied());
-            for &(is_test, set, cost) in &actions {
-                b = if is_test {
-                    b.test(set, cost * factor)
-                } else {
-                    b.treatment(set, cost * factor)
-                };
-            }
-            b.build().unwrap()
-        })
+        WideDraw {
+            k,
+            weights,
+            actions,
+        }
     })
+}
+
+/// Wide instances at the edge of the cost bound: `t·p(S)` and the
+/// candidate sums run up to about `2^59`, next to costs in single
+/// digits, and inadequate instances gather `INF` cells.
+fn arb_wide_instance() -> impl Strategy<Value = TtInstance> {
+    arb_wide_draw().prop_map(|draw| draw.build(0).expect("the largest admitted factor"))
 }
 
 /// The slab one level-kernel sweep leaves, `window` cells per window.
@@ -194,30 +208,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The level kernel equals the mask-order DP on every cell — across
-    /// chunk boundaries, under saturation and on inadequate instances.
+    /// chunk boundaries, at the edge of the cost bound and on inadequate
+    /// instances.
     #[test]
     fn level_kernel_matches_the_mask_order_dp(inst in arb_wide_instance()) {
         check_kernel(&inst);
     }
 
-    /// `memo`'s closure equals the mask-order DP — under saturation and
-    /// on inadequate instances.
+    /// `memo`'s closure equals the mask-order DP — at the edge of the
+    /// cost bound and on inadequate instances.
     #[test]
     fn memo_matches_the_mask_order_dp_on_its_closure(inst in arb_wide_instance()) {
         check_memo(&inst);
     }
 
-    /// Both chunk-pass arithmetics — raw `u64` just below the bound,
-    /// the cell-major reference just above it — give the mask-order
-    /// DP's cells, in the dense sweep and in `memo`'s closure.
+    /// The builder admits the largest factor, whose cost bound is just
+    /// below `2^63`, and there the dense sweep and `memo`'s closure give
+    /// the mask-order DP's cells; one factor step above, it refuses.
     #[test]
-    fn both_sides_of_the_raw_bound_match_the_mask_order_dp(pair in arb_bound_edge_pair()) {
-        for (inst, raw) in pair.iter().zip([true, false]) {
-            let bound = inst.finite_cost_bound();
-            prop_assert_eq!(bound.is_some_and(|b| b < 1 << 63), raw, "bound {:?}", bound);
-            check_kernel(inst);
-            check_memo(inst);
-        }
+    fn both_sides_of_the_cost_bound_edge_solve_exactly_or_are_refused(draw in arb_wide_draw()) {
+        let inst = draw.build(0).expect("the largest admitted factor");
+        let bound = inst.finite_cost_bound();
+        prop_assert!((1 << 62..1 << 63).contains(&bound), "bound {}", bound);
+        check_kernel(&inst);
+        check_memo(&inst);
+        prop_assert_eq!(draw.build(1), Err(TtError::CostBoundTooLarge));
     }
 }
 
