@@ -9,6 +9,10 @@
 
 use crate::isa::Neighbor;
 
+/// The largest machine the simulator builds: `Q + r ≤ MAX_DIMS`, that is
+/// at most `2^30` PEs.
+pub const MAX_DIMS: usize = 30;
+
 /// The machine geometry: cycle length `Q = 2^r`, `2^Q` cycles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CccTopology {
@@ -23,7 +27,7 @@ impl CccTopology {
         assert!(r >= 1, "cycle length must be at least 2");
         let q = 1usize << r;
         assert!(
-            q + r < 31,
+            q + r <= MAX_DIMS,
             "machine with 2^{} PEs is too large to simulate",
             q + r
         );

@@ -1,7 +1,10 @@
 //! Admissible lower bounds on `C(S)`.
 //!
-//! Used by the branch-and-bound solver to skip hopeless candidates, and
-//! by the test suite as sandwich checks (`LB(S) ≤ C(S) ≤ UB(S)` for every
+//! Used by the branch-and-bound solver to skip hopeless candidates, by
+//! the level kernel's chunk pass to skip `(S, i)` pairs that cannot beat
+//! a cell's running minimum (it tabulates `object_charge` in three
+//! subset-sum tables, see `kernel::SplitWeights`), and by the
+//! test suite as sandwich checks (`LB(S) ≤ C(S) ≤ UB(S)` for every
 //! subset).
 //!
 //! * **Treatment-charge bound** — every object `j ∈ S` is eventually
@@ -18,13 +21,28 @@ use crate::cost::Cost;
 use crate::instance::TtInstance;
 use crate::subset::Subset;
 
+/// Object `j`'s share of the treatment-charge bound: `P_j` times the
+/// cost of the cheapest treatment containing `j`, or `INF` when no
+/// treatment does (`j` is untreatable, and `C(S) = INF` at every
+/// `S ∋ j`).
+pub(crate) fn object_charge(inst: &TtInstance, j: usize) -> Cost {
+    let cheapest = inst
+        .treatments()
+        .iter()
+        .filter(|a| a.set.contains(j))
+        .map(|a| a.cost)
+        .min();
+    cheapest.map_or(Cost::INF, |t| {
+        Cost::new(t).saturating_mul_weight(inst.weight(j))
+    })
+}
+
 /// Precomputed bound context for an instance.
 #[derive(Clone, Debug)]
 pub struct Bounds<'a> {
     inst: &'a TtInstance,
-    /// `tmin[j]` = cheapest treatment covering object `j` (`None` if
-    /// untreatable — the instance is inadequate at any `S ∋ j`).
-    tmin: Vec<Option<u64>>,
+    /// `charge[j]` = [`object_charge`]`(inst, j)`.
+    charge: Vec<Cost>,
     /// `p(S)` table (empty for a single-set context, see
     /// [`Bounds::lower_bound_at`]).
     weight_table: Vec<u64>,
@@ -43,18 +61,9 @@ impl<'a> Bounds<'a> {
     /// `p(S)` is summed from the object weights instead. For callers
     /// that bound a single set, such as a degraded answer's bound at `U`.
     fn tableless(inst: &'a TtInstance) -> Bounds<'a> {
-        let tmin = (0..inst.k())
-            .map(|j| {
-                inst.treatments()
-                    .iter()
-                    .filter(|a| a.set.contains(j))
-                    .map(|a| a.cost)
-                    .min()
-            })
-            .collect();
         Bounds {
             inst,
-            tmin,
+            charge: (0..inst.k()).map(|j| object_charge(inst, j)).collect(),
             weight_table: Vec::new(),
         }
     }
@@ -74,18 +83,11 @@ impl<'a> Bounds<'a> {
         }
     }
 
-    /// The treatment-charge bound for `S`.
+    /// The treatment-charge bound for `S`: the sum over its objects `j`
+    /// of `P_j` times the cheapest treatment containing `j` (`INF` when
+    /// one has none).
     pub fn treatment_charge(&self, s: Subset) -> Cost {
-        let mut total = Cost::ZERO;
-        for j in s.iter() {
-            match self.tmin[j] {
-                Some(t) => {
-                    total += Cost::new(t).saturating_mul_weight(self.inst.weight(j));
-                }
-                None => return Cost::INF,
-            }
-        }
-        total
+        s.iter().map(|j| self.charge[j]).sum()
     }
 
     /// The one-step lookahead bound for `S` (≥ the treatment-charge

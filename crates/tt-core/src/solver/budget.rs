@@ -11,6 +11,12 @@
 //!
 //! The meter is designed so that the unlimited budget (the default) costs
 //! one branch per charge: engines can call it unconditionally.
+//!
+//! Candidates are charged per `(S, i)` pair of the lattice an engine
+//! covers (`C(k, j)·N` per dense level, the useful pairs of a `memo`
+//! level), not per pair it evaluates: the level kernel's chunk pass
+//! skips the pairs its bound rules out (`bound_skipped`), yet a budget
+//! cuts a solve at the same level with or without that bound.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -80,7 +86,8 @@ pub struct Budget {
     pub deadline: Option<Duration>,
     /// Ceiling on subsets whose `C(S)` may be computed.
     pub max_subsets: Option<u64>,
-    /// Ceiling on `(S, i)` candidate evaluations.
+    /// Ceiling on `(S, i)` candidates, charged per lattice pair (see
+    /// the module doc).
     pub max_candidates: Option<u64>,
     /// Cooperative cancellation.
     pub cancel: Option<CancelToken>,

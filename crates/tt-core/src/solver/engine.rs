@@ -319,8 +319,17 @@ pub trait Solver: Send + Sync {
 
 /// Threads the frontier accounting counters into both a report's
 /// [`WorkStats::extras`] and the active telemetry scope, under the
-/// stable names the observability layer and the tests read.
+/// stable names the observability layer and the tests read, and the
+/// chunk pass's `bound_skipped` into the report's extras.
 pub fn record_frontier_stats(work: &mut WorkStats, stats: FrontierStats) {
+    // The extras get their room at once, and `bound_skipped` stays out
+    // of the telemetry scope, whose counter list it would grow past
+    // four. With glibc, either reallocation moved where the report's
+    // small blocks land, and on some perfbench solve-large seeds one
+    // split the freed `2^k` slab so that the next `k = 20` slab no
+    // longer fit in it: peak RSS +1.9 MB (seeds 80 and 123, 2-vCPU
+    // guest).
+    work.extras.reserve(5);
     for (name, v) in [
         ("frontier_cells_allocated", stats.cells_allocated),
         ("frontier_peak_resident_cells", stats.peak_resident_cells),
@@ -330,6 +339,7 @@ pub fn record_frontier_stats(work: &mut WorkStats, stats: FrontierStats) {
         work.push_extra(name, v);
         tt_obs::telemetry::add_counter(name, v);
     }
+    work.push_extra("bound_skipped", stats.bound_skipped);
 }
 
 /// Admits the caller's wavefront for an engine: kept when it belongs to

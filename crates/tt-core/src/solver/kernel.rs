@@ -15,13 +15,30 @@
 //! `unrank` per chunk, then Gosper steps, so a chunk knows its subsets
 //! from its rank alone and chunks are independent. Within a chunk the
 //! loop order is the paper's `(S, i)` order turned onto a host core:
-//! the chunk's masks and weights are laid out once, then each action
-//! makes one pass over the whole chunk, folding its candidate
+//! the chunk's masks, weights and bounds are laid out once, then each
+//! action makes one pass over the chunk, folding its candidate
 //! `M[S, i]` into every cell's running minimum. For a fixed `T_i` the
 //! masks rise through the chunk, so the `S − T_i` gathers walk the slab
-//! forward and the `S ∩ T_i` gathers stay among `T_i`'s subsets. The
-//! minimum over actions does not depend on their order, so every cell
-//! equals [`sequential::min_candidate`]'s, the cell-major reference.
+//! forward and the `S ∩ T_i` gathers stay among `T_i`'s subsets.
+//!
+//! Unlike the paper's SIMD array, a host core can skip work, and the
+//! pass skips the pairs that provably cannot win. With `L(S) =
+//! Σ_{x∈S} p_x · tmin_x`, the treatment-charge bound (`tmin_x` the cost
+//! of the cheapest treatment containing `x`; `L = INF` when some object
+//! of `S` has none), `C(S) ≥ L(S)` and `L` is additive, so a test's
+//! candidate `t·p(S) + C(S ∩ T) + C(S − T)` is at least `t·p(S) + L(S)`
+//! and a treatment's `t·p(S) + C(S − T)` at least `t·p(S)`. The actions
+//! run in groups of equal cost, tests before treatments and each kind
+//! in ascending cost order, so cheap candidates lower the running
+//! minima first. At each group boundary the chunk's cells are compacted
+//! to those whose group bound is below their running minimum, and the
+//! group runs over those cells only (over all of them when nearly all
+//! are live). A skipped candidate is at least its cell's minimum, and
+//! the minimum over actions depends neither on their order nor on
+//! candidates that cannot lower it, so every cell equals
+//! [`sequential::min_candidate`]'s, the cell-major reference, bit for
+//! bit. The budget is still charged `C(k, j)·N` pairs per level; the
+//! pairs the bound skipped are counted in [`FrontierStats::bound_skipped`].
 //!
 //! The chunk pass's arithmetic is sized to the instance, as the paper
 //! sizes its `w`-bit numbers: every built instance has its
@@ -29,7 +46,8 @@
 //! plain `u64` and no finite product or sum reaches `Cost`'s
 //! saturation point; its cells are `Cost`'s algebra bit for bit (see
 //! `chunk_costs`), and what the slab stores and compares is still
-//! [`Cost`].
+//! [`Cost`]. The bounds are below `2^63` too, or `INF`, and their sums
+//! saturate at `INF`.
 //!
 //! The chunk pass is generic over its gather, a [`CostLookup`]: the
 //! dense sweep reads the slab through [`DenseSlab`], and `memo` hands
@@ -47,7 +65,8 @@
 //! hands the sink a [`LevelView`] of the wavefront.
 
 use crate::cost::Cost;
-use crate::instance::TtInstance;
+use crate::instance::{Action, TtInstance};
+use crate::solver::bounds::object_charge;
 use crate::solver::budget::{Budget, BudgetMeter};
 use crate::solver::checkpoint::{Checkpoint, LevelView};
 use crate::solver::engine::{
@@ -57,6 +76,8 @@ use crate::solver::sequential;
 use crate::subset::frontier::{self, CostLookup, DenseSlab, FrontierStats};
 use crate::subset::Subset;
 use crate::tree::TtTree;
+use crate::MAX_K;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cells per chunk of a level buffer: 8 KiB of `Cost`, small enough to
 /// stay resident while its gathers walk the slab.
@@ -95,34 +116,72 @@ fn gosper_next(s: Subset) -> Subset {
     Subset((((r ^ cur) >> 2) / c) | r)
 }
 
-/// `p(S)` for every mask from two half-width subset-sum tables: `lo`
-/// over the low `⌈k/2⌉` objects, `hi` over the rest, `2·2^⌈k/2⌉` u64 in
-/// all (16 KiB at `k = 20`). Saturating addition of non-negative
-/// integers is associative, so `lo[S_low] ⊕ hi[S_high]` is exactly
-/// [`TtInstance::weight_of`], saturation included.
+/// Objects per third of a mask in the `L` tables: three thirds of
+/// 9 bits cover `MAX_K` objects.
+const THIRD: u32 = 9;
+const _: () = assert!(3 * THIRD as usize >= MAX_K);
+
+/// `p(S)` and the treatment-charge bound `L(S)` for every mask.
+///
+/// `p(S)` is the saturating sum of two half-width subset sums: `lo`
+/// over the low `⌈k/2⌉` objects, `hi` over the rest, `2·2^⌈k/2⌉` u64
+/// (16 KiB at `k = 20`). `L(S)` is the `INF`-absorbing sum of three
+/// subset sums over 9-object thirds of the mask, 12 KiB kept inline
+/// for any `k`: the bound adds no heap block to a sweep. (With glibc,
+/// a change to the blocks a solve allocates moves where its small
+/// long-lived blocks land, and one can split the freed `2^k` slab so
+/// that the next slab no longer fits in it: perfbench solve-large's
+/// peak RSS rose 1.9 MB on some seeds with the `L` tables on the heap.)
+/// Saturating addition of non-negative integers is associative, so the
+/// sums are exactly [`TtInstance::weight_of`] and
+/// [`Bounds::treatment_charge`], saturation and `INF` included.
+///
+/// [`Bounds::treatment_charge`]: crate::solver::bounds::Bounds::treatment_charge
 pub(crate) struct SplitWeights {
     lo: Vec<u64>,
     hi: Vec<u64>,
     half: u32,
+    charges: [[u64; 1 << THIRD]; 3],
 }
 
 impl SplitWeights {
-    /// Builds both tables for `inst`'s weights.
+    /// Builds the tables for `inst`.
     pub(crate) fn new(inst: &TtInstance) -> SplitWeights {
         let half = inst.k().div_ceil(2);
         let (lo, hi) = inst.weights().split_at(half);
-        SplitWeights {
+        let mut split = SplitWeights {
             lo: subset_sums(lo),
             hi: subset_sums(hi),
             half: half as u32,
+            charges: [[0; 1 << THIRD]; 3],
+        };
+        let mut charges = [Cost::ZERO; MAX_K];
+        for (j, c) in charges[..inst.k()].iter_mut().enumerate() {
+            *c = object_charge(inst, j);
         }
+        let thirds = charges[..inst.k()].chunks(THIRD as usize);
+        for (sums, charges) in split.charges.iter_mut().zip(thirds) {
+            for mask in 1..1usize << charges.len() {
+                let low = mask.trailing_zeros() as usize;
+                sums[mask] = (Cost(sums[mask & (mask - 1)]) + charges[low]).0;
+            }
+        }
+        split
     }
 
-    /// `p(s)`.
+    /// `(p(s), L(s))`.
     #[inline]
-    pub(crate) fn of(&self, s: Subset) -> u64 {
+    pub(crate) fn of(&self, s: Subset) -> (u64, u64) {
         let low = s.0 & ((1u32 << self.half) - 1);
-        self.lo[low as usize].saturating_add(self.hi[(s.0 >> self.half) as usize])
+        let p = self.lo[low as usize].saturating_add(self.hi[(s.0 >> self.half) as usize]);
+        // Each third is `INF` (`u64::MAX`) or at most `L(U)`, which is
+        // below the cost bound, so saturating `u64` addition is `Cost`'s.
+        let third = |t: u32| {
+            let bits = (s.0 >> (t * THIRD)) & ((1 << THIRD) - 1);
+            self.charges[t as usize][bits as usize]
+        };
+        let charge = third(0).saturating_add(third(1)).saturating_add(third(2));
+        (p, charge)
     }
 }
 
@@ -136,9 +195,23 @@ fn subset_sums(weights: &[u64]) -> Vec<u64> {
     sums
 }
 
+/// The sets of the `actions` that cost `c`.
+fn costing(actions: &[Action], c: u64) -> impl Iterator<Item = Subset> + Clone + '_ {
+    actions.iter().filter(move |a| a.cost == c).map(|a| a.set)
+}
+
+/// The distinct costs of `actions`, in ascending order.
+fn ascending_costs(actions: &[Action]) -> impl Iterator<Item = u64> + '_ {
+    let above = move |c: Option<u64>| {
+        let costs = actions.iter().map(|a| a.cost);
+        costs.filter(|&x| c.is_none_or(|c| x > c)).min()
+    };
+    std::iter::successors(above(None), move |&c| above(Some(c)))
+}
+
 /// Computes one chunk of level cells: `cells[off]` becomes
-/// `C(masks[off])` gathered from `table`, `weights[off]` being
-/// `p(masks[off])`.
+/// `C(masks[off])` gathered from `table`. Returns the `(S, i)` pairs the
+/// bound skipped.
 ///
 /// The pass runs action by action on plain `u64`. The candidates and
 /// their exclusions are [`sequential::candidate_via`]'s: an action is
@@ -150,37 +223,113 @@ fn subset_sums(weights: &[u64]) -> Vec<u64> {
 /// minimum a plain `min`. A gathered `INF` (`u64::MAX`) is then the one
 /// value with its top bit set; its sign mask, or-ed into the sum, keeps
 /// `INF` absorbing. Every cell equals `Cost`'s algebra bit for bit.
+///
+/// Actions run in groups of equal cost, tests first, each kind in
+/// ascending cost order, and each group only over the cells its bound
+/// leaves live (see [`Chunk::run_group`]): `t·p(S) + L(S)` for a test,
+/// `t·p(S)` for a treatment.
 pub(crate) fn chunk_costs<L: CostLookup>(
     inst: &TtInstance,
+    split: &SplitWeights,
     table: &L,
     masks: &[Subset],
-    weights: &[u64],
     cells: &mut [Cost],
-) {
+) -> u64 {
+    let len = masks.len();
+    let (mut weights, mut charges) = ([0u64; CHUNK], [0u64; CHUNK]);
+    let (weights, charges) = (&mut weights[..len], &mut charges[..len]);
+    for ((w, l), &s) in weights.iter_mut().zip(charges.iter_mut()).zip(masks) {
+        (*w, *l) = split.of(s);
+    }
+    let (weights, charges) = (&*weights, &*charges);
     let gather = |s| table.cost_of(s).0;
     // All ones for a gathered `INF`, zero for a finite cost.
     let inf = |c: u64| (c >> 63).wrapping_neg();
     cells.fill(Cost::INF);
-    for t in inst.tests() {
-        for ((cell, &s), &w) in cells.iter_mut().zip(masks).zip(weights) {
-            let (inter, diff) = (s.intersect(t.set), s.difference(t.set));
+    let mut chunk = Chunk {
+        masks,
+        weights,
+        cells,
+        live: [0; CHUNK],
+    };
+    let mut skipped = 0;
+    for c in ascending_costs(inst.tests()) {
+        let bound = |off: usize| (c * weights[off]).saturating_add(charges[off]);
+        skipped += chunk.run_group(costing(inst.tests(), c), bound, |t, s, w, cell| {
+            let (inter, diff) = (s.intersect(t), s.difference(t));
             if inter.is_empty() || diff.is_empty() {
-                continue;
+                return;
             }
             let (a, b) = (gather(inter), gather(diff));
-            let m = (t.cost * w).wrapping_add(a).wrapping_add(b) | inf(a | b);
+            let m = (c * w).wrapping_add(a).wrapping_add(b) | inf(a | b);
             cell.0 = cell.0.min(m);
-        }
+        });
     }
-    for t in inst.treatments() {
-        for ((cell, &s), &w) in cells.iter_mut().zip(masks).zip(weights) {
-            if !s.intersects(t.set) {
-                continue;
+    for c in ascending_costs(inst.treatments()) {
+        let bound = |off: usize| c * weights[off];
+        skipped += chunk.run_group(costing(inst.treatments(), c), bound, |t, s, w, cell| {
+            if !s.intersects(t) {
+                return;
             }
-            let a = gather(s.difference(t.set));
-            let m = (t.cost * w).wrapping_add(a) | inf(a);
+            let a = gather(s.difference(t));
+            let m = (c * w).wrapping_add(a) | inf(a);
             cell.0 = cell.0.min(m);
+        });
+    }
+    skipped
+}
+
+/// One chunk in the chunk pass: its masks and weights, its cells'
+/// running minima, and the index list of the cells a group runs over.
+struct Chunk<'a> {
+    masks: &'a [Subset],
+    weights: &'a [u64],
+    cells: &'a mut [Cost],
+    live: [u16; CHUNK],
+}
+
+impl Chunk<'_> {
+    /// Folds every action of a group of one cost, given by its `sets`,
+    /// into the cells with `fold(T, S, p(S), cell)`, skipping the cells
+    /// whose running minimum is already at most `bound(off)`, a lower
+    /// bound on every candidate of the group there. A skipped candidate
+    /// could not lower its cell's minimum, so the cells are the dense
+    /// pass's exactly.
+    ///
+    /// The live cells are compacted without branches into `live` at
+    /// the group boundary. When more than seven in eight are live, the
+    /// group runs over the whole chunk instead, as a dense pass.
+    /// Returns the pairs skipped: the dead cells times the group's
+    /// actions.
+    #[inline(always)]
+    fn run_group(
+        &mut self,
+        sets: impl Iterator<Item = Subset> + Clone,
+        bound: impl Fn(usize) -> u64,
+        fold: impl Fn(Subset, Subset, u64, &mut Cost),
+    ) -> u64 {
+        let (cells, live) = (&mut *self.cells, &mut self.live);
+        let mut n = 0;
+        for (off, cell) in cells.iter().enumerate() {
+            live[n] = off as u16;
+            n += usize::from(bound(off) < cell.0);
         }
+        if 8 * n > 7 * cells.len() {
+            for t in sets {
+                let pairs = cells.iter_mut().zip(self.masks).zip(self.weights);
+                for ((cell, &s), &w) in pairs {
+                    fold(t, s, w, cell);
+                }
+            }
+            return 0;
+        }
+        for t in sets.clone() {
+            for &off in &live[..n] {
+                let off = usize::from(off);
+                fold(t, self.masks[off], self.weights[off], &mut cells[off]);
+            }
+        }
+        ((cells.len() - n) * sets.count()) as u64
     }
 }
 
@@ -222,6 +371,7 @@ pub fn sweep_windows(
     }
     let mut buf: Vec<Cost> = Vec::new();
     let split = SplitWeights::new(inst);
+    let bound_skipped = AtomicU64::new(0);
     for j in (wave.level + 1)..=k {
         let cells = frontier::binomial(k, j);
         let in_budget = meter.charge_subsets(cells)
@@ -242,16 +392,16 @@ pub fn sweep_windows(
             let slab = &wave.cost[..];
             exec.run(out, &|ci, chunk| {
                 let mut masks = [Subset::EMPTY; CHUNK];
-                let mut weights = [0u64; CHUNK];
-                let (masks, weights) = (&mut masks[..chunk.len()], &mut weights[..chunk.len()]);
+                let masks = &mut masks[..chunk.len()];
                 let mut s = frontier::unrank(j, (first + ci * CHUNK) as u64);
-                for (off, (m, w)) in masks.iter_mut().zip(weights.iter_mut()).enumerate() {
+                for (off, m) in masks.iter_mut().enumerate() {
                     if off > 0 {
                         s = gosper_next(s);
                     }
-                    (*m, *w) = (s, split.of(s));
+                    *m = s;
                 }
-                chunk_costs(inst, &DenseSlab(slab), masks, weights, chunk);
+                let skipped = chunk_costs(inst, &split, &DenseSlab(slab), masks, chunk);
+                bound_skipped.fetch_add(skipped, Ordering::Relaxed);
             });
             let mut s = frontier::unrank(j, first as u64);
             for (off, &c) in out.iter().enumerate() {
@@ -267,6 +417,7 @@ pub fn sweep_windows(
         wave.level = j;
         sink(&LevelView::of(inst, wave));
     }
+    stats.bound_skipped = bound_skipped.into_inner();
     stats
 }
 
@@ -451,10 +602,57 @@ mod tests {
                     .unwrap();
                 let split = SplitWeights::new(&i);
                 for s in Subset::all(k) {
-                    assert_eq!(split.of(s), i.weight_of(s), "k={k} S={s}");
+                    assert_eq!(split.of(s).0, i.weight_of(s), "k={k} S={s}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn split_charges_equal_the_treatment_charge_bound_on_every_mask() {
+        use crate::solver::bounds::Bounds;
+        let near_max = [u64::MAX, u64::MAX - 1, 1 << 63, (1 << 62) + 3];
+        for k in 1..=12 {
+            for saturating in [false, true] {
+                let weights = (0..k as u64).map(|j| {
+                    if saturating && j % 3 == 1 {
+                        near_max[j as usize % near_max.len()]
+                    } else {
+                        1 + j * 7 % 11
+                    }
+                });
+                // Every fifth object is untreatable. Saturating weights
+                // are admitted under free treatments only, whose charges
+                // are 0 whatever the weight.
+                let cost = |c: u64| if saturating { 0 } else { c };
+                let mut b = TtInstanceBuilder::new(k).weights(weights);
+                for j in (0..k).filter(|j| j % 5 != 4) {
+                    let set =
+                        Subset::from_iter([j, (j + 1) % k].into_iter().filter(|o| o % 5 != 4));
+                    b = b.treatment(set, cost(1 + (j as u64 * 5) % 7));
+                }
+                let i = b.build().unwrap();
+                let (split, bounds) = (SplitWeights::new(&i), Bounds::new(&i));
+                for s in Subset::all(k) {
+                    assert_eq!(
+                        Cost(split.of(s).1),
+                        bounds.treatment_charge(s),
+                        "k={k} S={s}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cost_groups_run_cheapest_first_within_their_kind() {
+        let i = inst();
+        let groups = |actions: &[Action]| {
+            let sizes = ascending_costs(actions).map(|c| (c, costing(actions, c).count()));
+            sizes.collect::<Vec<_>>()
+        };
+        assert_eq!(groups(i.tests()), [(1, 2), (2, 1)]);
+        assert_eq!(groups(i.treatments()), [(2, 1), (3, 1), (4, 1)]);
     }
 
     #[test]

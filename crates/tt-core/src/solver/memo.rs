@@ -52,7 +52,9 @@ pub struct MemoSolution {
     pub table: ClosureTable,
     /// Frontier accounting: cells allocated / peak resident equal the
     /// reachable-closure size; `rank_calls` counts the closure-table
-    /// gathers of the chunk pass.
+    /// gathers of the useful pairs (two per test pair, one per
+    /// treatment pair), an upper bound on the gathers the chunk pass
+    /// ran: the pairs its bound skips gather nothing (`bound_skipped`).
     pub frontier: FrontierStats,
 }
 
@@ -254,7 +256,7 @@ pub(crate) fn solve_closure(
     frontier.on_alloc(cells as u64);
     let mut table = ClosureTable::for_cells(cells);
     let split = SplitWeights::new(inst);
-    let (mut weights, mut costs) = ([0u64; CHUNK], [Cost::INF; CHUNK]);
+    let mut costs = [Cost::INF; CHUNK];
     let (mut reachable_subsets, mut candidates) = (0, 0);
     for level in levels.iter().skip(1) {
         let pairs = level.tests + level.treatments;
@@ -265,11 +267,8 @@ pub(crate) fn solve_closure(
             break;
         }
         for masks in level.masks.chunks(CHUNK) {
-            let (weights, costs) = (&mut weights[..masks.len()], &mut costs[..masks.len()]);
-            for (w, &s) in weights.iter_mut().zip(masks) {
-                *w = split.of(s);
-            }
-            kernel::chunk_costs(inst, &table, masks, weights, costs);
+            let costs = &mut costs[..masks.len()];
+            frontier.bound_skipped += kernel::chunk_costs(inst, &split, &table, masks, costs);
             for (&s, &c) in masks.iter().zip(costs.iter()) {
                 table.insert(s, c);
             }

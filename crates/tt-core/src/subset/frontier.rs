@@ -141,11 +141,17 @@ pub struct FrontierStats {
     pub cells_allocated: u64,
     /// Peak number of cells resident at once.
     pub peak_resident_cells: u64,
-    /// Number of closure-table gathers (the memo's chunk pass: two per
-    /// useful test pair, one per useful treatment pair).
+    /// Number of closure-table gathers of the memo's useful pairs (two
+    /// per test pair, one per treatment pair): an upper bound on the
+    /// gathers its chunk pass ran, since the pairs the bound skips
+    /// gather nothing.
     pub rank_calls: u64,
     /// Number of [`unrank`] evaluations (one per kernel chunk and window).
     pub unrank_calls: u64,
+    /// `(S, i)` pairs the chunk pass's treatment-charge bound skipped,
+    /// one per skipped cell and action of a group, useful or not (see
+    /// `tt_core::solver::kernel`).
+    pub bound_skipped: u64,
     resident: u64,
 }
 

@@ -32,7 +32,7 @@ use bvm::ops::arith::{self, Num};
 use bvm::ops::{processor_id, RegAlloc};
 use bvm::plane::BitPlane;
 use bvm::program::Program;
-use bvm::topology::CccTopology;
+use bvm::topology::MAX_DIMS;
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::subset::Subset;
@@ -78,9 +78,23 @@ pub fn required_width(inst: &TtInstance) -> usize {
 /// and the `w` cost-bit planes of `t_i`. An instance needing more than
 /// [`bvm::NUM_REGISTERS`] rows does not fit the machine.
 pub fn registers_needed(inst: &TtInstance, w: usize) -> usize {
-    let layout = Layout::new(inst.k(), inst.n_actions());
-    let topo = CccTopology::new(hypercube::ccc::min_r_for_dims(layout.dims()));
-    topo.dims() + topo.q().max(4) + inst.k() + 6 + 5 * (w + 1) + w
+    let r = machine_r(inst);
+    let q = 1 << r;
+    (q + r) + q.max(4) + inst.k() + 6 + 5 * (w + 1) + w
+}
+
+/// Whether the simulator can run `inst` at all: the CCC its layout
+/// needs has at most `2^MAX_DIMS` PEs, and the program's rows at
+/// [`required_width`] fit the register file. An instance that does not
+/// fit is refused by capacity, never run.
+pub fn fits(inst: &TtInstance) -> bool {
+    let r = machine_r(inst);
+    (1 << r) + r <= MAX_DIMS && registers_needed(inst, required_width(inst)) <= bvm::NUM_REGISTERS
+}
+
+/// The cycle-length exponent `r` of the CCC that holds `inst`'s layout.
+fn machine_r(inst: &TtInstance) -> usize {
+    hypercube::ccc::min_r_for_dims(Layout::new(inst.k(), inst.n_actions()).dims())
 }
 
 /// Fetches a whole vertical number's dimension partner:
@@ -123,8 +137,7 @@ fn enable_andn(m: &mut Bvm, a: u8, b: u8) {
 /// fault plans (see `crate::resilient`) before handing the machine to
 /// [`solve_on`].
 pub fn machine_for(inst: &TtInstance) -> Bvm {
-    let layout = Layout::new(inst.k(), inst.n_actions());
-    Bvm::new(hypercube::ccc::min_r_for_dims(layout.dims()))
+    Bvm::new(machine_r(inst))
 }
 
 /// Solves the instance on the BVM with an automatically chosen width.

@@ -379,11 +379,9 @@ impl Solver for BvmEngine {
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
         timed_report_with(|| {
-            // Past `max_k` only under a budget; past the register file
-            // always, since the program cannot be laid out at all.
-            if !budget.is_unlimited() && inst.k() > self.max_k()
-                || bvm_tt::registers_needed(inst, bvm_tt::required_width(inst)) > bvm::NUM_REGISTERS
-            {
+            // Past `max_k` only under a budget; past the machine or its
+            // register file always, since the program cannot run at all.
+            if !budget.is_unlimited() && inst.k() > self.max_k() || !bvm_tt::fits(inst) {
                 return engine::capacity_result(inst, WorkStats::default());
             }
             let mut meter = budget.start();

@@ -88,6 +88,9 @@ pub enum FaultEscalation {
         /// PEs whose neighbour fetch is stuck.
         pes: Vec<usize>,
     },
+    /// Not a fault: the BVM cannot hold the instance at all (see
+    /// [`bvm_tt::fits`]), so no fault plan was armed.
+    Capacity,
 }
 
 impl std::fmt::Display for FaultEscalation {
@@ -108,6 +111,7 @@ impl std::fmt::Display for FaultEscalation {
             FaultEscalation::StuckLinks { pes } => {
                 write!(f, "BVM neighbour links stuck at PEs {pes:?}")
             }
+            FaultEscalation::Capacity => write!(f, "instance exceeds the BVM's capacity"),
         }
     }
 }
@@ -117,10 +121,14 @@ impl std::error::Error for FaultEscalation {}
 impl FaultEscalation {
     /// Packages the escalation as a degraded [`SolveReport`]: a greedy
     /// incumbent with the trivial admissible bound, tagged
-    /// [`DegradeReason::FaultEscalation`]. This is what consumers print
-    /// instead of a wrong answer.
+    /// [`DegradeReason::FaultEscalation`] (a [`FaultEscalation::Capacity`]
+    /// refusal is tagged [`DegradeReason::Capacity`]). This is what
+    /// consumers print instead of a wrong answer.
     pub fn report(&self, inst: &TtInstance) -> SolveReport {
         engine::timed_report_with(|| {
+            if *self == FaultEscalation::Capacity {
+                return engine::capacity_result(inst, WorkStats::default());
+            }
             let mut work = WorkStats::default();
             work.push_extra("fault_escalation", 1);
             engine::degraded_result(inst, DegradeReason::FaultEscalation, &|_| None, work)
@@ -229,7 +237,9 @@ fn stuck_probe_round(probe: &mut Bvm) -> Vec<bool> {
 
 /// Runs the TT program on a BVM with the given fault plan armed.
 ///
-/// Persistent faults are hunted first, on probe clones of the armed
+/// An instance the BVM cannot hold ([`bvm_tt::fits`]) is refused with
+/// [`FaultEscalation::Capacity`] before any machine is built. Then
+/// persistent faults are hunted, on probe clones of the armed
 /// machine: dead columns by an all-enabled constant write (a dead PE is
 /// the only PE that cannot commit it — no fetches consumed), stuck
 /// links by two dual-pattern fetch rounds intersected (a transient can
@@ -246,6 +256,9 @@ pub fn solve_bvm_resilient(
     plan: BvmFaultPlan,
     max_retries: usize,
 ) -> Result<(BvmTtSolution, ResilienceReport), FaultEscalation> {
+    if !bvm_tt::fits(inst) {
+        return Err(FaultEscalation::Capacity);
+    }
     let mut template = bvm_tt::machine_for(inst);
     template.inject_faults(plan);
 

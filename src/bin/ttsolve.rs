@@ -835,8 +835,13 @@ fn solve_with_faults(inst: &TtInstance, opts: &Opts, spec: &str) -> i32 {
             Err(esc) => esc,
         },
     };
-    eprintln!("fault escalation: {escalation}");
     let report = escalation.report(inst);
+    if escalation == resilient::FaultEscalation::Capacity {
+        // No fault ran: the answer is the capacity refusal (exit 7) a
+        // plain `--solver bvm` run gives.
+        return print_result(inst, opts, &report, true);
+    }
+    eprintln!("fault escalation: {escalation}");
     // The greedy incumbent with its bound sandwich — degraded, never
     // silently wrong.
     print_result(inst, opts, &report, true);

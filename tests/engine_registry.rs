@@ -173,7 +173,10 @@ fn auto_picks_on_the_catalog_are_pinned() {
 /// The exact work and memory anchors of the quick benchmark matrix:
 /// `cost`, `subsets`, `machine_steps` and the peak resident cost cells
 /// (`frontier_peak_resident_cells`, 0 for the machine engines) of each
-/// cell, plus the batch and supervised orchestration paths. These are
+/// cell, the `(S, i)` pairs the level kernel's bound skipped
+/// (`bound_skipped`, 0 for the machine engines: a change that silently
+/// turns the bound off fails here), plus the batch and supervised
+/// orchestration paths. These are
 /// simulator outputs, not timings; a change in any of them is an
 /// algorithm change, so the table is regenerated in the same change.
 #[test]
@@ -184,20 +187,21 @@ fn quick_matrix_work_and_residency_are_pinned() {
     use tt_workloads::catalog::Domain::{Medical, Random};
     #[rustfmt::skip]
     let cells = [
-        // (engine, domain, k, seed, cost, subsets, machine_steps, resident cells)
-        ("seq", Random, 9, 7, 200, 511, 0, 512),
-        ("seq", Medical, 9, 3, 8530, 511, 0, 512),
-        ("memo", Random, 9, 7, 200, 99, 0, 99),
-        ("rayon", Random, 9, 7, 200, 511, 0, 512),
-        ("seq", Random, 11, 7, 304, 2047, 0, 2048),
-        ("rayon", Random, 12, 7, 179, 4095, 0, 4096),
-        ("memo", Random, 13, 7, 196, 495, 0, 495),
-        ("hyper", Random, 7, 7, 114, 128, 92, 0),
-        ("hyper-blocked", Random, 7, 7, 114, 128, 92, 0),
-        ("ccc", Random, 6, 7, 72, 64, 391, 0),
-        ("bvm", Random, 6, 7, 72, 64, 26820, 0),
+        // (engine, domain, k, seed, cost, subsets, machine_steps, resident
+        // cells, pairs the chunk pass's bound skipped)
+        ("seq", Random, 9, 7, 200, 511, 0, 512, 5862),
+        ("seq", Medical, 9, 3, 8530, 511, 0, 512, 7845),
+        ("memo", Random, 9, 7, 200, 99, 0, 99, 1016),
+        ("rayon", Random, 9, 7, 200, 511, 0, 512, 5862),
+        ("seq", Random, 11, 7, 304, 2047, 0, 2048, 24870),
+        ("rayon", Random, 12, 7, 179, 4095, 0, 4096, 59419),
+        ("memo", Random, 13, 7, 196, 495, 0, 495, 7037),
+        ("hyper", Random, 7, 7, 114, 128, 92, 0, 0),
+        ("hyper-blocked", Random, 7, 7, 114, 128, 92, 0, 0),
+        ("ccc", Random, 6, 7, 72, 64, 391, 0, 0),
+        ("bvm", Random, 6, 7, 72, 64, 26820, 0, 0),
     ];
-    for (engine, domain, k, seed, cost, subsets, steps, resident) in cells {
+    for (engine, domain, k, seed, cost, subsets, steps, resident, skipped) in cells {
         let r = tt_repro::lookup(engine)
             .unwrap()
             .solve(&domain.generate(k, seed));
@@ -210,6 +214,13 @@ fn quick_matrix_work_and_residency_are_pinned() {
         );
         let cells = w.extra("frontier_peak_resident_cells").unwrap_or(0);
         assert_eq!(cells, resident, "{engine}/{}/k{k}", domain.name());
+        let bound = w.extra("bound_skipped").unwrap_or(0);
+        assert_eq!(
+            bound,
+            skipped,
+            "{engine}/{}/k{k}: bound_skipped",
+            domain.name()
+        );
     }
 
     let manifest = "demo:random:8:7 id=a solver=seq\n\

@@ -6,7 +6,7 @@
 //! without the others fails here. Codes shared across binaries must
 //! carry the same `EXIT_*` name everywhere, so a reader can grep one
 //! name and see the whole meaning. Instances the core refuses, and
-//! one the BVM refuses by capacity, are also run through `ttsolve` to
+//! ones the BVM refuses by capacity, are also run through `ttsolve` to
 //! pin the codes they exit with.
 
 use std::collections::BTreeMap;
@@ -228,8 +228,9 @@ fn an_instance_past_the_cost_bound_exits_invalid_instance_on_every_path() {
 }
 
 /// The BVM refuses an instance whose vertical numbers do not fit its
-/// register file by capacity (exit 7), not by a panic (exit 101); one
-/// bit narrower, it answers what `seq` answers.
+/// register file by capacity (exit 7), not by a panic (exit 101), also
+/// with a fault plan armed; one bit narrower, it answers what `seq`
+/// answers.
 #[test]
 fn bvm_past_its_register_file_exits_degraded_by_capacity() {
     let path = std::env::temp_dir().join(format!("ttsolve-bvm-rows-{}.tt", std::process::id()));
@@ -252,7 +253,37 @@ fn bvm_past_its_register_file_exits_degraded_by_capacity() {
         } else {
             assert_eq!(code, Some(7), "{bvm}");
             assert!(bvm.contains("exceeds backend capacity"), "{bvm}");
+            let (code, faulty) = ttsolve(file, &["--faults", "bvm:flip:3@0"]);
+            assert_eq!(code, Some(7), "{faulty}");
+            assert!(faulty.contains("exceeds backend capacity"), "{faulty}");
+            assert!(!faulty.contains("panicked"), "{faulty}");
         }
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+/// An instance whose CCC would have more than `2^30` PEs is refused by
+/// capacity (exit 7) with no budget, not by a panic in the machine's
+/// constructor (exit 101), and a supervised `bvm` run fails over to a
+/// software engine without a panic.
+#[test]
+fn bvm_past_its_largest_machine_exits_degraded_by_capacity() {
+    let demo = ["random", "16", "1", "--solver", "bvm"];
+    let (code, bvm) = ttsolve("--demo", &demo);
+    assert_eq!(code, Some(7), "{bvm}");
+    assert!(bvm.contains("exceeds backend capacity"), "{bvm}");
+    assert!(!bvm.contains("panicked"), "{bvm}");
+
+    let (code, supervised) = ttsolve("--demo", &[&demo[..], &["--supervise"]].concat());
+    assert_eq!(code, Some(0), "{supervised}");
+    assert!(supervised.contains("failovers = 1"), "{supervised}");
+    assert!(!supervised.contains("panicked"), "{supervised}");
+    let (_, seq) = ttsolve("--demo", &["random", "16", "1"]);
+    let cost = |text: &str| {
+        text.lines()
+            .find(|l| l.starts_with("optimal expected cost"))
+            .map(str::to_string)
+    };
+    assert_eq!(cost(&supervised), cost(&seq));
+    assert!(cost(&seq).is_some(), "{seq}");
 }

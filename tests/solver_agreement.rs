@@ -148,6 +148,52 @@ fn arb_wide_instance() -> impl Strategy<Value = TtInstance> {
     arb_wide_draw().prop_map(|draw| draw.build(0).expect("the largest admitted factor"))
 }
 
+/// Draws that stress the chunk pass's treatment-charge bound, whose
+/// action groups are runs of equal cost. Tests cost `1, 2, 3, …` (a
+/// group each) or are tied at 1 and 2, next to treatments dear enough
+/// that later test groups often win their cells; or every action costs
+/// 0, 1 or 2 (free tests and treatments, whose bound is the charge alone
+/// or 0). About half the draws leave objects untreatable, so their
+/// bound is `INF`. Middle levels span two chunks at `k = 13`.
+fn arb_bound_instance() -> impl Strategy<Value = TtInstance> {
+    (9usize..=13, 1usize..=8, 1usize..=6, 0u64..3, any::<u64>()).prop_map(
+        |(k, nt, nr, mode, seed)| {
+            let mut r = XorShift(seed | 1);
+            let full = (1u32 << k) - 1;
+            let test_cost = |a: u64, r: &mut XorShift| match mode {
+                0 => 1 + a,
+                1 => 1 + r.next() % 2,
+                _ => r.next() % 3,
+            };
+            let treatment_cost = |a: u64, r: &mut XorShift| match mode {
+                0 | 1 => 4 + a % 2 + r.next() % 8,
+                _ => r.next() % 3,
+            };
+            let untreatable = if r.next() & 1 == 0 {
+                (r.next() & r.next()) as u32 & full
+            } else {
+                0
+            };
+            let mut b = TtInstanceBuilder::new(k).weights((0..k).map(|_| 1 + r.next() % 9));
+            for a in 0..nt as u64 {
+                let set = Subset(1 + (r.next() as u32) % full);
+                b = b.test(set, test_cost(a, &mut r));
+            }
+            for a in 0..nr as u64 {
+                let set = (1 + (r.next() as u32) % full) & !untreatable;
+                if set != 0 {
+                    b = b.treatment(Subset(set), treatment_cost(a, &mut r));
+                }
+            }
+            if r.next() & 1 == 0 {
+                let set = Subset(full & !untreatable);
+                b = b.treatment(set, treatment_cost(nr as u64, &mut r));
+            }
+            b.build().unwrap()
+        },
+    )
+}
+
 /// The slab one level-kernel sweep leaves, `window` cells per window.
 fn kernel_slab(inst: &TtInstance, exec: &dyn Executor, window: usize) -> Vec<Cost> {
     let mut wave = Checkpoint::blank(inst);
@@ -213,6 +259,14 @@ proptest! {
     #[test]
     fn level_kernel_matches_the_mask_order_dp(inst in arb_wide_instance()) {
         check_kernel(&inst);
+    }
+
+    /// The level kernel and `memo` equal the mask-order DP where the
+    /// bound's groups, ties, free actions and `INF` charges vary most.
+    #[test]
+    fn the_bounded_chunk_pass_matches_the_mask_order_dp(inst in arb_bound_instance()) {
+        check_kernel(&inst);
+        check_memo(&inst);
     }
 
     /// `memo`'s closure equals the mask-order DP — at the edge of the
