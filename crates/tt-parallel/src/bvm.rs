@@ -25,6 +25,8 @@
 //! `Q` (the turn-taking dimension-exchange schedule; see DESIGN.md).
 
 use crate::layout::{padded_actions, Layout};
+use crate::resilient::{self, Armed, FaultEscalation, ResilienceReport};
+use bvm::fault::BvmFaultPlan;
 use bvm::hyperops::fetch_partner;
 use bvm::isa::{BoolFn, Dest, Instruction, RegSel};
 use bvm::machine::Bvm;
@@ -134,8 +136,7 @@ fn enable_andn(m: &mut Bvm, a: u8, b: u8) {
 
 /// The machine the TT program needs for this instance: the BVM on the
 /// smallest complete CCC that fits the layout. Exposed so callers can arm
-/// fault plans (see `crate::resilient`) before handing the machine to
-/// [`solve_on`].
+/// fault plans before handing the machine to [`solve_recorded_on`].
 pub fn machine_for(inst: &TtInstance) -> Bvm {
     Bvm::new(machine_r(inst))
 }
@@ -145,12 +146,6 @@ pub fn solve(inst: &TtInstance) -> BvmTtSolution {
     solve_with_width(inst, required_width(inst))
 }
 
-/// Solves the instance on a caller-supplied machine (see [`machine_for`])
-/// with an automatically chosen width.
-pub fn solve_on(inst: &TtInstance, mut m: Bvm) -> BvmTtSolution {
-    solve_impl(inst, required_width(inst), false, &mut m, &mut || true).0
-}
-
 /// As [`solve`], but also records the full instruction stream the solve
 /// executes, returning it as a [`Program`] ready for `bvm::verify` (the
 /// host bulk loads become the program's `preloaded` register list).
@@ -158,7 +153,8 @@ pub fn solve_recorded(inst: &TtInstance) -> (BvmTtSolution, Program) {
     solve_recorded_on(inst, machine_for(inst))
 }
 
-/// As [`solve_on`], but records the instruction stream (see
+/// Solves the instance on a caller-supplied machine (see
+/// [`machine_for`]) and records the instruction stream (see
 /// [`solve_recorded`]) — the machine may arrive with a fault plan armed,
 /// which must not change the recorded program (faults corrupt data, not
 /// control).
@@ -169,21 +165,60 @@ pub fn solve_recorded_on(inst: &TtInstance, mut m: Bvm) -> (BvmTtSolution, Progr
 }
 
 /// As [`solve`], but `check` is consulted before each level; a `false`
-/// stops the machine cleanly between levels. Returns the solution plus
-/// the number of completed levels (entries for `#S ≤` that count are
-/// exact, the rest still `INF` placeholders — the wavefront invariant
-/// holds on the BVM exactly as on the word-level machines).
+/// stops the machine cleanly between levels. Returns the solution, the
+/// number of completed levels (entries for `#S ≤` that count are exact,
+/// the rest still `INF` placeholders — the wavefront invariant holds on
+/// the BVM exactly as on the word-level machines) and what fault
+/// recovery did. An instance the machine cannot hold ([`fits`]) is
+/// refused with [`FaultEscalation::Capacity`] before any machine is
+/// built.
+///
+/// With a plan armed, the machine's persistent faults are probed first
+/// and escalate, and transients are masked by whole-run redundancy (see
+/// [`crate::resilient`]): the program runs twice on clones of the armed
+/// machine and the `C(·)` tables are compared, a mismatch re-running
+/// both up to `max_retries` times. Only the first run consults `check`;
+/// every other run stops at the level the first one completed, so a
+/// budget stop is never read as a glitch.
 pub fn solve_budgeted(
     inst: &TtInstance,
+    faults: Option<&Armed<BvmFaultPlan>>,
     check: &mut dyn FnMut() -> bool,
-) -> (BvmTtSolution, usize) {
-    solve_impl(
-        inst,
-        required_width(inst),
-        false,
-        &mut machine_for(inst),
-        check,
-    )
+) -> Result<(BvmTtSolution, usize, ResilienceReport), FaultEscalation> {
+    if !fits(inst) {
+        return Err(FaultEscalation::Capacity);
+    }
+    let w = required_width(inst);
+    let mut template = machine_for(inst);
+    let mut report = ResilienceReport::default();
+    let Some(armed) = faults else {
+        let (sol, done) = solve_impl(inst, w, false, &mut template, check);
+        return Ok((sol, done, report));
+    };
+    template.inject_faults(armed.plan.clone());
+    resilient::probe_bvm(&template)?;
+    let (mut first, done) = solve_impl(inst, w, false, &mut template.clone(), check);
+    let rerun = || {
+        let mut levels = 0;
+        let mut upto_done = || {
+            levels += 1;
+            levels <= done
+        };
+        solve_impl(inst, w, false, &mut template.clone(), &mut upto_done).0
+    };
+    loop {
+        if first.c_table == rerun().c_table {
+            return Ok((first, done, report));
+        }
+        report.glitches_detected += 1;
+        if report.retries as usize >= armed.max_retries {
+            return Err(FaultEscalation::RetriesExhausted {
+                retries: report.retries as usize,
+            });
+        }
+        report.retries += 1;
+        first = rerun();
+    }
 }
 
 /// Solves the instance loading every instance plane through the I/O

@@ -10,7 +10,9 @@
 
 use crate::hyper::{combine_pe, init_pe, min_op, rq_op, TtPe};
 use crate::layout::{padded_actions, Layout};
+use crate::resilient::{self, Armed, FaultEscalation, ResilienceReport};
 use hypercube::ccc::{min_r_for_dims, CccMachine, CccStepCounts};
+use hypercube::fault::CccFaultPlan;
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::solver::sequential::{extract_tree_costs, LevelSink, WavefrontSeed};
@@ -156,34 +158,48 @@ impl CccDriver {
 /// Runs the TT program on the smallest complete CCC that fits the
 /// instance.
 pub fn solve(inst: &TtInstance) -> CccSolution {
-    solve_budgeted(inst, &mut || true).0
+    let (sol, _, _) = solve_resumable(inst, None, &mut || true, None, &mut |_, _| {})
+        .expect("an unarmed machine never escalates");
+    sol
 }
 
-/// As [`solve`], but `check` is consulted before each level; a `false`
-/// stops the machine cleanly between levels. Returns the solution plus
-/// the number of completed levels (entries for `#S ≤` that count are
-/// exact, the rest still `INF` placeholders).
-pub fn solve_budgeted(inst: &TtInstance, check: &mut dyn FnMut() -> bool) -> (CccSolution, usize) {
-    solve_resumable(inst, check, None, &mut |_, _| {})
-}
-
-/// As [`solve_budgeted`], but resumable: `resume = (level, cost)`
-/// warm-starts every replica from a completed wavefront (see
-/// [`CccDriver::import_wavefront`]), and `on_level` receives the cost
-/// table read back from replica 0 after each completed level.
+/// The CCC driver's one level loop. `check` is consulted before each
+/// level; a `false` stops the machine cleanly between levels.
+/// `resume = (level, cost)` warm-starts every replica from a completed
+/// wavefront (see [`CccDriver::import_wavefront`]), and `on_level`
+/// receives the cost table read back after each completed level.
+/// Returns the solution, the number of completed levels (entries for
+/// `#S ≤` that count are exact, the rest still `INF` placeholders) and
+/// what fault recovery did.
+///
+/// Unarmed (`faults` is `None`), each level runs once and the answer is
+/// read from replica 0. With a plan armed, the machine is probed for
+/// dead PEs first and read back from a replica block free of them; each
+/// level then runs twice from the pre-level state and is committed only
+/// when the two machines' checksums agree, a mismatch re-running both
+/// up to `max_retries` times (see [`crate::resilient`]). `on_level` then
+/// sees only committed levels, so an escalation mid-solve leaves the
+/// caller a checkpoint of the last level that passed the check.
 pub fn solve_resumable(
     inst: &TtInstance,
+    faults: Option<&Armed<CccFaultPlan<TtPe>>>,
     check: &mut dyn FnMut() -> bool,
     resume: Option<WavefrontSeed<'_>>,
     on_level: &mut LevelSink<'_>,
-) -> (CccSolution, usize) {
+) -> Result<(CccSolution, usize, ResilienceReport), FaultEscalation> {
     let driver = CccDriver::new(inst);
-    let mut ccc = driver.fresh_machine();
-    driver.init(&mut ccc);
+    let mut m = driver.fresh_machine();
+    let mut report = ResilienceReport::default();
+    if let Some(armed) = faults {
+        m.inject_faults(armed.plan.clone());
+        (report.dead_pes, report.replica_used) = resilient::quarantine(&driver, &mut m)?;
+    }
+    let replica = report.replica_used;
+    driver.init(&mut m);
     let start = match resume {
         Some((level, cost)) => {
             let lvl = level.min(driver.layout.k);
-            driver.import_wavefront(&mut ccc, lvl, cost);
+            driver.import_wavefront(&mut m, lvl, cost);
             lvl
         }
         None => 0,
@@ -194,10 +210,31 @@ pub fn solve_resumable(
             done = level - 1;
             break;
         }
-        driver.run_level(&mut ccc, level);
-        on_level(level, &driver.read_costs(inst, &ccc, 0));
+        match faults {
+            None => driver.run_level(&mut m, level),
+            Some(armed) => {
+                let mut retries = 0;
+                loop {
+                    let mut first = m.clone();
+                    driver.run_level(&mut first, level);
+                    let mut second = m.clone();
+                    driver.run_level(&mut second, level);
+                    if first.checksum() == second.checksum() {
+                        m = first;
+                        break;
+                    }
+                    report.glitches_detected += 1;
+                    if retries >= armed.max_retries {
+                        return Err(FaultEscalation::RetriesExhausted { retries });
+                    }
+                    retries += 1;
+                    report.retries += 1;
+                }
+            }
+        }
+        on_level(level, &driver.read_costs(inst, &m, replica));
     }
-    (driver.solution(inst, &ccc, 0, start), done)
+    Ok((driver.solution(inst, &m, replica, start), done, report))
 }
 
 impl CccSolution {
@@ -262,7 +299,7 @@ mod tests {
         let i = inst();
         let seq = sequential::solve(&i);
         let warm = Some((2, &seq.tables.cost[..]));
-        let (ccc, _) = solve_resumable(&i, &mut || true, warm, &mut |_, _| {});
+        let (ccc, _, _) = solve_resumable(&i, None, &mut || true, warm, &mut |_, _| {}).unwrap();
         let (hyp, _) = hyper::solve_resumable(&i, &mut || true, warm, &mut |_, _| {});
         for (c_table, best_table) in [
             (&ccc.c_table, &ccc.best_table),

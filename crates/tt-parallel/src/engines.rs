@@ -7,8 +7,12 @@
 //! `hyper`, `hyper-blocked`, `ccc`, and `bvm` next to the core engines.
 //! `rayon-frontier` is an alias of `rayon`.
 
+use crate::hyper::TtPe;
 use crate::layout::Layout;
+use crate::resilient::{Armed, FaultEscalation};
 use crate::{bvm as bvm_tt, ccc as ccc_tt, hyper, rayon_solver};
+use bvm::fault::BvmFaultPlan;
+use hypercube::fault::CccFaultPlan;
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::solver::budget::{Budget, BudgetMeter};
@@ -46,17 +50,19 @@ pub(crate) fn absorb_and_emit(
 
 /// What a machine simulator's run leaves behind: its cost table, its
 /// completed levels, and its own counters (`machine_steps`, `pes`,
-/// extras).
-type MachineRun = (Vec<Cost>, usize, WorkStats);
+/// extras) — or the fault escalation (or BVM capacity refusal) that
+/// stopped it.
+type MachineRun = Result<(Vec<Cost>, usize, WorkStats), FaultEscalation>;
 
-/// One resumable solve on a word-level machine simulator (`hyper`,
-/// `hyper-blocked`, `ccc`). Refuses an instance above `max_k` under a
-/// limited budget; charges the budget `pes` candidates per level;
-/// starts `run` warm from the caller's wavefront and absorbs every level
-/// it completes back into it, with a telemetry sample per level. `run`
-/// gets the per-level budget check, the warm-start seed and the level
-/// sink. The tree is extracted from the cost table; an exhausted budget
-/// yields the degraded sandwich over the completed levels.
+/// One solve on a machine simulator, armed or not. Refuses an instance
+/// above `max_k` under a limited budget; charges the budget `pes`
+/// candidates per level; starts `run` warm from the caller's wavefront
+/// and absorbs every level it completes back into it, with a telemetry
+/// sample per level. `run` gets the per-level budget check, the
+/// warm-start seed and the level sink. The tree is extracted from the
+/// cost table; an exhausted budget yields the degraded sandwich over the
+/// completed levels, and an escalation [`FaultEscalation::report`]'s
+/// degraded answer.
 fn solve_on_machine(
     inst: &TtInstance,
     budget: &Budget,
@@ -81,7 +87,7 @@ fn solve_on_machine(
         let prepared = wave.clone();
         let resumed = prepared.as_ref().map(|ck| ck.level);
         let mut last = std::time::Instant::now();
-        let (c_table, done, mut work) = run(
+        let ran = run(
             &mut || level_check(&mut meter, pes),
             prepared.as_ref().map(|ck| (ck.level, ck.cost.as_slice())),
             &mut |level, c| {
@@ -89,10 +95,21 @@ fn solve_on_machine(
                 absorb_and_emit(inst, wave, fingerprint, level, c, sink);
             },
         );
+        let resumed_extra = |work: &mut WorkStats| {
+            if let Some(level) = resumed {
+                work.push_extra("resumed_level", level as u64);
+            }
+        };
+        let (c_table, done, mut work) = match ran {
+            Ok(ran) => ran,
+            Err(esc) => {
+                let (cost, tree, mut work, outcome) = esc.result(inst);
+                resumed_extra(&mut work);
+                return (cost, tree, work, outcome);
+            }
+        };
         work.subsets = recomputed_subsets(inst.k(), resumed, done);
-        if let Some(level) = resumed {
-            work.push_extra("resumed_level", level as u64);
-        }
+        resumed_extra(&mut work);
         if let Some(r) = meter.exhausted() {
             work.push_extra("completed_levels", done as u64);
             let exact = |sub: Subset| (sub.len() <= done).then(|| c_table[sub.index()]);
@@ -107,7 +124,8 @@ fn solve_on_machine(
 /// PE count of the complete CCC with cycle-length exponent `r`
 /// (`Q = 2^r` PEs per cycle, `2^Q` cycles).
 fn ccc_pes(r: usize) -> u64 {
-    1u64 << ((1usize << r) + r)
+    1u64.checked_shl(((1usize << r) + r) as u32)
+        .unwrap_or(u64::MAX)
 }
 
 /// Lattice cells a machine run actually recomputed: the binomial levels
@@ -227,7 +245,7 @@ impl Solver for HyperEngine {
                 work.push_extra("wire_transits", s.steps.wire_transits);
                 tt_obs::telemetry::add_counter("wire_transits", s.steps.wire_transits);
                 tt_obs::metrics::counter("tt_wire_transits_total").add(s.steps.wire_transits);
-                (s.c_table, done, work)
+                Ok((s.c_table, done, work))
             },
         )
     }
@@ -296,14 +314,31 @@ impl Solver for HyperBlockedEngine {
                 work.push_extra("words_communicated", s.counts.words_communicated);
                 tt_obs::telemetry::add_counter("words_communicated", s.counts.words_communicated);
                 work.push_extra("block_size", s.block_size as u64);
-                (s.c_table, done, work)
+                Ok((s.c_table, done, work))
             },
         )
     }
 }
 
-/// Cube-connected-cycles simulation (constant-degree realization).
-struct CccEngine;
+/// Cube-connected-cycles simulation (constant-degree realization). The
+/// registry's engine is unarmed; [`CccEngine::armed`] arms a fault plan.
+#[derive(Default)]
+pub struct CccEngine {
+    faults: Option<Armed<CccFaultPlan<TtPe>>>,
+}
+
+impl CccEngine {
+    /// The `ccc` engine with `plan` armed: the same solve with fault
+    /// detection switched on — a dead-PE probe with replica quarantine,
+    /// each level run twice and checksummed, up to `max_retries` re-runs
+    /// of a level before a [`FaultEscalation`] (see
+    /// [`crate::ccc::solve_resumable`]).
+    pub fn armed(plan: CccFaultPlan<TtPe>, max_retries: usize) -> Self {
+        CccEngine {
+            faults: Some(Armed { plan, max_retries }),
+        }
+    }
+}
 
 impl Solver for CccEngine {
     fn name(&self) -> &'static str {
@@ -341,7 +376,8 @@ impl Solver for CccEngine {
             sink,
             pes,
             |check, warm, on_level| {
-                let (s, done) = ccc_tt::solve_resumable(inst, check, warm, on_level);
+                let faults = self.faults.as_ref();
+                let (s, done, rep) = ccc_tt::solve_resumable(inst, faults, check, warm, on_level)?;
                 let mut work = WorkStats {
                     machine_steps: s.steps.total_comm() + s.steps.local,
                     pes: ccc_pes(s.machine_r),
@@ -355,14 +391,34 @@ impl Solver for CccEngine {
                 tt_obs::telemetry::add_counter("wire_transits", s.steps.wire_transits);
                 tt_obs::metrics::counter("tt_wire_transits_total").add(s.steps.wire_transits);
                 work.push_extra("machine_r", s.machine_r as u64);
-                (s.c_table, done, work)
+                if faults.is_some() {
+                    rep.record(&mut work);
+                }
+                Ok((s.c_table, done, work))
             },
         )
     }
 }
 
-/// Bit-serial Boolean Vector Machine simulation.
-struct BvmEngine;
+/// Bit-serial Boolean Vector Machine simulation. The registry's engine
+/// is unarmed; [`BvmEngine::armed`] arms a fault plan.
+#[derive(Default)]
+pub struct BvmEngine {
+    faults: Option<Armed<BvmFaultPlan>>,
+}
+
+impl BvmEngine {
+    /// The `bvm` engine with `plan` armed: the same solve with fault
+    /// detection switched on — dead-column and stuck-link probes that
+    /// escalate, and whole-run redundancy with up to `max_retries`
+    /// re-runs before a [`FaultEscalation`] (see
+    /// [`crate::bvm::solve_budgeted`]).
+    pub fn armed(plan: BvmFaultPlan, max_retries: usize) -> Self {
+        BvmEngine {
+            faults: Some(Armed { plan, max_retries }),
+        }
+    }
+}
 
 impl Solver for BvmEngine {
     fn name(&self) -> &'static str {
@@ -378,61 +434,66 @@ impl Solver for BvmEngine {
         5
     }
     fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        timed_report_with(|| {
-            // Past `max_k` only under a budget; past the machine or its
-            // register file always, since the program cannot run at all.
-            if !budget.is_unlimited() && inst.k() > self.max_k() || !bvm_tt::fits(inst) {
-                return engine::capacity_result(inst, WorkStats::default());
-            }
-            let mut meter = budget.start();
-            let pes = ccc_pes(bvm_tt::machine_for(inst).topo().r());
-            // The BVM exposes no per-level sink; the budget check runs
-            // once before each level, so the gap between consecutive
-            // calls times the level in between.
-            let mut last = std::time::Instant::now();
-            let mut finished = 0usize;
-            let mut recorded = 0usize;
-            let (s, done) = bvm_tt::solve_budgeted(inst, &mut || {
-                if finished > recorded {
-                    record_level_boundary(finished, binomial(inst.k(), finished), pes, &mut last);
-                    recorded = finished;
+        let dims = Layout::new(inst.k(), inst.n_actions()).dims();
+        let pes = ccc_pes(hypercube::ccc::min_r_for_dims(dims));
+        // Not resumable: bit-serial state has no level slab, so the BVM
+        // starts cold, emits no levels and never calls `on_level`.
+        solve_on_machine(
+            inst,
+            budget,
+            self.max_k(),
+            &mut None,
+            &mut |_| {},
+            pes,
+            |check, _, _| {
+                // The budget check runs once before each level, so the
+                // gap between consecutive calls times the level in
+                // between. Armed, only the first of the redundant runs
+                // calls it: the last level's sample also holds the
+                // redundant run and any retries.
+                let mut last = std::time::Instant::now();
+                let mut finished = 0usize;
+                let mut recorded = 0usize;
+                let faults = self.faults.as_ref();
+                let (s, done, rep) = bvm_tt::solve_budgeted(inst, faults, &mut || {
+                    if finished > recorded {
+                        record_level_boundary(
+                            finished,
+                            binomial(inst.k(), finished),
+                            pes,
+                            &mut last,
+                        );
+                        recorded = finished;
+                    }
+                    let ok = check();
+                    if ok {
+                        finished += 1;
+                    }
+                    ok
+                })?;
+                if done > recorded {
+                    record_level_boundary(done, binomial(inst.k(), done), pes, &mut last);
                 }
-                let ok = level_check(&mut meter, pes);
-                if ok {
-                    finished += 1;
+                let mut work = WorkStats {
+                    machine_steps: s.instructions,
+                    pes: ccc_pes(s.machine_r),
+                    ..WorkStats::default()
+                };
+                work.push_extra("host_loads", s.host_loads);
+                work.push_extra("bit_ops", s.bit_ops);
+                tt_obs::telemetry::add_counter("bit_ops", s.bit_ops);
+                tt_obs::metrics::counter("tt_bit_ops_total").add(s.bit_ops);
+                work.push_extra("width_bits", s.width as u64);
+                work.push_extra("machine_r", s.machine_r as u64);
+                for (phase, n) in &s.phase_breakdown {
+                    work.push_extra(format!("phase:{phase}"), *n);
                 }
-                ok
-            });
-            if done > recorded {
-                record_level_boundary(done, binomial(inst.k(), done), pes, &mut last);
-            }
-            let mut work = WorkStats {
-                subsets: recomputed_subsets(inst.k(), None, done),
-                machine_steps: s.instructions,
-                pes: ccc_pes(s.machine_r),
-                ..WorkStats::default()
-            };
-            work.push_extra("host_loads", s.host_loads);
-            work.push_extra("bit_ops", s.bit_ops);
-            tt_obs::telemetry::add_counter("bit_ops", s.bit_ops);
-            tt_obs::metrics::counter("tt_bit_ops_total").add(s.bit_ops);
-            work.push_extra("width_bits", s.width as u64);
-            work.push_extra("machine_r", s.machine_r as u64);
-            for (phase, n) in &s.phase_breakdown {
-                work.push_extra(format!("phase:{phase}"), *n);
-            }
-            if let Some(r) = meter.exhausted() {
-                work.push_extra("completed_levels", done as u64);
-                return engine::degraded_result(
-                    inst,
-                    r.into(),
-                    &|sub| (sub.len() <= done).then(|| s.c_table[sub.index()]),
-                    work,
-                );
-            }
-            let tree = extract_tree_costs(inst, &s.c_table, inst.universe());
-            (s.cost, tree, work, SolveOutcome::Complete)
-        })
+                if faults.is_some() {
+                    rep.record(&mut work);
+                }
+                Ok((s.c_table, done, work))
+            },
+        )
     }
 }
 
@@ -442,8 +503,8 @@ pub fn engines() -> Vec<Box<dyn Solver>> {
         Box::new(RayonEngine),
         Box::new(HyperEngine),
         Box::new(HyperBlockedEngine),
-        Box::new(CccEngine),
-        Box::new(BvmEngine),
+        Box::new(CccEngine::default()),
+        Box::new(BvmEngine::default()),
     ]
 }
 
@@ -529,7 +590,11 @@ mod tests {
         let inst = small_instance();
         let opt = sequential::solve(&inst);
         let budget = Budget::unlimited();
-        for e in engines() {
+        // The armed `ccc` glitches the first exchange on dimension 3 (an
+        // S-dimension) of each solve and must still hand back the same
+        // checkpoints and answers.
+        let armed = crate::orchestrate::parse_fault_spec("ccc:corrupt:3@0").unwrap();
+        for e in engines().into_iter().chain([armed.engine()]) {
             if !e.resumable() {
                 continue;
             }
@@ -562,6 +627,48 @@ mod tests {
                 tree.validate(&inst).unwrap();
                 assert_eq!(tree.expected_cost(&inst), opt.cost);
             }
+        }
+    }
+
+    #[test]
+    fn an_empty_armed_plan_adds_only_the_resilience_counters() {
+        let inst = small_instance();
+        let pairs: [(Box<dyn Solver>, Box<dyn Solver>); 2] = [
+            (
+                Box::new(CccEngine::default()),
+                Box::new(CccEngine::armed(CccFaultPlan::none(), 3)),
+            ),
+            (
+                Box::new(BvmEngine::default()),
+                Box::new(BvmEngine::armed(BvmFaultPlan::none(), 3)),
+            ),
+        ];
+        for (plain, armed) in pairs {
+            let name = plain.name();
+            let (p, a) = (plain.solve(&inst), armed.solve(&inst));
+            assert!(p.outcome.is_complete(), "{name}");
+            assert_eq!(
+                (a.cost, &a.tree, a.outcome),
+                (p.cost, &p.tree, p.outcome),
+                "{name}"
+            );
+            assert_eq!(
+                (a.work.subsets, a.work.machine_steps, a.work.pes),
+                (p.work.subsets, p.work.machine_steps, p.work.pes),
+                "{name}"
+            );
+            let (unarmed, added) = a.work.extras.split_at(p.work.extras.len());
+            assert_eq!(unarmed, p.work.extras.as_slice(), "{name}");
+            assert_eq!(
+                added,
+                [
+                    ("glitches_detected".to_string(), 0),
+                    ("fault_retries".to_string(), 0),
+                    ("dead_pes".to_string(), 0),
+                    ("replica_used".to_string(), 0),
+                ],
+                "{name}"
+            );
         }
     }
 

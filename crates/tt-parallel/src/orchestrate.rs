@@ -1,22 +1,20 @@
-//! Supervised orchestration over the machine simulations: fault-armed
-//! engines for the supervision chain, and the isolated batch driver.
+//! Supervised orchestration over the machine simulations: the fault
+//! grammar, the failover chains, and the isolated batch driver.
 //!
 //! `tt_core::solver::supervise` knows nothing about machine faults —
 //! its chains are built from the plain registry engines. This module
 //! closes the loop for the fault-injection story:
 //!
-//! * [`FaultyCccEngine`] / [`FaultyBvmEngine`] wrap the resilient
-//!   drivers of [`crate::resilient`] as [`Solver`]s, so a machine with
-//!   an armed fault plan can sit at the head of a supervision chain.
-//!   An escalation surfaces as a
+//! * [`parse_fault_spec`] is the shared `--faults` grammar (`ttsolve`
+//!   and batch manifests use the same one), and [`FaultTarget::engine`]
+//!   turns a parsed plan into the machine's registry engine with the
+//!   plan armed (`CccEngine::armed`/`BvmEngine::armed` of
+//!   [`crate::engines`]). [`fault_chain`] puts that engine at the head
+//!   of the failover chain. An escalation surfaces as a
 //!   [`DegradeReason::FaultEscalation`](tt_core::solver::DegradeReason)
 //!   report, which the supervisor retries and then fails over — and the
-//!   CCC wrapper emits a checkpoint after every *committed* level, so
-//!   the software fallback resumes mid-lattice instead of starting
-//!   cold.
-//! * [`parse_fault_spec`] is the shared `--faults` grammar (`ttsolve`
-//!   and batch manifests use the same one), and [`fault_chain`] builds
-//!   the full failover chain for a parsed plan.
+//!   armed CCC emits a checkpoint after every *committed* level, so the
+//!   software fallback resumes mid-lattice instead of starting cold.
 //! * [`run_batch`] streams a manifest of instances through one
 //!   supervisor with per-instance isolation: a malformed line, an
 //!   unreadable file, or even a panicking solve produces a per-instance
@@ -27,20 +25,16 @@
 //!   records fsync'd at every instance boundary, the summary trailer
 //!   written with [`tt_core::durable::atomic_write`].
 
+use crate::engines::{BvmEngine, CccEngine};
 use crate::hyper::TtPe;
-use crate::resilient::{
-    solve_bvm_resilient, solve_ccc_resilient_resumable, ResilienceReport, DEFAULT_MAX_RETRIES,
-};
+use crate::resilient::DEFAULT_MAX_RETRIES;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::io;
-use tt_core::solver::checkpoint::{Checkpoint, LevelView};
-use tt_core::solver::engine::{
-    self, timed_report_with, EngineKind, SolveOutcome, SolveReport, Solver, WorkStats,
-};
+use tt_core::solver::engine::{SolveOutcome, Solver};
 use tt_core::solver::supervise::{self, SuperviseOptions, SuperviseReport};
 use tt_core::solver::Budget;
 
@@ -55,6 +49,39 @@ pub enum FaultTarget {
     Ccc(hypercube::CccFaultPlan<TtPe>),
     /// A BVM fault plan (dead columns, stuck links, bit flips).
     Bvm(bvm::BvmFaultPlan),
+}
+
+impl FaultTarget {
+    /// Parses a `--faults`/`faults=` spec (see [`parse_fault_spec`]),
+    /// refusing a `solver` pin that names another engine than the
+    /// machine the spec targets.
+    pub fn parse_for(spec: &str, solver: Option<&str>) -> Result<FaultTarget, String> {
+        let target = parse_fault_spec(spec).map_err(|e| format!("bad fault spec: {e}"))?;
+        match solver {
+            Some(s) if s != target.machine() => Err(format!(
+                "faults target {} but the solver is {s}",
+                target.machine()
+            )),
+            _ => Ok(target),
+        }
+    }
+
+    /// The name of the targeted machine's engine: `ccc` or `bvm`.
+    pub fn machine(&self) -> &'static str {
+        match self {
+            FaultTarget::Ccc(_) => "ccc",
+            FaultTarget::Bvm(_) => "bvm",
+        }
+    }
+
+    /// The targeted machine's registry engine with the plan armed, at
+    /// the default retry budget.
+    pub fn engine(self) -> Box<dyn Solver> {
+        match self {
+            FaultTarget::Ccc(plan) => Box::new(CccEngine::armed(plan, DEFAULT_MAX_RETRIES)),
+            FaultTarget::Bvm(plan) => Box::new(BvmEngine::armed(plan, DEFAULT_MAX_RETRIES)),
+        }
+    }
 }
 
 /// A rejected `--faults` spec. Every malformed input maps to a variant
@@ -217,181 +244,10 @@ pub fn parse_fault_spec(spec: &str) -> Result<FaultTarget, FaultSpecError> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Fault-armed engines.
-// ---------------------------------------------------------------------
-
-/// The CCC machine with a fault plan armed, solving through the
-/// resilient driver (detection, bounded retry, quarantine). Escalations
-/// surface as degraded `FaultEscalation` reports; committed levels are
-/// exported as checkpoints, so a supervision chain resumes the fallback
-/// engine from the last level that passed the redundancy check.
-pub struct FaultyCccEngine {
-    /// The armed fault plan (cloned into each solve).
-    pub plan: hypercube::CccFaultPlan<TtPe>,
-    /// Redundant-execution retry budget per level.
-    pub max_retries: usize,
-}
-
-impl FaultyCccEngine {
-    /// Wraps a plan with the default retry budget.
-    pub fn new(plan: hypercube::CccFaultPlan<TtPe>) -> Self {
-        FaultyCccEngine {
-            plan,
-            max_retries: DEFAULT_MAX_RETRIES,
-        }
-    }
-}
-
-fn resilience_extras(work: &mut WorkStats, rep: &ResilienceReport) {
-    work.push_extra("glitches_detected", rep.glitches_detected);
-    work.push_extra("fault_retries", rep.retries);
-    work.push_extra("dead_pes", rep.dead_pes.len() as u64);
-    work.push_extra("replica_used", rep.replica_used as u64);
-    tt_obs::telemetry::add_counter("glitches_detected", rep.glitches_detected);
-    tt_obs::telemetry::add_counter("exchange_retries", rep.retries);
-    tt_obs::metrics::counter("tt_exchange_retries_total").add(rep.retries);
-}
-
-impl Solver for FaultyCccEngine {
-    fn name(&self) -> &'static str {
-        "ccc"
-    }
-    fn kind(&self) -> EngineKind {
-        EngineKind::Machine
-    }
-    fn description(&self) -> &'static str {
-        "CCC simulation with an armed fault plan, via the resilient driver"
-    }
-    fn max_k(&self) -> usize {
-        8
-    }
-    fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        self.solve_resumable(inst, budget, &mut None, &mut |_| {})
-    }
-    fn resumable(&self) -> bool {
-        true
-    }
-    fn solve_resumable(
-        &self,
-        inst: &TtInstance,
-        budget: &Budget,
-        wave: &mut Option<Checkpoint>,
-        sink: &mut dyn FnMut(&LevelView<'_>),
-    ) -> SolveReport {
-        timed_report_with(|| {
-            if !budget.is_unlimited() && inst.k() > self.max_k() {
-                return engine::capacity_result(inst, WorkStats::default());
-            }
-            let fingerprint = engine::admit_wave(inst, wave);
-            let prepared = wave.clone();
-            let result = solve_ccc_resilient_resumable(
-                inst,
-                self.plan.clone(),
-                self.max_retries,
-                prepared.as_ref().map(|ck| (ck.level, ck.cost.as_slice())),
-                &mut |level, c| {
-                    crate::engines::absorb_and_emit(inst, wave, fingerprint, level, c, sink);
-                },
-            );
-            match result {
-                Ok((sol, rep)) => {
-                    let resumed = prepared.as_ref().map(|ck| ck.level);
-                    let mut work = WorkStats {
-                        subsets: crate::engines::recomputed_subsets(inst.k(), resumed, inst.k()),
-                        machine_steps: sol.steps.total_comm() + sol.steps.local,
-                        ..WorkStats::default()
-                    };
-                    resilience_extras(&mut work, &rep);
-                    if let Some(ck) = &prepared {
-                        work.push_extra("resumed_level", ck.level as u64);
-                    }
-                    let tree = sol.tree(inst);
-                    (sol.cost, tree, work, SolveOutcome::Complete)
-                }
-                Err(esc) => {
-                    let r = esc.report(inst);
-                    let (cost, tree, mut work, outcome) = (r.cost, r.tree, r.work, r.outcome);
-                    if let Some(ck) = &prepared {
-                        work.push_extra("resumed_level", ck.level as u64);
-                    }
-                    (cost, tree, work, outcome)
-                }
-            }
-        })
-    }
-}
-
-/// The BVM with a fault plan armed, via its resilient driver. The BVM
-/// is bit-serial — no level slab to checkpoint — so this engine is not
-/// resumable; it is still a legal chain member (cold restarts only).
-pub struct FaultyBvmEngine {
-    /// The armed fault plan (cloned into each solve).
-    pub plan: bvm::BvmFaultPlan,
-    /// Whole-run redundancy retry budget.
-    pub max_retries: usize,
-}
-
-impl FaultyBvmEngine {
-    /// Wraps a plan with the default retry budget.
-    pub fn new(plan: bvm::BvmFaultPlan) -> Self {
-        FaultyBvmEngine {
-            plan,
-            max_retries: DEFAULT_MAX_RETRIES,
-        }
-    }
-}
-
-impl Solver for FaultyBvmEngine {
-    fn name(&self) -> &'static str {
-        "bvm"
-    }
-    fn kind(&self) -> EngineKind {
-        EngineKind::Machine
-    }
-    fn description(&self) -> &'static str {
-        "BVM simulation with an armed fault plan, via the resilient driver"
-    }
-    fn max_k(&self) -> usize {
-        5
-    }
-    fn solve_with(&self, inst: &TtInstance, budget: &Budget) -> SolveReport {
-        timed_report_with(|| {
-            if !budget.is_unlimited() && inst.k() > self.max_k() {
-                return engine::capacity_result(inst, WorkStats::default());
-            }
-            match solve_bvm_resilient(inst, self.plan.clone(), self.max_retries) {
-                Ok((sol, rep)) => {
-                    let mut work = WorkStats {
-                        subsets: crate::engines::recomputed_subsets(inst.k(), None, inst.k()),
-                        machine_steps: sol.instructions,
-                        ..WorkStats::default()
-                    };
-                    resilience_extras(&mut work, &rep);
-                    let tree = tt_core::solver::sequential::extract_tree_costs(
-                        inst,
-                        &sol.c_table,
-                        inst.universe(),
-                    );
-                    (sol.cost, tree, work, SolveOutcome::Complete)
-                }
-                Err(esc) => {
-                    let r = esc.report(inst);
-                    (r.cost, r.tree, r.work, r.outcome)
-                }
-            }
-        })
-    }
-}
-
-/// Builds the failover chain for a fault-armed solve: the faulty
-/// machine engine first, then the default software chain.
+/// Builds the failover chain for a fault-armed solve: the machine's
+/// engine with the plan armed first, then the default software chain.
 pub fn fault_chain(inst: &TtInstance, target: FaultTarget) -> Vec<Box<dyn Solver>> {
-    let head: Box<dyn Solver> = match target {
-        FaultTarget::Ccc(plan) => Box::new(FaultyCccEngine::new(plan)),
-        FaultTarget::Bvm(plan) => Box::new(FaultyBvmEngine::new(plan)),
-    };
-    headed_chain(inst, head)
+    headed_chain(inst, target.engine())
 }
 
 /// The default supervision chain with this crate's engines registered
@@ -580,16 +436,7 @@ impl BatchItem {
     pub fn chain(&self, inst: &TtInstance) -> Result<Vec<Box<dyn Solver>>, String> {
         crate::register_engines();
         if let Some(spec) = &self.faults {
-            let target = parse_fault_spec(spec).map_err(|e| e.to_string())?;
-            let name = match &target {
-                FaultTarget::Ccc(_) => "ccc",
-                FaultTarget::Bvm(_) => "bvm",
-            };
-            if let Some(s) = &self.solver {
-                if s != name {
-                    return Err(format!("faults target {name} but solver={s}"));
-                }
-            }
+            let target = FaultTarget::parse_for(spec, self.solver.as_deref())?;
             return Ok(fault_chain(inst, target));
         }
         match &self.solver {
@@ -922,6 +769,8 @@ impl BatchSink {
 mod tests {
     use super::*;
     use tt_core::instance::TtInstanceBuilder;
+    use tt_core::solver::checkpoint::LevelView;
+    use tt_core::solver::engine::EngineKind;
     use tt_core::solver::sequential;
     use tt_core::subset::Subset;
 
@@ -940,7 +789,7 @@ mod tests {
     #[test]
     fn faulty_ccc_solves_clean_plans_exactly() {
         let i = inst();
-        let e = FaultyCccEngine::new(hypercube::CccFaultPlan::none());
+        let e = CccEngine::armed(hypercube::CccFaultPlan::none(), DEFAULT_MAX_RETRIES);
         let r = e.solve(&i);
         assert_eq!(r.cost, sequential::solve(&i).cost);
         assert!(r.outcome.is_complete());
@@ -961,10 +810,7 @@ mod tests {
             _ => unreachable!(),
         };
         let mut chain = fault_chain(&i, FaultTarget::Ccc(plan.clone()));
-        chain[0] = Box::new(FaultyCccEngine {
-            plan,
-            max_retries: 0,
-        });
+        chain[0] = Box::new(CccEngine::armed(plan, 0));
         assert_eq!(chain[0].name(), "ccc");
         assert!(chain.len() >= 2, "no software tail");
         let sup = supervise::supervise(
@@ -1006,10 +852,7 @@ mod tests {
                 })),
             });
             let mut chain = fault_chain(&i, FaultTarget::Ccc(plan.clone()));
-            chain[0] = Box::new(FaultyCccEngine {
-                plan,
-                max_retries: 0,
-            });
+            chain[0] = Box::new(CccEngine::armed(plan, 0));
             let resume = (level > 1)
                 .then(|| LevelView::dense(&i, level - 1, &seq.tables.cost).to_checkpoint());
             let opts = SuperviseOptions {
@@ -1282,5 +1125,9 @@ mod tests {
         assert!(parse_fault_spec("ccc:dead:3,bvm:dead:1").is_err());
         assert!(parse_fault_spec("").is_err());
         assert!(parse_fault_spec("ccc:melt:1").is_err());
+        // A solver pin must name the machine the spec arms.
+        assert!(FaultTarget::parse_for("ccc:dead:3", Some("ccc")).is_ok());
+        assert!(FaultTarget::parse_for("ccc:dead:3", Some("seq")).is_err());
+        assert!(FaultTarget::parse_for("bvm:dead:1", None).is_ok());
     }
 }

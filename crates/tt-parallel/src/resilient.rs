@@ -1,11 +1,14 @@
-//! Fault-tolerant drivers for the machine simulations: detection,
-//! bounded retry, quarantine, and escalation.
+//! Fault tolerance for the machine simulations: detection, bounded
+//! retry, quarantine, and escalation.
 //!
 //! The word-level CCC and the bit-serial BVM both admit injected
 //! machine faults (see `hypercube::fault` and `bvm::fault`): dead PEs,
-//! faulty links, and single-event transients. This module wraps the TT
-//! programs of [`crate::ccc`] and [`crate::bvm`] in drivers that never
-//! return a silently wrong answer under those fault models:
+//! faulty links, and single-event transients. A fault plan is an input
+//! of the machine's one driver — [`crate::ccc::solve_resumable`] and
+//! [`crate::bvm::solve_budgeted`] take an optional [`Armed`] plan, and
+//! the registry's `ccc`/`bvm` engines carry one when built with
+//! `CccEngine::armed`/`BvmEngine::armed` (see [`crate::engines`]). With
+//! a plan armed, the driver never returns a silently wrong answer:
 //!
 //! * **Detection.** Transients are caught by redundant execution — the
 //!   same phase is run twice from a snapshot and the machines'
@@ -27,27 +30,46 @@
 //! * **Escalation.** When no clean replica exists, retries are
 //!   exhausted, or the BVM (which routes across all cycle positions and
 //!   has no replica to fall back on) has a persistent fault, the driver
-//!   returns a [`FaultEscalation`] error — callers surface it as a
+//!   returns a [`FaultEscalation`] error — the engines surface it as a
 //!   [`DegradeReason::FaultEscalation`] degraded report, never as a
 //!   wrong answer.
+//!
+//! This module holds the probes, the report and escalation types, and
+//! [`solve_ccc_resilient`]/[`solve_bvm_resilient`], the unbudgeted
+//! one-shot form of an armed solve.
 
 use crate::bvm as bvm_tt;
 use crate::bvm::BvmTtSolution;
 use crate::ccc::{CccDriver, CccSolution};
+use crate::hyper::TtPe;
 use bvm::fault::BvmFaultPlan;
 use bvm::isa::{Dest, Instruction, Neighbor, RegSel};
 use bvm::machine::Bvm;
+use hypercube::ccc::CccMachine;
 use hypercube::fault::CccFaultPlan;
+use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
-use tt_core::solver::engine::{self, DegradeReason, SolveReport, WorkStats};
-use tt_core::solver::sequential::{LevelSink, WavefrontSeed};
+use tt_core::solver::engine::{self, DegradeReason, SolveOutcome, SolveReport, WorkStats};
+use tt_core::tree::TtTree;
 
 /// The marker value the dead-PE probe writes into `TtPe::arg`.
 const PROBE_MARK: u16 = 0xBEEF;
 
-/// Default bounded-retry budget for [`solve_ccc_resilient`] and
-/// [`solve_bvm_resilient`].
+/// Default bounded-retry budget for [`solve_ccc_resilient`],
+/// [`solve_bvm_resilient`] and the fault-armed engines.
 pub const DEFAULT_MAX_RETRIES: usize = 3;
+
+/// A fault plan armed on a machine, with its retry budget: how many
+/// times a phase whose two redundant runs disagree is re-run before the
+/// driver escalates.
+#[derive(Clone, Debug)]
+pub struct Armed<P> {
+    /// The fault plan, cloned into each solve (so every solve re-arms
+    /// the plan's counters).
+    pub plan: P,
+    /// Re-runs allowed per phase before escalation.
+    pub max_retries: usize,
+}
 
 /// What the resilient driver observed and did while solving.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -61,6 +83,21 @@ pub struct ResilienceReport {
     /// The replica block the answer was read from (CCC only; `0` when no
     /// quarantine was needed).
     pub replica_used: usize,
+}
+
+impl ResilienceReport {
+    /// Adds the report to a solve's counters: the extras
+    /// `glitches_detected`, `fault_retries`, `dead_pes` (a count) and
+    /// `replica_used`, plus the telemetry and metrics counters.
+    pub(crate) fn record(&self, work: &mut WorkStats) {
+        work.push_extra("glitches_detected", self.glitches_detected);
+        work.push_extra("fault_retries", self.retries);
+        work.push_extra("dead_pes", self.dead_pes.len() as u64);
+        work.push_extra("replica_used", self.replica_used as u64);
+        tt_obs::telemetry::add_counter("glitches_detected", self.glitches_detected);
+        tt_obs::telemetry::add_counter("exchange_retries", self.retries);
+        tt_obs::metrics::counter("tt_exchange_retries_total").add(self.retries);
+    }
 }
 
 /// A machine fault the driver could not mask within its budget.
@@ -125,19 +162,27 @@ impl FaultEscalation {
     /// refusal is tagged [`DegradeReason::Capacity`]). This is what
     /// consumers print instead of a wrong answer.
     pub fn report(&self, inst: &TtInstance) -> SolveReport {
-        engine::timed_report_with(|| {
-            if *self == FaultEscalation::Capacity {
-                return engine::capacity_result(inst, WorkStats::default());
-            }
-            let mut work = WorkStats::default();
-            work.push_extra("fault_escalation", 1);
-            engine::degraded_result(inst, DegradeReason::FaultEscalation, &|_| None, work)
-        })
+        engine::timed_report_with(|| self.result(inst))
+    }
+
+    /// The pieces of [`report`](FaultEscalation::report), for an engine
+    /// that assembles its own report.
+    pub(crate) fn result(
+        &self,
+        inst: &TtInstance,
+    ) -> (Cost, Option<TtTree>, WorkStats, SolveOutcome) {
+        if *self == FaultEscalation::Capacity {
+            return engine::capacity_result(inst, WorkStats::default());
+        }
+        let mut work = WorkStats::default();
+        work.push_extra("fault_escalation", 1);
+        engine::degraded_result(inst, DegradeReason::FaultEscalation, &|_| None, work)
     }
 }
 
 /// Runs the TT program on a CCC with the given fault plan armed,
-/// detecting and recovering from the faults.
+/// detecting and recovering from the faults: [`crate::ccc::solve_resumable`]
+/// with `plan` armed, run to the end.
 ///
 /// Every `#S = level` phase is executed **twice from a snapshot** and
 /// committed only when the two runs' checksums agree; a mismatch rolls
@@ -148,77 +193,33 @@ impl FaultEscalation {
 /// bits, leaving the high-address blocks fully independent.
 pub fn solve_ccc_resilient(
     inst: &TtInstance,
-    plan: CccFaultPlan<crate::hyper::TtPe>,
+    plan: CccFaultPlan<TtPe>,
     max_retries: usize,
 ) -> Result<(CccSolution, ResilienceReport), FaultEscalation> {
-    solve_ccc_resilient_resumable(inst, plan, max_retries, None, &mut |_, _| {})
+    let armed = Armed { plan, max_retries };
+    let (sol, _, report) =
+        crate::ccc::solve_resumable(inst, Some(&armed), &mut || true, None, &mut |_, _| {})?;
+    Ok((sol, report))
 }
 
-/// As [`solve_ccc_resilient`], but resumable: `resume` warm-starts every
-/// replica from a completed `#S ≤ level` wavefront (the import is a host
-/// load — it bypasses the armed fault plan, exactly like the dead-PE
-/// probe), and `on_level` receives the clean replica's cost table after
-/// each *committed* level. An escalation mid-solve therefore leaves the
-/// caller holding a checkpoint of the last level that passed the
-/// redundant-execution check — the warm handoff the supervision chain
-/// resumes a software engine from.
-pub fn solve_ccc_resilient_resumable(
-    inst: &TtInstance,
-    plan: CccFaultPlan<crate::hyper::TtPe>,
-    max_retries: usize,
-    resume: Option<WavefrontSeed<'_>>,
-    on_level: &mut LevelSink<'_>,
-) -> Result<(CccSolution, ResilienceReport), FaultEscalation> {
-    let driver = CccDriver::new(inst);
-    let mut m = driver.fresh_machine();
-    m.inject_faults(plan);
-
-    // Probe for dead PEs and pick a clean replica block before starting.
+/// The CCC's dead-PE probe and quarantine: finds the PEs that do not
+/// take a marker local step and picks the first replica block free of
+/// them. Returns the dead addresses and the replica to read back from.
+pub(crate) fn quarantine(
+    driver: &CccDriver,
+    m: &mut CccMachine<TtPe>,
+) -> Result<(Vec<usize>, usize), FaultEscalation> {
     let dead = m.probe_dead(|_, pe| pe.arg = PROBE_MARK, |_, pe| pe.arg == PROBE_MARK);
     let dims = driver.layout.dims();
     // The legality checker is the selection predicate: a replica is
     // usable exactly when its quarantine remap verifies (in range and
     // free of dead addresses).
-    let replica = (0..driver.replicas(&m))
+    match (0..driver.replicas(m))
         .find(|&rep| hypercube::verify::check_quarantine(dims, m.len(), rep, &dead).is_ok())
-        .ok_or(FaultEscalation::NoCleanReplica { dead: dead.clone() })?;
-
-    driver.init(&mut m);
-    let start = match resume {
-        Some((level, cost)) => {
-            let lvl = level.min(driver.layout.k);
-            driver.import_wavefront(&mut m, lvl, cost);
-            lvl
-        }
-        None => 0,
-    };
-    let mut report = ResilienceReport {
-        dead_pes: dead,
-        replica_used: replica,
-        ..ResilienceReport::default()
-    };
-    for level in (start + 1)..=driver.layout.k {
-        let snapshot = m.clone();
-        let mut attempts = 0usize;
-        loop {
-            let mut first = snapshot.clone();
-            driver.run_level(&mut first, level);
-            let mut second = snapshot.clone();
-            driver.run_level(&mut second, level);
-            if first.checksum() == second.checksum() {
-                m = first;
-                break;
-            }
-            report.glitches_detected += 1;
-            if attempts >= max_retries {
-                return Err(FaultEscalation::RetriesExhausted { retries: attempts });
-            }
-            attempts += 1;
-            report.retries += 1;
-        }
-        on_level(level, &driver.read_costs(inst, &m, replica));
+    {
+        Some(replica) => Ok((dead, replica)),
+        None => Err(FaultEscalation::NoCleanReplica { dead }),
     }
-    Ok((driver.solution(inst, &m, replica, start), report))
 }
 
 /// One dual-pattern stuck-link probe round: fetch an all-zeros plane and
@@ -235,33 +236,15 @@ fn stuck_probe_round(probe: &mut Bvm) -> Vec<bool> {
         .collect()
 }
 
-/// Runs the TT program on a BVM with the given fault plan armed.
-///
-/// An instance the BVM cannot hold ([`bvm_tt::fits`]) is refused with
-/// [`FaultEscalation::Capacity`] before any machine is built. Then
-/// persistent faults are hunted, on probe clones of the armed
-/// machine: dead columns by an all-enabled constant write (a dead PE is
-/// the only PE that cannot commit it — no fetches consumed), stuck
-/// links by two dual-pattern fetch rounds intersected (a transient can
-/// glitch at most one round, so only genuinely stuck PEs are flagged in
-/// both). Either finding escalates — the BVM routes across all cycle
-/// positions, so there is no replica to quarantine into. Transients are
-/// then masked by whole-run redundancy: the program runs twice on
-/// clones of the armed machine and the `C(·)` tables are compared,
-/// retrying up to `max_retries` times. Note the probes consume four
-/// fetch-counter ticks: `FlipBit` faults scheduled at `nth < 4` fire
-/// during probing (and are consumed there) rather than during the solve.
-pub fn solve_bvm_resilient(
-    inst: &TtInstance,
-    plan: BvmFaultPlan,
-    max_retries: usize,
-) -> Result<(BvmTtSolution, ResilienceReport), FaultEscalation> {
-    if !bvm_tt::fits(inst) {
-        return Err(FaultEscalation::Capacity);
-    }
-    let mut template = bvm_tt::machine_for(inst);
-    template.inject_faults(plan);
-
+/// Hunts the persistent faults of an armed BVM, on probe clones of it:
+/// dead columns by an all-enabled constant write (a dead PE is the only
+/// PE that cannot commit it — no fetches consumed), stuck links by two
+/// dual-pattern fetch rounds intersected (a transient can glitch at most
+/// one round, so only genuinely stuck PEs are flagged in both). Either
+/// finding escalates — the BVM routes across all cycle positions, so
+/// there is no replica to quarantine into. The probes consume four
+/// fetch-counter ticks.
+pub(crate) fn probe_bvm(template: &Bvm) -> Result<(), FaultEscalation> {
     let dead: Vec<usize> = {
         let mut probe = template.clone();
         probe.exec(&Instruction::set_const(Dest::A, true));
@@ -272,7 +255,6 @@ pub fn solve_bvm_resilient(
     if !dead.is_empty() {
         return Err(FaultEscalation::DeadPes { dead });
     }
-
     let stuck: Vec<usize> = {
         let mut probe = template.clone();
         let first = stuck_probe_round(&mut probe);
@@ -284,22 +266,30 @@ pub fn solve_bvm_resilient(
     if !stuck.is_empty() {
         return Err(FaultEscalation::StuckLinks { pes: stuck });
     }
+    Ok(())
+}
 
-    let mut report = ResilienceReport::default();
-    loop {
-        let first = bvm_tt::solve_on(inst, template.clone());
-        let second = bvm_tt::solve_on(inst, template.clone());
-        if first.c_table == second.c_table {
-            return Ok((first, report));
-        }
-        report.glitches_detected += 1;
-        if report.retries as usize >= max_retries {
-            return Err(FaultEscalation::RetriesExhausted {
-                retries: report.retries as usize,
-            });
-        }
-        report.retries += 1;
-    }
+/// Runs the TT program on a BVM with the given fault plan armed:
+/// [`crate::bvm::solve_budgeted`] with `plan` armed, run to the end.
+///
+/// An instance the BVM cannot hold ([`bvm_tt::fits`]) is refused with
+/// [`FaultEscalation::Capacity`] before any machine is built. Then
+/// persistent faults are hunted on probe clones of the armed machine —
+/// dead columns by an all-enabled constant write, stuck links by two
+/// dual-pattern fetch rounds intersected — and escalate. Transients are then masked by
+/// whole-run redundancy: the program runs twice on clones of the armed
+/// machine and the `C(·)` tables are compared, retrying up to
+/// `max_retries` times. Note the probes consume four fetch-counter
+/// ticks: `FlipBit` faults scheduled at `nth < 4` fire during probing
+/// (and are consumed there) rather than during the solve.
+pub fn solve_bvm_resilient(
+    inst: &TtInstance,
+    plan: BvmFaultPlan,
+    max_retries: usize,
+) -> Result<(BvmTtSolution, ResilienceReport), FaultEscalation> {
+    let armed = Armed { plan, max_retries };
+    let (sol, _, report) = bvm_tt::solve_budgeted(inst, Some(&armed), &mut || true)?;
+    Ok((sol, report))
 }
 
 #[cfg(test)]

@@ -22,9 +22,16 @@
 //! engine stops and prints its anytime incumbent with the guaranteed
 //! `[lower, upper]` bound sandwich instead of hanging.
 //!
-//! `--faults` arms a deterministic machine-fault plan and solves through
-//! the resilient drivers of `tt_parallel::resilient`. The spec is a
-//! comma-separated list, all targeting one machine:
+//! `--faults` arms a deterministic machine-fault plan on the targeted
+//! machine's registry engine (`ccc` or `bvm`; a `--solver` naming
+//! another engine is a usage error) and solves with it: the engine's
+//! driver detects, retries and quarantines the faults (see
+//! `tt_parallel::resilient`), and every other solve flag — `--timeout`,
+//! `--max-candidates`, `--tree`, `--stats`, `--profile`,
+//! `--checkpoint`, `--resume`, `--supervise` — applies as it does to
+//! `--solver ccc`. A `resilience:` line reports the glitches detected,
+//! the retries, the dead-PE count and the replica read back. The spec
+//! is a comma-separated list, all targeting one machine:
 //!
 //! ```text
 //!   ccc:dead:<addr>        dead PE (quarantined via a replica block)
@@ -80,7 +87,8 @@
 //! the next run to replay. The printed `cache: hit|miss (N entries)`
 //! line says which happened; `--metrics` exposes the same as
 //! `ttcache_hits`/`ttcache_misses`. `--cache` conflicts with
-//! `--faults`, `--checkpoint` and `--resume`.
+//! `--faults` (a fault demo must exercise the machine), `--checkpoint`
+//! and `--resume` (a hit has no levels).
 //!
 //! Observability (see the README's "Observability" section for the
 //! schemas): `--trace <file>` captures the solve's span/instant event
@@ -116,9 +124,6 @@ use tt_core::solver::engine::{DegradeReason, SolveOutcome, SolveReport};
 use tt_core::solver::supervise::{supervise_with_observer, SuperviseOptions};
 use tt_core::solver::Solver;
 use tt_parallel::orchestrate::{self, FaultTarget};
-use tt_parallel::resilient::{
-    self, solve_bvm_resilient, solve_ccc_resilient, ResilienceReport, DEFAULT_MAX_RETRIES,
-};
 
 const EXIT_USAGE: i32 = 2;
 const EXIT_READ: i32 = 3;
@@ -140,7 +145,8 @@ fn usage() -> ! {
          \x20      ttsolve --emit <random|medical|faults|biology|lab> [k] [seed]\n\
          \x20      ttsolve --batch <manifest> [--records <file>] [--summary <file>]\n\
          \x20      ttsolve --engines\n\
-         fault specs: ccc:dead:<addr> ccc:drop:<dim>@<nth> ccc:corrupt:<dim>@<nth>\n\
+         fault specs arm the ccc/bvm engine (every solve flag applies):\n\
+         \x20            ccc:dead:<addr> ccc:drop:<dim>@<nth> ccc:corrupt:<dim>@<nth>\n\
          \x20            bvm:dead:<pe> bvm:stuck:<pe>=<0|1> bvm:flip:<pe>@<nth>\n\
          batch lines: <file.tt | demo:<domain>:<k>:<seed>> [id=] [solver=] [timeout_ms=]\n\
          \x20            [max_candidates=] [faults=]   (# starts a comment)\n\
@@ -402,6 +408,16 @@ fn print_result(inst: &TtInstance, opts: &Opts, report: &SolveReport, exact: boo
         println!("stats: {}", report.work);
         println!("wall: {:.3?}", report.wall);
     }
+    let work = &report.work;
+    if let Some(glitches) = work.extra("glitches_detected") {
+        let extra = |name| work.extra(name).unwrap_or(0);
+        println!(
+            "resilience: glitches detected = {glitches}, retries = {}, dead PEs = {}, replica used = {}",
+            extra("fault_retries"),
+            extra("dead_pes"),
+            extra("replica_used")
+        );
+    }
     let mut code = 0;
     match report.outcome {
         SolveOutcome::Complete => {
@@ -423,7 +439,11 @@ fn print_result(inst: &TtInstance, opts: &Opts, report: &SolveReport, exact: boo
             println!(
                 "degraded result ({reason}): optimum within [{lower_bound}, {upper_bound}] ({gap})"
             );
-            code = EXIT_DEGRADED;
+            code = if reason == DegradeReason::FaultEscalation {
+                EXIT_FAULT_ESCALATION
+            } else {
+                EXIT_DEGRADED
+            };
         }
     }
     if let Some(t) = &report.tree {
@@ -535,26 +555,32 @@ fn solve_and_report(inst: &TtInstance, opts: &Opts) {
         .resume
         .as_deref()
         .map(|p| load_checkpoint_or_exit(p, inst));
+    let faults = opts.faults.as_deref().map(|spec| {
+        let target = FaultTarget::parse_for(spec, opts.solver.as_deref()).unwrap_or_else(|e| {
+            eprintln!("--faults: {e}");
+            exit(EXIT_USAGE)
+        });
+        println!("fault plan armed on {}: {spec}", target.machine());
+        target
+    });
     if opts.supervise {
-        let code = solve_supervised(inst, opts, resume, cached);
-        emit_observability(opts);
-        exit(code);
-    }
-    if let Some(spec) = &opts.faults {
-        let code = solve_with_faults(inst, opts, spec);
+        let code = solve_supervised(inst, opts, faults, resume, cached);
         emit_observability(opts);
         exit(code);
     }
     let name = opts.solver.clone().unwrap_or_else(|| "seq".to_string());
-    let engine: Box<dyn Solver> = match tt_repro::lookup(&name) {
-        Some(e) => e,
-        None => {
-            eprintln!("unknown solver '{name}'; registered engines:");
-            for e in tt_repro::registry() {
-                eprintln!("  {}", e.name());
+    let engine: Box<dyn Solver> = match faults {
+        Some(target) => target.engine(),
+        None => match tt_repro::lookup(&name) {
+            Some(e) => e,
+            None => {
+                eprintln!("unknown solver '{name}'; registered engines:");
+                for e in tt_repro::registry() {
+                    eprintln!("  {}", e.name());
+                }
+                exit(EXIT_UNKNOWN_NAME)
             }
-            exit(EXIT_UNKNOWN_NAME)
-        }
+        },
     };
 
     print_instance_line(inst);
@@ -614,8 +640,8 @@ struct CacheMiss {
 /// and looks it up. A hit is printed like a plain solve and exits; a
 /// miss returns what the normal solve needs to offer its report back.
 fn cache_lookup(inst: &TtInstance, opts: &Opts, dir: &str) -> CacheMiss {
-    // A hit has no levels to checkpoint or resume from, and the fault
-    // demo prints a machine solution with no report to offer.
+    // A hit has no levels to checkpoint or resume from, and a fault
+    // demo must exercise the machine rather than read an answer back.
     if opts.faults.is_some() || opts.checkpoint.is_some() || opts.resume.is_some() {
         eprintln!("--cache conflicts with --faults/--checkpoint/--resume");
         exit(EXIT_USAGE);
@@ -702,28 +728,11 @@ fn save_checkpoint(path: &str, ck: &Checkpoint) {
 fn solve_supervised(
     inst: &TtInstance,
     opts: &Opts,
+    faults: Option<FaultTarget>,
     resume: Option<Checkpoint>,
     cached: Option<CacheMiss>,
 ) -> i32 {
-    let chain: Vec<Box<dyn Solver>> = if let Some(spec) = &opts.faults {
-        let target = match orchestrate::parse_fault_spec(spec) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("bad --faults spec: {e}");
-                return EXIT_USAGE;
-            }
-        };
-        let machine = match &target {
-            FaultTarget::Ccc(_) => "ccc",
-            FaultTarget::Bvm(_) => "bvm",
-        };
-        if let Some(solver) = opts.solver.as_deref() {
-            if solver != machine {
-                eprintln!("--faults {machine}:* requires --solver {machine} (or none)");
-                return EXIT_USAGE;
-            }
-        }
-        println!("fault plan armed on {machine}: {spec}");
+    let chain: Vec<Box<dyn Solver>> = if let Some(target) = faults {
         orchestrate::fault_chain(inst, target)
     } else if let Some(name) = opts.solver.as_deref() {
         match orchestrate::named_chain(inst, name) {
@@ -765,85 +774,5 @@ fn solve_supervised(
         print_profile(&r.report);
     }
     offer_to_cache(cached, &r.report, true);
-    let code = print_result(inst, opts, &r.report, true);
-    if matches!(
-        r.report.outcome,
-        SolveOutcome::Degraded {
-            reason: DegradeReason::FaultEscalation,
-            ..
-        }
-    ) {
-        return EXIT_FAULT_ESCALATION;
-    }
-    code
-}
-
-// ---------------------------------------------------------------------
-// Fault-injection mode (plain, unsupervised; `--supervise --faults`
-// goes through the failover chain instead).
-// ---------------------------------------------------------------------
-
-fn print_resilience(rep: &ResilienceReport) {
-    println!(
-        "resilience: glitches detected = {}, retries = {}, dead PEs = {:?}, replica used = {}",
-        rep.glitches_detected, rep.retries, rep.dead_pes, rep.replica_used
-    );
-}
-
-fn solve_with_faults(inst: &TtInstance, opts: &Opts, spec: &str) -> i32 {
-    let target = match orchestrate::parse_fault_spec(spec) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bad --faults spec: {e}");
-            return EXIT_USAGE;
-        }
-    };
-    let machine_name = match &target {
-        FaultTarget::Ccc(_) => "ccc",
-        FaultTarget::Bvm(_) => "bvm",
-    };
-    if let Some(solver) = opts.solver.as_deref() {
-        if solver != machine_name {
-            eprintln!("--faults {machine_name}:* requires --solver {machine_name} (or none)");
-            return EXIT_USAGE;
-        }
-    }
-    print_instance_line(inst);
-    println!("fault plan armed on {machine_name}: {spec}");
-
-    let escalation: resilient::FaultEscalation = match target {
-        FaultTarget::Ccc(plan) => match solve_ccc_resilient(inst, plan, DEFAULT_MAX_RETRIES) {
-            Ok((sol, rep)) => {
-                print_resilience(&rep);
-                println!("optimal expected cost: {}", sol.cost);
-                if opts.tree {
-                    if let Some(t) = sol.tree(inst) {
-                        println!("\noptimal procedure:\n");
-                        print!("{}", t.render(inst));
-                    }
-                }
-                return 0;
-            }
-            Err(esc) => esc,
-        },
-        FaultTarget::Bvm(plan) => match solve_bvm_resilient(inst, plan, DEFAULT_MAX_RETRIES) {
-            Ok((sol, rep)) => {
-                print_resilience(&rep);
-                println!("optimal expected cost: {}", sol.cost);
-                return 0;
-            }
-            Err(esc) => esc,
-        },
-    };
-    let report = escalation.report(inst);
-    if escalation == resilient::FaultEscalation::Capacity {
-        // No fault ran: the answer is the capacity refusal (exit 7) a
-        // plain `--solver bvm` run gives.
-        return print_result(inst, opts, &report, true);
-    }
-    eprintln!("fault escalation: {escalation}");
-    // The greedy incumbent with its bound sandwich — degraded, never
-    // silently wrong.
-    print_result(inst, opts, &report, true);
-    EXIT_FAULT_ESCALATION
+    print_result(inst, opts, &r.report, true)
 }

@@ -132,7 +132,8 @@ fn ttsolve_cache_looks_up_solves_with_the_normal_engine_and_stores_only_exact_an
         assert_eq!(cost(&again), cost(&out));
     }
 
-    // The fault demo prints no report to cache: still a usage error.
+    // A fault demo must exercise the machine, not read the cache: still
+    // a usage error.
     let out = ttsolve(&[
         base.to_str().unwrap(),
         "--cache",

@@ -5,9 +5,9 @@
 //! 2–4 and 6) — all parsed from source, so adding a code to one place
 //! without the others fails here. Codes shared across binaries must
 //! carry the same `EXIT_*` name everywhere, so a reader can grep one
-//! name and see the whole meaning. Instances the core refuses, and
-//! ones the BVM refuses by capacity, are also run through `ttsolve` to
-//! pin the codes they exit with.
+//! name and see the whole meaning. Instances the core refuses, ones the
+//! BVM refuses by capacity, and fault-armed solves under a budget are
+//! also run through `ttsolve` to pin the codes they exit with.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -286,4 +286,68 @@ fn bvm_past_its_largest_machine_exits_degraded_by_capacity() {
     };
     assert_eq!(cost(&supervised), cost(&seq));
     assert!(cost(&seq).is_some(), "{seq}");
+}
+
+/// A fault plan arms the machine's registry engine, so a candidate
+/// budget binds a fault-armed solve exactly as it binds `--solver ccc`:
+/// plain and supervised runs exit 7 with the degraded sandwich, and a
+/// batch line yields a degraded record.
+#[test]
+fn a_fault_armed_solve_honours_its_budget_on_every_entry_point() {
+    let demo = [
+        "medical",
+        "6",
+        "1",
+        "--faults",
+        "ccc:corrupt:5@0",
+        "--max-candidates",
+        "1",
+    ];
+    for flags in [&demo[..], &[&demo[..], &["--supervise"]].concat()] {
+        let (code, text) = ttsolve("--demo", flags);
+        assert_eq!(code, Some(7), "{flags:?}: {text}");
+        assert!(
+            text.contains("degraded result (candidate limit exceeded)"),
+            "{flags:?}: {text}"
+        );
+    }
+    let path = std::env::temp_dir().join(format!("ttsolve-armed-{}.txt", std::process::id()));
+    std::fs::write(
+        &path,
+        "demo:medical:6:1 max_candidates=1 faults=ccc:corrupt:5@0\n",
+    )
+    .unwrap();
+    let (code, text) = ttsolve("--batch", &[path.to_str().unwrap()]);
+    assert_eq!(code, Some(10), "{text}");
+    let record = text.lines().next().unwrap_or_default();
+    assert!(record.contains("\"status\":\"degraded\""), "{text}");
+    assert!(record.contains("\"engine\":\"ccc\""), "{text}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A fault-armed `bvm` solve is the `bvm` engine's solve: `--tree` and
+/// `--stats` print its procedure, its machine counters and the
+/// resilience counters.
+#[test]
+fn a_fault_armed_bvm_prints_its_tree_and_counters() {
+    let flags = [
+        "medical",
+        "4",
+        "1",
+        "--faults",
+        "bvm:flip:3@0",
+        "--tree",
+        "--stats",
+    ];
+    let (code, text) = ttsolve("--demo", &flags);
+    assert_eq!(code, Some(0), "{text}");
+    for want in [
+        "optimal procedure",
+        "bit_ops=",
+        "phase:levels=",
+        "glitches_detected=",
+        "resilience: glitches detected = ",
+    ] {
+        assert!(text.contains(want), "{want} missing: {text}");
+    }
 }

@@ -1,14 +1,16 @@
 //! Budget resilience across the whole registry: every engine, handed an
 //! exhausted or tiny budget, must return promptly with a sound degraded
 //! result — never hang, never panic, never report bounds that exclude
-//! the true optimum.
+//! the true optimum. The `ccc` and `bvm` engines run a second time with
+//! a fault plan armed, which must not loosen the budget.
 
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 use tt_core::instance::TtInstance;
 use tt_core::solver::budget::{Budget, CancelToken};
 use tt_core::solver::engine::SolveOutcome;
-use tt_core::solver::sequential;
+use tt_core::solver::{sequential, Solver};
+use tt_parallel::orchestrate::parse_fault_spec;
 use tt_workloads::random::RandomConfig;
 
 fn inst(k: usize, seed: u64) -> TtInstance {
@@ -20,6 +22,21 @@ fn inst(k: usize, seed: u64) -> TtInstance {
         max_weight: 7,
     }
     .generate(seed)
+}
+
+/// Every registry engine under its name, then the `ccc` engine with a
+/// corrupting link armed and the `bvm` engine with a bit flip armed
+/// (past the four fetches its probes consume), under their specs.
+fn engines() -> Vec<(String, Box<dyn Solver>)> {
+    let mut engines: Vec<(String, Box<dyn Solver>)> = tt_repro::registry()
+        .into_iter()
+        .map(|e| (e.name().to_string(), e))
+        .collect();
+    for spec in ["ccc:corrupt:4@0", "bvm:flip:1@6"] {
+        let armed = parse_fault_spec(spec).unwrap().engine();
+        engines.push((format!("{} armed with {spec}", armed.name()), armed));
+    }
+    engines
 }
 
 /// The outcome's bound sandwich must contain the true optimum, and the
@@ -60,7 +77,7 @@ fn assert_sound(name: &str, exact: bool, i: &TtInstance, report: &tt_core::solve
 fn one_millisecond_deadline_on_k16_degrades_everywhere() {
     let i = inst(16, 42);
     let budget = Budget::with_deadline(Duration::from_millis(1));
-    for engine in tt_repro::registry() {
+    for (name, engine) in engines() {
         let start = Instant::now();
         let report = engine.solve_with(&i, &budget);
         let wall = start.elapsed();
@@ -69,10 +86,9 @@ fn one_millisecond_deadline_on_k16_degrades_everywhere() {
         // hours a k = 16 machine simulation would take".
         assert!(
             wall < Duration::from_secs(5),
-            "{} took {wall:?} against a 1 ms deadline",
-            engine.name()
+            "{name} took {wall:?} against a 1 ms deadline"
         );
-        assert_sound(engine.name(), engine.kind().is_exact(), &i, &report);
+        assert_sound(&name, engine.kind().is_exact(), &i, &report);
     }
 }
 
@@ -86,17 +102,16 @@ fn pre_cancelled_token_stops_every_engine() {
         cancel: Some(token),
         ..Budget::default()
     };
-    for engine in tt_repro::registry() {
+    for (name, engine) in engines() {
         if i.k() > engine.max_k() {
             continue; // capacity-gated engines degrade anyway; covered above
         }
         let report = engine.solve_with(&i, &budget);
         assert!(
             report.outcome.is_degraded(),
-            "{} ignored a pre-cancelled token",
-            engine.name()
+            "{name} ignored a pre-cancelled token"
         );
-        assert_sound(engine.name(), engine.kind().is_exact(), &i, &report);
+        assert_sound(&name, engine.kind().is_exact(), &i, &report);
     }
 }
 
@@ -105,13 +120,13 @@ fn pre_cancelled_token_stops_every_engine() {
 #[test]
 fn unlimited_budget_changes_nothing() {
     let i = inst(5, 3);
-    for engine in tt_repro::registry() {
+    for (name, engine) in engines() {
         if i.k() > engine.max_k() {
             continue;
         }
         let report = engine.solve_with(&i, &Budget::unlimited());
-        assert!(report.outcome.is_complete(), "{}", engine.name());
-        assert_eq!(report.cost, engine.solve(&i).cost, "{}", engine.name());
+        assert!(report.outcome.is_complete(), "{name}");
+        assert_eq!(report.cost, engine.solve(&i).cost, "{name}");
     }
 }
 
@@ -142,8 +157,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Degraded sandwich property over a randomized instance family and
-    /// candidate budgets: for every engine, any outcome must carry a
-    /// bound sandwich containing the exact DP optimum.
+    /// candidate budgets: for every engine, armed or not, any outcome
+    /// must carry a bound sandwich containing the exact DP optimum.
     #[test]
     fn degraded_bounds_always_contain_the_optimum(
         k in 4usize..7,
@@ -152,12 +167,12 @@ proptest! {
     ) {
         let i = inst(k, seed);
         let budget = Budget::with_max_candidates(max_candidates);
-        for engine in tt_repro::registry() {
+        for (name, engine) in engines() {
             if k > engine.max_k() {
                 continue;
             }
             let report = engine.solve_with(&i, &budget);
-            assert_sound(engine.name(), engine.kind().is_exact(), &i, &report);
+            assert_sound(&name, engine.kind().is_exact(), &i, &report);
         }
     }
 }
