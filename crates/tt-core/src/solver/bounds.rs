@@ -11,7 +11,11 @@
 //!   cured by some treatment containing it, and at that moment it is
 //!   charged at least that treatment's cost once, weighted by at least
 //!   `P_j` (the object is in the live set when its curing action runs).
-//!   Hence `C(S) ≥ Σ_{j∈S} P_j · min{ t_i : j ∈ T_i, i a treatment }`.
+//!   Hence `C(S) ≥ L(S) = Σ_{j∈S} P_j · min{ t_i : j ∈ T_i, i a
+//!   treatment }`. `L` is a sum over objects, so it is additive and
+//!   monotone: `L(S − T) = L(S) − L(S ∩ T) ≥ L(S) − L(T)`. The chunk
+//!   pass bounds a group of treatments of one cost `t` by `t·p(S) +
+//!   max(0, L(S) − max L(T))` this way, once per cell and group.
 //! * **Lookahead bound** — the DP recurrence with children replaced by
 //!   their treatment-charge bounds: a one-step optimistic cost for each
 //!   action, minimized over actions. Dominates the plain bound (the

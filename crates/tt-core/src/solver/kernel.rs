@@ -25,20 +25,26 @@
 //! pass skips the pairs that provably cannot win. With `L(S) =
 //! Σ_{x∈S} p_x · tmin_x`, the treatment-charge bound (`tmin_x` the cost
 //! of the cheapest treatment containing `x`; `L = INF` when some object
-//! of `S` has none), `C(S) ≥ L(S)` and `L` is additive, so a test's
-//! candidate `t·p(S) + C(S ∩ T) + C(S − T)` is at least `t·p(S) + L(S)`
-//! and a treatment's `t·p(S) + C(S − T)` at least `t·p(S)`. The actions
-//! run in groups of equal cost, tests before treatments and each kind
-//! in ascending cost order, so cheap candidates lower the running
-//! minima first. At each group boundary the chunk's cells are compacted
-//! to those whose group bound is below their running minimum, and the
-//! group runs over those cells only (over all of them when nearly all
-//! are live). A skipped candidate is at least its cell's minimum, and
-//! the minimum over actions depends neither on their order nor on
-//! candidates that cannot lower it, so every cell equals
-//! [`sequential::min_candidate`]'s, the cell-major reference, bit for
-//! bit. The budget is still charged `C(k, j)·N` pairs per level; the
-//! pairs the bound skipped are counted in [`FrontierStats::bound_skipped`].
+//! of `S` has none), `C(S) ≥ L(S)` and `L` is additive and monotone, so
+//! a test's candidate `t·p(S) + C(S ∩ T) + C(S − T)` is at least
+//! `t·p(S) + L(S)`, and a treatment's `t·p(S) + C(S − T)` at least
+//! `t·p(S) + L(S − T) ≥ t·p(S) + L(S) − L(T)`. The actions run in
+//! groups of equal cost, tests before treatments and each kind in
+//! ascending cost order, so cheap candidates lower the running minima
+//! first. A group's bound is the least of its actions' bounds:
+//! `t·p(S) + L(S)` for tests, `t·p(S) + max(0, L(S) − L_g)` for
+//! treatments, with `L_g` the largest `L(T)` in the group (finite: a
+//! treatment holds only treatable objects; an `INF` `L(S)` bounds
+//! `INF`). At each group boundary the chunk's cells are compacted to
+//! those whose group bound is below their running minimum, one bound
+//! per cell and group, never per pair, and the group runs over those
+//! cells only (over all of them when nearly all are live). A skipped
+//! candidate is at least its cell's minimum, and the minimum over
+//! actions depends neither on their order nor on candidates that
+//! cannot lower it, so every cell equals [`sequential::min_candidate`]'s,
+//! the cell-major reference, bit for bit. The budget is still charged
+//! `C(k, j)·N` pairs per level; the pairs the bound skipped are counted
+//! in [`FrontierStats::bound_skipped`].
 //!
 //! The chunk pass's arithmetic is sized to the instance, as the paper
 //! sizes its `w`-bit numbers: every built instance has its
@@ -209,6 +215,38 @@ fn ascending_costs(actions: &[Action]) -> impl Iterator<Item = u64> + '_ {
     std::iter::successors(above(None), move |&c| above(Some(c)))
 }
 
+/// All ones for `INF` (`u64::MAX`, the one value with its top bit set
+/// below the cost bound), zero for a finite cost.
+#[inline]
+fn inf(c: u64) -> u64 {
+    (c >> 63).wrapping_neg()
+}
+
+/// The bound of the tests costing `c` at a cell of weight `w = p(S)`
+/// and charge `l = L(S)`: `c·p(S) + L(S)`, since every candidate is
+/// `c·p(S) + C(S ∩ T) + C(S − T)` and `L` is additive.
+fn test_bound(c: u64) -> impl Fn(u64, u64) -> u64 + Copy {
+    move |w, l| (c * w).saturating_add(l)
+}
+
+/// The bound of the treatments costing `c`: `c·p(S) + max(0, L(S) −
+/// L_g)`, with `L_g` the largest `L(T)` of the group. A treatment's
+/// candidate is `c·p(S) + C(S − T)`, and `C(S − T) ≥ L(S − T) = L(S) −
+/// L(S ∩ T) ≥ L(S) − L(T) ≥ L(S) − L_g`, because `L` is additive and
+/// monotone. A treatment holds only treatable objects, so `L_g` is
+/// finite; when `L(S)` is `INF`, every candidate is `INF` and so is
+/// the bound. Finite, `c·p(S) + L(S)` is below the cost bound, so the
+/// sum is plain.
+fn treatment_bound(
+    split: &SplitWeights,
+    treatments: &[Action],
+    c: u64,
+) -> impl Fn(u64, u64) -> u64 + Copy {
+    let cure = costing(treatments, c).map(|t| split.of(t).1).max();
+    let cure = cure.unwrap_or(0);
+    move |w, l| (c * w).wrapping_add(l.saturating_sub(cure)) | inf(l)
+}
+
 /// Computes one chunk of level cells: `cells[off]` becomes
 /// `C(masks[off])` gathered from `table`. Returns the `(S, i)` pairs the
 /// bound skipped.
@@ -226,8 +264,10 @@ fn ascending_costs(actions: &[Action]) -> impl Iterator<Item = u64> + '_ {
 ///
 /// Actions run in groups of equal cost, tests first, each kind in
 /// ascending cost order, and each group only over the cells its bound
-/// leaves live (see [`Chunk::run_group`]): `t·p(S) + L(S)` for a test,
-/// `t·p(S)` for a treatment.
+/// leaves live (see [`Chunk::run_group`]): [`test_bound`]'s `t·p(S) +
+/// L(S)` for a test, [`treatment_bound`]'s `t·p(S) + max(0, L(S) −
+/// max L(T))` for a treatment. Each bound is taken once per cell and
+/// group, from the cell's `p(S)` and `L(S)`, never per pair.
 pub(crate) fn chunk_costs<L: CostLookup>(
     inst: &TtInstance,
     split: &SplitWeights,
@@ -241,21 +281,19 @@ pub(crate) fn chunk_costs<L: CostLookup>(
     for ((w, l), &s) in weights.iter_mut().zip(charges.iter_mut()).zip(masks) {
         (*w, *l) = split.of(s);
     }
-    let (weights, charges) = (&*weights, &*charges);
     let gather = |s| table.cost_of(s).0;
-    // All ones for a gathered `INF`, zero for a finite cost.
-    let inf = |c: u64| (c >> 63).wrapping_neg();
     cells.fill(Cost::INF);
     let mut chunk = Chunk {
         masks,
         weights,
+        charges,
         cells,
         live: [0; CHUNK],
     };
     let mut skipped = 0;
     for c in ascending_costs(inst.tests()) {
-        let bound = |off: usize| (c * weights[off]).saturating_add(charges[off]);
-        skipped += chunk.run_group(costing(inst.tests(), c), bound, |t, s, w, cell| {
+        let sets = costing(inst.tests(), c);
+        skipped += chunk.run_group(sets, test_bound(c), |t, s, w, cell| {
             let (inter, diff) = (s.intersect(t), s.difference(t));
             if inter.is_empty() || diff.is_empty() {
                 return;
@@ -266,8 +304,9 @@ pub(crate) fn chunk_costs<L: CostLookup>(
         });
     }
     for c in ascending_costs(inst.treatments()) {
-        let bound = |off: usize| c * weights[off];
-        skipped += chunk.run_group(costing(inst.treatments(), c), bound, |t, s, w, cell| {
+        let sets = costing(inst.treatments(), c);
+        let bound = treatment_bound(split, inst.treatments(), c);
+        skipped += chunk.run_group(sets, bound, |t, s, w, cell| {
             if !s.intersects(t) {
                 return;
             }
@@ -279,11 +318,13 @@ pub(crate) fn chunk_costs<L: CostLookup>(
     skipped
 }
 
-/// One chunk in the chunk pass: its masks and weights, its cells'
-/// running minima, and the index list of the cells a group runs over.
+/// One chunk in the chunk pass: its masks, weights and charges, its
+/// cells' running minima, and the index list of the cells a group runs
+/// over.
 struct Chunk<'a> {
     masks: &'a [Subset],
     weights: &'a [u64],
+    charges: &'a [u64],
     cells: &'a mut [Cost],
     live: [u16; CHUNK],
 }
@@ -291,28 +332,30 @@ struct Chunk<'a> {
 impl Chunk<'_> {
     /// Folds every action of a group of one cost, given by its `sets`,
     /// into the cells with `fold(T, S, p(S), cell)`, skipping the cells
-    /// whose running minimum is already at most `bound(off)`, a lower
-    /// bound on every candidate of the group there. A skipped candidate
-    /// could not lower its cell's minimum, so the cells are the dense
-    /// pass's exactly.
+    /// whose running minimum is already at most `bound(p(S), L(S))`, a
+    /// lower bound on every candidate of the group there. A skipped
+    /// candidate could not lower its cell's minimum, so the cells are
+    /// the dense pass's exactly.
     ///
     /// The live cells are compacted without branches into `live` at
-    /// the group boundary. When more than seven in eight are live, the
-    /// group runs over the whole chunk instead, as a dense pass.
-    /// Returns the pairs skipped: the dead cells times the group's
-    /// actions.
-    #[inline(always)]
+    /// the group boundary, walking the weights, charges and cells in
+    /// step so that the loop indexes nothing but `live`. When more than
+    /// seven in eight are live, the group runs over the whole chunk
+    /// instead, as a dense pass. Returns the pairs skipped: the dead
+    /// cells times the group's actions.
+    #[inline]
     fn run_group(
         &mut self,
         sets: impl Iterator<Item = Subset> + Clone,
-        bound: impl Fn(usize) -> u64,
+        bound: impl Fn(u64, u64) -> u64,
         fold: impl Fn(Subset, Subset, u64, &mut Cost),
     ) -> u64 {
         let (cells, live) = (&mut *self.cells, &mut self.live);
         let mut n = 0;
-        for (off, cell) in cells.iter().enumerate() {
+        let bounds = self.weights.iter().zip(self.charges);
+        for (off, (cell, (&w, &l))) in cells.iter().zip(bounds).enumerate() {
             live[n] = off as u16;
-            n += usize::from(bound(off) < cell.0);
+            n += usize::from(bound(w, l) < cell.0);
         }
         if 8 * n > 7 * cells.len() {
             for t in sets {
@@ -642,6 +685,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn group_bounds_never_exceed_a_candidate_of_their_group() {
+        let mut bitten = 0;
+        for k in 1..=12usize {
+            // From k = 2 object `k − 1` is untreatable, from k = 7 also
+            // object 3: the masks that hold one have `L(S) = INF`.
+            let treatable: Vec<usize> = (0..k)
+                .filter(|&j| k == 1 || (j != k - 1 && (k < 7 || j != 3)))
+                .collect();
+            // Every `step`-th of `len` treatable objects from `skip` on.
+            let part = |skip: usize, len: usize, step: usize| {
+                let objects = treatable.iter().copied().skip(skip).take(len);
+                Subset::from_iter(objects.step_by(step))
+            };
+            let mut b = TtInstanceBuilder::new(k).weights((0..k as u64).map(|j| 1 + j * 5 % 7));
+            for (j, &o) in treatable.iter().enumerate() {
+                b = b.test(Subset::from_iter([o, (o + 2) % k]), 1 + j as u64 % 3);
+            }
+            // Each cost group mixes set sizes: cost 2 a singleton, a pair
+            // and every third object; cost 0 (free) the last object, a
+            // pair and all but the first two.
+            let n = treatable.len();
+            let last = |len: usize| part(n.saturating_sub(len), len, 1);
+            let groups = [
+                (2, [part(0, 1, 1), part(1, 2, 1), part(0, n, 3)]),
+                (0, [last(1), last(2), part(2, n, 1)]),
+            ];
+            for (c, sets) in groups {
+                for t in sets.into_iter().filter(|t| !t.is_empty()) {
+                    b = b.treatment(t, c);
+                }
+            }
+            let i = b.build().unwrap();
+            let split = SplitWeights::new(&i);
+            let table = sequential::solve_tables(&i).cost;
+            for s in Subset::all(k) {
+                let (w, l) = split.of(s);
+                for a in 0..i.n_actions() {
+                    let action = i.action(a);
+                    let bound = if action.is_test() {
+                        test_bound(action.cost)(w, l)
+                    } else {
+                        treatment_bound(&split, i.treatments(), action.cost)(w, l)
+                    };
+                    let at = |what: &str| format!("k={k} S={s} action {a}: {what}");
+                    if l == u64::MAX {
+                        assert_eq!(bound, u64::MAX, "{}", at("an INF charge bounds INF"));
+                    } else if !action.is_test() && bound > action.cost * w {
+                        bitten += 1;
+                    }
+                    let useful = s.intersects(action.set)
+                        && (!action.is_test() || !s.difference(action.set).is_empty());
+                    if useful {
+                        let table = DenseSlab(&table);
+                        let cand = sequential::candidate_via(&i, w, &table, s, a, &mut 0);
+                        assert!(bound <= cand.0, "{}", at(&format!("{bound} > {cand}")));
+                    }
+                }
+            }
+        }
+        // The `L(S) − max L(T)` term is positive on some cells.
+        assert!(bitten > 0);
     }
 
     #[test]

@@ -72,7 +72,17 @@ pub const SMALL_K: usize = 11;
 /// the fan-out must amortize over one level's cells, not the whole
 /// lattice: at `k = 12` the widest level is only `C(12,6) = 924` cells
 /// and `rayon` measured 3.8× *slower* than `seq`. `C(15,7) = 6435`
-/// still loses; `C(16,8) = 12870` is the first width that wins.
+/// still loses. From `C(16,8) = 12870` on, whether `rayon` wins depends
+/// on a second core being free. Measured on a 2-vCPU KVM guest over the
+/// catalog draws of the solve-large benchmark, medians of 10
+/// interleaved runs at `k = 16, 18, 20`:
+/// - other vCPU idle: `rayon`'s wall time was 0.64–0.84× `seq`'s
+///   (1.05× on random at `k = 16`), for 1.12–1.45× its process CPU;
+/// - other vCPU running a busy loop (6 runs): `rayon`'s wall time
+///   equalled its CPU time and was 0.97–1.26× `seq`'s.
+///
+/// So at this width `rayon` trades CPU for latency, and loses both when
+/// the machine is busy; the threshold does not weigh that trade.
 pub const FRONTIER_PAR_THRESHOLD: u64 = 8192;
 
 /// `memo` is chosen when the reachable closure is at most

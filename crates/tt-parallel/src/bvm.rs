@@ -179,11 +179,15 @@ pub fn solve_recorded_on(inst: &TtInstance, mut m: Bvm) -> (BvmTtSolution, Progr
 /// machine and the `C(·)` tables are compared, a mismatch re-running
 /// both up to `max_retries` times. Only the first run consults `check`;
 /// every other run stops at the level the first one completed, so a
-/// budget stop is never read as a glitch.
+/// budget stop is never read as a glitch. `first_run(done)` is called
+/// once, when the first (or only) run returns with `done` levels
+/// completed, before any redundant run starts: a caller timing levels
+/// closes the last one there.
 pub fn solve_budgeted(
     inst: &TtInstance,
     faults: Option<&Armed<BvmFaultPlan>>,
     check: &mut dyn FnMut() -> bool,
+    first_run: &mut dyn FnMut(usize),
 ) -> Result<(BvmTtSolution, usize, ResilienceReport), FaultEscalation> {
     if !fits(inst) {
         return Err(FaultEscalation::Capacity);
@@ -193,11 +197,13 @@ pub fn solve_budgeted(
     let mut report = ResilienceReport::default();
     let Some(armed) = faults else {
         let (sol, done) = solve_impl(inst, w, false, &mut template, check);
+        first_run(done);
         return Ok((sol, done, report));
     };
     template.inject_faults(armed.plan.clone());
     resilient::probe_bvm(&template)?;
     let (mut first, done) = solve_impl(inst, w, false, &mut template.clone(), check);
+    first_run(done);
     let rerun = || {
         let mut levels = 0;
         let mut upto_done = || {

@@ -13,6 +13,7 @@ use crate::resilient::{Armed, FaultEscalation};
 use crate::{bvm as bvm_tt, ccc as ccc_tt, hyper, rayon_solver};
 use bvm::fault::BvmFaultPlan;
 use hypercube::fault::CccFaultPlan;
+use std::cell::RefCell;
 use tt_core::cost::Cost;
 use tt_core::instance::TtInstance;
 use tt_core::solver::budget::{Budget, BudgetMeter};
@@ -136,6 +137,11 @@ pub(crate) fn recomputed_subsets(k: usize, resumed: Option<usize>, done: usize) 
     let start = resumed.map_or(0, |l| l + 1);
     (start..=done).map(|j| binomial(k, j)).sum()
 }
+
+/// The telemetry counter of an armed `bvm` solve's fault redundancy:
+/// the nanoseconds from the first run's return to the solve's end (the
+/// redundant run and any retries), kept apart from the level samples.
+pub const REDUNDANCY_NANOS: &str = "redundancy_nanos";
 
 /// Emits the telemetry sample for a finished DP level — `cells`
 /// wavefront entries finalized, `candidates` (S, i) slots swept — timing
@@ -448,31 +454,37 @@ impl Solver for BvmEngine {
             |check, _, _| {
                 // The budget check runs once before each level, so the
                 // gap between consecutive calls times the level in
-                // between. Armed, only the first of the redundant runs
-                // calls it: the last level's sample also holds the
-                // redundant run and any retries.
-                let mut last = std::time::Instant::now();
+                // between; the first run's return closes the last one.
+                // Armed, the redundant runs and any retries come after
+                // it and are timed as one span of their own.
+                let clock = RefCell::new((std::time::Instant::now(), 0usize));
+                let close = |level: usize| {
+                    let (last, recorded) = &mut *clock.borrow_mut();
+                    if level > *recorded {
+                        record_level_boundary(level, binomial(inst.k(), level), pes, last);
+                        *recorded = level;
+                    }
+                };
                 let mut finished = 0usize;
-                let mut recorded = 0usize;
                 let faults = self.faults.as_ref();
-                let (s, done, rep) = bvm_tt::solve_budgeted(inst, faults, &mut || {
-                    if finished > recorded {
-                        record_level_boundary(
-                            finished,
-                            binomial(inst.k(), finished),
-                            pes,
-                            &mut last,
-                        );
-                        recorded = finished;
-                    }
-                    let ok = check();
-                    if ok {
-                        finished += 1;
-                    }
-                    ok
-                })?;
-                if done > recorded {
-                    record_level_boundary(done, binomial(inst.k(), done), pes, &mut last);
+                let (s, done, rep) = bvm_tt::solve_budgeted(
+                    inst,
+                    faults,
+                    &mut || {
+                        close(finished);
+                        let ok = check();
+                        finished += usize::from(ok);
+                        ok
+                    },
+                    &mut |done| {
+                        close(done);
+                        clock.borrow_mut().0 = std::time::Instant::now();
+                    },
+                )?;
+                let (last, _) = clock.into_inner();
+                if faults.is_some() {
+                    let nanos = u64::try_from(last.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    tt_obs::telemetry::add_counter(REDUNDANCY_NANOS, nanos);
                 }
                 let mut work = WorkStats {
                     machine_steps: s.instructions,
@@ -669,6 +681,27 @@ mod tests {
                 ],
                 "{name}"
             );
+        }
+    }
+
+    #[test]
+    fn an_armed_bvm_times_its_redundancy_apart_from_the_levels() {
+        let inst = small_instance();
+        let levels = |r: &SolveReport| {
+            let samples = r.telemetry.levels.iter();
+            samples.map(|l| (l.level, l.cells)).collect::<Vec<_>>()
+        };
+        let want = [(1, 3), (2, 3), (3, 1)];
+        let plain = BvmEngine::default().solve(&inst);
+        assert_eq!(levels(&plain), want);
+        assert_eq!(plain.telemetry.counter(REDUNDANCY_NANOS), None);
+        // The flip lands in a run; either way every run after the first
+        // is in the redundancy span, none in level 3's sample.
+        let flip = BvmFaultPlan::single(bvm::fault::BvmFault::FlipBit { nth: 6, pe: 1 });
+        for plan in [BvmFaultPlan::none(), flip] {
+            let armed = BvmEngine::armed(plan, 3).solve(&inst);
+            assert_eq!(levels(&armed), want, "{armed:?}");
+            assert!(armed.telemetry.counter(REDUNDANCY_NANOS).is_some());
         }
     }
 

@@ -288,7 +288,7 @@ pub fn solve_bvm_resilient(
     max_retries: usize,
 ) -> Result<(BvmTtSolution, ResilienceReport), FaultEscalation> {
     let armed = Armed { plan, max_retries };
-    let (sol, _, report) = bvm_tt::solve_budgeted(inst, Some(&armed), &mut || true)?;
+    let (sol, _, report) = bvm_tt::solve_budgeted(inst, Some(&armed), &mut || true, &mut |_| {})?;
     Ok((sol, report))
 }
 

@@ -123,6 +123,7 @@ use tt_core::solver::checkpoint::{Checkpoint, LevelView};
 use tt_core::solver::engine::{DegradeReason, SolveOutcome, SolveReport};
 use tt_core::solver::supervise::{supervise_with_observer, SuperviseOptions};
 use tt_core::solver::Solver;
+use tt_parallel::engines::REDUNDANCY_NANOS;
 use tt_parallel::orchestrate::{self, FaultTarget};
 
 const EXIT_USAGE: i32 = 2;
@@ -499,7 +500,8 @@ fn emit_observability(opts: &Opts) {
 }
 
 /// `--profile`: the human-readable rendering of the report's per-level
-/// telemetry — one row per DP level plus the named engine counters.
+/// telemetry — one row per DP level, a row for an armed `bvm` solve's
+/// redundant runs, plus the named engine counters.
 fn print_profile(report: &SolveReport) {
     let t = &report.telemetry;
     if t.is_empty() {
@@ -520,14 +522,23 @@ fn print_profile(report: &SolveReport) {
             format!("{:.3?}", Duration::from_nanos(s.nanos)),
         );
     }
+    if let Some(nanos) = t.counter(REDUNDANCY_NANOS) {
+        let time = format!("{:.3?}", Duration::from_nanos(nanos));
+        println!("  {:<33} {time:>12}", "redundant runs");
+    }
     println!(
         "  total level time: {:.3?} of {:.3?} wall",
         Duration::from_nanos(t.total_level_nanos()),
         report.wall
     );
-    if !t.counters.is_empty() {
+    let counters: Vec<_> = t
+        .counters
+        .iter()
+        .filter(|(n, _)| n != REDUNDANCY_NANOS)
+        .collect();
+    if !counters.is_empty() {
         println!("profile: engine counters");
-        for (name, v) in &t.counters {
+        for (name, v) in counters {
             println!("  {name:<24} {v}");
         }
     }

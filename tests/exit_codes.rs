@@ -325,6 +325,36 @@ fn a_fault_armed_solve_honours_its_budget_on_every_entry_point() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// An armed `bvm --profile` times its redundant runs in a row of their
+/// own: the k = 3 instance prints exactly its three level rows, then
+/// the redundancy row, whose time no level row holds.
+#[test]
+fn an_armed_bvm_profile_prints_its_redundancy_apart_from_the_levels() {
+    let path = std::env::temp_dir().join(format!("ttsolve-bvm-profile-{}.tt", std::process::id()));
+    let text = "tt 1\nobjects 3\nweights 2 1 1\ntest 0 1 | 1\ntest 0 2 | 2\n\
+                treat 0 1 | 3\ntreat 1 2 | 2\n";
+    std::fs::write(&path, text).unwrap();
+    let flags = ["--faults", "bvm:flip:1@6", "--profile"];
+    let (code, out) = ttsolve(path.to_str().unwrap(), &flags);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, Some(0), "{out}");
+    let lines: Vec<&str> = out.lines().collect();
+    let header = lines
+        .iter()
+        .position(|l| l.trim_start().starts_with("level"));
+    let rows = &lines[header.expect("a level table") + 1..];
+    let levels: Vec<&str> = rows
+        .iter()
+        .map_while(|l| {
+            l.split_whitespace()
+                .next()
+                .filter(|w| w.parse::<u32>().is_ok())
+        })
+        .collect();
+    assert_eq!(levels, ["1", "2", "3"], "{out}");
+    assert!(rows[3].trim_start().starts_with("redundant runs"), "{out}");
+}
+
 /// A fault-armed `bvm` solve is the `bvm` engine's solve: `--tree` and
 /// `--stats` print its procedure, its machine counters and the
 /// resilience counters.

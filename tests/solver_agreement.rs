@@ -154,7 +154,10 @@ fn arb_wide_instance() -> impl Strategy<Value = TtInstance> {
 /// that later test groups often win their cells; or every action costs
 /// 0, 1 or 2 (free tests and treatments, whose bound is the charge alone
 /// or 0). About half the draws leave objects untreatable, so their
-/// bound is `INF`. Middle levels span two chunks at `k = 13`.
+/// bound is `INF`, and about half add a treatment group of one cost
+/// whose sets differ in size (one object, a sparse and a dense set), so
+/// the group's `max L(T)` differs from most of its members'. Middle
+/// levels span two chunks at `k = 13`.
 fn arb_bound_instance() -> impl Strategy<Value = TtInstance> {
     (9usize..=13, 1usize..=8, 1usize..=6, 0u64..3, any::<u64>()).prop_map(
         |(k, nt, nr, mode, seed)| {
@@ -188,6 +191,20 @@ fn arb_bound_instance() -> impl Strategy<Value = TtInstance> {
             if r.next() & 1 == 0 {
                 let set = Subset(full & !untreatable);
                 b = b.treatment(set, treatment_cost(nr as u64, &mut r));
+            }
+            if r.next() & 1 == 0 {
+                // One cost group of a single object, a sparse set and a
+                // dense one: its bound takes the largest `L(T)`.
+                let c = treatment_cost(r.next(), &mut r);
+                let single = 1 << (r.next() % k as u64);
+                let sparse = (r.next() & r.next() & r.next()) as u32;
+                let dense = (r.next() | r.next()) as u32;
+                for set in [single, sparse, dense] {
+                    let set = set & full & !untreatable;
+                    if set != 0 {
+                        b = b.treatment(Subset(set), c);
+                    }
+                }
             }
             b.build().unwrap()
         },
